@@ -50,8 +50,8 @@ func run(args []string, errw io.Writer) error {
 		division    = fs.String("division", "tbd", "budget division for ct/wt: tbd or dbd")
 		k           = fs.Int("k", 0, "deletion budget (0 = critical budget k*)")
 		seed        = fs.Int64("seed", 1, "random seed for rd/rdt baselines")
-		workers     = fs.Int("workers", 0, "parallelism: index enumeration workers, and with -engine recount -method sgb the candidate-scan workers (0 = auto)")
-		engine      = fs.String("engine", "", "gain engine: lazy (default), indexed, recount")
+		workers     = fs.Int("workers", 0, "index enumeration workers; selection runs on one goroutine (0 = auto)")
+		engine      = fs.String("engine", "", "gain engine: indexed (default), recount (the paper's cost model); lazy is an alias for indexed")
 		report      = fs.Bool("report", true, "print a defense report against all link-prediction indices")
 		timeout     = fs.Duration("timeout", 0, "abort selection after this long (0 = no limit)")
 	)

@@ -127,7 +127,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestRequestLogFields runs traffic with a debug-level JSON logger installed
 // and checks the structured request log carries the documented fields,
-// including the session id and the per-stage timing breakdown.
+// including the session id, the engine (resolved when the request omits
+// it) and the per-stage timing breakdown.
 func TestRequestLogFields(t *testing.T) {
 	srv, ts := newSessionTestServer(t, 0)
 	var buf bytes.Buffer
@@ -137,6 +138,12 @@ func TestRequestLogFields(t *testing.T) {
 	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect",
 		sessionProtectRequest{OmitReleased: true, Engine: "indexed"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("protect: status %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := postProtect(t, ts, protectRequest{
+		Edges:   quickstartEdges,
+		Targets: [][2]string{{"0", "5"}},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("one-shot protect: status %d: %s", resp.StatusCode, body)
 	}
 
 	type logLine struct {
@@ -169,14 +176,14 @@ func TestRequestLogFields(t *testing.T) {
 		ids[ll.RequestID] = true
 		lines = append(lines, ll)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("request log lines = %d, want 2 (create + protect)", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("request log lines = %d, want 3 (create + protect + one-shot protect)", len(lines))
 	}
 	if len(ids) != len(lines) {
 		t.Errorf("request ids not unique: %d ids over %d lines", len(ids), len(lines))
 	}
 
-	create, protect := lines[0], lines[1]
+	create, protect, oneShot := lines[0], lines[1], lines[2]
 	if create.Route != "POST /v1/sessions" || create.Status != http.StatusCreated || create.Session != id {
 		t.Errorf("create line = route %q status %d session %q, want POST /v1/sessions 201 %q",
 			create.Route, create.Status, create.Session, id)
@@ -189,6 +196,10 @@ func TestRequestLogFields(t *testing.T) {
 	}
 	if protect.Engine != "indexed" {
 		t.Errorf("protect line engine = %q, want indexed", protect.Engine)
+	}
+	if oneShot.Route != "POST /v1/protect" || oneShot.Engine != "indexed" {
+		t.Errorf("one-shot line = route %q engine %q, want POST /v1/protect with the default engine indexed",
+			oneShot.Route, oneShot.Engine)
 	}
 	if protect.Duration <= 0 {
 		t.Errorf("protect line duration_ms = %v, want > 0", protect.Duration)

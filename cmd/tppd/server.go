@@ -331,13 +331,12 @@ type protectRequest struct {
 	Pattern  string `json:"pattern,omitempty"`  // Triangle (default), Rectangle, RecTri, Pentagon
 	Method   string `json:"method,omitempty"`   // sgb (default), ct, wt, rd, rdt
 	Division string `json:"division,omitempty"` // tbd (default), dbd
-	Engine   string `json:"engine,omitempty"`   // lazy (default), indexed, recount
+	Engine   string `json:"engine,omitempty"`   // indexed (default; "lazy" is an alias), recount
 	Budget   int    `json:"budget,omitempty"`   // 0 = critical budget k*
 	Seed     int64  `json:"seed,omitempty"`     // rd/rdt randomness and target sampling
-	// Workers sets the selection parallelism: index enumeration workers,
-	// and for sgb under the recount engine the per-step candidate-scan
-	// workers (ct/wt scans stay serial). 0 = auto; values above the
-	// server's CPU count are clamped.
+	// Workers sets the number of index enumeration workers; selection
+	// itself runs on one goroutine. 0 = auto; values above the server's
+	// CPU count are clamped.
 	Workers int `json:"workers,omitempty"`
 
 	// TimeoutMS bounds this request's selection time; 0 uses the server
@@ -395,7 +394,7 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	annotateScope(r.Context(), &req, opts)
+	annotateScope(r.Context(), opts)
 
 	// The deadline covers the whole request — materialising a large dataset
 	// graph can dominate the selection itself.
@@ -552,17 +551,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // annotateScope records the request's resolved options on its log scope.
-func annotateScope(ctx context.Context, req *protectRequest, opts runOptions) {
+func annotateScope(ctx context.Context, opts runOptions) {
 	sc := scopeFrom(ctx)
 	if sc == nil {
 		return
 	}
 	sc.method = string(opts.method)
 	sc.pattern = opts.pattern.String()
-	sc.engine = req.Engine
-	if sc.engine == "" {
-		sc.engine = "lazy"
-	}
+	sc.engine = opts.engine.String()
 }
 
 // requestContext derives the per-request deadline: the client's timeout_ms

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -202,6 +203,72 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	// point of persisting it.
 	if _, err := tpp.Restore(got.State); err != nil {
 		t.Fatalf("decoded state does not restore: %v", err)
+	}
+}
+
+// lazyEngineFixture is a snapshot written by the encoder that still had the
+// CELF engine: a default-options session after one run and one delta, so
+// its engine byte is 2. Every default tppd session stored that byte.
+const lazyEngineFixture = "testdata/engine-lazy-v1.snap"
+
+// TestSnapshotRetiredLazyEngine pins snapshot compatibility across the CELF
+// engine's removal: engine byte 2 decodes as EngineIndexed, the state
+// restores, and its next Run is bit-identical to a fresh session's on the
+// same graph.
+func TestSnapshotRetiredLazyEngine(t *testing.T) {
+	raw, err := os.ReadFile(lazyEngineFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.State.Engine != tpp.EngineIndexed {
+		t.Fatalf("engine = %v, want %v", snap.State.Engine, tpp.EngineIndexed)
+	}
+	// Re-encoding must change exactly one body byte, the engine byte, from
+	// 2 to EngineIndexed; only the trailing CRC may differ besides.
+	re := EncodeSnapshot(nil, snap)
+	if len(re) != len(raw) {
+		t.Fatalf("re-encoded length %d, want %d", len(re), len(raw))
+	}
+	var diff []int
+	for i := range raw[:len(raw)-4] {
+		if raw[i] != re[i] {
+			diff = append(diff, i)
+		}
+	}
+	if len(diff) != 1 || raw[diff[0]] != lazyEngineByte || re[diff[0]] != byte(tpp.EngineIndexed) {
+		t.Fatalf("re-encoding differs at body offsets %v, want only the engine byte 2 -> %d", diff, tpp.EngineIndexed)
+	}
+
+	ctx := context.Background()
+	fresh, err := tpp.New(snap.State.Graph.Clone(), append([]graph.Edge(nil), snap.State.Targets...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := tpp.Restore(snap.State)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got, err := restored.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.WarmStart {
+		t.Error("restored run did not replay the stored selection")
+	}
+	if got.Method != want.Method || !edgesEqual(got.Protectors, want.Protectors) ||
+		!slices.Equal(got.SimilarityTrace, want.SimilarityTrace) ||
+		!slices.Equal(got.PerTargetFinal, want.PerTargetFinal) {
+		t.Fatalf("restored run %s %v %v, fresh run %s %v %v",
+			got.Method, got.Protectors, got.SimilarityTrace,
+			want.Method, want.Protectors, want.SimilarityTrace)
 	}
 }
 

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"os"
 	"testing"
 )
 
@@ -14,6 +15,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), enc...)
 	flipped[len(flipped)/3] ^= 0xFF
 	f.Add(flipped)
+	fixture, err := os.ReadFile(lazyEngineFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 	f.Add([]byte{})
 	f.Add([]byte("TPPS"))
 	f.Add(appendWALHeader(nil)) // wrong magic family

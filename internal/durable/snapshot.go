@@ -32,6 +32,11 @@ const snapVersion = 1
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// lazyEngineByte is the engine byte of the retired CELF engine, which every
+// default session stored. It selected identically to tpp.EngineIndexed,
+// so it decodes as that.
+const lazyEngineByte = 2
+
 func corruptSnapf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorruptSnapshot, fmt.Sprintf(format, args...))
 }
@@ -187,7 +192,12 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Engine = tpp.Engine(engine); st.Engine < tpp.EngineRecount || st.Engine > tpp.EngineLazy {
+	switch engine {
+	case byte(tpp.EngineRecount), byte(tpp.EngineIndexed):
+		st.Engine = tpp.Engine(engine)
+	case lazyEngineByte:
+		st.Engine = tpp.EngineIndexed
+	default:
 		return nil, corruptSnapf("unknown engine %d", engine)
 	}
 	scope, err := r.byte()

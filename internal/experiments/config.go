@@ -135,7 +135,7 @@ type methodSpec struct {
 func qualityMethods() []methodSpec {
 	return []methodSpec{
 		{name: "SGB-Greedy(-R)", perK: false, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			return tpp.SGBGreedy(p, k, tpp.Options{Engine: tpp.EngineLazy})
+			return tpp.SGBGreedy(p, k, tpp.Options{Engine: tpp.EngineIndexed})
 		}},
 		{name: "CT-Greedy(-R):TBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
 			budgets, err := tpp.TBDForProblem(p, k)

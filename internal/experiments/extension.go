@@ -54,7 +54,7 @@ func (c Config) Ext1StructuralComparison() ([]Ext1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		kstar, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineLazy})
+		kstar, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineIndexed})
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func (c Config) Ext4DPComparison(eps float64) ([]Ext1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineLazy})
+	_, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineIndexed})
 	if err != nil {
 		return nil, err
 	}

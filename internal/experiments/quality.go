@@ -64,7 +64,7 @@ func (c Config) qualityPanel(id string, g *graph.Graph, pattern motif.Pattern, n
 		if err != nil {
 			return FigureResult{}, err
 		}
-		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineIndexed})
 		if err != nil {
 			return FigureResult{}, err
 		}

@@ -40,8 +40,7 @@ func tableMethods() []struct {
 	name string
 	run  func(p *tpp.Problem, full int) (*tpp.Result, error)
 } {
-	opt := tpp.Options{Engine: tpp.EngineLazy}
-	optIdx := tpp.Options{Engine: tpp.EngineIndexed}
+	opt := tpp.Options{Engine: tpp.EngineIndexed}
 	return []struct {
 		name string
 		run  func(p *tpp.Problem, full int) (*tpp.Result, error)
@@ -54,28 +53,28 @@ func tableMethods() []struct {
 			if err != nil {
 				return nil, err
 			}
-			return tpp.CTGreedy(p, budgets, optIdx)
+			return tpp.CTGreedy(p, budgets, opt)
 		}},
 		{"CT-Greedy(-R):TBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
 			budgets, err := tpp.TBDForProblem(p, full)
 			if err != nil {
 				return nil, err
 			}
-			return tpp.CTGreedy(p, budgets, optIdx)
+			return tpp.CTGreedy(p, budgets, opt)
 		}},
 		{"WT-Greedy(-R):DBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
 			budgets, err := tpp.DBDForProblem(p, full)
 			if err != nil {
 				return nil, err
 			}
-			return tpp.WTGreedy(p, budgets, optIdx)
+			return tpp.WTGreedy(p, budgets, opt)
 		}},
 		{"WT-Greedy(-R):TBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
 			budgets, err := tpp.TBDForProblem(p, full)
 			if err != nil {
 				return nil, err
 			}
-			return tpp.WTGreedy(p, budgets, optIdx)
+			return tpp.WTGreedy(p, budgets, opt)
 		}},
 	}
 }
@@ -118,7 +117,7 @@ func (c Config) utilityTable(id string, g *graph.Graph, dataset string, numTarge
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %v: %w", id, pattern, err)
 		}
-		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineIndexed})
 		if err != nil {
 			return nil, err
 		}

@@ -165,7 +165,7 @@ func TestFullProtectionDefeatsTriangleIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+	_, res, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestPrecisionCollapsesUnderTPP(t *testing.T) {
 	if before == 0 {
 		t.Fatal("attack premise failed: no signal before protection")
 	}
-	_, res, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+	_, res, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}

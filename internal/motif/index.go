@@ -61,7 +61,7 @@ type Index struct {
 	// The heap is maintained lazily: wireFlat, Reset and DeleteEdgeIDNoHeap
 	// mark it dirty instead of (re)heapifying, and the first ArgmaxGainID
 	// afterwards restores it in one O(E) pass. Consumers that never peek —
-	// the CELF lazy engine, CT/WT, warm-started replays — therefore skip
+	// CT/WT, warm-started replays — therefore skip
 	// heap maintenance entirely.
 	heap      []graph.EdgeID
 	heapPos   []int32 // id -> position in heap (every id is always present)

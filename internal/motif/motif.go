@@ -11,7 +11,7 @@
 //     Figs. 5–6 measure);
 //   - Index pre-enumerates every instance once and maintains per-edge
 //     marginal gains incrementally under deletions (used by the scalable
-//     -R variants and the CELF extension).
+//     -R variants and the indexed engine).
 package motif
 
 import (

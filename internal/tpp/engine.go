@@ -15,14 +15,11 @@ const (
 	// candidate at every step — the paper's plain algorithms, whose running
 	// time Figs. 5–6 measure.
 	EngineRecount Engine = iota
-	// EngineIndexed uses the inverted edge→instance index (motif.Index) to
-	// answer gains in O(instances containing p). Selections are identical
-	// to EngineRecount; only the cost differs.
+	// EngineIndexed uses the inverted edge→instance index (motif.Index),
+	// which keeps every exact gain in an indexed max-heap, so each greedy
+	// step's argmax is one heap read. Selections are identical to
+	// EngineRecount; only the cost differs.
 	EngineIndexed
-	// EngineLazy is EngineIndexed plus CELF lazy evaluation: stale gains sit
-	// in a max-heap and are refreshed only when popped. Exact under
-	// submodularity; our extension beyond the paper.
-	EngineLazy
 )
 
 // String names the engine.
@@ -32,8 +29,6 @@ func (e Engine) String() string {
 		return "recount"
 	case EngineIndexed:
 		return "indexed"
-	case EngineLazy:
-		return "lazy"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
@@ -121,7 +116,7 @@ func newEvaluator(p *Problem, opt Options, workers int) (evaluator, error) {
 	switch opt.Engine {
 	case EngineRecount:
 		return newRecountEvaluator(p, opt.Scope), nil
-	case EngineIndexed, EngineLazy:
+	case EngineIndexed:
 		ix, err := motif.NewIndexWorkers(p.Phase1(), p.Pattern, p.Targets, workers)
 		if err != nil {
 			return nil, err

@@ -19,7 +19,7 @@ var (
 	// and pattern at construction, because its cached motif index is only
 	// valid for that triple. Build a new session for a different pattern.
 	ErrPatternFixed = errors.New("tpp: pattern is fixed at session construction")
-	// ErrUnknownEngine reports an engine spelling outside lazy/indexed/
-	// recount at a protocol boundary (ParseEngine).
+	// ErrUnknownEngine reports an engine spelling outside indexed/recount
+	// (or the retired alias lazy) at a protocol boundary (ParseEngine).
 	ErrUnknownEngine = errors.New("tpp: unknown engine")
 )

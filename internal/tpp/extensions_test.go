@@ -1,6 +1,7 @@
 package tpp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,8 +17,8 @@ import (
 
 func TestWeightedValidation(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := WeightedSGBGreedy(p, -1, make([]float64, len(p.Targets))); err == nil {
-		t.Fatal("negative budget accepted")
+	if _, err := WeightedSGBGreedy(p, -1, make([]float64, len(p.Targets))); !errors.Is(err, ErrNegativeBudget) {
+		t.Fatalf("negative budget: err = %v, want ErrNegativeBudget", err)
 	}
 	if _, err := WeightedSGBGreedy(p, 2, []float64{1}); err == nil {
 		t.Fatal("weight length mismatch accepted")
@@ -47,7 +48,7 @@ func TestPropertyWeightedUnitEqualsUnweighted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u, err := SGBGreedy(p, 5, Options{Engine: EngineLazy})
+		u, err := SGBGreedy(p, 5, Options{Engine: EngineIndexed})
 		if err != nil {
 			return false
 		}
@@ -227,7 +228,7 @@ func TestNodeProtectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := CriticalBudget(p, Options{Engine: EngineLazy})
+	_, res, err := CriticalBudget(p, Options{Engine: EngineIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func NewGuard(p *Problem) (*Guard, error) {
 // NewGuardCtx is NewGuard with cooperative cancellation of the initial
 // protection run.
 func NewGuardCtx(ctx context.Context, p *Problem) (*Guard, error) {
-	_, res, err := CriticalBudgetCtx(ctx, p, Options{Engine: EngineLazy})
+	_, res, err := CriticalBudgetCtx(ctx, p, Options{Engine: EngineIndexed})
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,8 @@
 // Underneath, the package provides the paper's three greedy
 // protector-selection algorithms (SGB-Greedy, CT-Greedy, WT-Greedy), their
 // scalable -R variants (Lemma 5 candidate restriction), the TBD and DBD
-// budget division strategies, the RD/RDT baselines, a CELF-style
-// lazy-greedy extension, and a brute-force optimum for verifying
+// budget division strategies, the RD/RDT baselines, a weighted-target
+// extension (CELF lazy greedy), and a brute-force optimum for verifying
 // approximation bounds on small instances. These remain exported for fine
 // control; cmd/tpp, cmd/tppd and the examples all dispatch through the
 // session.

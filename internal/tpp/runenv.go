@@ -18,14 +18,14 @@ type ProgressFunc func(step int, protector graph.Edge, similarity int)
 // runEnv carries the session-level plumbing into the greedy selection
 // loops: the cancellation context, an optional prebuilt motif index to
 // reuse instead of enumerating afresh, an optional progress callback, and
-// the worker count for index enumeration and the parallel recount scan.
+// the worker count for index enumeration.
 // The zero value (no context, no index, no progress, auto workers)
 // reproduces the plain free-function behaviour.
 type runEnv struct {
 	ctx      context.Context
 	ix       *motif.Index
 	progress ProgressFunc
-	workers  int // <= 0: auto (GOMAXPROCS) for index builds, serial scans
+	workers  int // index enumeration workers; <= 0: auto (GOMAXPROCS)
 	// stages receives per-stage timing spans (enumeration, scoring, warm
 	// replay, cold selection). nil — the common free-function case — records
 	// nothing; telemetry.Stages is nil-safe by contract.

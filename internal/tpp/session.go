@@ -13,10 +13,33 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Method names a protector-selection algorithm.
+type Method string
+
+const (
+	// MethodSGB is SGB-Greedy: single global budget, (1−1/e) guarantee.
+	MethodSGB Method = "sgb"
+	// MethodCT is CT-Greedy with a budget division, 1/2 guarantee.
+	MethodCT Method = "ct"
+	// MethodWT is WT-Greedy with a budget division, ≈0.46 guarantee.
+	MethodWT Method = "wt"
+	// MethodRD / MethodRDT are the random baselines.
+	MethodRD  Method = "rd"
+	MethodRDT Method = "rdt"
+)
+
+// Division names a budget division strategy for MethodCT / MethodWT.
+type Division string
+
+const (
+	DivisionTBD Division = "tbd"
+	DivisionDBD Division = "dbd"
+)
+
 // normalizeWorkers resolves a WithWorkers value: non-positive means auto
-// (0, deferred to the index builder / serial scans), anything above
-// GOMAXPROCS is clamped — more workers than CPUs only costs per-worker
-// graph copies in the parallel recount scan.
+// (0, deferred to the index builder), anything above GOMAXPROCS is clamped
+// — enumeration goroutines beyond the CPU count only add scheduling and
+// per-worker scratch.
 func normalizeWorkers(n int) int {
 	if n <= 0 {
 		return 0
@@ -37,8 +60,8 @@ func normalizeWorkers(n int) int {
 // because they share the cached index, and a Run waiting its turn still
 // honours its context's cancellation and deadline.
 //
-// Protector is the front door of this package: cmd/tpp, cmd/tppd, the
-// examples and the deprecated Protect shim all dispatch through it.
+// Protector is the front door of this package: cmd/tpp, cmd/tppd and the
+// examples all dispatch through it.
 type Protector struct {
 	problem *Problem
 	base    settings
@@ -77,7 +100,7 @@ func defaultSettings() settings {
 		method:   MethodSGB,
 		division: DivisionTBD,
 		budget:   0, // critical budget k*
-		engine:   EngineLazy,
+		engine:   EngineIndexed,
 		scope:    ScopeTargetSubgraphs,
 		seed:     1,
 	}
@@ -133,8 +156,8 @@ func WithDivision(d Division) Option {
 // protection. Negative budgets fail validation with ErrNegativeBudget.
 func WithBudget(k int) Option { return func(s *settings) { s.budget = k } }
 
-// WithEngine selects the gain-evaluation engine (default EngineLazy, the
-// fastest). Every engine produces identical selections; EngineRecount exists
+// WithEngine selects the gain-evaluation engine (default EngineIndexed, the
+// fast one). Both engines produce identical selections; EngineRecount exists
 // to reproduce the paper's naive running-time baseline and bypasses the
 // session's index cache.
 func WithEngine(e Engine) Option { return func(s *settings) { s.engine = e } }
@@ -143,13 +166,12 @@ func WithEngine(e Engine) Option { return func(s *settings) { s.engine = e } }
 // ScopeTargetSubgraphs, the paper's -R restriction — exact and faster).
 func WithScope(sc Scope) Option { return func(s *settings) { s.scope = sc } }
 
-// WithWorkers sets the parallelism of a run (default 0 = auto). Index
-// enumeration shards targets across the workers (auto = GOMAXPROCS), and
-// with the recount engine a worker count above 1 parallelises the per-step
-// SGB candidate scan as well (auto keeps the scan serial, preserving the
-// paper's single-threaded cost model unless parallelism is explicitly
-// requested). Selections are identical for every worker count; values
-// above GOMAXPROCS are clamped to it.
+// WithWorkers sets the number of workers that enumerate target subgraphs
+// when the session builds its motif index (default 0 = auto, GOMAXPROCS).
+// Greedy selection itself always runs on one goroutine, so the recount
+// engine keeps the paper's single-threaded cost model. Selections are
+// identical for every worker count; values above GOMAXPROCS are clamped
+// to it.
 func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
 
 // WithSeed seeds the random baselines. Only MethodRD and MethodRDT consume
@@ -363,20 +385,20 @@ func ParseMethod(s string) (Method, error) {
 	}
 }
 
-// ParseEngine maps the wire/CLI spelling of a gain engine ("lazy",
-// "indexed", "recount"; empty selects the default EngineLazy) to its
-// Engine, or fails with ErrUnknownEngine. Every engine produces identical
+// ParseEngine maps the wire/CLI spelling of a gain engine ("indexed",
+// "recount"; empty selects the default EngineIndexed) to its Engine, or
+// fails with ErrUnknownEngine. "lazy", the name of a retired engine that
+// selected identically, is still accepted as EngineIndexed because stored
+// requests and deployed clients send it. Both engines produce identical
 // selections — the spelling picks a cost model, not an algorithm.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "lazy":
-		return EngineLazy, nil
-	case "indexed":
+	case "", "indexed", "lazy":
 		return EngineIndexed, nil
 	case "recount":
 		return EngineRecount, nil
 	default:
-		return 0, fmt.Errorf("%w: %q (want lazy, indexed or recount)", ErrUnknownEngine, s)
+		return 0, fmt.Errorf("%w: %q (want indexed or recount)", ErrUnknownEngine, s)
 	}
 }
 

@@ -23,9 +23,9 @@ func sessionTestInstance(t *testing.T) (*graph.Graph, []graph.Edge) {
 	return g, targets
 }
 
-// legacyDispatch reproduces the pre-session Protect dispatch verbatim —
-// free functions, fresh state per call — as the golden reference for the
-// session's default behaviour.
+// legacyDispatch runs the method through the free functions, with fresh
+// state per call, as the golden reference for the session's default
+// behaviour.
 func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	method Method, division Division, budget int, seed int64) *Result {
 	t.Helper()
@@ -33,7 +33,7 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := Options{Engine: EngineLazy, Scope: ScopeTargetSubgraphs}
+	fast := Options{Engine: EngineIndexed, Scope: ScopeTargetSubgraphs}
 	if budget <= 0 {
 		kstar, res, err := CriticalBudget(problem, fast)
 		if err != nil {
@@ -74,11 +74,15 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	return res
 }
 
-// TestSessionMatchesLegacyDispatch pins the session defaults to the old
-// Protect behaviour: identical protector selections and similarity traces
-// for every method × division at both a fixed and the critical budget.
+// TestSessionMatchesLegacyDispatch pins the session defaults to the free
+// functions: identical protector selections and similarity traces for every
+// method × division at both a fixed and the critical budget. It also pins
+// the release contract: the input graph is never mutated, and the released
+// graph holds no target and, under full protection, no completable target
+// motif.
 func TestSessionMatchesLegacyDispatch(t *testing.T) {
 	g, targets := sessionTestInstance(t)
+	origEdges := g.Edges()
 	const seed = 7
 	for _, method := range []Method{MethodSGB, MethodCT, MethodWT, MethodRD, MethodRDT} {
 		for _, division := range []Division{DivisionTBD, DivisionDBD} {
@@ -100,6 +104,18 @@ func TestSessionMatchesLegacyDispatch(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.SimilarityTrace, want.SimilarityTrace) {
 					t.Fatalf("%s/%s/k=%d: traces differ", method, division, budget)
+				}
+				released := session.Release(got)
+				for _, tg := range targets {
+					if released.HasEdgeE(tg) {
+						t.Fatalf("%s/%s/k=%d: target %v in release", method, division, budget, tg)
+					}
+					if got.FullProtection() && motif.Count(released, motif.Triangle, tg) != 0 {
+						t.Fatalf("%s/%s/k=%d: target %v still completable", method, division, budget, tg)
+					}
+				}
+				if !reflect.DeepEqual(g.Edges(), origEdges) {
+					t.Fatalf("%s/%s/k=%d: session mutated the input graph", method, division, budget)
 				}
 			}
 		}
@@ -325,6 +341,18 @@ func TestParseMethodAndDivision(t *testing.T) {
 	if _, err := ParseDivision("bogus"); !errors.Is(err, ErrUnknownDivision) {
 		t.Fatalf("ParseDivision(bogus): err = %v", err)
 	}
+	// "lazy" names a retired engine; stored requests still send it.
+	for in, want := range map[string]Engine{
+		"": EngineIndexed, "indexed": EngineIndexed, "lazy": EngineIndexed, "recount": EngineRecount,
+	} {
+		got, err := ParseEngine(in)
+		if err != nil || got != want {
+			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseEngine("celf"); !errors.Is(err, ErrUnknownEngine) {
+		t.Fatalf("ParseEngine(celf): err = %v", err)
+	}
 }
 
 // TestGuardAddEdgeCtxPartialRepair pins AddEdgeCtx's cancellation
@@ -383,9 +411,6 @@ func TestFreeFunctionCtxVariants(t *testing.T) {
 	opt := Options{Engine: EngineIndexed}
 	if _, err := SGBGreedyCtx(ctx, p, 3, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SGBGreedyCtx: %v", err)
-	}
-	if _, err := SGBGreedyCtx(ctx, p, 3, Options{Engine: EngineLazy}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SGBGreedyCtx(lazy): %v", err)
 	}
 	if _, err := CTGreedyCtx(ctx, p, []int{1, 1, 1, 1}, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CTGreedyCtx: %v", err)

@@ -1,7 +1,6 @@
 package tpp
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -28,14 +27,6 @@ func SGBGreedyCtx(ctx context.Context, p *Problem, k int, opt Options) (*Result,
 func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
-	}
-	if opt.Engine == EngineLazy {
-		return sgbLazy(p, k, opt, env)
-	}
-	if opt.Engine == EngineRecount && env.workers > 1 {
-		// The recount argmax scan is the one regime where a parallel scan
-		// pays; selections are bit-identical to the serial loop below.
-		return sgbGreedyParallel(p, k, opt.Scope, env.workers, env)
 	}
 	ev, err := env.evaluator(p, opt)
 	if err != nil {
@@ -80,91 +71,6 @@ func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 	res.PerTargetFinal = append([]int(nil), ev.similarities()...)
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// sgbLazy is SGB-Greedy with CELF lazy evaluation on top of the inverted
-// index. Submodularity guarantees cached upper bounds only shrink, so
-// popping the heap until the top is fresh yields the exact greedy choice.
-func sgbLazy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
-	ix, err := env.index(p)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy")+":lazy", ix.TotalSimilarity())
-
-	h := &gainHeap{}
-	for _, id := range ix.AppendCandidateIDs(nil) {
-		h.items = append(h.items, gainItem{id: id, gain: ix.GainID(id), round: 0})
-	}
-	heap.Init(h)
-
-	round := 0
-	refreshed := 0
-	for len(res.Protectors) < k && h.Len() > 0 {
-		top := h.items[0]
-		if top.round != round {
-			// Stale: refresh and push back; the heap property re-sorts it.
-			h.items[0].gain = ix.GainID(top.id)
-			h.items[0].round = round
-			heap.Fix(h, 0)
-			refreshed++
-			if refreshed%checkEvery == 0 {
-				if err := env.err(); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := env.err(); err != nil {
-			return nil, err
-		}
-		heap.Pop(h)
-		if top.gain == 0 {
-			break
-		}
-		ix.DeleteEdgeID(top.id)
-		res.record(ix.Interner().Edge(top.id), ix.TotalSimilarity(), time.Since(start))
-		env.onStep(res)
-		round++
-	}
-	res.PerTargetFinal = ix.Similarities()
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// gainItem is a CELF heap entry: an edge id with its last-computed gain and
-// the selection round at which that gain was computed.
-type gainItem struct {
-	id    graph.EdgeID
-	gain  int
-	round int
-}
-
-// gainHeap is a max-heap by gain with ascending edge id — i.e. canonical
-// edge order — as tie-break, keeping the lazy greedy fully deterministic.
-type gainHeap struct{ items []gainItem }
-
-func (h *gainHeap) Len() int { return len(h.items) }
-
-//tpp:hotpath
-func (h *gainHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.gain != b.gain {
-		return a.gain > b.gain
-	}
-	return a.id < b.id
-}
-
-//tpp:hotpath
-func (h *gainHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *gainHeap) Push(x interface{}) { h.items = append(h.items, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }
 
 // CriticalBudget computes k* — the smallest budget achieving full

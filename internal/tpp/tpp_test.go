@@ -153,7 +153,6 @@ func allOptions() []Options {
 		{Engine: EngineRecount, Scope: ScopeAllEdges},
 		{Engine: EngineRecount, Scope: ScopeTargetSubgraphs},
 		{Engine: EngineIndexed},
-		{Engine: EngineLazy},
 	}
 }
 
@@ -317,9 +316,6 @@ func TestPropertyEngineEquivalenceCTWT(t *testing.T) {
 		}
 		var ctBase, wtBase *Result
 		for _, opt := range allOptions() {
-			if opt.Engine == EngineLazy {
-				continue // lazy applies to SGB only
-			}
 			ct, err := CTGreedy(p, budgets, opt)
 			if err != nil {
 				return false
@@ -476,7 +472,7 @@ func TestPropertyGreedyStrictProgress(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := SGBGreedy(p, 6, Options{Engine: EngineLazy})
+		res, err := SGBGreedy(p, 6, Options{Engine: EngineIndexed})
 		if err != nil {
 			return false
 		}
@@ -625,7 +621,7 @@ func TestMethodOrderingOnAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 10
-		sgb, err := SGBGreedy(p, k, Options{Engine: EngineLazy})
+		sgb, err := SGBGreedy(p, k, Options{Engine: EngineIndexed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,69 +47,67 @@ func assertSameSelection(t *testing.T, tag string, got, want *Result) {
 }
 
 // TestWarmSelectionParityMatrix drives an evolving session through a full
-// mutation stream across patterns × engines × worker counts and requires
+// mutation stream across patterns × worker counts and requires
 // every warm-started selection to equal a cold run by a fresh session on the
 // same mutated state — the tentpole's correctness bar. It also requires the
 // warm engine to actually engage: a matrix cell that silently fell back on
 // every delta would vacuously pass.
 func TestWarmSelectionParityMatrix(t *testing.T) {
 	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle} {
-		for _, engine := range []Engine{EngineLazy, EngineIndexed} {
-			for _, workers := range []int{1, 3} {
-				pattern, engine, workers := pattern, engine, workers
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", pattern, engine, workers), func(t *testing.T) {
-					t.Parallel()
-					rng := rand.New(rand.NewSource(7*int64(pattern+1) + int64(workers)))
-					g := gen.BarabasiAlbertTriad(160, 3, 0.4, rng)
-					targets := datasets.SampleTargets(g, 8, rng)
-					ctx := context.Background()
+		for _, workers := range []int{1, 3} {
+			pattern, workers := pattern, workers
+			t.Run(fmt.Sprintf("%s/%s/workers=%d", pattern, EngineIndexed, workers), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(7*int64(pattern+1) + int64(workers)))
+				g := gen.BarabasiAlbertTriad(160, 3, 0.4, rng)
+				targets := datasets.SampleTargets(g, 8, rng)
+				ctx := context.Background()
 
-					session, err := New(g, targets, WithPattern(pattern), WithEngine(engine), WithWorkers(workers))
+				session, err := New(g, targets, WithPattern(pattern), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := session.Run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first.WarmStart {
+					t.Fatal("first run claims warm start")
+				}
+				churn := gen.NewMutationChurn(g, targets, gen.DefaultChurnRates(), rng)
+				for step := 0; step < 8; step++ {
+					d := dynamic.Delta(churn.Next(4))
+					if _, err := session.Apply(ctx, d); err != nil {
+						t.Fatalf("step %d: apply: %v", step, err)
+					}
+					got, err := session.Run(ctx)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("step %d: run: %v", step, err)
 					}
-					first, err := session.Run(ctx)
+					fresh, err := New(churn.Graph(), churn.Targets(),
+						WithPattern(pattern), WithWorkers(workers), WithWarmStart(false))
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("step %d: fresh: %v", step, err)
 					}
-					if first.WarmStart {
-						t.Fatal("first run claims warm start")
+					want, err := fresh.Run(ctx)
+					if err != nil {
+						t.Fatalf("step %d: fresh run: %v", step, err)
 					}
-					churn := gen.NewMutationChurn(g, targets, gen.DefaultChurnRates(), rng)
-					for step := 0; step < 8; step++ {
-						d := dynamic.Delta(churn.Next(4))
-						if _, err := session.Apply(ctx, d); err != nil {
-							t.Fatalf("step %d: apply: %v", step, err)
-						}
-						got, err := session.Run(ctx)
-						if err != nil {
-							t.Fatalf("step %d: run: %v", step, err)
-						}
-						fresh, err := New(churn.Graph(), churn.Targets(),
-							WithPattern(pattern), WithEngine(engine), WithWorkers(workers), WithWarmStart(false))
-						if err != nil {
-							t.Fatalf("step %d: fresh: %v", step, err)
-						}
-						want, err := fresh.Run(ctx)
-						if err != nil {
-							t.Fatalf("step %d: fresh run: %v", step, err)
-						}
-						if want.WarmStart {
-							t.Fatalf("step %d: cold oracle claims warm start", step)
-						}
-						assertSameSelection(t, fmt.Sprintf("step %d", step), got, want)
+					if want.WarmStart {
+						t.Fatalf("step %d: cold oracle claims warm start", step)
 					}
-					if session.WarmRuns() == 0 {
-						t.Fatalf("warm engine never engaged: cold=%d fallbacks=%d", session.ColdRuns(), session.WarmFallbacks())
-					}
-					if session.WarmRuns()+session.ColdRuns() != 9 {
-						t.Fatalf("warm+cold = %d+%d, want 9 total runs", session.WarmRuns(), session.ColdRuns())
-					}
-					if session.WarmFallbacks() > session.ColdRuns() {
-						t.Fatalf("fallbacks %d exceed cold runs %d", session.WarmFallbacks(), session.ColdRuns())
-					}
-				})
-			}
+					assertSameSelection(t, fmt.Sprintf("step %d", step), got, want)
+				}
+				if session.WarmRuns() == 0 {
+					t.Fatalf("warm engine never engaged: cold=%d fallbacks=%d", session.ColdRuns(), session.WarmFallbacks())
+				}
+				if session.WarmRuns()+session.ColdRuns() != 9 {
+					t.Fatalf("warm+cold = %d+%d, want 9 total runs", session.WarmRuns(), session.ColdRuns())
+				}
+				if session.WarmFallbacks() > session.ColdRuns() {
+					t.Fatalf("fallbacks %d exceed cold runs %d", session.WarmFallbacks(), session.ColdRuns())
+				}
+			})
 		}
 	}
 }
@@ -366,17 +364,13 @@ func FuzzWarmSelectionParity(f *testing.F) {
 		}
 		patterns := []motif.Pattern{motif.Triangle, motif.Rectangle, motif.RecTri}
 		pattern := patterns[int(data[0])%len(patterns)]
-		engine := EngineLazy
-		if data[0]&0x08 != 0 {
-			engine = EngineIndexed
-		}
 		workers := 1 + int(data[0]/16)%3
 		rng := rand.New(rand.NewSource(3))
 		g := gen.BarabasiAlbertTriad(48, 3, 0.5, rng)
 		targets := datasets.SampleTargets(g, 4, rng)
 		ctx := context.Background()
 
-		session, err := New(g, targets, WithPattern(pattern), WithEngine(engine), WithWorkers(workers))
+		session, err := New(g, targets, WithPattern(pattern), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +411,7 @@ func FuzzWarmSelectionParity(f *testing.F) {
 			}
 			p := session.Problem()
 			fresh, err := New(p.G, p.Targets,
-				WithPattern(pattern), WithEngine(engine), WithWorkers(workers), WithWarmStart(false))
+				WithPattern(pattern), WithWorkers(workers), WithWarmStart(false))
 			if err != nil {
 				t.Fatalf("fresh session: %v", err)
 			}

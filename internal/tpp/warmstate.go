@@ -16,9 +16,9 @@ import (
 // gain was zero. Between runs, Apply folds each delta's conservative
 // touched-edge set (motif.ApplyStats.TouchedEdges) into the state, renaming
 // everything through the delta's node remap. The next SGB run then replays
-// the remembered sequence step by step instead of rebuilding a CELF heap
-// over the whole candidate universe, verifying at every step that the
-// replayed protector is still the exact greedy argmax:
+// the remembered sequence step by step instead of restoring the index's
+// gain heap over the whole candidate universe, verifying at every step
+// that the replayed protector is still the exact greedy argmax:
 //
 //   - For any edge q outside the accumulated touched set, q's instance set
 //     is unchanged between the old and new index (that is TouchedEdges'
@@ -204,16 +204,6 @@ func (ws *warmState) resolve(in *graph.Interner) {
 	ws.resolved = true
 }
 
-// warmLabel is the method name a cold run under the same options would
-// produce; warm results must be bit-identical including the label.
-func warmLabel(opt Options) string {
-	name := opt.VariantName("SGB-Greedy")
-	if opt.Engine == EngineLazy {
-		name += ":lazy"
-	}
-	return name
-}
-
 // sgbSession is the session-level SGB dispatch: it serves the run from the
 // warm-start engine when a usable snapshot exists, falls back to the cold
 // greedy otherwise, keeps the warm/cold/fallback counters, and re-snapshots
@@ -284,7 +274,7 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 	}
 
 	start := time.Now()
-	res := newResult(warmLabel(opt), ix.TotalSimilarity())
+	res := newResult(opt.VariantName("SGB-Greedy"), ix.TotalSimilarity())
 
 	step, diverged := 0, false
 	for step < k && step < len(ws.ids) {

@@ -38,7 +38,7 @@ func (r *WeightedResult) WeightedDissimilarity() float64 {
 // must be non-negative, one per target (aligned with p.Targets).
 func WeightedSGBGreedy(p *Problem, k int, weights []float64) (*WeightedResult, error) {
 	if k < 0 {
-		return nil, fmt.Errorf("tpp: negative budget %d", k)
+		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
 	}
 	if len(weights) != len(p.Targets) {
 		return nil, fmt.Errorf("tpp: got %d weights for %d targets", len(weights), len(p.Targets))
@@ -82,9 +82,9 @@ func WeightedSGBGreedy(p *Problem, k int, weights []float64) (*WeightedResult, e
 		WeightedTrace: []float64{weightedSim()},
 	}
 
-	h := &wgainHeap{}
+	h := &celfHeap{}
 	for _, id := range ix.AppendCandidateIDs(nil) {
-		h.items = append(h.items, wgainItem{id: id, gain: gainOf(id), round: 0})
+		h.items = append(h.items, celfItem{id: id, gain: gainOf(id), round: 0})
 	}
 	heap.Init(h)
 	round := 0
@@ -110,29 +110,29 @@ func WeightedSGBGreedy(p *Problem, k int, weights []float64) (*WeightedResult, e
 	return res, nil
 }
 
-// wgainItem / wgainHeap: float-valued CELF heap keyed by EdgeID (the int
-// heap in sgb.go stays allocation-free for the common unweighted path).
-// Ascending id order is canonical edge order, so tie-breaks match the
-// unweighted greedy exactly.
-type wgainItem struct {
+// celfItem / celfHeap: float-valued CELF heap keyed by EdgeID (the
+// unweighted greedy reads its argmax from the motif index's own heap of
+// exact integer gains). Ascending id order is canonical edge order, so
+// tie-breaks match the unweighted greedy exactly.
+type celfItem struct {
 	id    graph.EdgeID
 	gain  float64
 	round int
 }
 
-type wgainHeap struct{ items []wgainItem }
+type celfHeap struct{ items []celfItem }
 
-func (h *wgainHeap) Len() int { return len(h.items) }
-func (h *wgainHeap) Less(i, j int) bool {
+func (h *celfHeap) Len() int { return len(h.items) }
+func (h *celfHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	if a.gain != b.gain {
 		return a.gain > b.gain
 	}
 	return a.id < b.id
 }
-func (h *wgainHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *wgainHeap) Push(x interface{}) { h.items = append(h.items, x.(wgainItem)) }
-func (h *wgainHeap) Pop() interface{} {
+func (h *celfHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *celfHeap) Push(x interface{}) { h.items = append(h.items, x.(celfItem)) }
+func (h *celfHeap) Pop() interface{} {
 	old := h.items
 	n := len(old)
 	it := old[n-1]
