@@ -560,7 +560,7 @@ func graphCoreFixture(b *testing.B, scale, nTargets int) (*graph.Graph, []graph.
 // so the number isolates the kernel cost rather than scheduling.
 func BenchmarkGraphCoreIndexBuild(b *testing.B) {
 	work, targets := graphCoreFixture(b, 4000, 64)
-	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle} {
+	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle, motif.Pentagon} {
 		b.Run(pattern.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -576,7 +576,7 @@ func BenchmarkGraphCoreIndexBuild(b *testing.B) {
 // plain greedy variants pay per candidate per step.
 func BenchmarkGraphCoreEnumerate(b *testing.B) {
 	work, targets := graphCoreFixture(b, 4000, 64)
-	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle} {
+	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle, motif.Pentagon} {
 		b.Run(pattern.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

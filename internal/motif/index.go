@@ -227,13 +227,10 @@ func enumerateInto(g *graph.Graph, pattern Pattern, targets []graph.Edge, indice
 
 // build wires the index's entire flat state — interned edge universe,
 // merged instance table, CSR incidences, gains, deletion bitset and gain
-// heap — from per-target raw instance buffers. It is shared by NewIndexWorkers
-// (buffers fresh from a full enumeration) and ApplyDelta (buffers stitched
-// from surviving and re-enumerated instances): identical buffers produce
-// identical state, which is what the incremental path's bit-for-bit parity
-// guarantee rests on. Any previously recorded protector deletions are
-// discarded — a rebuilt state always starts fully alive, exactly like a
-// fresh build on the same graph.
+// heap — from per-target raw instance buffers fresh from a full enumeration.
+// Only NewIndexWorkers calls it; ApplyMutation reaches the same state
+// through wireIncremental, and the parity suites pin the two against each
+// other. The built state starts fully alive.
 func (ix *Index) build(byTarget [][]rawInstance) {
 	// Intern the touched edge universe: exactly the edges appearing in some
 	// instance (the paper's W-edge set). Sorting the packed incidences once

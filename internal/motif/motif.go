@@ -97,14 +97,48 @@ type Instance struct {
 }
 
 // Scratch holds the reusable buffers one enumeration worker needs: the
-// merge-join intersection buffers and the instance-edge emission buffer.
-// A zero Scratch is ready to use; after a few calls the buffers reach the
-// high-water mark of the workload and enumeration stops allocating
-// entirely. A Scratch must not be shared between goroutines.
+// merge-join intersection buffers, the Pentagon kernel's 2-path buckets and
+// the instance-edge emission buffer. A zero Scratch is ready to use; after
+// a few calls the buffers reach the high-water mark of the workload and
+// enumeration stops allocating entirely. A Scratch must not be shared
+// between goroutines.
 type Scratch struct {
 	cn    []graph.NodeID // outer intersection (e.g. Γ(u) ∩ Γ(v))
 	cn2   []graph.NodeID // inner intersection (per outer element)
 	edges [4]graph.Edge  // emission buffer passed to visit
+
+	// Pentagon only: bucket[b] heads the chain through link of every
+	// c ∈ Γ(b) ∩ Γ(v) \ {u} for the current target, live iff its epoch
+	// stamp equals epoch. Stamping instead of clearing keeps a target's
+	// cost independent of NumNodes.
+	epoch  uint32
+	bucket []pentaBucket
+	link   []pentaLink
+}
+
+type pentaBucket struct {
+	epoch uint32
+	head  int32 // index into Scratch.link, -1 ends the chain
+}
+
+type pentaLink struct {
+	c    graph.NodeID
+	next int32
+}
+
+// nextEpoch starts a fresh Pentagon bucket generation sized for n nodes.
+//
+//tpp:hotpath
+func (sc *Scratch) nextEpoch(n int) {
+	if len(sc.bucket) < n {
+		sc.bucket = make([]pentaBucket, n) //lint:hotalloc-ok grows to NumNodes once per Scratch
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.bucket)
+		sc.epoch = 1
+	}
+	sc.link = sc.link[:0]
 }
 
 // EnumerateTarget lists every instance of pattern completing target
@@ -131,10 +165,12 @@ func EnumerateTargetScratch(g *graph.Graph, pattern Pattern, t graph.Edge, sc *S
 }
 
 // enumerate is the single kernel behind both enumeration and counting: it
-// walks every instance of pattern completing t via merge-joins over the
-// graph's sorted neighbor rows, calls visit (when non-nil) per instance,
-// and returns the instance count. Keeping one kernel guarantees Count and
-// EnumerateTarget can never disagree.
+// walks every instance of pattern completing t, calls visit (when non-nil)
+// per instance, and returns the instance count. Keeping one kernel
+// guarantees Count and EnumerateTarget can never disagree. Triangle,
+// Rectangle and RecTri are merge-joins over the graph's sorted neighbor
+// rows, O(d_u · d_v)-ish per target; Pentagon is a meet-in-the-middle join
+// costing Σ_{c∈Γ(v)} d_c + Σ_{a∈Γ(u)} d_a + #instances.
 //
 //tpp:hotpath
 func enumerate(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit func(edges []graph.Edge)) int {
@@ -210,18 +246,46 @@ func enumerate(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit
 		}
 
 	case Pentagon:
-		// u–a–b–c–v: c ∈ Γ(b) ∩ Γ(v) \ {u, a} (c ≠ b, c ≠ v automatic).
+		// u–a–b–c–v by meet-in-the-middle. First bucket v's side: every
+		// 2-path v–c–b with c ≠ u and b ∉ {u, v} chains c onto bucket b.
+		// Walking Γ(v) descending and prepending leaves each chain
+		// ascending, so instances come out ascending by (a, b, c) as
+		// EnumerateTarget promises. Then walk u's side: every 2-path
+		// u–a–b with a ≠ v closes with each c in bucket b except c == a
+		// (b ∉ {u, v} because those buckets stay empty; c ≠ b, c ≠ v
+		// automatic).
+		sc.nextEpoch(g.NumNodes())
+		ep := sc.epoch
+		nv := g.NeighborsView(v)
+		for i := len(nv) - 1; i >= 0; i-- {
+			c := nv[i]
+			if c == u {
+				continue
+			}
+			for _, b := range g.NeighborsView(c) {
+				if b == u || b == v {
+					continue
+				}
+				bk := &sc.bucket[b]
+				next := int32(-1)
+				if bk.epoch == ep {
+					next = bk.head
+				}
+				bk.epoch, bk.head = ep, int32(len(sc.link))
+				sc.link = append(sc.link, pentaLink{c: c, next: next})
+			}
+		}
 		for _, a := range g.NeighborsView(u) {
 			if a == v {
 				continue
 			}
 			for _, b := range g.NeighborsView(a) {
-				if b == u || b == v {
+				if sc.bucket[b].epoch != ep {
 					continue
 				}
-				sc.cn2 = g.AppendCommonNeighbors(b, v, sc.cn2[:0])
-				for _, c := range sc.cn2 {
-					if c == u || c == a {
+				for j := sc.bucket[b].head; j >= 0; j = sc.link[j].next {
+					c := sc.link[j].c
+					if c == a {
 						continue
 					}
 					n++
@@ -244,8 +308,10 @@ func enumerate(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit
 
 // Count returns s(·, t): the number of instances of pattern completing
 // target t in the current graph. This is the naive recount path; its cost
-// for the motifs here is O(d_u · d_v)-ish, exactly the complexity the paper
-// analyses. It allocates a fresh Scratch; hot loops use CountScratch.
+// is the kernel's (see enumerate): O(d_u · d_v)-ish for the paper's
+// motifs, exactly the complexity the paper analyses, and the bucketed
+// path join for Pentagon. It allocates a fresh Scratch; hot loops use
+// CountScratch.
 func Count(g *graph.Graph, pattern Pattern, t graph.Edge) int {
 	var sc Scratch
 	return enumerate(g, pattern, t, &sc, nil)

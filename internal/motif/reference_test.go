@@ -2,19 +2,23 @@ package motif
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
 )
 
-// This file pins the merge-join enumeration kernels to a map-reference
-// implementation: refAdj is the hash-set adjacency the library used before
-// the sorted-slice graph core, and refEnumerate spells each motif out as
-// nested set loops with no shared code with the production kernel. Every
-// pattern's instance multiset must agree between the two on random graphs.
+// This file pins the enumeration kernels to two references. refAdj is the
+// hash-set adjacency the library used before the sorted-slice graph core,
+// and refEnumerate spells each motif out as nested set loops with no shared
+// code with the production kernel: every pattern's instance multiset must
+// agree between the two on random graphs. mergeJoinPentagon is the
+// Pentagon kernel before its meet-in-the-middle rewrite, and the
+// production kernel must emit its exact sequence.
 
 type refAdj []map[graph.NodeID]struct{}
 
@@ -119,14 +123,7 @@ func canonInstances(insts [][]graph.Edge) []string {
 // loops pay these kernels per candidate per step.
 func TestEnumerationSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n := 64
-	g := graph.New(n)
-	for g.NumEdges() < 5*n {
-		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-		if u != v {
-			g.AddEdge(u, v)
-		}
-	}
+	g := randomGraph(rng, 64, 5*64)
 	targets := []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(2, 3), graph.NewEdge(4, 5)}
 	for _, tgt := range targets {
 		g.RemoveEdgeE(tgt)
@@ -161,13 +158,7 @@ func TestEnumerateMatchesMapReference(t *testing.T) {
 			for seed := int64(0); seed < 6; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				n := 28
-				g := graph.New(n)
-				for g.NumEdges() < 3*n {
-					u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-					if u != v {
-						g.AddEdge(u, v)
-					}
-				}
+				g := randomGraph(rng, n, 3*n)
 				ref := refFrom(g)
 				var sc Scratch
 				for trial := 0; trial < 12; trial++ {
@@ -205,4 +196,149 @@ func TestEnumerateMatchesMapReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mergeJoinPentagon is the Pentagon kernel before the meet-in-the-middle
+// rewrite: one Γ(b) ∩ Γ(v) merge-join per 2-path u–a–b. It is the ordered
+// reference, because emission order fixes the instance table, the EdgeIDs
+// and through them every downstream tie-break.
+func mergeJoinPentagon(g *graph.Graph, t graph.Edge) [][4]graph.Edge {
+	u, v := t.U, t.V
+	var out [][4]graph.Edge
+	for _, a := range g.NeighborsView(u) {
+		if a == v {
+			continue
+		}
+		for _, b := range g.NeighborsView(a) {
+			if b == u || b == v {
+				continue
+			}
+			for _, c := range g.CommonNeighbors(b, v) {
+				if c == u || c == a {
+					continue
+				}
+				out = append(out, [4]graph.Edge{
+					graph.NewEdge(u, a), graph.NewEdge(a, b), graph.NewEdge(b, c), graph.NewEdge(c, v),
+				})
+			}
+		}
+	}
+	return out
+}
+
+// checkPentagonOrder asserts that the production kernel emits exactly the
+// merge-join reference's sequence for tgt, and that CountScratch agrees.
+func checkPentagonOrder(t *testing.T, g *graph.Graph, tgt graph.Edge, sc *Scratch) {
+	t.Helper()
+	want := mergeJoinPentagon(g, tgt)
+	var got [][4]graph.Edge
+	EnumerateTargetScratch(g, Pentagon, tgt, sc, func(edges []graph.Edge) {
+		if len(got) == len(want) {
+			// Stop a broken (e.g. cyclic) bucket chain before it eats memory.
+			t.Fatalf("target %v: kernel emits more than the reference's %d instances", tgt, len(want))
+		}
+		got = append(got, [4]graph.Edge(edges))
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("target %v on %d nodes: kernel emitted %d instances, reference %d:\n got %v\nwant %v",
+			tgt, g.NumNodes(), len(got), len(want), got, want)
+	}
+	if c := CountScratch(g, Pentagon, tgt, sc); c != len(want) {
+		t.Fatalf("target %v: CountScratch = %d, reference %d", tgt, c, len(want))
+	}
+}
+
+// randomGraph draws a uniform simple graph with n nodes and m edges
+// (m must not exceed n(n-1)/2).
+func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
+	g := graph.New(n)
+	for g.NumEdges() < m {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
+func TestPentagonKernelMatchesMergeJoinOrder(t *testing.T) {
+	t.Run("random", func(t *testing.T) {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 28
+			g := randomGraph(rng, n, 3*n)
+			var sc Scratch
+			for trial := 0; trial < 12; trial++ {
+				u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+				if u == v {
+					continue
+				}
+				tgt := graph.NewEdge(u, v)
+				// Both the phase-1 form and, for Count callers on a
+				// general graph, the form with the target link present.
+				present := g.RemoveEdgeE(tgt)
+				checkPentagonOrder(t, g, tgt, &sc)
+				if present {
+					g.AddEdgeE(tgt)
+					checkPentagonOrder(t, g, tgt, &sc)
+				}
+			}
+		}
+	})
+	t.Run("hub", func(t *testing.T) {
+		g := datasets.DBLPSim(600, 7).Graph
+		targets := datasets.SampleTargets(g, 64, rand.New(rand.NewSource(7)))
+		g.RemoveEdges(targets)
+		var sc Scratch
+		for _, tgt := range targets {
+			checkPentagonOrder(t, g, tgt, &sc)
+		}
+		// The counting form of the kernel must agree on the totals.
+		want := 0
+		for _, tgt := range targets {
+			want += len(mergeJoinPentagon(g, tgt))
+		}
+		if want == 0 {
+			t.Fatal("hub graph has no Pentagon instances: the check is vacuous")
+		}
+		if got := CountTotalScratch(g, Pentagon, targets, &sc); got != want {
+			t.Fatalf("CountTotalScratch = %d, reference %d", got, want)
+		}
+	})
+	t.Run("grow", func(t *testing.T) {
+		// One Scratch across graphs of growing node count: every growth of
+		// the bucket array must leave no stale chain behind.
+		rng := rand.New(rand.NewSource(11))
+		var sc Scratch
+		for _, n := range []int{12, 24, 48, 96, 200} {
+			g := randomGraph(rng, n, 4*n)
+			for trial := 0; trial < 8; trial++ {
+				u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+				if u == v {
+					continue
+				}
+				tgt := graph.NewEdge(u, v)
+				g.RemoveEdgeE(tgt)
+				checkPentagonOrder(t, g, tgt, &sc)
+			}
+			if len(sc.bucket) < n {
+				t.Fatalf("bucket array has %d slots for %d nodes", len(sc.bucket), n)
+			}
+		}
+	})
+	t.Run("epochWrap", func(t *testing.T) {
+		// Stamps left by an earlier target must not read as live once the
+		// epoch counter wraps back to theirs.
+		rng := rand.New(rand.NewSource(13))
+		g := randomGraph(rng, 40, 200)
+		targets := datasets.SampleTargets(g, 2, rng)
+		g.RemoveEdges(targets)
+		var sc Scratch
+		CountScratch(g, Pentagon, targets[0], &sc) // stamps epoch 1
+		sc.epoch = math.MaxUint32
+		checkPentagonOrder(t, g, targets[1], &sc) // wraps back to epoch 1
+		if sc.epoch != 2 {
+			t.Fatalf("epoch after wrap = %d, want 2", sc.epoch)
+		}
+	})
 }
