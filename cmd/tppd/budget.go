@@ -21,11 +21,15 @@ package main
 import "repro/internal/graph"
 
 // sessionFootprint measures a session's resident bytes: the Protector's
-// own estimate plus the label table the record carries. Requires the same
-// exclusivity as any session operation (the caller holds the record slot,
-// or the record is not yet published).
+// own estimate plus the label table the record carries (cached on the
+// record, so a delta without node churn does not re-walk every label).
+// Requires the same exclusivity as any session operation (the caller holds
+// the record slot, or the record is not yet published).
 func sessionFootprint(rec *sessionRecord) int64 {
-	return rec.session.MemFootprint() + labelingFootprint(rec.lab)
+	if rec.labBytes == 0 {
+		rec.labBytes = labelingFootprint(rec.lab)
+	}
+	return rec.session.MemFootprint() + rec.labBytes
 }
 
 // labelingFootprint estimates the label table's bytes: each name is stored

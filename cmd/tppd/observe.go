@@ -339,11 +339,16 @@ func newIDPrefix() string {
 	return hex.EncodeToString(buf)
 }
 
+// requestIDHeader carries the request id on every response, so a client
+// can join its call to the structured request log line (request_id).
+const requestIDHeader = "X-Request-Id"
+
 // instrument wraps the route table with the observability layer: per-route
-// latency/size/status metrics, the per-request stage recorder, and the
-// structured request log. It runs outside the mux, so the matched pattern
-// is resolved with mux.Handler — the pattern the mux stamps on the request
-// lands on the mux's own shallow copy, never on this r.
+// latency/size/status metrics, the per-request stage recorder, the
+// X-Request-Id response header and the structured request log. It runs
+// outside the mux, so the matched pattern is resolved with mux.Handler —
+// the pattern the mux stamps on the request lands on the mux's own shallow
+// copy, never on this r.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -352,6 +357,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		sp := telemetry.NewStages(s.metrics.stages)
 		ctx := telemetry.NewContext(r.Context(), sp)
 		ctx = context.WithValue(ctx, scopeKey{}, sc)
+		w.Header().Set(requestIDHeader, sc.id)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)

@@ -211,6 +211,69 @@ func TestRequestLogFields(t *testing.T) {
 	}
 }
 
+// TestRequestIDHeaderJoinsLog pins that every response carries X-Request-Id
+// and that it equals the request_id of that request's log line, on
+// successes and on 404s and 400s alike.
+func TestRequestIDHeaderJoinsLog(t *testing.T) {
+	srv, ts := newSessionTestServer(t, 0)
+	var buf bytes.Buffer
+	srv.ConfigureLogging(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})), 0)
+
+	type sent struct {
+		path   string
+		status int
+		id     string
+	}
+	var reqs []sent
+	do := func(method, path string, payload any, want int) {
+		t.Helper()
+		resp, body := doJSON(t, method, ts.URL+path, payload)
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, resp.StatusCode, want, body)
+		}
+		reqs = append(reqs, sent{path: path, status: want, id: resp.Header.Get(requestIDHeader)})
+	}
+	do(http.MethodGet, "/v1/healthz", nil, http.StatusOK)
+	do(http.MethodGet, "/v1/healthz", nil, http.StatusOK)
+	do(http.MethodGet, "/v1/sessions/s-0000000000000000", nil, http.StatusNotFound)
+	do(http.MethodGet, "/no/such/route", nil, http.StatusNotFound)
+	do(http.MethodPost, "/v1/protect", protectRequest{Edges: quickstartEdges, Targets: [][2]string{{"0", "5"}}, Method: "bogus"}, http.StatusBadRequest)
+
+	type logLine struct {
+		Msg       string `json:"msg"`
+		RequestID string `json:"request_id"`
+		Path      string `json:"path"`
+		Status    int    `json:"status"`
+	}
+	logged := make(map[string]logLine)
+	for _, raw := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var ll logLine
+		if err := json.Unmarshal(raw, &ll); err != nil {
+			t.Fatalf("unparseable log line %q: %v", raw, err)
+		}
+		if ll.Msg == "request" {
+			logged[ll.RequestID] = ll
+		}
+	}
+	seen := make(map[string]bool)
+	for _, r := range reqs {
+		if r.id == "" {
+			t.Errorf("%s (%d): no %s header", r.path, r.status, requestIDHeader)
+			continue
+		}
+		if seen[r.id] {
+			t.Errorf("%s (%d): request id %q reused", r.path, r.status, r.id)
+		}
+		seen[r.id] = true
+		ll, ok := logged[r.id]
+		if !ok {
+			t.Errorf("%s (%d): header id %q has no log line", r.path, r.status, r.id)
+		} else if ll.Path != r.path || ll.Status != r.status {
+			t.Errorf("header id %q logs %s %d, but the request was %s %d", r.id, ll.Path, ll.Status, r.path, r.status)
+		}
+	}
+}
+
 // TestSlowRequestPromotedToWarn sets a zero-distance slow threshold so every
 // request counts as slow and checks the promotion to Warn with the "slow
 // request" message — visible under the default Info level.

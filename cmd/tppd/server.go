@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -354,11 +355,16 @@ type datasetSpec struct {
 }
 
 // protectResponse is the selection report plus the released edge list.
+// Targets is echoed only by the one-shot POST /v1/protect, where with
+// sample_targets it is the only way a client learns which targets were
+// drawn. A session protect leaves it out: the session's targets are already
+// the client's, and GET /v1/sessions/{id} returns them, so echoing them
+// would make every protect cost the whole target set on the wire.
 type protectResponse struct {
 	Method            string      `json:"method"`
 	Nodes             int         `json:"nodes"`
 	Edges             int         `json:"edges"`
-	Targets           [][2]string `json:"targets"`
+	Targets           [][2]string `json:"targets,omitempty"`
 	Budget            int         `json:"budget"` // as requested; 0 meant critical
 	Protectors        [][2]string `json:"protectors"`
 	InitialSimilarity int         `json:"initial_similarity"`
@@ -798,10 +804,34 @@ func edgePairs(edges []graph.Edge, lab *graph.Labeling) [][2]string {
 	return out
 }
 
+// maxPooledJSONBuf caps the response buffers writeJSON hands back to its
+// pool: a rare huge response (a large released graph) is left to the GC
+// rather than pinning its capacity in the pool.
+const maxPooledJSONBuf = 1 << 20
+
+var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v as one line of compact JSON into a pooled buffer and
+// writes it with an exact Content-Length in a single call, so responses are
+// never chunked. Encoding completes before any header goes out: a value
+// that cannot be encoded becomes a logged 500, not a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledJSONBuf {
+			jsonBufPool.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		slog.Error("tppd: encoding response", "request_id", w.Header().Get(requestIDHeader), "error", err)
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encoding response: " + err.Error()}) // a lone string field always encodes
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client left; nothing to answer
 }

@@ -42,7 +42,11 @@ type sessionRecord struct {
 
 	session *tpp.Protector
 	lab     *graph.Labeling
-	pattern string
+	// labBytes caches labelingFootprint(lab); 0 means not measured yet.
+	// Only a delta that adds or remaps nodes changes the label table, and
+	// that delta resets it.
+	labBytes int64
+	pattern  string
 	// defaultBudget is the creation-time budget, echoed in protect
 	// responses when a run does not override it (0 = critical budget).
 	defaultBudget int
@@ -792,6 +796,9 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// table (new labels join in ID order, the remap renames/retires the
 	// rest) before anything reads it again.
 	applyDeltaLabels(rec.lab, req.AddNodes, rep)
+	if len(req.AddNodes) > 0 || rep.NodeRemap != nil {
+		rec.labBytes = 0
+	}
 	rec.deltas++
 	// Durability: the delta must be on the log (fsynced under -wal-sync)
 	// before the client sees the ack. An append failure means the delta is
@@ -1052,7 +1059,6 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 		Method:            res.Method,
 		Nodes:             p.G.NumNodes(),
 		Edges:             p.G.NumEdges(),
-		Targets:           edgePairs(p.Targets, rec.lab),
 		Budget:            budget,
 		Protectors:        edgePairs(res.Protectors, rec.lab),
 		InitialSimilarity: res.SimilarityTrace[0],

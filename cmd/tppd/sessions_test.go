@@ -408,8 +408,16 @@ func TestSessionDeltaV2NodeAndTargetChurn(t *testing.T) {
 	if err := json.Unmarshal(body, &prep); err != nil {
 		t.Fatal(err)
 	}
-	if !prep.FullProtection || len(prep.Targets) != 2 {
-		t.Fatalf("protect after churn = %+v, want full protection of 2 targets", prep)
+	// A session protect does not echo targets; GET serves them.
+	resp, body = doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("get after protect: status %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if !prep.FullProtection || len(info.Targets) != 2 {
+		t.Fatalf("protect after churn = %+v with targets %v, want full protection of 2 targets", prep, info.Targets)
 	}
 
 	// The aggregate mutation-mix counters must have followed along.

@@ -106,6 +106,9 @@ func UnpackEdge(p uint64) Edge {
 type Graph struct {
 	adj   [][]NodeID // per node: neighbors sorted ascending
 	edges int
+	// rowCap is Σ cap(row) over adj, kept current by setRow so that
+	// MemFootprint is O(1). Every write of a row goes through setRow.
+	rowCap int
 }
 
 // New returns an empty graph with n nodes (IDs 0..n-1) and no edges.
@@ -145,20 +148,22 @@ func (g *Graph) RemoveNode(n NodeID) NodeID {
 	// Strip n's incident edges.
 	for _, w := range g.adj[n] {
 		i, _ := slices.BinarySearch(g.adj[w], n)
-		g.adj[w] = slices.Delete(g.adj[w], i, i+1)
+		g.setRow(w, slices.Delete(g.adj[w], i, i+1))
 	}
 	g.edges -= len(g.adj[n])
-	g.adj[n] = nil
+	g.setRow(n, nil)
 	last := NodeID(len(g.adj) - 1)
 	if n != last {
 		// Renumber last → n: adopt its row and rewrite its mentions. The
 		// row cannot contain n (n's edges are gone), so it stays valid.
-		g.adj[n] = g.adj[last]
-		for _, w := range g.adj[n] {
+		row := g.adj[last]
+		g.setRow(last, nil)
+		g.setRow(n, row)
+		for _, w := range row {
 			i, _ := slices.BinarySearch(g.adj[w], last)
-			g.adj[w] = slices.Delete(g.adj[w], i, i+1)
-			j, _ := slices.BinarySearch(g.adj[w], n)
-			g.adj[w] = slices.Insert(g.adj[w], j, n)
+			r := slices.Delete(g.adj[w], i, i+1)
+			j, _ := slices.BinarySearch(r, n)
+			g.setRow(w, slices.Insert(r, j, n))
 		}
 	}
 	g.adj = g.adj[:last]
@@ -225,6 +230,12 @@ func (g *Graph) RemoveNodes(nodes []NodeID) []NodeID {
 	return remap
 }
 
+// setRow stores row as n's adjacency and keeps rowCap current.
+func (g *Graph) setRow(n NodeID, row []NodeID) {
+	g.rowCap += cap(row) - cap(g.adj[n])
+	g.adj[n] = row
+}
+
 // valid panics unless n is a node of g.
 func (g *Graph) valid(n NodeID) {
 	if n < 0 || int(n) >= len(g.adj) {
@@ -244,9 +255,9 @@ func (g *Graph) AddEdge(u, v NodeID) bool {
 	if found {
 		return false
 	}
-	g.adj[e.U] = slices.Insert(g.adj[e.U], i, e.V)
+	g.setRow(e.U, slices.Insert(g.adj[e.U], i, e.V))
 	j, _ := slices.BinarySearch(g.adj[e.V], e.U)
-	g.adj[e.V] = slices.Insert(g.adj[e.V], j, e.U)
+	g.setRow(e.V, slices.Insert(g.adj[e.V], j, e.U))
 	g.edges++
 	return true
 }
@@ -265,9 +276,9 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	if !found {
 		return false
 	}
-	g.adj[e.U] = slices.Delete(g.adj[e.U], i, i+1)
+	g.setRow(e.U, slices.Delete(g.adj[e.U], i, i+1))
 	j, _ := slices.BinarySearch(g.adj[e.V], e.U)
-	g.adj[e.V] = slices.Delete(g.adj[e.V], j, j+1)
+	g.setRow(e.V, slices.Delete(g.adj[e.V], j, j+1))
 	g.edges--
 	return true
 }
@@ -516,7 +527,7 @@ func (g *Graph) Clone() *Graph {
 		}
 		cp := make([]NodeID, len(row))
 		copy(cp, row)
-		c.adj[i] = cp
+		c.setRow(NodeID(i), cp)
 	}
 	return c
 }
@@ -550,15 +561,12 @@ func (g *Graph) String() string {
 // graph: the adjacency spine plus every row's full capacity (mutation slack
 // included — that memory is held either way). The estimate feeds the
 // session tier's memory budget; it deliberately counts reachable heap
-// bytes, not Go object headers, so it slightly undercounts true RSS.
+// bytes, not Go object headers, so it slightly undercounts true RSS. It
+// is O(1): the row capacities are a running sum that mutations maintain.
 func (g *Graph) MemFootprint() int64 {
 	const (
 		sliceHeader = 24 // unsafe.Sizeof([]NodeID{}) on 64-bit
 		nodeIDBytes = 4  // NodeID is int32
 	)
-	b := int64(sliceHeader) + int64(cap(g.adj))*sliceHeader
-	for _, row := range g.adj {
-		b += int64(cap(row)) * nodeIDBytes
-	}
-	return b
+	return int64(sliceHeader) + int64(cap(g.adj))*sliceHeader + int64(g.rowCap)*nodeIDBytes
 }

@@ -550,3 +550,64 @@ func TestRemoveNodesEmptyAndUnsortedPanics(t *testing.T) {
 	}()
 	g.RemoveNodes([]NodeID{2, 1})
 }
+
+// walkFootprint is the full-walk form of MemFootprint: the spine plus every
+// row's capacity, summed row by row. It is the reference the O(1) counter
+// must equal after every mutation.
+func walkFootprint(g *Graph) int64 {
+	b := int64(24) + int64(cap(g.adj))*24
+	for _, row := range g.adj {
+		b += int64(cap(row)) * 4
+	}
+	return b
+}
+
+func TestMemFootprintCounterMatchesWalk(t *testing.T) {
+	check := func(t *testing.T, step int, op string, g *Graph) {
+		t.Helper()
+		if got, want := g.MemFootprint(), walkFootprint(g); got != want {
+			t.Fatalf("step %d (%s): MemFootprint = %d, row walk = %d", step, op, got, want)
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New(10)
+		check(t, -1, "New", g)
+		for step := 0; step < 1500; step++ {
+			n := g.NumNodes()
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 50 && n >= 2:
+				op = "AddEdge"
+				u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+				if u != v {
+					g.AddEdge(u, v)
+				}
+			case r < 75 && n >= 2:
+				op = "RemoveEdge"
+				u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+				if u != v {
+					g.RemoveEdge(u, v)
+				}
+			case r < 85:
+				op = "AddNode"
+				g.AddNode()
+			case r < 95 && n > 4:
+				op = "RemoveNodes"
+				var nodes []NodeID
+				for x := 0; x < n && len(nodes) < 3; x++ {
+					if rng.Intn(n) < 2 {
+						nodes = append(nodes, NodeID(x))
+					}
+				}
+				g.RemoveNodes(nodes)
+			default:
+				op = "Clone"
+				c := g.Clone()
+				check(t, step, "Clone (original)", g)
+				g = c
+			}
+			check(t, step, op, g)
+		}
+	}
+}

@@ -22,7 +22,7 @@ func TestPropertyEngineWorkerParity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.BarabasiAlbertTriad(36, 3, 0.5, rng)
 		targets := datasets.SampleTargets(g, 4, rng)
-		pattern := motif.Patterns[int(seed)%len(motif.Patterns)]
+		pattern := motif.AllPatterns[int(seed)%len(motif.AllPatterns)]
 
 		session, err := New(g, targets,
 			WithPattern(pattern),

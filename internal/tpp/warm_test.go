@@ -53,7 +53,7 @@ func assertSameSelection(t *testing.T, tag string, got, want *Result) {
 // warm engine to actually engage: a matrix cell that silently fell back on
 // every delta would vacuously pass.
 func TestWarmSelectionParityMatrix(t *testing.T) {
-	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle} {
+	for _, pattern := range motif.AllPatterns {
 		for _, workers := range []int{1, 3} {
 			pattern, workers := pattern, workers
 			t.Run(fmt.Sprintf("%s/%s/workers=%d", pattern, EngineIndexed, workers), func(t *testing.T) {
@@ -74,9 +74,19 @@ func TestWarmSelectionParityMatrix(t *testing.T) {
 				if first.WarmStart {
 					t.Fatal("first run claims warm start")
 				}
+				// A Pentagon instance is a 5-cycle, so one mutation touches
+				// far more candidate edges than under the smaller patterns:
+				// 4-mutation deltas push the touched set past the
+				// warmTouchedDenom threshold on nearly every step, and the
+				// cell would never exercise a warm replay. Single-mutation
+				// deltas keep it engaged.
+				deltaSize := 4
+				if pattern == motif.Pentagon {
+					deltaSize = 1
+				}
 				churn := gen.NewMutationChurn(g, targets, gen.DefaultChurnRates(), rng)
 				for step := 0; step < 8; step++ {
-					d := dynamic.Delta(churn.Next(4))
+					d := dynamic.Delta(churn.Next(deltaSize))
 					if _, err := session.Apply(ctx, d); err != nil {
 						t.Fatalf("step %d: apply: %v", step, err)
 					}
@@ -358,12 +368,12 @@ func FuzzWarmSelectionParity(f *testing.F) {
 	f.Add([]byte{0x01, 0x23, 0x45, 0x11, 0x00, 0x89, 0xab, 0x22, 0x02})
 	f.Add([]byte{0xff, 0x00, 0x10, 0x33, 0x33, 0x20, 0x30, 0x44, 0x44, 0x50, 0x60})
 	f.Add([]byte{0x02, 0x11, 0x11, 0x55, 0x55, 0x33, 0x05, 0x22, 0x44, 0x66, 0x66})
+	f.Add([]byte{0xfc, 0x00, 0x10, 0x33, 0x33, 0x20, 0x30, 0x44, 0x44, 0x50, 0x60})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		patterns := []motif.Pattern{motif.Triangle, motif.Rectangle, motif.RecTri}
-		pattern := patterns[int(data[0])%len(patterns)]
+		pattern := motif.AllPatterns[int(data[0])%len(motif.AllPatterns)]
 		workers := 1 + int(data[0]/16)%3
 		rng := rand.New(rand.NewSource(3))
 		g := gen.BarabasiAlbertTriad(48, 3, 0.5, rng)
