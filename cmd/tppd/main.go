@@ -40,14 +40,6 @@
 // exceed its budget slice; spilled sessions rehydrate lazily on next
 // touch, bit-identical.
 //
-// With -route set, the same binary serves instead as a thin
-// consistent-hash routing proxy over a fleet of backend tppd processes:
-// the router mints session ids, forwards each session's whole life to the
-// backend owning its ring position (X-Tppd-Session-Id carries the minted
-// id down), round-robins keyless work across healthy backends, and pins a
-// down backend's sessions behind 503 + Retry-After rather than re-routing
-// them away from their durable state.
-//
 // When all of a shard's selection slots stay busy for -queue-wait, new
 // work is rejected with 429 + Retry-After instead of queueing until the
 // request deadline, so clients back off while their own deadline budget is
@@ -107,7 +99,6 @@ func main() {
 		walSync       = flag.Bool("wal-sync", true, "fsync each WAL append before acking the delta")
 		walCompact    = flag.Int("wal-compact", 256, "fold a session's WAL into a fresh snapshot every N deltas")
 		queueWait     = flag.Duration("queue-wait", time.Second, "reject with 429 when no selection slot frees within this (0 queues until the request deadline)")
-		route         = flag.String("route", "", "comma-separated backend base URLs; serve as a consistent-hash routing proxy over them instead of a session tier")
 		pprofAddr     = flag.String("pprof", "", "serve the debug listener (pprof, expvar, /metrics) on this address (empty disables)")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (debug shows every request)")
 		slowReq       = flag.Duration("slow-request", 2*time.Second, "log requests slower than this at warn with a stage breakdown (0 disables)")
@@ -120,11 +111,6 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
-
-	if *route != "" {
-		runRouter(*addr, *route, logger)
-		return
-	}
 
 	budgetBytes, err := parseByteSize(*memBudget)
 	if err != nil {

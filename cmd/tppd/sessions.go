@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
 	"sort"
 	"strconv"
 	"sync"
@@ -289,11 +288,6 @@ func (ss *sessionStore) janitor(interval time.Duration, evicted func(int)) {
 	}
 }
 
-// sessionIDPattern is the only id shape the daemon mints — and therefore
-// the only shape it accepts from a router handing it a pre-minted id (the
-// router must know the id before it can pick the owning backend).
-var sessionIDPattern = regexp.MustCompile(`^s-[0-9a-f]{16}$`)
-
 // mintSessionID draws a fresh session id.
 func mintSessionID() string {
 	buf := make([]byte, 8)
@@ -557,27 +551,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	// The id is fixed before any work happens: the session's home shard —
+	// The id is minted before any work happens: the session's home shard —
 	// whose work queue bounds this request and whose budget must admit the
-	// session — is a pure function of the id. A router running ahead of the
-	// daemon mints the id itself (it needs it to pick the backend) and hands
-	// it down in a header; everyone else gets a fresh one.
+	// session — is a pure function of the id. Clients never choose it.
 	id := mintSessionID()
-	if hdr := r.Header.Get(routedSessionIDHeader); hdr != "" {
-		if !sessionIDPattern.MatchString(hdr) {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid %s %q", routedSessionIDHeader, hdr)})
-			return
-		}
-		// A pre-minted id can collide with an existing session (a confused
-		// or replaying router); reject before any state is built, and above
-		// all before durable.Create could overwrite the live session's
-		// files. Self-minted ids are fresh entropy and need no check.
-		if s.sessionExists(hdr) {
-			writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("session %q already exists", hdr)})
-			return
-		}
-		id = hdr
-	}
 	sh := s.sessions.shardFor(id)
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
@@ -644,10 +621,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// store, concurrent requests may already be mutating the session.
 	info := s.sessionInfo(rec.id, rec)
 	if !s.sessions.publish(rec) {
-		// Only reachable when two creates race the same router-minted id
-		// past the up-front existence check. The files now on disk belong
-		// to whichever record won the publish — close our handle, never
-		// destroy.
+		// Only reachable if two creates minted the same random 64-bit id.
+		// The shard map keeps the record that won the publish, whose
+		// handle still owns the files on disk — close ours, never destroy.
 		if rec.durable != nil {
 			rec.durable.Close()
 		}
@@ -658,26 +634,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsCreated.Inc()
 	annotateSession(r.Context(), rec.id)
 	writeJSON(w, http.StatusCreated, info)
-}
-
-// routedSessionIDHeader carries a router-minted session id into the create
-// handler. The router must know the id before it can pick the owning
-// backend, so on /v1/sessions it mints the id, forwards it here, and the
-// backend honours it (after validating the shape) instead of minting anew.
-const routedSessionIDHeader = "X-Tppd-Session-Id"
-
-// sessionExists reports whether id names a session that is live in memory
-// or spilled on disk. Only the pre-minted-id create path asks; the serving
-// handlers go through getSession, which also rehydrates.
-func (s *Server) sessionExists(id string) bool {
-	sh := s.sessions.shardFor(id)
-	sh.mu.Lock()
-	_, live := sh.m[id]
-	sh.mu.Unlock()
-	if live {
-		return true
-	}
-	return s.store != nil && s.store.Exists(id)
 }
 
 func (s *Server) sessionInfo(id string, rec *sessionRecord) sessionResponse {
@@ -752,7 +708,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// a work slot must not hold the session lock, or cheap GET/DELETE
 	// calls on the same session would hang behind work that has not even
 	// started. Session work queues on the session's home shard, so one hot
-	// shard cannot starve the rest of the fleet.
+	// shard cannot starve the others.
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 	sh := s.sessions.shardFor(r.PathValue("id"))

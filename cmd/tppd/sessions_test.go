@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +105,49 @@ func TestSessionLifecycle(t *testing.T) {
 	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("protect after delete: status %d, want 404", resp.StatusCode)
+	}
+
+	// The server always mints the id: a client-chosen id in the request
+	// header is ignored, so creating twice with the same one succeeds both
+	// times (no 409 tells the client whether a guessed id exists) and
+	// neither session answers to it.
+	minted := regexp.MustCompile(`^s-[0-9a-f]{16}$`)
+	if !minted.MatchString(id) {
+		t.Fatalf("minted session id %q has the wrong shape", id)
+	}
+	const chosen = "s-0000000000000001"
+	payload, err := json.Marshal(protectRequest{
+		Edges:   quickstartEdges,
+		Targets: [][2]string{{"0", "5"}},
+		Pattern: "Triangle",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tppd-Session-Id", chosen)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var created sessionResponse
+		err = json.NewDecoder(resp.Body).Decode(&created)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("create %d with a chosen id: status %d, decode error %v", i, resp.StatusCode, err)
+		}
+		if created.ID == chosen || !minted.MatchString(created.ID) {
+			t.Fatalf("create %d with a chosen id: got id %q, want a fresh minted id", i, created.ID)
+		}
+	}
+	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+chosen, nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("get of the client-chosen id: status %d, want 404", resp.StatusCode)
 	}
 }
 

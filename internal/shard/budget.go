@@ -8,8 +8,8 @@ import "sync"
 // per-session locks to do that safely) and tells the budget afterwards.
 //
 // One Budget per shard, guarded by its own mutex — the ring has already
-// partitioned the load, so this lock is never the fleet-wide hot spot the
-// single session-map mutex used to be.
+// partitioned the load, so this lock is never the process-wide hot spot
+// the single session-map mutex used to be.
 type Budget struct {
 	mu      sync.Mutex
 	cap     int64 // 0 = unlimited

@@ -1,14 +1,13 @@
-// Package shard is the horizontal-scale-out substrate of the session tier:
-// a consistent-hash ring that maps session IDs onto shard members (in-process
-// session shards, or backend processes in router mode), and a byte-budget
-// accountant with LRU ordering that drives admission control and cold-session
-// spill.
+// Package shard is the partitioning substrate of tppd's session tier: a
+// consistent-hash ring that maps session IDs onto in-process session shards,
+// and a byte-budget accountant with LRU ordering that drives admission
+// control and cold-session spill.
 //
 // Both halves are deliberately small and dependency-free. The ring is built
-// purely from the member names, so every process that knows the member list
-// computes the identical mapping — the property client-side sharding and the
-// router both rely on. The budget is a plain mutex'd LRU: one instance per
-// shard, so its lock is already partitioned by the ring.
+// purely from the member names, so anyone who knows the member list computes
+// the identical mapping — perfbench's replay relies on that to rebuild
+// tppd's shard assignment. The budget is a plain mutex'd LRU: one instance
+// per shard, so its lock is already partitioned by the ring.
 package shard
 
 import (
@@ -24,14 +23,13 @@ import (
 const defaultReplicas = 128
 
 // Ring is an immutable consistent-hash ring over a set of named members.
-// A Ring is safe for concurrent use; membership changes build a new Ring
-// (see WithMembers), which is how rebalances stay deterministic: the mapping
-// is a pure function of the member list, never of the mutation order.
+// A Ring is safe for concurrent use. The mapping is a pure function of the
+// member list: a ring rebuilt over a changed list moves only the keys whose
+// owning vnode arcs changed.
 type Ring struct {
-	replicas int
-	members  []string // as given (order preserved for index stability)
-	hashes   []uint64 // sorted vnode hashes
-	owner    []int32  // hashes[i] is owned by members[owner[i]]
+	members []string // as given (order preserved for index stability)
+	hashes  []uint64 // sorted vnode hashes
+	owner   []int32  // hashes[i] is owned by members[owner[i]]
 }
 
 // NewRing builds a ring over members with the given virtual-node count per
@@ -55,10 +53,9 @@ func NewRing(members []string, replicas int) (*Ring, error) {
 		seen[m] = true
 	}
 	r := &Ring{
-		replicas: replicas,
-		members:  append([]string(nil), members...),
-		hashes:   make([]uint64, 0, len(members)*replicas),
-		owner:    make([]int32, 0, len(members)*replicas),
+		members: append([]string(nil), members...),
+		hashes:  make([]uint64, 0, len(members)*replicas),
+		owner:   make([]int32, 0, len(members)*replicas),
 	}
 	type vnode struct {
 		h     uint64
@@ -85,23 +82,10 @@ func NewRing(members []string, replicas int) (*Ring, error) {
 	return r, nil
 }
 
-// WithMembers returns a new ring over the given member list with this ring's
-// replica count — the deterministic-rebalance primitive: only keys whose
-// owning vnode arcs changed move.
-func (r *Ring) WithMembers(members []string) (*Ring, error) {
-	return NewRing(members, r.replicas)
-}
-
-// Members returns the member list in construction order. The slice is shared;
-// callers must not mutate it.
-func (r *Ring) Members() []string { return r.members }
-
-// NumMembers returns the member count.
-func (r *Ring) NumMembers() int { return len(r.members) }
-
 // Owner maps a key to its owning member, returning the member's index in
-// Members() and its name. The mapping is stable: the same key on the same
-// member list always lands on the same member, in every process.
+// the list NewRing was given and its name. The mapping is stable: the same
+// key on the same member list always lands on the same member, in every
+// process.
 func (r *Ring) Owner(key string) (int, string) {
 	h := hashKey(key)
 	// First vnode clockwise from the key's position, wrapping past the top.
@@ -123,9 +107,9 @@ func (r *Ring) OwnerIndex(key string) int {
 // hashKey hashes a session key onto the ring's keyspace: FNV-1a 64 with a
 // splitmix64 finalizer. FNV alone is stable but avalanches poorly on short
 // ASCII keys (vnode labels like "shard-0#17" cluster badly); the finalizer
-// scatters it. Both halves are fixed constants — the mapping is part of the
-// fleet's wire contract, so a seeded or randomized hash would break rolling
-// restarts.
+// scatters it. Both halves are fixed constants: perfbench's replay rebuilds
+// tppd's shard assignment with its own NewRing(...).OwnerIndex, so a seeded
+// or randomized hash would desynchronize the two.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))

@@ -26,8 +26,8 @@ func TestRingValidation(t *testing.T) {
 }
 
 // TestRingStableMapping: the same key maps to the same member across
-// independently constructed rings — the property client-side sharding and
-// the router depend on.
+// independently constructed rings — the property perfbench's replay
+// depends on to rebuild tppd's shard assignment.
 func TestRingStableMapping(t *testing.T) {
 	members := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
 	r1, err := NewRing(members, 0)
@@ -51,8 +51,8 @@ func TestRingStableMapping(t *testing.T) {
 }
 
 // TestRingMemberOrderIrrelevant: the mapping depends on the member SET, not
-// the order the members were listed in — two fleet configs naming the same
-// backends in different order agree on every session's home.
+// the order the members were listed in — two configs naming the same
+// members in different order agree on every session's home.
 func TestRingMemberOrderIrrelevant(t *testing.T) {
 	a, err := NewRing([]string{"alpha", "beta", "gamma"}, 0)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestRingMinimalRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := r.WithMembers([]string{"m0", "m1", "m3"})
+	shrunk, err := NewRing([]string{"m0", "m1", "m3"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRingGrowRebalanceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := r.WithMembers([]string{"m0", "m1", "m2", "m3"})
+	grown, err := NewRing([]string{"m0", "m1", "m2", "m3"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
