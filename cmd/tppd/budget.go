@@ -6,8 +6,8 @@ package main
 // motif index + warm state, from tpp.MemFootprint, plus its label table).
 // Every shard tracks those bytes in LRU order against its slice of the
 // -mem-budget cap. When a shard runs over, the coldest sessions whose locks
-// can be taken without waiting are spilled to their durable snapshots
-// (discarded when durability is off — the same semantics as TTL eviction)
+// can be taken without waiting are spilled to disk (discarded when
+// durability is off — the same semantics as TTL eviction)
 // until the shard fits again. Create requests that would not fit even after
 // spilling everything spillable are rejected with 429: admission control,
 // not an error — the client retries after Retry-After.

@@ -9,11 +9,14 @@ package main
 //   - delta       appended (and under -wal-sync fsynced) to the WAL before
 //     the ack; every -wal-compact entries the log folds into a
 //     fresh snapshot
-//   - TTL evict   spills a final snapshot and drops the in-memory session;
+//   - spill       LRU reclaim and TTL eviction drop the in-memory session;
 //     the files stay and the next request for the id rehydrates
-//     it transparently
-//   - shutdown    sessionStore.close spills every session in sorted-id
-//     order (bounded per-session wait)
+//     it transparently. Only a dirty session (a protect ran
+//     since its last snapshot) writes a final snapshot first; a
+//     clean one just closes its WAL handle
+//   - shutdown    sessionStore.close spills every session the same way,
+//     in sorted-id order (bounded per-session wait); the next
+//     boot replays at most -wal-compact entries per session
 //   - delete      removes the files with the session
 //   - boot        Rehydrate loads every persisted session: snapshot
 //     decoded, WAL replayed, torn tails truncated; sessions that
@@ -23,8 +26,9 @@ package main
 // Protect runs are deliberately not logged: a selection is a pure function
 // of the session state the snapshot+WAL already capture, so replay
 // reproduces it bit-identically (the warm/cold engine contract), and the
-// warm-start cache is persisted by the next snapshot (compaction, spill or
-// shutdown) rather than per run.
+// warm-start cache and run counter are persisted by the next snapshot
+// (compaction, or the spill of the session the run left dirty) rather
+// than per run.
 
 import (
 	"context"
@@ -40,9 +44,9 @@ import (
 
 // ConfigureDurability attaches the persistence layer: new sessions are
 // snapshotted at creation, committed deltas are WAL-appended before the
-// ack, TTL eviction and shutdown spill final snapshots instead of
-// discarding state, and an unknown session id is looked up on disk before
-// it 404s. Call before Handler and before Rehydrate.
+// ack, LRU reclaim, TTL eviction and shutdown spill sessions to disk
+// instead of discarding state, and an unknown session id is looked up on
+// disk before it 404s. Call before Handler and before Rehydrate.
 func (s *Server) ConfigureDurability(store *durable.Store) {
 	s.store = store
 	s.sessions.spill = s.spillSession
@@ -225,23 +229,46 @@ func (s *Server) compactSession(ctx context.Context, rec *sessionRecord) error {
 	if err != nil {
 		return err
 	}
-	return rec.durable.Compact(snap)
+	if err := rec.durable.Compact(snap); err != nil {
+		return err
+	}
+	rec.dirty = false
+	return nil
 }
 
-// spillSession writes a session's final snapshot and closes its WAL handle
-// — the files stay behind for rehydration. Called (with the record slot
-// held) by TTL eviction and shutdown; a failed spill loses only the state
-// since the last snapshot+WAL write, exactly like a crash at that point.
+// spillSession releases a session's persistence before it is dropped from
+// memory; the files stay behind for rehydration. Called (with the record
+// slot held) by LRU reclaim, TTL eviction and the shutdown drain. A clean
+// session is already reproduced bit-identically by snapshot + WAL, so its
+// spill only closes the WAL handle — a clean buffer is evicted without a
+// write-back. A dirty one (a protect ran since its last snapshot) writes a
+// final snapshot first; if that fails, only the state since the last
+// snapshot+WAL write is lost, exactly like a crash at that point.
+//
+// A session degraded to memory-only by a WAL append failure has no handle
+// but kept acking deltas, so its files describe an older state: it is
+// re-persisted whole (a fresh snapshot at its lifetime delta count and an
+// empty WAL). If even that fails its stale files are quarantined, so the
+// next touch answers 404 rather than rehydrating a rolled-back session.
 func (s *Server) spillSession(rec *sessionRecord) {
-	if rec.durable == nil {
-		return
-	}
-	snap, err := s.sessionSnapshot(context.Background(), rec, rec.durable.Seq())
-	if err == nil {
-		err = rec.durable.Snapshot(snap)
-	}
-	if err != nil {
-		s.serverLogger().Error("tppd: spilling session snapshot", "session", rec.id, "error", err)
+	switch {
+	case rec.durable == nil:
+		snap, err := s.sessionSnapshot(context.Background(), rec, uint64(rec.deltas))
+		if err == nil {
+			rec.durable, err = s.store.Create(snap)
+		}
+		if err != nil {
+			s.quarantineSession(rec.id, fmt.Errorf("re-persisting degraded session: %w", err))
+			return
+		}
+	case rec.dirty:
+		snap, err := s.sessionSnapshot(context.Background(), rec, rec.durable.Seq())
+		if err == nil {
+			err = rec.durable.Snapshot(snap)
+		}
+		if err != nil {
+			s.serverLogger().Error("tppd: spilling session snapshot", "session", rec.id, "error", err)
+		}
 	}
 	if err := rec.durable.Close(); err != nil {
 		s.serverLogger().Error("tppd: closing session WAL", "session", rec.id, "error", err)

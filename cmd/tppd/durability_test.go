@@ -3,10 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,6 +309,9 @@ func TestDurableQuarantineOnCorrupt(t *testing.T) {
 
 // TestDurableCompactionThreshold: the WAL folds into a fresh snapshot at
 // the configured threshold, and recovery afterwards replays only the tail.
+// No protect ever ran, so the session stays clean and the graceful
+// shutdown writes no snapshot of its own: the tail survives it as a WAL
+// entry and a restarted server replays it.
 func TestDurableCompactionThreshold(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false, CompactEvery: 2})
@@ -326,7 +333,8 @@ func TestDurableCompactionThreshold(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	// Inspect the store directly: the snapshot watermark moved to 2, so only
+	// Inspect the store directly: the snapshot watermark moved to 2 at
+	// compaction, and the clean shutdown spill left it there, so exactly
 	// delta 3 replays.
 	store, err := durable.Open(dir, durable.Options{})
 	if err != nil {
@@ -336,13 +344,24 @@ func TestDurableCompactionThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	// The graceful shutdown spilled a final snapshot at seq 3.
-	if snap.Seq != 3 || len(entries) != 0 {
-		t.Fatalf("after compaction + spill: watermark %d with %d tail entries, want 3 with 0", snap.Seq, len(entries))
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if snap.Runs != 0 || snap.State.DeltasApplied != 3 {
-		t.Fatalf("spilled snapshot carries runs=%d deltas=%d, want 0/3", snap.Runs, snap.State.DeltasApplied)
+	if snap.Seq != 2 || len(entries) != 1 || entries[0].Seq != 3 {
+		t.Fatalf("after compaction + clean spill: watermark %d with %d tail entries (%+v), want 2 with exactly seq 3",
+			snap.Seq, len(entries), entries)
+	}
+	if snap.Runs != 0 || snap.State.DeltasApplied != 2 {
+		t.Fatalf("compaction snapshot carries runs=%d deltas=%d, want 0/2", snap.Runs, snap.State.DeltasApplied)
+	}
+
+	// A server rehydrated from the directory replays the tail back in.
+	_, ts2, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false, CompactEvery: 2})
+	if restored != 1 || quarantined != 0 {
+		t.Fatalf("restart: %d restored, %d quarantined, want 1/0", restored, quarantined)
+	}
+	if got := getSessionInfo(t, ts2, id).DeltasApplied; got != 3 {
+		t.Fatalf("rehydrated deltas_applied = %d, want 3", got)
 	}
 }
 
@@ -407,5 +426,148 @@ func TestShutdownWedgedSession(t *testing.T) {
 	}
 	if info := getSessionInfo(t, tsB, okID); info.Nodes != 10 {
 		t.Fatalf("healthy session info %+v", info)
+	}
+}
+
+// faultFS is the os filesystem with two one-shot faults a test can arm:
+// failWAL fails the next write to any WAL file, failSnap the next creation
+// of a snapshot temp file.
+type faultFS struct {
+	failWAL  atomic.Bool
+	failSnap atomic.Bool
+}
+
+func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
+	if strings.HasSuffix(name, ".snap.tmp") && f.failSnap.CompareAndSwap(true, false) {
+		return nil, errors.New("injected: snapshot temp create failed")
+	}
+	file, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	if strings.HasSuffix(name, ".wal") {
+		return &faultWAL{File: file, fs: f}, nil
+	}
+	return file, nil
+}
+
+func (*faultFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (*faultFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (*faultFS) Remove(name string) error                     { return os.Remove(name) }
+func (*faultFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (*faultFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
+func (*faultFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+func (*faultFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
+
+func (*faultFS) SyncDir(name string) error {
+	d, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+type faultWAL struct {
+	*os.File
+	fs *faultFS
+}
+
+func (w *faultWAL) Write(p []byte) (int, error) {
+	if w.fs.failWAL.CompareAndSwap(true, false) {
+		return 0, errors.New("injected: WAL write failed")
+	}
+	return w.File.Write(p)
+}
+
+// evictNow spills and drops one resident session exactly as LRU reclaim
+// and TTL eviction do: under its record slot, spill, then remove.
+func evictNow(t *testing.T, srv *Server, id string) {
+	t.Helper()
+	rec, err := srv.sessions.acquire(context.Background(), id)
+	if err != nil || rec == nil {
+		t.Fatalf("acquire %s: rec=%v err=%v", id, rec, err)
+	}
+	srv.sessions.spill(rec)
+	srv.sessions.remove(rec)
+	<-rec.slot
+}
+
+// TestSpillDegradedSession: a session whose WAL append failed keeps acking
+// deltas from memory alone, so its files on disk fall behind. Spilling it
+// must re-persist it whole — never leave the stale files to be rehydrated
+// as a silent rollback of acked deltas — and when even that fails, the
+// stale files are quarantined so the next touch answers 404.
+func TestSpillDegradedSession(t *testing.T) {
+	ffs := &faultFS{}
+	dir := t.TempDir()
+	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{FS: ffs})
+	id := createQuickstartSession(t, ts)
+	base := getSessionInfo(t, ts, id)
+
+	// The first append fails: the delta is live but not logged (500), and
+	// the session degrades to memory-only. The next delta is acked.
+	ffs.failWAL.Store(true)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", deltaRequest{
+		AddNodes: []string{"x1"},
+		Insert:   [][2]string{{"x1", "0"}},
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("delta on failing WAL: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	mustDelta(t, ts, id, deltaRequest{AddNodes: []string{"x2"}, Insert: [][2]string{{"x2", "1"}}}, "degraded delta")
+	before := getSessionInfo(t, ts, id)
+	if before.Nodes != base.Nodes+2 || before.DeltasApplied != 2 {
+		t.Fatalf("before spill: nodes=%d deltas_applied=%d, want %d/2", before.Nodes, before.DeltasApplied, base.Nodes+2)
+	}
+
+	evictNow(t, srv, id)
+	after := getSessionInfo(t, ts, id) // rehydrates from disk
+	if after.Nodes != before.Nodes || after.Edges != before.Edges || after.DeltasApplied != before.DeltasApplied {
+		t.Fatalf("spill rolled the session back: nodes=%d edges=%d deltas_applied=%d, before spill %d/%d/%d",
+			after.Nodes, after.Edges, after.DeltasApplied, before.Nodes, before.Edges, before.DeltasApplied)
+	}
+	// Rehydrated, the session is durable again: deltas log and protect runs.
+	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"x1", "x2"}}}, "delta after rehydrate")
+	mustProtect(t, ts, id, "protect after rehydrate")
+
+	// Degrade it again, and make the re-persist fail too: the stale files
+	// must leave the store so the id stops naming a servable session.
+	ffs.failWAL.Store(true)
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", deltaRequest{
+		Insert: [][2]string{{"x1", "5"}},
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("second delta on failing WAL: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	ffs.failSnap.Store(true)
+	evictNow(t, srv, id)
+	if resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("after a failed re-persist: status %d, want 404: %s", resp.StatusCode, body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", id+".snap")); err != nil {
+		t.Fatalf("stale snapshot not quarantined: %v", err)
+	}
+}
+
+// TestDeleteDegradedSession: deleting a session whose WAL append failed
+// must remove its files too, though it no longer holds a WAL handle;
+// otherwise the next touch rehydrates the deleted session from them.
+func TestDeleteDegradedSession(t *testing.T) {
+	ffs := &faultFS{}
+	_, ts, _, _ := newDurableTestServer(t, t.TempDir(), 0, durable.Options{FS: ffs})
+	id := createQuickstartSession(t, ts)
+	ffs.failWAL.Store(true)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", deltaRequest{
+		Insert: [][2]string{{"1", "7"}},
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("delta on failing WAL: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: status %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("after delete: status %d, want 404: %s", resp.StatusCode, body)
 	}
 }

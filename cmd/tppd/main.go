@@ -26,8 +26,9 @@
 // With -data-dir set, sessions are durable: each one keeps a versioned
 // snapshot plus a write-ahead log of its committed deltas (fsynced before
 // the ack under -wal-sync, folded into a fresh snapshot every
-// -wal-compact entries), TTL eviction spills a final snapshot instead of
-// discarding state, and a restart rehydrates every recoverable session —
+// -wal-compact entries), TTL eviction spills a session to disk instead of
+// discarding state (writing a final snapshot only when a protect ran since
+// the last one), and a restart rehydrates every recoverable session —
 // torn WAL tails are truncated, unrecoverable sessions are quarantined
 // aside and the server keeps serving.
 //
@@ -36,7 +37,7 @@
 // queue and memory budget — with session ids placed by a consistent-hash
 // ring. -shards 1 is the old single-map, single-semaphore architecture.
 // With -mem-budget set (needs -data-dir), each shard spills its coldest
-// idle sessions to their durable snapshots when admitting more would
+// idle sessions to -data-dir the same way when admitting more would
 // exceed its budget slice; spilled sessions rehydrate lazily on next
 // touch, bit-identical.
 //

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,6 +134,86 @@ func TestShardSpillParity(t *testing.T) {
 		}
 	}
 	_ = subjectSrv
+}
+
+// spillAll forces every resident session out through the shards' LRU
+// reclaim path, as if a create needing each shard's whole budget arrived.
+func spillAll(srv *Server) {
+	for _, sh := range srv.sessions.shards {
+		srv.reclaimBudget(sh, sh.budget.Cap(), "")
+	}
+}
+
+// TestSpillCleanDirtyParity: a spill writes only what snapshot + WAL lack.
+// A session with no protect since its last snapshot spills by closing its
+// WAL (no snapshot written, the .snap untouched byte for byte); one a
+// protect left dirty writes exactly one snapshot. Either way the session
+// rehydrates indistinguishable from a never-spilled control.
+func TestSpillCleanDirtyParity(t *testing.T) {
+	dir := t.TempDir()
+	srv, subject := newShardedDurableServer(t, dir, 1, 1<<30)
+	_, control := newSessionTestServer(t, 0)
+	subjectID := createQuickstartSession(t, subject)
+	controlID := createQuickstartSession(t, control)
+	snapPath := filepath.Join(dir, subjectID+".snap")
+
+	readSnap := func() []byte {
+		t.Helper()
+		b, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	spill := func(stage string, dirty bool) {
+		t.Helper()
+		before := getStats(t, subject)
+		snapBefore := readSnap()
+		spillAll(srv)
+		after := getStats(t, subject)
+		if after.SessionsSpilled != before.SessionsSpilled+1 {
+			t.Fatalf("%s: sessions_spilled %d → %d, want one spill", stage, before.SessionsSpilled, after.SessionsSpilled)
+		}
+		want := before.SnapshotsWritten
+		if dirty {
+			want++
+		}
+		if after.SnapshotsWritten != want {
+			t.Fatalf("%s: snapshots_written %d → %d, want %d (dirty=%v)",
+				stage, before.SnapshotsWritten, after.SnapshotsWritten, want, dirty)
+		}
+		if !dirty && !bytes.Equal(readSnap(), snapBefore) {
+			t.Fatalf("%s: a clean spill rewrote the snapshot", stage)
+		}
+	}
+	delta := func(stage string, req deltaRequest) {
+		t.Helper()
+		mustDelta(t, subject, subjectID, req, stage)
+		mustDelta(t, control, controlID, req, stage)
+	}
+	protect := func(stage string, warm bool) {
+		t.Helper()
+		got := scaleoutProtect(t, subject, subjectID, stage)
+		want := scaleoutProtect(t, control, controlID, stage)
+		protectParity(t, stage, got, want)
+		if got.WarmStart != warm {
+			t.Fatalf("%s: warm_start %v, want %v", stage, got.WarmStart, warm)
+		}
+		g, w := getSessionInfo(t, subject, subjectID), getSessionInfo(t, control, controlID)
+		if g.Runs != w.Runs || g.DeltasApplied != w.DeltasApplied {
+			t.Fatalf("%s: runs=%d deltas_applied=%d, control %d/%d", stage, g.Runs, g.DeltasApplied, w.Runs, w.DeltasApplied)
+		}
+	}
+
+	delta("delta-1", deltaRequest{Insert: [][2]string{{"1", "7"}, {"3", "6"}}})
+	spill("spill after create+delta", false)
+	protect("protect-1", false)
+	spill("spill after protect", true)
+	delta("delta-2", deltaRequest{AddNodes: []string{"n"}, Insert: [][2]string{{"n", "9"}, {"n", "6"}}})
+	spill("spill after rehydrate+delta", false)
+	// The warm state came back from the dirty spill's snapshot and absorbed
+	// the delta replayed from the WAL after the clean one.
+	protect("protect-2", true)
 }
 
 // TestSpillRaceSmoke hammers one session with concurrent deltas and

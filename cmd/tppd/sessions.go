@@ -59,6 +59,13 @@ type sessionRecord struct {
 	// or after an append error degraded the session to memory-only).
 	// Guarded by the record slot like everything else on the record.
 	durable *durable.Session
+	// dirty reports that a protect has run (successfully or not) since the
+	// session's last durable snapshot, so snapshot + WAL no longer
+	// reproduce it: the run counter and the warm-start selection live only
+	// in memory. Deltas never dirty a session — each is in the WAL before
+	// its ack. Zero at create and rehydrate (the record matches its files),
+	// cleared by compaction. A clean session spills by closing its WAL.
+	dirty bool
 
 	// Last values folded into the aggregate selection counters, so repeated
 	// protect calls on the same session add only the increment. Enumeration
@@ -154,9 +161,9 @@ type sessionStore struct {
 	// rr round-robins keyless work (one-shot protect) across shards.
 	rr atomic.Uint64
 
-	// spill, when set, persists a session's final snapshot before eviction
-	// or shutdown removes it from memory; it is called with the record's
-	// slot held. Set by ConfigureDurability.
+	// spill, when set, persists whatever snapshot + WAL lack of a session
+	// before eviction or shutdown removes it from memory; it is called with
+	// the record's slot held. Set by ConfigureDurability.
 	spill func(*sessionRecord)
 	// closeTimeout bounds how long close waits for any one session's slot
 	// (<=0 selects 5s); a wedged session is skipped, not waited on forever.
@@ -270,9 +277,9 @@ func (ss *sessionStore) janitor(interval time.Duration, evicted func(int)) {
 					continue
 				}
 				if !rec.gone && now.Sub(rec.lastUsed) > ss.ttl {
-					// With durability on, eviction spills the session to its
-					// final snapshot instead of discarding it; the files stay
-					// and an acquire-miss rehydrates it on demand.
+					// With durability on, eviction spills the session to disk
+					// instead of discarding it; the files stay and an
+					// acquire-miss rehydrates it on demand.
 					if ss.spill != nil {
 						ss.spill(rec)
 					}
@@ -415,11 +422,11 @@ func (ss *sessionStore) budgetCap() int64 {
 }
 
 // close stops the janitor and releases every session in deterministic
-// (sorted-id) order, spilling each to its final snapshot when durability is
-// on. Called after the HTTP server has drained, so no handler should still
-// hold a record slot — but a wedged one must not hang shutdown, so each
-// wait is bounded by closeTimeout and a session that never frees is
-// skipped (its last durable snapshot, not its in-memory tail, survives).
+// (sorted-id) order, spilling each to disk when durability is on. Called
+// after the HTTP server has drained, so no handler should still hold a
+// record slot — but a wedged one must not hang shutdown, so each wait is
+// bounded by closeTimeout and a session that never frees is skipped (its
+// last durable snapshot and WAL, not its in-memory tail, survive).
 func (ss *sessionStore) close() {
 	select {
 	case <-ss.stop:
@@ -679,12 +686,17 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	annotateSession(r.Context(), rec.id)
 	// Destroy the files while still holding the slot, so a concurrent
 	// request for the same id cannot rehydrate a half-deleted session: it
-	// blocks on the slot until the record is gone and the files are too.
+	// blocks on the slot until the record is gone and the files are too. A
+	// session degraded to memory-only has no handle but still has files.
+	var derr error
 	if rec.durable != nil {
-		if err := rec.durable.Destroy(); err != nil {
-			s.serverLogger().Error("tppd: destroying session files", "session", rec.id, "error", err)
-		}
+		derr = rec.durable.Destroy()
 		rec.durable = nil
+	} else if s.store != nil {
+		derr = s.store.Remove(rec.id)
+	}
+	if derr != nil {
+		s.serverLogger().Error("tppd: destroying session files", "session", rec.id, "error", derr)
 	}
 	s.sessions.remove(rec)
 	<-rec.slot
@@ -997,6 +1009,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.protectRequests.Inc()
 	s.metrics.inflightRuns.Add(1)
+	rec.dirty = true
 	res, err := rec.session.Run(ctx, opts...)
 	s.metrics.inflightRuns.Add(-1)
 	s.recordSessionStats(rec)

@@ -435,6 +435,66 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
+// TestEntriesCountAcrossResidencies pins the replay bound a close-only
+// spill relies on: a handle closed and recovered again re-counts the WAL
+// entries past the snapshot, so Entries() accumulates across residencies
+// and ShouldCompact fires at CompactEvery however many close/recover
+// cycles the entries were spread over.
+func TestEntriesCountAcrossResidencies(t *testing.T) {
+	const compactEvery, perResidency = 5, 2
+	st := openTestStore(t, t.TempDir(), Options{CompactEvery: compactEvery})
+	const id = "s-residencies"
+	h, err := st.Create(testSnapshot(t, id, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := 0
+	for !h.ShouldCompact() {
+		for i := 0; i < perResidency && !h.ShouldCompact(); i++ {
+			d, labels := testDelta(appended)
+			if err := h.AppendDelta(d, labels); err != nil {
+				t.Fatal(err)
+			}
+			appended++
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap, entries, h2, err := st.Recover(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = h2
+		if snap.Seq != 0 || len(entries) != appended || h.Entries() != appended || h.Seq() != uint64(appended) {
+			t.Fatalf("after %d appends: watermark %d, %d tail entries, Entries()=%d, Seq()=%d",
+				appended, snap.Seq, len(entries), h.Entries(), h.Seq())
+		}
+		if got, want := h.ShouldCompact(), appended >= compactEvery; got != want {
+			t.Fatalf("after %d appends over several residencies: ShouldCompact=%v, want %v", appended, got, want)
+		}
+	}
+	if appended != compactEvery {
+		t.Fatalf("compaction fired after %d entries, want %d", appended, compactEvery)
+	}
+	snap := testSnapshot(t, id, 17)
+	snap.Seq = h.Seq()
+	if err := h.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, entries, h, err := st.Recover(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if got.Seq != compactEvery || len(entries) != 0 || h.Entries() != 0 {
+		t.Fatalf("after compaction: watermark %d, %d tail entries, Entries()=%d; want %d/0/0",
+			got.Seq, len(entries), h.Entries(), compactEvery)
+	}
+}
+
 // walSizes appends n deltas and returns the WAL file size after the header
 // and after each append — the frame boundaries the torn-tail tests cut at.
 func walSizes(t *testing.T, st *Store, id string, h *Session, n int) []int64 {

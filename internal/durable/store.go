@@ -348,8 +348,11 @@ func (h *Session) Compact(snap *SessionSnapshot) error {
 }
 
 // Snapshot writes a fresh snapshot (same atomic dance as Compact) without
-// resetting the WAL — the final flush on shutdown and TTL spill, where the
-// log need not be reset because replay skips frames the snapshot covers.
+// resetting the WAL — the final flush when a session whose in-memory state
+// has advanced past snapshot + WAL is spilled, where the log need not be
+// reset because replay skips frames the snapshot covers. A spill with
+// nothing to add just Closes the handle: Recover re-counts the tail, so
+// Entries and the CompactEvery replay bound carry across residencies.
 func (h *Session) Snapshot(snap *SessionSnapshot) error {
 	if snap.Seq != h.seq {
 		return fmt.Errorf("durable: session %s: snapshotting at seq %d but WAL is at %d", h.id, snap.Seq, h.seq)
