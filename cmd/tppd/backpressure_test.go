@@ -11,9 +11,10 @@ import (
 
 // TestBackpressure429 pins the graceful-degradation contract: when every
 // selection slot stays busy past the configured wait, the server answers
-// 429 with a Retry-After hint and the shard's queue depth instead of
-// queueing the request until its deadline — and recovers to normal service
-// the moment a slot frees.
+// 429 with a Retry-After hint and the queue depth instead of queueing the
+// request until its deadline — and recovers to normal service the moment a
+// slot frees. The slots are one pool: while any slot is free, no session's
+// work is turned away.
 func TestBackpressure429(t *testing.T) {
 	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
 	t.Cleanup(srv.Close)
@@ -22,11 +23,9 @@ func TestBackpressure429(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Occupy both selection slots, as two long-running selections would.
-	// NewServer is the single-shard configuration, so shard 0 is the whole
-	// work queue.
-	sh := srv.sessions.shards[0]
-	sh.sem <- struct{}{}
-	sh.sem <- struct{}{}
+	ss := srv.sessions
+	ss.sem <- struct{}{}
+	ss.sem <- struct{}{}
 
 	req := protectRequest{
 		Edges:   quickstartEdges,
@@ -77,12 +76,25 @@ func TestBackpressure429(t *testing.T) {
 	}
 
 	// A freed slot restores normal service immediately.
-	<-sh.sem
+	<-ss.sem
 	resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/protect", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after slot freed: status %d, want 200: %s", resp.StatusCode, body)
 	}
-	<-sh.sem
+
+	// With one slot still held, the free one serves every session: no
+	// session id is tied to a slot it must wait for.
+	for i := 0; i < 8; i++ {
+		id := createQuickstartSession(t, ts)
+		resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{OmitReleased: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("session %d protect with one of two slots free: status %d, want 200: %s", i, resp.StatusCode, body)
+		}
+	}
+	if got := srv.metrics.busyRejections.Load(); got != 2 {
+		t.Fatalf("busy rejection counter = %d after the pooled-slot protects, want 2", got)
+	}
+	<-ss.sem
 }
 
 // TestBackpressureZeroWaitQueues: queue-wait 0 preserves the original
@@ -95,11 +107,11 @@ func TestBackpressureZeroWaitQueues(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	sh := srv.sessions.shards[0]
-	sh.sem <- struct{}{} // saturate; the goroutine frees it mid-request
+	ss := srv.sessions
+	ss.sem <- struct{}{} // saturate; the goroutine frees it mid-request
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		<-sh.sem
+		<-ss.sem
 	}()
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/protect", protectRequest{
 		Edges:   quickstartEdges,
@@ -117,29 +129,29 @@ func TestBackpressureZeroWaitQueues(t *testing.T) {
 // TestRetryAfterFromEWMA pins the Retry-After derivation: before any
 // completion the configured queue-wait budget is the only signal; after
 // observations the estimate is the EWMA service time times the queue ahead
-// of the client, spread over the shard's slots, clamped to [1, 60].
+// of the client, spread over the selection slots, clamped to [1, 60].
 func TestRetryAfterFromEWMA(t *testing.T) {
-	sh := &sessionShard{sem: make(chan struct{}, 2)}
-	if got := sh.retryAfterSeconds(5 * time.Second); got != 5 {
+	ss := &sessionStore{sem: make(chan struct{}, 2)}
+	if got := ss.retryAfterSeconds(5 * time.Second); got != 5 {
 		t.Fatalf("no-observation fallback = %ds, want the 5s queue-wait", got)
 	}
-	if got := sh.retryAfterSeconds(0); got != 1 {
+	if got := ss.retryAfterSeconds(0); got != 1 {
 		t.Fatalf("fallback floor = %ds, want 1", got)
 	}
-	sh.observeService(4 * time.Second) // first sample seeds the EWMA
-	sh.waiters.Store(1)
+	ss.observeService(4 * time.Second) // first sample seeds the EWMA
+	ss.waiters.Store(1)
 	// (1 waiter + this client) * 4s over 2 slots = 4s.
-	if got := sh.retryAfterSeconds(time.Second); got != 4 {
+	if got := ss.retryAfterSeconds(time.Second); got != 4 {
 		t.Fatalf("EWMA estimate = %ds, want 4", got)
 	}
-	sh.waiters.Store(1000)
-	if got := sh.retryAfterSeconds(time.Second); got != 60 {
+	ss.waiters.Store(1000)
+	if got := ss.retryAfterSeconds(time.Second); got != 60 {
 		t.Fatalf("backlogged estimate = %ds, want the 60s clamp", got)
 	}
 	// Later samples move the mean an eighth of the distance per completion.
-	sh.waiters.Store(0)
-	sh.observeService(12 * time.Second)
-	if got := sh.ewmaNS.Load(); got != int64(5*time.Second) {
+	ss.waiters.Store(0)
+	ss.observeService(12 * time.Second)
+	if got := ss.ewmaNS.Load(); got != int64(5*time.Second) {
 		t.Fatalf("EWMA after 4s then 12s = %v, want 5s", time.Duration(got))
 	}
 }

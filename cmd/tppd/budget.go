@@ -1,20 +1,19 @@
 package main
 
-// Memory-budget enforcement for the sharded session tier.
+// Memory-budget enforcement for the session store.
 //
 // Each resident session reports an approximate byte footprint (graph rows +
 // motif index + warm state, from tpp.MemFootprint, plus its label table).
-// Every shard tracks those bytes in LRU order against its slice of the
-// -mem-budget cap. When a shard runs over, the coldest sessions whose locks
-// can be taken without waiting are spilled to disk (discarded when
-// durability is off — the same semantics as TTL eviction)
-// until the shard fits again. Create requests that would not fit even after
-// spilling everything spillable are rejected with 429: admission control,
-// not an error — the client retries after Retry-After.
+// The store tracks those bytes in LRU order against the -mem-budget cap.
+// When it runs over, the coldest sessions whose locks can be taken without
+// waiting are spilled to their -data-dir files until the budget fits again.
+// Create requests that would not fit even after spilling everything
+// spillable are rejected with 429: admission control, not an error — the
+// client retries after Retry-After.
 //
 // Enforcement runs while the triggering request holds its own record slot
-// and shard work slot, so victims are only ever taken by try-lock: a busy
-// victim is skipped, the shard stays temporarily over budget, and the next
+// and a selection slot, so victims are only ever taken by try-lock: a busy
+// victim is skipped, the budget stays temporarily over, and the next
 // footprint change tries again. That trade (bounded overage, never a
 // lock-order deadlock) is deliberate.
 
@@ -43,42 +42,51 @@ func labelingFootprint(lab *graph.Labeling) int64 {
 }
 
 // noteFootprint re-measures rec (the caller holds its slot) and enforces
-// its shard's budget. Called after every footprint-changing operation:
-// create, delta, protect (the first run builds the index), rehydrate.
+// the budget. Called after every footprint-changing operation on a
+// published session: delta, protect (the first run builds the index).
 func (s *Server) noteFootprint(rec *sessionRecord) {
-	if rec.home == nil {
-		return
-	}
 	s.accountSession(rec, sessionFootprint(rec))
 }
 
 // accountSession records a pre-measured footprint for rec and reclaims the
-// shard back under budget, never spilling rec itself.
+// budget back under its cap, never spilling rec itself.
 func (s *Server) accountSession(rec *sessionRecord, bytes int64) {
-	sh := rec.home
-	if sh == nil {
-		return
-	}
-	sh.budget.Set(rec.id, bytes, rec)
-	s.reclaimBudget(sh, 0, rec.id)
+	s.sessions.budget.Set(rec.id, bytes, rec)
+	s.reclaimBudget(rec.id)
 }
 
-// reclaimBudget spills cold sessions until the shard's tracked bytes plus
-// need fit the cap (0 need = plain over-budget enforcement; no-op with no
-// cap). exclude — the session the caller is serving — is never a victim,
-// and neither is any session whose slot cannot be taken without waiting:
-// a busy session is by definition not cold, and waiting for it from under
-// another session's slot would be a lock-order inversion.
-func (s *Server) reclaimBudget(sh *sessionShard, need int64, exclude string) {
-	b := sh.budget
+// admitSession reserves need bytes for a new record under its id, then
+// reclaims until the budget, reservation included, fits. The caller holds
+// rec's slot, so no concurrent reclaimer can pick the unpublished record as
+// a victim, and a concurrent delta or rehydrate that grows the budget
+// reclaims room for the reservation too instead of turning this create into
+// a spurious 429. false means the budget is still over with nothing left to
+// spill; the reservation is dropped.
+func (s *Server) admitSession(rec *sessionRecord, need int64) bool {
+	s.sessions.budget.Set(rec.id, need, rec)
+	if s.reclaimBudget(rec.id) {
+		return true
+	}
+	s.sessions.budget.Remove(rec.id)
+	return false
+}
+
+// reclaimBudget spills cold sessions until the tracked bytes fit the cap
+// and reports whether they do (always true with no cap). exclude — the
+// session the caller is serving — is never a victim, and neither is any
+// session whose slot cannot be taken without waiting: a busy session is by
+// definition not cold, and waiting for it from under another session's
+// slot would be a lock-order inversion.
+func (s *Server) reclaimBudget(exclude string) bool {
+	b := s.sessions.budget
 	if b.Cap() <= 0 {
-		return
+		return true
 	}
 	var tried map[string]bool
-	for b.Used()+need > b.Cap() {
+	for b.Used() > b.Cap() {
 		id, v, _, ok := b.Coldest(func(id string) bool { return id == exclude || tried[id] })
 		if !ok {
-			return
+			return b.Used() <= b.Cap()
 		}
 		victim := v.(*sessionRecord)
 		select {
@@ -96,12 +104,12 @@ func (s *Server) reclaimBudget(sh *sessionShard, need int64, exclude string) {
 			<-victim.slot
 			continue
 		}
-		if s.sessions.spill != nil {
-			s.sessions.spill(victim)
-		}
+		// A cap is only ever set with durability on (ConfigureDurability),
+		// so spill is always there to write what the files lack.
+		s.sessions.spill(victim)
 		s.sessions.remove(victim)
 		<-victim.slot
 		s.metrics.sessionsSpilled.Inc()
-		sh.spills.Inc()
 	}
+	return true
 }

@@ -1,9 +1,9 @@
 package main
 
 // Startup configuration validation. Flags that silently accepted garbage
-// (negative waits, a memory budget too small to admit one session) now
-// fail fast with a clear error instead of producing a daemon that rejects
-// or hangs every request.
+// (negative waits, a memory budget too small to admit one session or with
+// nowhere to spill) now fail fast with a clear error instead of producing a
+// daemon that rejects, hangs or loses requests.
 
 import (
 	"fmt"
@@ -20,13 +20,14 @@ type daemonConfig struct {
 	queueWait  time.Duration
 	sessionTTL time.Duration
 	walCompact int
-	shards     int
-	memBudget  int64 // total bytes across all shards; 0 = unlimited
+	memBudget  int64 // resident session bytes; 0 = unlimited
+	dataDir    string
 }
 
 // validateConfig rejects flag combinations that cannot serve: negative
-// durations and counts, and a -mem-budget so small a shard could not admit
-// even one empty session (every create would 429 forever).
+// durations and counts, a -mem-budget so small it could not admit even one
+// empty session (every create would 429 forever), and a -mem-budget
+// without -data-dir (every spill would discard acked sessions).
 func validateConfig(cfg daemonConfig) error {
 	if cfg.queueWait < 0 {
 		return fmt.Errorf("-queue-wait %s is negative; use 0 to queue until the request deadline", cfg.queueWait)
@@ -37,18 +38,15 @@ func validateConfig(cfg daemonConfig) error {
 	if cfg.walCompact < 0 {
 		return fmt.Errorf("-wal-compact %d is negative; use 0 for the default threshold", cfg.walCompact)
 	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards %d; need at least 1", cfg.shards)
-	}
 	if cfg.memBudget < 0 {
 		return fmt.Errorf("-mem-budget %d is negative; use 0 to disable the budget", cfg.memBudget)
 	}
-	if cfg.memBudget > 0 {
-		min := tpp.MinSessionBytes * int64(cfg.shards)
-		if cfg.memBudget < min {
-			return fmt.Errorf("-mem-budget %d is smaller than one empty session per shard (%d bytes for %d shards); every create would be rejected",
-				cfg.memBudget, min, cfg.shards)
-		}
+	if cfg.memBudget > 0 && cfg.memBudget < tpp.MinSessionBytes {
+		return fmt.Errorf("-mem-budget %d is smaller than one empty session (%d bytes); every create would be rejected",
+			cfg.memBudget, tpp.MinSessionBytes)
+	}
+	if cfg.memBudget > 0 && cfg.dataDir == "" {
+		return fmt.Errorf("-mem-budget %d needs -data-dir: cold sessions spill to their files there", cfg.memBudget)
 	}
 	return nil
 }

@@ -13,8 +13,8 @@ func TestValidateConfig(t *testing.T) {
 		queueWait:  time.Second,
 		sessionTTL: 30 * time.Minute,
 		walCompact: 256,
-		shards:     4,
 		memBudget:  0,
+		dataDir:    "/var/lib/tppd",
 	}
 	if err := validateConfig(valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -28,10 +28,9 @@ func TestValidateConfig(t *testing.T) {
 		{"negative queue-wait", func(c *daemonConfig) { c.queueWait = -time.Second }, "-queue-wait"},
 		{"negative session-ttl", func(c *daemonConfig) { c.sessionTTL = -time.Minute }, "-session-ttl"},
 		{"negative wal-compact", func(c *daemonConfig) { c.walCompact = -1 }, "-wal-compact"},
-		{"zero shards", func(c *daemonConfig) { c.shards = 0 }, "-shards"},
 		{"negative mem-budget", func(c *daemonConfig) { c.memBudget = -1 }, "-mem-budget"},
-		{"mem-budget below one session", func(c *daemonConfig) { c.memBudget = tpp.MinSessionBytes - 1; c.shards = 1 }, "empty session"},
-		{"mem-budget below one session per shard", func(c *daemonConfig) { c.memBudget = tpp.MinSessionBytes * 2; c.shards = 4 }, "empty session"},
+		{"mem-budget below one session", func(c *daemonConfig) { c.memBudget = tpp.MinSessionBytes - 1 }, "empty session"},
+		{"mem-budget without data-dir", func(c *daemonConfig) { c.memBudget = 1 << 20; c.dataDir = "" }, "-data-dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,12 +46,18 @@ func TestValidateConfig(t *testing.T) {
 		})
 	}
 
-	// Disabled (0) budgets and TTLs stay valid, and a budget of exactly one
-	// empty session per shard is the floor, not an error.
+	// Disabled (0) budgets and TTLs stay valid, with or without a data
+	// dir, and a budget of exactly one empty session is the floor, not an
+	// error.
 	edge := valid
-	edge.memBudget = tpp.MinSessionBytes * int64(edge.shards)
+	edge.memBudget = tpp.MinSessionBytes
 	if err := validateConfig(edge); err != nil {
-		t.Fatalf("budget at the per-shard floor rejected: %v", err)
+		t.Fatalf("budget at the one-session floor rejected: %v", err)
+	}
+	memOnly := valid
+	memOnly.dataDir = ""
+	if err := validateConfig(memOnly); err != nil {
+		t.Fatalf("in-memory config without a budget rejected: %v", err)
 	}
 }
 

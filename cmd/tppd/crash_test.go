@@ -36,7 +36,7 @@ func TestCrashRecoveryChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ConfigureDurability(store)
+	srv.ConfigureDurability(store, 0)
 	if _, _, err := srv.Rehydrate(context.Background()); err != nil {
 		t.Fatal(err)
 	}

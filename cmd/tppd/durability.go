@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/tpp"
 )
 
@@ -46,9 +47,13 @@ import (
 // snapshotted at creation, committed deltas are WAL-appended before the
 // ack, LRU reclaim, TTL eviction and shutdown spill sessions to disk
 // instead of discarding state, and an unknown session id is looked up on
-// disk before it 404s. Call before Handler and before Rehydrate.
-func (s *Server) ConfigureDurability(store *durable.Store) {
+// disk before it 404s. memBudget caps the resident session bytes (0 =
+// unlimited); it lives here because only a durable store can take a
+// spill. Call before Handler, before Rehydrate and before any session
+// exists.
+func (s *Server) ConfigureDurability(store *durable.Store, memBudget int64) {
 	s.store = store
+	s.sessions.budget = shard.NewBudget(memBudget)
 	s.sessions.spill = s.spillSession
 	s.sessions.wedged = func(id string) {
 		s.serverLogger().Error("tppd: session wedged at shutdown; its last durable snapshot survives, its in-memory tail does not",
@@ -94,7 +99,9 @@ func (s *Server) Rehydrate(ctx context.Context) (restored, quarantined int, err 
 // on a miss with a store configured, it checks the disk for a spilled
 // session and rehydrates it before answering. The same (nil, nil) = 404
 // contract as acquire. loadMu serialises concurrent misses for the same id
-// so a session is only ever rehydrated once.
+// so a session is only ever rehydrated once. A rehydrated record is handed
+// back already locked: its slot is taken before publish, so no concurrent
+// reclaimer can spill it again before the caller gets to use it.
 func (s *Server) getSession(ctx context.Context, id string) (*sessionRecord, error) {
 	rec, err := s.sessions.acquire(ctx, id)
 	if rec != nil || err != nil || s.store == nil {
@@ -108,12 +115,12 @@ func (s *Server) getSession(ctx context.Context, id string) (*sessionRecord, err
 	}
 	rec, lerr := s.loadSession(ctx, id)
 	if rec != nil {
-		// Footprint is measured pre-publish (no slot needed yet) and
-		// accounted after, like boot rehydration: a lazy load can push the
-		// shard over budget and spill a colder session to make room.
-		bytes := sessionFootprint(rec)
+		// Accounted after publish, like boot rehydration: a lazy load can
+		// push the store over budget and spill a colder session to make
+		// room.
+		rec.slot <- struct{}{}
 		s.sessions.publish(rec)
-		s.accountSession(rec, bytes)
+		s.accountSession(rec, sessionFootprint(rec))
 	}
 	s.loadMu.Unlock()
 	if lerr != nil || rec == nil {
@@ -121,7 +128,7 @@ func (s *Server) getSession(ctx context.Context, id string) (*sessionRecord, err
 		// id does not name a servable session.
 		return nil, nil
 	}
-	return s.sessions.acquire(ctx, rec.id)
+	return rec, nil
 }
 
 // loadSession recovers one session from disk. (nil, nil) means the id has

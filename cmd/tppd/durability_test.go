@@ -29,7 +29,7 @@ func newDurableTestServer(t *testing.T, dir string, ttl time.Duration, opts dura
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ConfigureDurability(store)
+	srv.ConfigureDurability(store, 0)
 	restored, quarantined, err := srv.Rehydrate(context.Background())
 	if err != nil {
 		t.Fatal(err)

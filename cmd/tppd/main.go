@@ -32,20 +32,18 @@
 // torn WAL tails are truncated, unrecoverable sessions are quarantined
 // aside and the server keeps serving.
 //
-// The session tier is sharded (-shards, default GOMAXPROCS): each shard
-// owns its slice of the id space — map, lock, selection slots, bounded
-// queue and memory budget — with session ids placed by a consistent-hash
-// ring. -shards 1 is the old single-map, single-semaphore architecture.
-// With -mem-budget set (needs -data-dir), each shard spills its coldest
-// idle sessions to -data-dir the same way when admitting more would
-// exceed its budget slice; spilled sessions rehydrate lazily on next
+// All sessions live in one table: one map and lock, one pool of
+// -max-concurrent selection slots with a bounded queue, and one memory
+// budget. With -mem-budget set (needs -data-dir), the server spills its
+// coldest idle sessions to -data-dir the same way when admitting more
+// would exceed the budget; spilled sessions rehydrate lazily on next
 // touch, bit-identical.
 //
-// When all of a shard's selection slots stay busy for -queue-wait, new
-// work is rejected with 429 + Retry-After instead of queueing until the
-// request deadline, so clients back off while their own deadline budget is
-// still intact (0 restores queue-until-deadline). The 429 body reports the
-// shard's queue_depth; Retry-After derives from its service-time EWMA.
+// When every selection slot stays busy for -queue-wait, new work is
+// rejected with 429 + Retry-After instead of queueing until the request
+// deadline, so clients back off while their own deadline budget is still
+// intact (0 restores queue-until-deadline). The 429 body reports the
+// queue_depth; Retry-After derives from the service-time EWMA.
 //
 // Every request is logged through log/slog with a request id, the matched
 // route, the session and engine in play, status, latency and a per-stage
@@ -89,12 +87,11 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		maxConcurrent = flag.Int("max-concurrent", runtime.GOMAXPROCS(0), "max selections running at once (divided across -shards)")
+		maxConcurrent = flag.Int("max-concurrent", runtime.GOMAXPROCS(0), "max selections running at once")
 		maxBody       = flag.Int64("max-body", 32<<20, "max request body bytes")
 		reqTimeout    = flag.Duration("request-timeout", time.Minute, "per-request selection time cap")
 		maxScale      = flag.Int("max-dataset-scale", defaultMaxScale, "max node count for server-side dataset graphs")
 		sessionTTL    = flag.Duration("session-ttl", 30*time.Minute, "evict named sessions idle for longer (0 disables)")
-		shards        = flag.Int("shards", runtime.GOMAXPROCS(0), "session shards: independent session maps, work queues and memory budgets (1 = the single-lock tier)")
 		memBudget     = flag.String("mem-budget", "0", "total resident session memory budget in bytes, k/m/g suffix allowed; cold sessions spill to -data-dir snapshots (0 disables)")
 		dataDir       = flag.String("data-dir", "", "persist sessions here (snapshot + delta WAL per session, rehydrated on boot); empty disables durability")
 		walSync       = flag.Bool("wal-sync", true, "fsync each WAL append before acking the delta")
@@ -121,8 +118,8 @@ func main() {
 		queueWait:  *queueWait,
 		sessionTTL: *sessionTTL,
 		walCompact: *walCompact,
-		shards:     *shards,
 		memBudget:  budgetBytes,
+		dataDir:    *dataDir,
 	}); err != nil {
 		log.Fatalf("tppd: %v", err)
 	}
@@ -130,9 +127,6 @@ func main() {
 	service := NewServer(*maxConcurrent, *maxBody, *reqTimeout, *maxScale, *sessionTTL)
 	service.ConfigureLogging(logger, *slowReq)
 	service.ConfigureBackpressure(*queueWait)
-	if err := service.ConfigureSharding(*shards, budgetBytes); err != nil {
-		log.Fatalf("tppd: %v", err)
-	}
 	if *dataDir != "" {
 		store, err := durable.Open(*dataDir, durable.Options{
 			SyncWrites:   *walSync,
@@ -142,7 +136,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("tppd: opening -data-dir: %v", err)
 		}
-		service.ConfigureDurability(store)
+		service.ConfigureDurability(store, budgetBytes)
 		restored, quarantined, err := service.Rehydrate(context.Background())
 		if err != nil {
 			log.Fatalf("tppd: rehydrating sessions: %v", err)
@@ -176,8 +170,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("tppd: listening on %s (max-concurrent %d, shards %d, mem-budget %d, request-timeout %s)",
-		*addr, *maxConcurrent, *shards, budgetBytes, *reqTimeout)
+	log.Printf("tppd: listening on %s (max-concurrent %d, mem-budget %d, request-timeout %s)",
+		*addr, *maxConcurrent, budgetBytes, *reqTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 

@@ -109,17 +109,17 @@ type serverMetrics struct {
 
 	busyRejections *telemetry.Counter // 429s from an exhausted queue-wait budget
 
-	// Sharded-tier aggregates (the per-shard tpp_shard_* series are
-	// registered by ConfigureSharding): LRU spills driven by the memory
-	// budget, and creates rejected by admission control.
+	// Memory budget: LRU spills it drove, and creates rejected by
+	// admission control.
 	sessionsSpilled *telemetry.Counter
 	memRejections   *telemetry.Counter
 }
 
-// newServerMetrics registers the daemon's instrument set on reg. The
-// gauge callbacks read live server state (open sessions, semaphore
-// occupancy) at scrape time.
-func newServerMetrics(reg *telemetry.Registry, sessionsOpen, slotsInUse, slotsLimit func() float64) *serverMetrics {
+// newServerMetrics registers the daemon's instrument set on s.registry.
+// The gauge callbacks read live session-store state (open sessions, slot
+// occupancy, queue depth, resident bytes) at scrape time.
+func newServerMetrics(s *Server) *serverMetrics {
+	reg := s.registry
 	m := &serverMetrics{routes: make(map[string]*routeInstruments, len(routePatterns))}
 	for _, route := range routePatterns {
 		ri := &routeInstruments{
@@ -150,7 +150,8 @@ func newServerMetrics(reg *telemetry.Registry, sessionsOpen, slotsInUse, slotsLi
 	m.sessionsCreated = reg.Counter("tppd_sessions_created_total", "Named sessions created.")
 	m.sessionsClosed = reg.Counter("tppd_sessions_closed_total", "Named sessions deleted by clients.")
 	m.sessionsEvicted = reg.Counter("tppd_sessions_evicted_total", "Named sessions evicted by the idle TTL.")
-	reg.GaugeFunc("tppd_sessions_open", "Named sessions currently live.", sessionsOpen)
+	reg.GaugeFunc("tppd_sessions_open", "Named sessions currently live.",
+		func() float64 { return float64(s.sessions.open()) })
 
 	m.deltasApplied = reg.Counter("tppd_deltas_applied_total",
 		"Graph deltas committed across all sessions.")
@@ -192,10 +193,16 @@ func newServerMetrics(reg *telemetry.Registry, sessionsOpen, slotsInUse, slotsLi
 	m.sessionsSpilled = reg.Counter("tppd_sessions_spilled_total",
 		"Cold sessions spilled to their durable snapshots (or discarded) by the memory budget.")
 	m.memRejections = reg.Counter("tppd_mem_rejections_total",
-		"Session creates answered 429 because the shard's memory budget could not admit them.")
+		"Session creates answered 429 because the memory budget could not admit them.")
 
-	reg.GaugeFunc("tppd_concurrency_in_use", "Selection slots occupied.", slotsInUse)
-	reg.GaugeFunc("tppd_concurrency_limit", "Configured selection-slot limit.", slotsLimit)
+	reg.GaugeFunc("tppd_concurrency_in_use", "Selection slots occupied.",
+		func() float64 { return float64(len(s.sessions.sem)) })
+	reg.GaugeFunc("tppd_concurrency_limit", "Configured selection-slot limit.",
+		func() float64 { return float64(cap(s.sessions.sem)) })
+	reg.GaugeFunc("tpp_shard_queue_depth", "Requests queued for a selection slot.",
+		func() float64 { return float64(s.sessions.waiters.Load()) })
+	reg.GaugeFunc("tpp_shard_bytes", "Tracked resident session bytes.",
+		func() float64 { return float64(s.sessions.budget.Used()) })
 	return m
 }
 

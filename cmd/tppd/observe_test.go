@@ -97,6 +97,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tppd_selection_runs_total{mode="cold"} 1`,
 		`tppd_protect_requests_total 1`,
 		`tppd_sessions_open 0`,
+		`tpp_shard_bytes 0`,
+		`tpp_shard_queue_depth 0`,
 		`# TYPE tppd_request_duration_seconds histogram`,
 		`# HELP tppd_requests_total HTTP requests by route and status class.`,
 	} {

@@ -17,20 +17,17 @@ import (
 	"repro/internal/durable"
 )
 
-// newShardedDurableServer starts a durable service partitioned into the
-// given shard count under the given total memory budget.
-func newShardedDurableServer(t *testing.T, dir string, shards int, memBudget int64) (*Server, *httptest.Server) {
+// newBudgetedDurableServer starts a durable service under the given memory
+// budget.
+func newBudgetedDurableServer(t *testing.T, dir string, memBudget int64) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(4, 1<<20, 30*time.Second, 0, 0)
 	t.Cleanup(srv.Close)
-	if err := srv.ConfigureSharding(shards, memBudget); err != nil {
-		t.Fatal(err)
-	}
 	store, err := durable.Open(dir, durable.Options{SyncWrites: false, Metrics: srv.durableMetrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ConfigureDurability(store)
+	srv.ConfigureDurability(store, memBudget)
 	if _, _, err := srv.Rehydrate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -73,19 +70,18 @@ func scaleoutProtect(t *testing.T, ts *httptest.Server, id, step string) protect
 	return out
 }
 
-// TestShardSpillParity pins the tentpole's correctness bar: a session
-// placed on an arbitrary shard of a memory-budgeted 4-shard tier — spilled
-// to its snapshot by filler traffic and lazily rehydrated — selects
-// protectors bit-identical to a plain single-process control running the
-// same request sequence.
-func TestShardSpillParity(t *testing.T) {
+// TestSpillParity pins the memory budget's correctness bar: a session
+// spilled to its snapshot by filler traffic and lazily rehydrated selects
+// protectors bit-identical to a never-spilled control running the same
+// request sequence.
+func TestSpillParity(t *testing.T) {
 	f := measureSessionFootprint(t)
 
-	// Per-shard budget of 1.5 sessions: any second session arriving on a
-	// shard must spill the colder one, but a lone session (even grown by a
-	// few delta edges) is always admitted.
-	const shards = 4
-	subjectSrv, subject := newShardedDurableServer(t, t.TempDir(), shards, shards*(f+f/2))
+	// A budget of six fresh sessions: the fillers below overflow it many
+	// times, but the subject (even grown by a few delta edges and its
+	// index) is always admitted.
+	budget := 6 * f
+	_, subject := newBudgetedDurableServer(t, t.TempDir(), budget)
 	_, control := newSessionTestServer(t, 0)
 
 	run := func(ts *httptest.Server) (string, []protectResponse) {
@@ -98,15 +94,14 @@ func TestShardSpillParity(t *testing.T) {
 	subjectID, subjectOuts := run(subject)
 	controlID, controlOuts := run(control)
 
-	// Filler sessions drive the subject out of memory: each create on the
-	// subject's shard must reclaim budget, and the subject is the coldest
-	// resident there. 40 fillers over 4 shards make a miss astronomically
-	// unlikely; the spill counter below proves it happened.
+	// Filler sessions drive the subject out of memory: once the budget is
+	// full each create must reclaim, and the subject is the coldest
+	// resident by then. The spill counter below proves spills happened.
 	for i := 0; i < 40; i++ {
 		createQuickstartSession(t, subject)
 	}
 	if st := getStats(t, subject); st.SessionsSpilled == 0 {
-		t.Fatalf("no sessions spilled with %d fillers over budget %d; stats %+v", 40, shards*(f+f/2), st)
+		t.Fatalf("no sessions spilled with %d fillers over budget %d; stats %+v", 40, budget, st)
 	} else if st.MemBudgetBytes > 0 && st.ResidentBytes > st.MemBudgetBytes {
 		t.Errorf("resident %d bytes exceeds budget %d with no concurrent load", st.ResidentBytes, st.MemBudgetBytes)
 	}
@@ -126,21 +121,81 @@ func TestShardSpillParity(t *testing.T) {
 	for i := range controlOuts {
 		want, got := controlOuts[i], subjectOuts[i]
 		if fmt.Sprint(want.Protectors) != fmt.Sprint(got.Protectors) {
-			t.Errorf("protect %d: sharded+spilled protectors %v, single-process control %v", i+1, got.Protectors, want.Protectors)
+			t.Errorf("protect %d: spilled protectors %v, never-spilled control %v", i+1, got.Protectors, want.Protectors)
 		}
 		if want.FinalSimilarity != got.FinalSimilarity || want.InitialSimilarity != got.InitialSimilarity {
 			t.Errorf("protect %d: similarity (%d→%d) vs control (%d→%d)", i+1,
 				got.InitialSimilarity, got.FinalSimilarity, want.InitialSimilarity, want.FinalSimilarity)
 		}
 	}
-	_ = subjectSrv
 }
 
-// spillAll forces every resident session out through the shards' LRU
-// reclaim path, as if a create needing each shard's whole budget arrived.
+// spillAll forces every resident session out through the LRU reclaim path,
+// as if a create reserving the whole budget arrived.
 func spillAll(srv *Server) {
-	for _, sh := range srv.sessions.shards {
-		srv.reclaimBudget(sh, sh.budget.Cap(), "")
+	const placeholder = "spill-all"
+	b := srv.sessions.budget
+	b.Set(placeholder, b.Cap(), nil)
+	srv.reclaimBudget(placeholder)
+	b.Remove(placeholder)
+}
+
+// TestCreateAdmissionRace drives the interleaving that used to turn a
+// create into a spurious 429 while cold sessions could still spill: the
+// create reclaims room, a resident session's footprint grows (as after a
+// delta or a rehydrate), and only then does the create run its admission
+// check. The create's reservation makes the grower's own reclaim spill for
+// both, so the create is admitted, the budget holds, and the reserved
+// record — its slot held — is never chosen as a victim.
+func TestCreateAdmissionRace(t *testing.T) {
+	f := measureSessionFootprint(t)
+	srv, ts := newBudgetedDurableServer(t, t.TempDir(), 4*f)
+	for i := 0; i < 3; i++ {
+		createQuickstartSession(t, ts) // cold, spillable
+	}
+	hot := createQuickstartSession(t, ts)
+	b := srv.sessions.budget
+	if b.Used() != b.Cap() {
+		t.Fatalf("setup: %d bytes resident, want the %d-byte budget exactly full", b.Used(), b.Cap())
+	}
+
+	req := protectRequest{Edges: quickstartEdges, Targets: [][2]string{{"0", "5"}, {"2", "7"}}, Pattern: "Triangle"}
+	opts, err := srv.validateProtectRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, lab, err := req.newSession(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &sessionRecord{id: mintSessionID(), slot: make(chan struct{}, 1), session: session, lab: lab}
+	need := sessionFootprint(c)
+
+	// The create reserves its bytes under its id and reclaims.
+	c.slot <- struct{}{}
+	b.Set(c.id, need, c)
+	if !srv.reclaimBudget(c.id) {
+		t.Fatal("create's reclaim failed with cold sessions resident")
+	}
+	// A resident session grows by one session's worth before the create's
+	// admission check runs.
+	h, err := srv.sessions.acquire(context.Background(), hot)
+	if err != nil || h == nil {
+		t.Fatalf("acquiring the hot session: rec=%v err=%v", h, err)
+	}
+	srv.accountSession(h, sessionFootprint(h)+f)
+	srv.sessions.release(h)
+	// The create's admission check: its reservation counted, the budget
+	// must fit without this record being spilled.
+	if !srv.reclaimBudget(c.id) || b.Used() > b.Cap() {
+		t.Fatalf("create rejected: %d bytes resident over the %d-byte budget with cold sessions spillable", b.Used(), b.Cap())
+	}
+	if bytes, ok := b.Remove(c.id); !ok || bytes != need {
+		t.Fatalf("create's reservation is %d bytes (tracked %v), want %d", bytes, ok, need)
+	}
+	<-c.slot
+	if st := getStats(t, ts); st.SessionsSpilled != 2 {
+		t.Errorf("sessions_spilled %d, want 2: one for the create's room, one for the growth", st.SessionsSpilled)
 	}
 }
 
@@ -151,7 +206,7 @@ func spillAll(srv *Server) {
 // rehydrates indistinguishable from a never-spilled control.
 func TestSpillCleanDirtyParity(t *testing.T) {
 	dir := t.TempDir()
-	srv, subject := newShardedDurableServer(t, dir, 1, 1<<30)
+	srv, subject := newBudgetedDurableServer(t, dir, 1<<30)
 	_, control := newSessionTestServer(t, 0)
 	subjectID := createQuickstartSession(t, subject)
 	controlID := createQuickstartSession(t, control)
@@ -217,14 +272,13 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 }
 
 // TestSpillRaceSmoke hammers one session with concurrent deltas and
-// protects while filler creates force LRU spills on every shard, under the
-// race detector in CI. The pinned contract: the hammered session is never
-// served half-spilled — every request answers 200 (or a clean 429), never
-// a 404 or 5xx, and a spill happened.
+// protects while filler creates force LRU spills, under the race detector
+// in CI. The pinned contract: the hammered session is never served
+// half-spilled — every request answers 200 (or a clean 429), never a 404
+// or 5xx, and a spill happened.
 func TestSpillRaceSmoke(t *testing.T) {
 	f := measureSessionFootprint(t)
-	const shards = 4
-	srv, ts := newShardedDurableServer(t, t.TempDir(), shards, shards*(f+f/2))
+	_, ts := newBudgetedDurableServer(t, t.TempDir(), 6*f)
 
 	subject := createQuickstartSession(t, ts)
 	var wg sync.WaitGroup
@@ -287,15 +341,12 @@ func TestSpillRaceSmoke(t *testing.T) {
 	if st := getStats(t, ts); st.SessionsSpilled == 0 {
 		t.Error("no sessions spilled; the race smoke never exercised spill vs delta/protect")
 	}
-	_ = srv
 }
 
 // BenchmarkScaleoutStore measures the session-store hot path — lookup,
-// exclusive acquire, LRU touch, release — on the degenerate single-shard
-// configuration (the daemon's old global mutex, in effect) versus the
-// sharded tier, under full parallelism.
-func benchmarkScaleoutStore(b *testing.B, nshards int) {
-	ss := newSessionStore(0, nil, nshards, 64, 0)
+// exclusive acquire, LRU touch, release — under full parallelism.
+func BenchmarkScaleoutStore(b *testing.B) {
+	ss := newSessionStore(0, nil, 64)
 	defer ss.close()
 	const nrecs = 4096
 	ids := make([]string, nrecs)
@@ -305,7 +356,7 @@ func benchmarkScaleoutStore(b *testing.B, nshards int) {
 		if !ss.publish(rec) {
 			b.Fatalf("duplicate id %s", id)
 		}
-		rec.home.budget.Set(id, 1024, nil)
+		ss.budget.Set(id, 1024, nil)
 		ids[i] = id
 	}
 	var next atomic.Int64
@@ -324,6 +375,3 @@ func benchmarkScaleoutStore(b *testing.B, nshards int) {
 		}
 	})
 }
-
-func BenchmarkScaleoutStoreSingle(b *testing.B)  { benchmarkScaleoutStore(b, 1) }
-func BenchmarkScaleoutStoreSharded(b *testing.B) { benchmarkScaleoutStore(b, 8) }

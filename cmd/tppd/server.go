@@ -37,14 +37,11 @@ import (
 // through context into the tpp pipeline, and emits the structured request
 // log. The same registry backs GET /metrics and GET /v1/stats.
 type Server struct {
-	maxBody       int64
-	maxTimeout    time.Duration // server-side cap on per-request selection time
-	maxScale      int           // cap on dataset graph size a client may request
-	maxConcurrent int           // total selection slots, divided across shards
-	sessionTTL    time.Duration // idle eviction horizon for named sessions
-	queueWait     time.Duration // 429 once no slot frees within this (0 = queue to deadline)
-	sessions      *sessionStore // long-lived named sessions, sharded (TTL-evicted)
-	shardSeries   bool          // per-shard metric series registered (ConfigureSharding ran)
+	maxBody    int64
+	maxTimeout time.Duration // server-side cap on per-request selection time
+	maxScale   int           // cap on dataset graph size a client may request
+	queueWait  time.Duration // 429 once no slot frees within this (0 = queue to deadline)
+	sessions   *sessionStore // long-lived named sessions (TTL-evicted)
 
 	store  *durable.Store // session persistence; nil = in-memory only
 	loadMu sync.Mutex     // serialises lazy on-miss rehydration from disk
@@ -74,76 +71,20 @@ const defaultMaxScale = 1 << 20
 // (<=0 disables eviction). Call Close when done to stop the TTL janitor
 // and release the sessions.
 func NewServer(maxConcurrent int, maxBody int64, maxTimeout time.Duration, maxScale int, sessionTTL time.Duration) *Server {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 1
-	}
 	if maxScale <= 0 {
 		maxScale = defaultMaxScale
 	}
 	s := &Server{
-		maxBody:       maxBody,
-		maxTimeout:    maxTimeout,
-		maxScale:      maxScale,
-		maxConcurrent: maxConcurrent,
-		sessionTTL:    sessionTTL,
-		registry:      telemetry.NewRegistry(),
-		idPrefix:      newIDPrefix(),
+		maxBody:    maxBody,
+		maxTimeout: maxTimeout,
+		maxScale:   maxScale,
+		registry:   telemetry.NewRegistry(),
+		idPrefix:   newIDPrefix(),
 	}
-	s.metrics = newServerMetrics(s.registry,
-		func() float64 { return float64(s.sessions.open()) },
-		func() float64 { return float64(s.sessions.slotsInUse()) },
-		func() float64 { return float64(s.sessions.slotsLimit()) },
-	)
+	s.metrics = newServerMetrics(s)
 	s.stats = serverStats{m: s.metrics}
-	s.sessions = newSessionStore(sessionTTL, func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) }, 1, maxConcurrent, 0)
+	s.sessions = newSessionStore(sessionTTL, func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) }, maxConcurrent)
 	return s
-}
-
-// ConfigureSharding partitions the session tier into shards independent
-// maps/locks/work-queues with memBudget resident bytes (0 = unlimited)
-// divided across them, and registers the per-shard metric series. NewServer
-// starts at one shard with no budget — the single-lock baseline — so only
-// deployments that want scale-out call this. Call at most once, before
-// ConfigureDurability and before any session exists.
-func (s *Server) ConfigureSharding(shards int, memBudget int64) error {
-	if shards <= 0 {
-		shards = 1
-	}
-	if memBudget < 0 {
-		memBudget = 0
-	}
-	if s.shardSeries {
-		return fmt.Errorf("tppd: ConfigureSharding called twice")
-	}
-	if s.store != nil {
-		return fmt.Errorf("tppd: ConfigureSharding must run before ConfigureDurability")
-	}
-	if n := s.sessions.open(); n > 0 {
-		return fmt.Errorf("tppd: ConfigureSharding with %d sessions live", n)
-	}
-	s.shardSeries = true
-	old := s.sessions
-	s.sessions = newSessionStore(s.sessionTTL,
-		func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) },
-		shards, s.maxConcurrent, memBudget)
-	old.close()
-	for _, sh := range s.sessions.shards {
-		sh := sh
-		lbl := telemetry.Label{Key: "shard", Value: strconv.Itoa(sh.idx)}
-		s.registry.GaugeFunc("tpp_shard_sessions", "Resident sessions per shard.",
-			func() float64 {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return float64(len(sh.m))
-			}, lbl)
-		s.registry.GaugeFunc("tpp_shard_bytes", "Tracked resident session bytes per shard.",
-			func() float64 { return float64(sh.budget.Used()) }, lbl)
-		s.registry.GaugeFunc("tpp_shard_queue_depth", "Requests queued for a selection slot per shard.",
-			func() float64 { return float64(sh.waiters.Load()) }, lbl)
-		sh.spills = s.registry.Counter("tpp_shard_spills_total",
-			"Cold sessions spilled by the per-shard memory budget.", lbl)
-	}
-	return nil
 }
 
 // ConfigureLogging installs the structured request logger and the
@@ -167,50 +108,51 @@ func (s *Server) ConfigureBackpressure(wait time.Duration) {
 	s.queueWait = wait
 }
 
-// errServerBusy reports that every selection slot on the shard stayed
-// occupied for the whole queue-wait budget (or its queue is full).
+// errServerBusy reports that every selection slot stayed occupied for the
+// whole queue-wait budget (or the queue is full).
 var errServerBusy = errors.New("all selection slots busy; retry later")
 
-// queueBound is the waiter cap per slot: a shard with c slots admits at
-// most queueBound*c queued requests before fast-failing with 429, so the
-// queue stays bounded even under a flood of distinct clients.
+// queueBound is the waiter cap per slot: c slots admit at most
+// queueBound*c queued requests before fast-failing with 429, so the queue
+// stays bounded even under a flood of distinct clients.
 const queueBound = 8
 
-// acquireSlot takes a selection slot on sh: immediately if one is free,
+// acquireSlot takes a selection slot: immediately if one is free,
 // otherwise queueing up to the queue-wait budget (or the request deadline,
 // whichever ends first) behind at most queueBound waiters per slot. On nil
 // error the returned release hands the slot back and folds the hold time
-// into the shard's service-time EWMA; it is idempotent, so handlers can
-// both call it early (before streaming the response) and defer it.
-func (s *Server) acquireSlot(ctx context.Context, sh *sessionShard) (func(), error) {
+// into the service-time EWMA; it is idempotent, so handlers can both call
+// it early (before streaming the response) and defer it.
+func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
+	ss := s.sessions
 	select {
-	case sh.sem <- struct{}{}:
-		return sh.releaseFunc(), nil
+	case ss.sem <- struct{}{}:
+		return ss.releaseFunc(), nil
 	default:
 	}
 	if s.queueWait <= 0 {
 		// Queue-until-deadline mode keeps the unbounded queue: the caller
 		// opted out of fast-fail backpressure entirely.
-		sh.waiters.Add(1)
-		defer sh.waiters.Add(-1)
+		ss.waiters.Add(1)
+		defer ss.waiters.Add(-1)
 		select {
-		case sh.sem <- struct{}{}:
-			return sh.releaseFunc(), nil
+		case ss.sem <- struct{}{}:
+			return ss.releaseFunc(), nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	if sh.waiters.Load() >= int64(queueBound*cap(sh.sem)) {
+	if ss.waiters.Load() >= int64(queueBound*cap(ss.sem)) {
 		s.metrics.busyRejections.Inc()
 		return nil, errServerBusy
 	}
-	sh.waiters.Add(1)
-	defer sh.waiters.Add(-1)
+	ss.waiters.Add(1)
+	defer ss.waiters.Add(-1)
 	t := time.NewTimer(s.queueWait)
 	defer t.Stop()
 	select {
-	case sh.sem <- struct{}{}:
-		return sh.releaseFunc(), nil
+	case ss.sem <- struct{}{}:
+		return ss.releaseFunc(), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-t.C:
@@ -220,7 +162,7 @@ func (s *Server) acquireSlot(ctx context.Context, sh *sessionShard) (func(), err
 }
 
 // releaseFunc builds the idempotent release closure for one held slot.
-func (sh *sessionShard) releaseFunc() func() {
+func (ss *sessionStore) releaseFunc() func() {
 	start := time.Now()
 	released := false
 	return func() {
@@ -228,13 +170,13 @@ func (sh *sessionShard) releaseFunc() func() {
 			return
 		}
 		released = true
-		sh.observeService(time.Since(start))
-		<-sh.sem
+		ss.observeService(time.Since(start))
+		<-ss.sem
 	}
 }
 
-// busyResponse is the 429 body: the error, the shard's queue depth at
-// rejection time, and the same back-off estimate the Retry-After header
+// busyResponse is the 429 body: the error, the queue depth at rejection
+// time, and the same back-off estimate the Retry-After header
 // carries.
 type busyResponse struct {
 	Error             string `json:"error"`
@@ -243,15 +185,15 @@ type busyResponse struct {
 }
 
 // writeAcquireError maps a failed slot acquisition to the wire: busy
-// becomes 429 with the shard's queue depth and an EWMA-derived Retry-After,
-// a dead context follows the usual run-error mapping (504/499).
-func (s *Server) writeAcquireError(w http.ResponseWriter, err error, sh *sessionShard) {
+// becomes 429 with the queue depth and an EWMA-derived Retry-After, a dead
+// context follows the usual run-error mapping (504/499).
+func (s *Server) writeAcquireError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errServerBusy) {
-		secs := sh.retryAfterSeconds(s.queueWait)
+		secs := s.sessions.retryAfterSeconds(s.queueWait)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeJSON(w, http.StatusTooManyRequests, busyResponse{
 			Error:             err.Error(),
-			QueueDepth:        sh.waiters.Load(),
+			QueueDepth:        s.sessions.waiters.Load(),
 			RetryAfterSeconds: secs,
 		})
 		return
@@ -408,15 +350,13 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// Bound the heavy work — graph materialisation, selection and released-
-	// graph assembly — by a shard work slot; one-shot requests touch no
-	// session, so they round-robin across shards to use every queue. Waiting
-	// respects the deadline and the queue-wait budget (429 once it runs
-	// out). The slot is handed back before the response streams to the
-	// client, so a slow reader cannot pin a worker the CPU is done with.
-	sh := s.sessions.nextShard()
-	releaseSem, err := s.acquireSlot(ctx, sh)
+	// graph assembly — by a selection slot. Waiting respects the deadline
+	// and the queue-wait budget (429 once it runs out). The slot is handed
+	// back before the response streams to the client, so a slow reader
+	// cannot pin a worker the CPU is done with.
+	releaseSem, err := s.acquireSlot(ctx)
 	if err != nil {
-		s.writeAcquireError(w, err, sh)
+		s.writeAcquireError(w, err)
 		return
 	}
 	defer releaseSem()
@@ -528,10 +468,9 @@ type statsResponse struct {
 	// queue-wait budget.
 	BusyRejections int64 `json:"busy_rejections"`
 
-	// Sharded session tier: shard count, resident bytes tracked against the
-	// memory budget (0 budget = unlimited), LRU spills and create requests
-	// rejected by admission control, and the live queue depth across shards.
-	Shards          int   `json:"shards"`
+	// Session memory: resident bytes tracked against the memory budget
+	// (0 budget = unlimited), LRU spills and create requests rejected by
+	// admission control, and the live queue depth for a selection slot.
 	ResidentBytes   int64 `json:"resident_bytes"`
 	MemBudgetBytes  int64 `json:"mem_budget_bytes"`
 	SessionsSpilled int64 `json:"sessions_spilled"`
@@ -547,12 +486,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := s.stats.snapshot()
 	resp.SessionsOpen = s.sessions.open()
 	resp.MaxWorkers = runtime.GOMAXPROCS(0)
-	resp.MaxConcurrentInUse = s.sessions.slotsInUse()
-	resp.MaxConcurrentConfig = s.sessions.slotsLimit()
-	resp.Shards = len(s.sessions.shards)
-	resp.ResidentBytes = s.sessions.residentBytes()
-	resp.MemBudgetBytes = s.sessions.budgetCap()
-	resp.QueueDepth = s.sessions.queueDepth()
+	resp.MaxConcurrentInUse = len(s.sessions.sem)
+	resp.MaxConcurrentConfig = cap(s.sessions.sem)
+	resp.ResidentBytes = s.sessions.budget.Used()
+	resp.MemBudgetBytes = s.sessions.budget.Cap()
+	resp.QueueDepth = s.sessions.waiters.Load()
 	writeJSON(w, http.StatusOK, resp)
 }
 

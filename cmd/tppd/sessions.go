@@ -19,7 +19,6 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/telemetry"
 	"repro/internal/tpp"
 )
 
@@ -35,9 +34,6 @@ type sessionRecord struct {
 	id   string
 	slot chan struct{} // capacity 1: holds the session's exclusive lock
 	gone bool          // evicted or deleted; holders of a stale pointer must 404
-	// home is the shard the id hashes to; set by publish, fixed for the
-	// record's life (the ring is a pure function of the shard count).
-	home *sessionShard
 
 	session *tpp.Protector
 	lab     *graph.Labeling
@@ -76,19 +72,15 @@ type sessionRecord struct {
 	statFallbacks int64
 }
 
-// sessionShard is one partition of the session tier. Each shard owns its
-// slice of the id space end to end: its own record map and lock, its own
-// bounded work queue (the semaphore plus a waiter counter), its own memory
-// budget with LRU order, and its own service-time EWMA feeding Retry-After.
-// Nothing on a shard is ever touched while holding another shard's lock, so
-// shards scale independently — the single mutex'd map + global semaphore the
-// daemon started with is exactly the degenerate 1-shard configuration.
-type sessionShard struct {
-	idx int
-	mu  sync.Mutex
-	m   map[string]*sessionRecord // guarded by mu
+// sessionStore owns the named sessions: one record map and its lock, one
+// pool of selection slots with a bounded queue and the service-time EWMA
+// feeding Retry-After, one memory budget in LRU order, idle-TTL eviction
+// and shutdown draining.
+type sessionStore struct {
+	mu sync.Mutex
+	m  map[string]*sessionRecord // guarded by mu
 
-	// sem bounds the selections running on this shard; waiters counts the
+	// sem bounds the selections running at once; waiters counts the
 	// requests queued for a slot right now (the 429 queue_depth field).
 	sem     chan struct{}
 	waiters atomic.Int64
@@ -96,70 +88,10 @@ type sessionShard struct {
 	// updated on every slot release; Retry-After derives from it.
 	ewmaNS atomic.Int64
 
-	// budget tracks the shard's resident session bytes in LRU order. Always
+	// budget tracks the resident session bytes in LRU order. Always
 	// non-nil; a zero cap means accounting without enforcement.
 	budget *shard.Budget
-	// spills counts LRU spills on this shard; nil until ConfigureSharding
-	// registers the per-shard instruments (telemetry counters no-op on nil).
-	spills *telemetry.Counter
-}
-
-// observeService folds one completed request's slot-hold time into the
-// shard's service-time EWMA (alpha = 1/8).
-func (sh *sessionShard) observeService(d time.Duration) {
-	ns := int64(d)
-	if ns <= 0 {
-		ns = 1
-	}
-	for {
-		old := sh.ewmaNS.Load()
-		nw := ns
-		if old > 0 {
-			nw = old + (ns-old)/8
-		}
-		if sh.ewmaNS.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// retryAfterSeconds estimates how long a rejected client should back off:
-// the observed per-request service time times the queue ahead of it, spread
-// over the shard's slots. Before the first completion (no EWMA yet) it
-// falls back to the configured queue-wait budget. Clamped to [1, 60].
-func (sh *sessionShard) retryAfterSeconds(fallback time.Duration) int {
-	ewma := sh.ewmaNS.Load()
-	if ewma <= 0 {
-		secs := int(fallback / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		return secs
-	}
-	depth := sh.waiters.Load() + 1
-	wait := time.Duration(ewma) * time.Duration(depth) / time.Duration(cap(sh.sem))
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
-}
-
-// sessionStore owns the named sessions: a consistent-hash ring over its
-// shards, idle-TTL eviction, and shutdown draining. Every session id maps
-// to exactly one shard for its whole life (the ring is a pure function of
-// the member list), so a record's map entry, work queue and budget slot all
-// live on the same shard.
-type sessionStore struct {
-	shards []*sessionShard
-	ring   *shard.Ring
 	ttl    time.Duration
-
-	// rr round-robins keyless work (one-shot protect) across shards.
-	rr atomic.Uint64
 
 	// spill, when set, persists whatever snapshot + WAL lack of a session
 	// before eviction or shutdown removes it from memory; it is called with
@@ -175,50 +107,19 @@ type sessionStore struct {
 	done chan struct{}
 }
 
-// newSessionStore builds an nshards-way partitioned store. slots is the
-// total selection concurrency, divided evenly across shards (at least one
-// each); memBudget is the total resident-byte budget, likewise divided
-// (0 = unlimited).
-func newSessionStore(ttl time.Duration, evicted func(int), nshards, slots int, memBudget int64) *sessionStore {
-	if nshards <= 0 {
-		nshards = 1
-	}
+// newSessionStore builds a store with slots selection slots (at least one)
+// and an unlimited memory budget; ConfigureDurability sets the cap.
+func newSessionStore(ttl time.Duration, evicted func(int), slots int) *sessionStore {
 	if slots <= 0 {
 		slots = 1
 	}
-	members := make([]string, nshards)
-	for i := range members {
-		members[i] = "shard-" + strconv.Itoa(i)
-	}
-	ring, err := shard.NewRing(members, 0)
-	if err != nil {
-		panic(fmt.Sprintf("tppd: building shard ring: %v", err)) // members are distinct by construction
-	}
-	perSlots := slots / nshards
-	if perSlots < 1 {
-		perSlots = 1
-	}
-	var perBudget int64
-	if memBudget > 0 {
-		perBudget = memBudget / int64(nshards)
-		if perBudget < 1 {
-			perBudget = 1
-		}
-	}
 	ss := &sessionStore{
-		shards: make([]*sessionShard, nshards),
-		ring:   ring,
+		m:      make(map[string]*sessionRecord),
+		sem:    make(chan struct{}, slots),
+		budget: shard.NewBudget(0),
 		ttl:    ttl,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	for i := range ss.shards {
-		ss.shards[i] = &sessionShard{
-			idx:    i,
-			m:      make(map[string]*sessionRecord),
-			sem:    make(chan struct{}, perSlots),
-			budget: shard.NewBudget(perBudget),
-		}
 	}
 	if ttl > 0 {
 		interval := ttl / 4
@@ -235,18 +136,60 @@ func newSessionStore(ttl time.Duration, evicted func(int), nshards, slots int, m
 	return ss
 }
 
-// shardFor maps a session id to its home shard via the ring.
-func (ss *sessionStore) shardFor(id string) *sessionShard {
-	if len(ss.shards) == 1 {
-		return ss.shards[0]
+// observeService folds one completed request's slot-hold time into the
+// service-time EWMA (alpha = 1/8).
+func (ss *sessionStore) observeService(d time.Duration) {
+	ns := int64(d)
+	if ns <= 0 {
+		ns = 1
 	}
-	return ss.shards[ss.ring.OwnerIndex(id)]
+	for {
+		old := ss.ewmaNS.Load()
+		nw := ns
+		if old > 0 {
+			nw = old + (ns-old)/8
+		}
+		if ss.ewmaNS.CompareAndSwap(old, nw) {
+			return
+		}
+	}
 }
 
-// nextShard round-robins keyless work (one-shot protect, which touches no
-// session) across shards so every work queue is used.
-func (ss *sessionStore) nextShard() *sessionShard {
-	return ss.shards[ss.rr.Add(1)%uint64(len(ss.shards))]
+// retryAfterSeconds estimates how long a rejected client should back off:
+// the observed per-request service time times the queue ahead of it, spread
+// over the selection slots. Before the first completion (no EWMA yet) it
+// falls back to the configured queue-wait budget. Clamped to [1, 60].
+func (ss *sessionStore) retryAfterSeconds(fallback time.Duration) int {
+	ewma := ss.ewmaNS.Load()
+	if ewma <= 0 {
+		secs := int(fallback / time.Second)
+		if secs < 1 {
+			secs = 1
+		}
+		return secs
+	}
+	depth := ss.waiters.Load() + 1
+	wait := time.Duration(ewma) * time.Duration(depth) / time.Duration(cap(ss.sem))
+	secs := int((wait + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	if secs > 60 {
+		secs = 60
+	}
+	return secs
+}
+
+// records returns every live record, in map order.
+func (ss *sessionStore) records() []*sessionRecord {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	recs := make([]*sessionRecord, 0, len(ss.m))
+	//lint:maporder-ok snapshot of every record; callers are order-independent or sort
+	for _, rec := range ss.m {
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 // janitor periodically evicts sessions idle past the TTL. Busy sessions
@@ -260,17 +203,8 @@ func (ss *sessionStore) janitor(interval time.Duration, evicted func(int)) {
 		case <-ss.stop:
 			return
 		case now := <-ticker.C:
-			var candidates []*sessionRecord
-			for _, sh := range ss.shards {
-				sh.mu.Lock()
-				//lint:maporder-ok snapshot of every record; eviction below is per-record and order-independent
-				for _, rec := range sh.m {
-					candidates = append(candidates, rec)
-				}
-				sh.mu.Unlock()
-			}
 			n := 0
-			for _, rec := range candidates {
+			for _, rec := range ss.records() {
 				select {
 				case rec.slot <- struct{}{}: // try-lock: busy sessions wait for the next sweep
 				default:
@@ -304,20 +238,18 @@ func mintSessionID() string {
 	return "s-" + hex.EncodeToString(buf)
 }
 
-// publish registers rec — id and slot already set — on its home shard and
-// reports whether the id was fresh (false = conflict, rec not registered).
-// Minting and publishing are split so the create path can persist the
-// initial snapshot (and a rehydration can replay the WAL) before the id is
-// reachable by concurrent requests.
+// publish registers rec — id and slot already set — and reports whether
+// the id was fresh (false = conflict, rec not registered). Minting and
+// publishing are split so the create path can persist the initial snapshot
+// (and a rehydration can replay the WAL) before the id is reachable by
+// concurrent requests.
 func (ss *sessionStore) publish(rec *sessionRecord) bool {
-	sh := ss.shardFor(rec.id)
-	rec.home = sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.m[rec.id]; exists {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if _, exists := ss.m[rec.id]; exists {
 		return false
 	}
-	sh.m[rec.id] = rec
+	ss.m[rec.id] = rec
 	return true
 }
 
@@ -326,10 +258,9 @@ func (ss *sessionStore) publish(rec *sessionRecord) bool {
 // TTL-evicted); a non-nil error means ctx died while waiting for the slot.
 // Callers must release with ss.release (or rec.slot directly after remove).
 func (ss *sessionStore) acquire(ctx context.Context, id string) (*sessionRecord, error) {
-	sh := ss.shardFor(id)
-	sh.mu.Lock()
-	rec := sh.m[id]
-	sh.mu.Unlock()
+	ss.mu.Lock()
+	rec := ss.m[id]
+	ss.mu.Unlock()
 	if rec == nil {
 		return nil, nil
 	}
@@ -349,76 +280,25 @@ func (ss *sessionStore) acquire(ctx context.Context, id string) (*sessionRecord,
 // slot.
 func (ss *sessionStore) release(rec *sessionRecord) {
 	rec.lastUsed = time.Now()
-	rec.home.budget.Touch(rec.id)
+	ss.budget.Touch(rec.id)
 	<-rec.slot
 }
 
-// remove unregisters rec from its shard's map and budget. The caller must
-// hold rec's slot.
+// remove unregisters rec from the map and the budget. The caller must hold
+// rec's slot.
 func (ss *sessionStore) remove(rec *sessionRecord) {
 	rec.gone = true
-	sh := rec.home
-	sh.mu.Lock()
-	delete(sh.m, rec.id)
-	sh.mu.Unlock()
-	sh.budget.Remove(rec.id)
+	ss.mu.Lock()
+	delete(ss.m, rec.id)
+	ss.mu.Unlock()
+	ss.budget.Remove(rec.id)
 }
 
-// open returns the number of live sessions across all shards.
+// open returns the number of live sessions.
 func (ss *sessionStore) open() int {
-	n := 0
-	for _, sh := range ss.shards {
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// slotsInUse returns the occupied selection slots across all shards.
-func (ss *sessionStore) slotsInUse() int {
-	n := 0
-	for _, sh := range ss.shards {
-		n += len(sh.sem)
-	}
-	return n
-}
-
-// slotsLimit returns the configured selection-slot total across all shards.
-func (ss *sessionStore) slotsLimit() int {
-	n := 0
-	for _, sh := range ss.shards {
-		n += cap(sh.sem)
-	}
-	return n
-}
-
-// queueDepth returns the requests queued for a slot across all shards.
-func (ss *sessionStore) queueDepth() int64 {
-	var n int64
-	for _, sh := range ss.shards {
-		n += sh.waiters.Load()
-	}
-	return n
-}
-
-// residentBytes returns the tracked session bytes across all shards.
-func (ss *sessionStore) residentBytes() int64 {
-	var n int64
-	for _, sh := range ss.shards {
-		n += sh.budget.Used()
-	}
-	return n
-}
-
-// budgetCap returns the configured memory budget across all shards
-// (0 = unlimited).
-func (ss *sessionStore) budgetCap() int64 {
-	var n int64
-	for _, sh := range ss.shards {
-		n += sh.budget.Cap()
-	}
-	return n
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return len(ss.m)
 }
 
 // close stops the janitor and releases every session in deterministic
@@ -434,15 +314,7 @@ func (ss *sessionStore) close() {
 		close(ss.stop)
 	}
 	<-ss.done
-	var recs []*sessionRecord
-	for _, sh := range ss.shards {
-		sh.mu.Lock()
-		//lint:maporder-ok snapshot of every record; sorted by id below so release order is deterministic
-		for _, rec := range sh.m {
-			recs = append(recs, rec)
-		}
-		sh.mu.Unlock()
-	}
+	recs := ss.records()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
 	timeout := ss.closeTimeout
 	if timeout <= 0 {
@@ -558,16 +430,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	// The id is minted before any work happens: the session's home shard —
-	// whose work queue bounds this request and whose budget must admit the
-	// session — is a pure function of the id. Clients never choose it.
-	id := mintSessionID()
-	sh := s.sessions.shardFor(id)
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	releaseSem, err := s.acquireSlot(ctx, sh)
+	releaseSem, err := s.acquireSlot(ctx)
 	if err != nil {
-		s.writeAcquireError(w, err, sh)
+		s.writeAcquireError(w, err)
 		return
 	}
 	defer releaseSem()
@@ -582,7 +449,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	rec := &sessionRecord{
-		id:            id,
+		id:            mintSessionID(),
 		slot:          make(chan struct{}, 1),
 		session:       session,
 		lab:           lab,
@@ -591,26 +458,28 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		created:       now,
 		lastUsed:      now,
 	}
-	// Admission control: the new session must fit the shard's memory budget
-	// after spilling every cold session the budget can give up. A create
-	// that still does not fit is backpressure (429 + Retry-After), not an
-	// error — resident sessions are busy or the budget is simply smaller
-	// than this one session, and the client should retry or shrink.
+	// The new record's slot is held from its budget reservation until it is
+	// published, so no reclaimer can pick the unpublished record as a victim.
+	rec.slot <- struct{}{}
+	// Admission control: the new session must fit the memory budget after
+	// spilling every cold session the budget can give up. A create that
+	// still does not fit is backpressure (429 + Retry-After), not an error —
+	// resident sessions are busy or the budget is simply smaller than this
+	// one session, and the client should retry or shrink.
 	need := sessionFootprint(rec)
-	if b := sh.budget; b.Cap() > 0 {
-		s.reclaimBudget(sh, need, id)
-		if b.Used()+need > b.Cap() {
-			s.metrics.memRejections.Inc()
-			secs := sh.retryAfterSeconds(s.queueWait)
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, busyResponse{
-				Error: fmt.Sprintf("session needs ~%d bytes; shard budget %d has %d resident that cannot spill now",
-					need, b.Cap(), b.Used()),
-				QueueDepth:        sh.waiters.Load(),
-				RetryAfterSeconds: secs,
-			})
-			return
-		}
+	if !s.admitSession(rec, need) {
+		<-rec.slot
+		s.metrics.memRejections.Inc()
+		secs := s.sessions.retryAfterSeconds(s.queueWait)
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		b := s.sessions.budget
+		writeJSON(w, http.StatusTooManyRequests, busyResponse{
+			Error: fmt.Sprintf("session needs ~%d bytes; memory budget %d has %d resident that cannot spill now",
+				need, b.Cap(), b.Used()),
+			QueueDepth:        s.sessions.waiters.Load(),
+			RetryAfterSeconds: secs,
+		})
+		return
 	}
 	// With durability on, the initial snapshot must be on disk before the
 	// id is handed out: a created session that vanished across a restart
@@ -618,6 +487,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		h, err := s.persistNewSession(ctx, rec)
 		if err != nil {
+			s.sessions.budget.Remove(rec.id)
+			<-rec.slot
 			s.serverLogger().Error("tppd: persisting new session", "session", rec.id, "error", err)
 			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()})
 			return
@@ -629,15 +500,19 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	info := s.sessionInfo(rec.id, rec)
 	if !s.sessions.publish(rec) {
 		// Only reachable if two creates minted the same random 64-bit id.
-		// The shard map keeps the record that won the publish, whose
-		// handle still owns the files on disk — close ours, never destroy.
+		// The map keeps the record that won the publish, whose handle still
+		// owns the files on disk — close ours, never destroy. Dropping our
+		// reservation also drops the winner's entry; its next footprint
+		// change re-accounts it.
+		s.sessions.budget.Remove(rec.id)
+		<-rec.slot
 		if rec.durable != nil {
 			rec.durable.Close()
 		}
 		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("session %q already exists", rec.id)})
 		return
 	}
-	s.accountSession(rec, need)
+	<-rec.slot
 	s.metrics.sessionsCreated.Inc()
 	annotateSession(r.Context(), rec.id)
 	writeJSON(w, http.StatusCreated, info)
@@ -719,14 +594,12 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// Lock order is always work slot → record slot: a request queueing for
 	// a work slot must not hold the session lock, or cheap GET/DELETE
 	// calls on the same session would hang behind work that has not even
-	// started. Session work queues on the session's home shard, so one hot
-	// shard cannot starve the others.
+	// started.
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	sh := s.sessions.shardFor(r.PathValue("id"))
-	releaseSem, err := s.acquireSlot(ctx, sh)
+	releaseSem, err := s.acquireSlot(ctx)
 	if err != nil {
-		s.writeAcquireError(w, err, sh)
+		s.writeAcquireError(w, err)
 		return
 	}
 	defer releaseSem()
@@ -816,7 +689,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS:        float64(rep.Elapsed.Microseconds()) / 1000,
 	}
 	// The delta changed the session's size: refresh its budget entry (and
-	// spill colder sessions if the shard ran over) while the slot is still
+	// spill colder sessions if the budget ran over) while the slot is still
 	// held, then hand back the slot and the session before streaming the
 	// response to a possibly-slow client.
 	s.noteFootprint(rec)
@@ -972,14 +845,13 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, tpp.WithWorkers(*req.Workers))
 	}
 
-	// Same lock order as the delta handler: shard work slot first, session
-	// lock second, both handed back before the response write.
+	// Same lock order as the delta handler: work slot first, session lock
+	// second, both handed back before the response write.
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	sh := s.sessions.shardFor(r.PathValue("id"))
-	releaseSem, err := s.acquireSlot(ctx, sh)
+	releaseSem, err := s.acquireSlot(ctx)
 	if err != nil {
-		s.writeAcquireError(w, err, sh)
+		s.writeAcquireError(w, err)
 		return
 	}
 	defer releaseSem()

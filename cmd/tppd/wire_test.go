@@ -130,13 +130,13 @@ func TestWireShapeEveryRouteClass(t *testing.T) {
 	}
 	checkWireShape(t, "400", resp, body)
 
-	sh := srv.sessions.shards[0]
-	for i := 0; i < cap(sh.sem); i++ {
-		sh.sem <- struct{}{}
+	sem := srv.sessions.sem
+	for i := 0; i < cap(sem); i++ {
+		sem <- struct{}{}
 	}
 	resp, body = postProtect(t, ts, protectRequest{Dataset: dataset, SampleTargets: 3})
-	for i := 0; i < cap(sh.sem); i++ {
-		<-sh.sem
+	for i := 0; i < cap(sem); i++ {
+		<-sem
 	}
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated protect: status %d, want 429: %s", resp.StatusCode, body)
@@ -173,42 +173,31 @@ func TestWriteJSONEncodeErrorIs500(t *testing.T) {
 	}
 }
 
-// TestSessionFootprintCounters drives random deltas with node churn through
-// a two-shard tier and checks, after every step, that the cached footprint
-// of each resident session equals a fresh measurement, and that each
-// shard's tracked bytes equal the sum of its sessions' fresh footprints.
+// TestSessionFootprintCounters drives random deltas with node churn and
+// checks, after every step, that the cached footprint of each resident
+// session equals a fresh measurement, and that the store's tracked bytes
+// equal the sum of its sessions' fresh footprints.
 func TestSessionFootprintCounters(t *testing.T) {
 	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
 	t.Cleanup(srv.Close)
-	if err := srv.ConfigureSharding(2, 0); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	check := func(step string) {
 		t.Helper()
-		for _, sh := range srv.sessions.shards {
-			sh.mu.Lock()
-			var recs []*sessionRecord
-			for _, rec := range sh.m {
-				recs = append(recs, rec)
+		var sum int64
+		for _, rec := range srv.sessions.records() {
+			rec.slot <- struct{}{}
+			cached := sessionFootprint(rec)
+			fresh := rec.session.MemFootprint() + labelingFootprint(rec.lab)
+			<-rec.slot
+			if cached != fresh {
+				t.Fatalf("%s: session %s footprint %d, fresh measurement %d", step, rec.id, cached, fresh)
 			}
-			sh.mu.Unlock()
-			var sum int64
-			for _, rec := range recs {
-				rec.slot <- struct{}{}
-				cached := sessionFootprint(rec)
-				fresh := rec.session.MemFootprint() + labelingFootprint(rec.lab)
-				<-rec.slot
-				if cached != fresh {
-					t.Fatalf("%s: session %s footprint %d, fresh measurement %d", step, rec.id, cached, fresh)
-				}
-				sum += fresh
-			}
-			if used := sh.budget.Used(); used != sum {
-				t.Fatalf("%s: shard %d tracks %d bytes, its sessions measure %d", step, sh.idx, used, sum)
-			}
+			sum += fresh
+		}
+		if used := srv.sessions.budget.Used(); used != sum {
+			t.Fatalf("%s: store tracks %d bytes, its sessions measure %d", step, used, sum)
 		}
 	}
 

@@ -2,14 +2,12 @@ package shard
 
 import "sync"
 
-// Budget tracks the approximate resident byte footprint of a shard's
+// Budget tracks the approximate resident byte footprint of a set of
 // sessions against a configurable cap, in least-recently-used order. It is
 // bookkeeping only: the owner decides when to spill (it must hold its own
 // per-session locks to do that safely) and tells the budget afterwards.
-//
-// One Budget per shard, guarded by its own mutex — the ring has already
-// partitioned the load, so this lock is never the process-wide hot spot
-// the single session-map mutex used to be.
+// A Budget is safe for concurrent use; tppd keeps one for its whole
+// session table.
 type Budget struct {
 	mu      sync.Mutex
 	cap     int64 // 0 = unlimited

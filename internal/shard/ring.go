@@ -1,13 +1,11 @@
-// Package shard is the partitioning substrate of tppd's session tier: a
-// consistent-hash ring that maps session IDs onto in-process session shards,
-// and a byte-budget accountant with LRU ordering that drives admission
-// control and cold-session spill.
+// Package shard holds the byte-budget accountant with LRU ordering that
+// drives tppd's admission control and cold-session spill, and a
+// consistent-hash ring.
 //
-// Both halves are deliberately small and dependency-free. The ring is built
-// purely from the member names, so anyone who knows the member list computes
-// the identical mapping — perfbench's replay relies on that to rebuild
-// tppd's shard assignment. The budget is a plain mutex'd LRU: one instance
-// per shard, so its lock is already partitioned by the ring.
+// Both halves are deliberately small and dependency-free. tppd keeps all
+// sessions in one table under one Budget. The ring no longer places
+// anything in tppd; it stays only because perfbench's replay still builds
+// one to model the sharded tier it was written against.
 package shard
 
 import (
@@ -97,8 +95,8 @@ func (r *Ring) Owner(key string) (int, string) {
 	return mi, r.members[mi]
 }
 
-// OwnerIndex is Owner without the name — the hot-path form for in-process
-// sharding, where the caller indexes its own shard slice.
+// OwnerIndex is Owner without the name — the form for a caller that
+// indexes its own per-member slice (perfbench's replay).
 func (r *Ring) OwnerIndex(key string) int {
 	i, _ := r.Owner(key)
 	return i
@@ -107,9 +105,9 @@ func (r *Ring) OwnerIndex(key string) int {
 // hashKey hashes a session key onto the ring's keyspace: FNV-1a 64 with a
 // splitmix64 finalizer. FNV alone is stable but avalanches poorly on short
 // ASCII keys (vnode labels like "shard-0#17" cluster badly); the finalizer
-// scatters it. Both halves are fixed constants: perfbench's replay rebuilds
-// tppd's shard assignment with its own NewRing(...).OwnerIndex, so a seeded
-// or randomized hash would desynchronize the two.
+// scatters it. Both halves are fixed constants, so every ring built from
+// the same member list maps every key identically across processes and
+// runs; a seeded or randomized hash would break that.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))

@@ -1,8 +1,8 @@
 package tpp
 
-// Session memory accounting for the sharded serving tier (cmd/tppd): each
-// resident session reports an approximate byte footprint so a per-shard
-// memory budget can drive admission control and LRU spill of cold sessions
+// Session memory accounting for the serving tier (cmd/tppd): each
+// resident session reports an approximate byte footprint so a memory
+// budget can drive admission control and LRU spill of cold sessions
 // to their durable snapshots. The estimate counts the state a spill
 // actually releases — the graphs, the motif index and the warm-start
 // selection — using the same sizing philosophy as the snapshot encoder
@@ -16,7 +16,7 @@ package tpp
 const sessionBaseBytes = 512
 
 // MinSessionBytes is the smallest footprint any session can report — the
-// floor a serving tier's per-shard memory budget must clear to admit even
+// floor a serving tier's memory budget must clear to admit even
 // one empty session (cmd/tppd validates -mem-budget against it).
 const MinSessionBytes = sessionBaseBytes
 
