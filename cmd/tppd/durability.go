@@ -190,7 +190,7 @@ func (s *Server) rehydrateRecord(ctx context.Context, snap *durable.SessionSnaps
 		deltas:  int64(h.Seq()),
 		durable: h,
 		// Seed the stat watermarks with the restored counters, or the next
-		// recordSessionStats would fold the session's whole pre-restart
+		// foldSelectionCounters would fold the session's whole pre-restart
 		// history into the aggregate metrics a second time.
 		statWarm:      int64(session.WarmRuns()),
 		statCold:      int64(session.ColdRuns()),

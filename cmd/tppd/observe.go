@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/telemetry"
-	"repro/internal/tpp"
 )
 
 // Observability plumbing for the daemon: every instrument the service
@@ -225,60 +224,6 @@ func (m *serverMetrics) route(pattern string) *routeInstruments {
 		return ri
 	}
 	return m.routes[routeOther]
-}
-
-// serverStats is a thin façade over the registry: it derives the
-// /v1/stats wire fields from the same instruments /metrics exports, so the
-// two endpoints can never disagree. The historical *_last_ms fields are
-// populated with the histograms' running mean — a race-free aggregate in
-// place of the old last-write-wins value, same shape on the wire.
-type serverStats struct {
-	m *serverMetrics
-}
-
-// record folds a finished one-shot session's selection counters into the
-// aggregates. One-shot sessions are fresh per request, so totals add
-// directly; enumeration and delta timing arrive through the stage recorder
-// instead.
-func (st serverStats) record(session *tpp.Protector) {
-	st.m.warmRuns.Add(int64(session.WarmRuns()))
-	st.m.coldRuns.Add(int64(session.ColdRuns()))
-	st.m.warmFallbacks.Add(int64(session.WarmFallbacks()))
-}
-
-// snapshot assembles the /v1/stats response from the registry instruments.
-func (st serverStats) snapshot() statsResponse {
-	enum := st.m.stages.Histogram(telemetry.StageEnumerate)
-	return statsResponse{
-		TotalRequests:      st.m.protectRequests.Load(),
-		LiveSessions:       st.m.inflightRuns.Load(),
-		IndexBuilds:        enum.Count(),
-		EnumerationTotalMS: float64(enum.Sum()) / 1e6,
-		EnumerationLastMS:  enum.Mean() / 1e6,
-		SessionsCreated:    st.m.sessionsCreated.Load(),
-		SessionsClosed:     st.m.sessionsClosed.Load(),
-		SessionsEvicted:    st.m.sessionsEvicted.Load(),
-		DeltasApplied:      st.m.deltasApplied.Load(),
-		DeltaApplyTotalMS:  float64(st.m.deltaLatency.Sum()) / 1e6,
-		DeltaApplyLastMS:   st.m.deltaLatency.Mean() / 1e6,
-		NodesAdded:         st.m.nodesAdded.Load(),
-		NodesRemoved:       st.m.nodesRemoved.Load(),
-		TargetsAdded:       st.m.targetsAdded.Load(),
-		TargetsDropped:     st.m.targetsDropped.Load(),
-		WarmRuns:           st.m.warmRuns.Load(),
-		ColdRuns:           st.m.coldRuns.Load(),
-		WarmFallbacks:      st.m.warmFallbacks.Load(),
-
-		WALAppends:          st.m.walAppends.Load(),
-		WALFsyncTotalMS:     float64(st.m.walFsync.Sum()) / 1e6,
-		SnapshotsWritten:    st.m.snapshotBytes.Count(),
-		SnapshotBytesTotal:  st.m.snapshotBytes.Sum(),
-		SessionsRehydrated:  st.m.sessionsRehydrated.Load(),
-		SessionsQuarantined: st.m.sessionsQuarantined.Load(),
-		BusyRejections:      st.m.busyRejections.Load(),
-		SessionsSpilled:     st.m.sessionsSpilled.Load(),
-		MemRejections:       st.m.memRejections.Load(),
-	}
 }
 
 // reqScope carries per-request annotations from the handlers back to the

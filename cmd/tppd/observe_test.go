@@ -355,14 +355,14 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	if stats.IndexBuilds != 1 {
 		t.Errorf("index_builds = %d, want 1 (one enumeration on the first protect)", stats.IndexBuilds)
 	}
-	if stats.EnumerationTotalMS <= 0 || stats.EnumerationLastMS <= 0 {
-		t.Errorf("enumeration timings = %v total / %v last, want > 0", stats.EnumerationTotalMS, stats.EnumerationLastMS)
+	if stats.EnumerationTotalMS <= 0 || stats.EnumerationMeanMS <= 0 {
+		t.Errorf("enumeration timings = %v total / %v mean, want > 0", stats.EnumerationTotalMS, stats.EnumerationMeanMS)
 	}
-	if stats.EnumerationLastMS > stats.EnumerationTotalMS {
-		t.Errorf("enumeration last %v exceeds total %v", stats.EnumerationLastMS, stats.EnumerationTotalMS)
+	if stats.EnumerationMeanMS > stats.EnumerationTotalMS {
+		t.Errorf("enumeration mean %v exceeds total %v", stats.EnumerationMeanMS, stats.EnumerationTotalMS)
 	}
-	if stats.DeltaApplyTotalMS <= 0 || stats.DeltaApplyLastMS <= 0 {
-		t.Errorf("delta timings = %v total / %v last, want > 0", stats.DeltaApplyTotalMS, stats.DeltaApplyLastMS)
+	if stats.DeltaApplyTotalMS <= 0 || stats.DeltaApplyMeanMS <= 0 {
+		t.Errorf("delta timings = %v total / %v mean, want > 0", stats.DeltaApplyTotalMS, stats.DeltaApplyMeanMS)
 	}
 	if stats.ColdRuns != m.coldRuns.Load() || stats.WarmRuns != m.warmRuns.Load() {
 		t.Errorf("selection counters disagree: stats %d/%d, metrics %d/%d",

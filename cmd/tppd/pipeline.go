@@ -1,0 +1,390 @@
+package main
+
+// The request pipeline every tppd route shares. A request passes through
+// at most these layers, and each has exactly one call site:
+//
+//	decode   one JSON value from the body, else 400          (decode)
+//	slot     the request deadline and a selection slot,
+//	         else 429 / 504 / 499                             (work)
+//	session  the locked record the path names, rehydrated
+//	         from disk on a miss, else 404                    (withSession)
+//	work     the route's own step: create, delta, protect     (protect, ...)
+//	release  record slot, then selection slot, each once
+//	encode   the reply, written with nothing held             (respond)
+//
+// The lock order is always selection slot → record slot: a request queueing
+// for a selection slot holds no session lock, so cheap GET and DELETE calls
+// on a session never hang behind work that has not started.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+
+	"repro/internal/dynamic"
+	"repro/internal/tpp"
+)
+
+// decode is the pipeline's one request decoder. It reads exactly one JSON
+// value into v: at most -max-body bytes, no unknown fields and nothing but
+// whitespace after the value. An empty body is accepted only when emptyOK
+// (a session protect with the session's defaults). Anything else is
+// answered 400 and decode reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	switch {
+	case err == nil:
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		err = errors.New("unexpected data after the JSON value")
+	case emptyOK && errors.Is(err, io.EOF):
+		return true
+	}
+	writeRunError(w, badRequest{fmt.Errorf("decoding request: %w", err)})
+	return false
+}
+
+// reply is a pipeline step's answer: the status and body respond encodes
+// once every slot the request took is handed back.
+type reply struct {
+	status int
+	body   any
+}
+
+// failed is the reply for err, with the status runErrorStatus maps it to.
+func failed(err error) reply {
+	return reply{runErrorStatus(err), errorResponse{Error: err.Error()}}
+}
+
+// respond encodes rp as the response. A 429 also carries its back-off
+// estimate as Retry-After.
+func respond(w http.ResponseWriter, rp reply) {
+	if b, ok := rp.body.(busyResponse); ok {
+		w.Header().Set("Retry-After", strconv.Itoa(b.RetryAfterSeconds))
+	}
+	writeJSON(w, rp.status, rp.body)
+}
+
+func writeRunError(w http.ResponseWriter, err error) {
+	respond(w, failed(err))
+}
+
+// badRequest marks an error as the client's mistake (a malformed body, a
+// bad option, data that does not fit the graph): 400 with its own message.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// statusClientClosedRequest is nginx's convention for a request aborted by
+// the client; no stdlib constant exists.
+const statusClientClosedRequest = 499
+
+// runErrorStatus maps an error to an HTTP status: caller mistakes (typed
+// option errors, invalid deltas, badRequest) to 400, deadline to 504,
+// client cancellation to 499, anything else to 500.
+func runErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest
+	case errors.As(err, new(badRequest)),
+		errors.Is(err, tpp.ErrUnknownMethod),
+		errors.Is(err, tpp.ErrUnknownDivision),
+		errors.Is(err, tpp.ErrNegativeBudget),
+		errors.Is(err, tpp.ErrPatternFixed),
+		errors.Is(err, dynamic.ErrInvalid):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
+}
+
+// work is the pipeline's slot step: it runs fn under the request deadline
+// (timeout_ms clamped to -request-timeout) holding one selection slot, and
+// writes fn's reply only after the slot is handed back, so a slow reader
+// cannot pin a slot the CPU is done with.
+func (s *Server) work(w http.ResponseWriter, r *http.Request, timeoutMS int64, fn func(ctx context.Context) reply) {
+	ctx, cancel := s.requestContext(r.Context(), timeoutMS)
+	defer cancel()
+	respond(w, s.holdingSlot(ctx, fn))
+}
+
+// requestContext derives the per-request deadline: the client's timeout_ms
+// clamped to the server cap, or the cap itself when the client set none.
+// A positive client timeout always bounds the run, even when the server
+// cap is disabled; no deadline applies only when both are unset.
+func (s *Server) requestContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+	timeout := s.maxTimeout
+	if timeoutMS > 0 {
+		if d := time.Duration(timeoutMS) * time.Millisecond; timeout <= 0 || d < timeout {
+			timeout = d
+		}
+	}
+	if timeout <= 0 {
+		return context.WithCancel(parent)
+	}
+	return context.WithTimeout(parent, timeout)
+}
+
+// holdingSlot runs fn holding a selection slot and hands the slot back
+// exactly once, folding the hold time into the service-time EWMA that
+// Retry-After derives from. A request that gets no slot is answered 429
+// when the queue-wait budget ran out and 504/499 when its deadline or its
+// client did.
+func (s *Server) holdingSlot(ctx context.Context, fn func(ctx context.Context) reply) reply {
+	if err := s.acquireSlot(ctx); err != nil {
+		if errors.Is(err, errServerBusy) {
+			return s.busy(err.Error())
+		}
+		return failed(err)
+	}
+	start := time.Now()
+	defer func() {
+		s.sessions.observeService(time.Since(start))
+		<-s.sessions.sem
+	}()
+	return fn(ctx)
+}
+
+// errServerBusy reports that every selection slot stayed occupied for the
+// whole queue-wait budget (or the queue is full).
+var errServerBusy = errors.New("all selection slots busy; retry later")
+
+// queueBound is the waiter cap per slot: c slots admit at most
+// queueBound*c queued requests before fast-failing with 429, so the queue
+// stays bounded even under a flood of distinct clients.
+const queueBound = 8
+
+// acquireSlot takes a selection slot: immediately if one is free,
+// otherwise queueing up to the queue-wait budget (or the request deadline,
+// whichever ends first) behind at most queueBound waiters per slot. With
+// no queue-wait budget the queue is unbounded and waits for the deadline:
+// the operator opted out of fast-fail backpressure.
+func (s *Server) acquireSlot(ctx context.Context) error {
+	ss := s.sessions
+	select {
+	case ss.sem <- struct{}{}:
+		return nil
+	default:
+	}
+	var expired <-chan time.Time // nil never fires: queue until the deadline
+	if s.queueWait > 0 {
+		if ss.waiters.Load() >= int64(queueBound*cap(ss.sem)) {
+			s.metrics.busyRejections.Inc()
+			return errServerBusy
+		}
+		t := time.NewTimer(s.queueWait)
+		defer t.Stop()
+		expired = t.C
+	}
+	ss.waiters.Add(1)
+	defer ss.waiters.Add(-1)
+	select {
+	case ss.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-expired:
+		s.metrics.busyRejections.Inc()
+		return errServerBusy
+	}
+}
+
+// busyResponse is the 429 body: the error, the queue depth at rejection
+// time, and the same back-off estimate the Retry-After header carries.
+type busyResponse struct {
+	Error             string `json:"error"`
+	QueueDepth        int64  `json:"queue_depth"`
+	RetryAfterSeconds int    `json:"retry_after_seconds"`
+}
+
+// busy is the one 429 reply, for a full slot queue and for a create the
+// memory budget cannot admit alike: the reason, the queue depth and an
+// EWMA-derived back-off estimate.
+func (s *Server) busy(reason string) reply {
+	return reply{http.StatusTooManyRequests, busyResponse{
+		Error:             reason,
+		QueueDepth:        s.sessions.waiters.Load(),
+		RetryAfterSeconds: s.sessions.retryAfterSeconds(s.queueWait),
+	}}
+}
+
+// withSession is the pipeline's session step: it locks the record the
+// path's {id} names (rehydrating a spilled one from disk), annotates the
+// request log with it, runs fn and releases the record before returning,
+// so the reply is written with no session lock held. An unknown id is 404;
+// a deadline that ran out waiting for the record is 504/499.
+func (s *Server) withSession(ctx context.Context, r *http.Request, fn func(rec *sessionRecord) reply) reply {
+	id := r.PathValue("id")
+	rec, err := s.getSession(ctx, id)
+	if err != nil {
+		return failed(err)
+	}
+	if rec == nil {
+		return reply{http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown session %q (expired, deleted, or never created)", id)}}
+	}
+	defer s.sessions.release(rec)
+	annotateSession(ctx, rec.id)
+	return fn(rec)
+}
+
+// runOptions is the option block every protect-carrying request shares:
+// create and one-shot protect set a new session's defaults with it, a
+// session protect overrides the session's for one run. An empty string or
+// a nil number is unset.
+type runOptions struct {
+	method, division, engine string
+	budget, workers          *int
+	seed                     *int64
+}
+
+// parse is the one option parser. It rejects a bad spelling, a negative
+// budget and negative workers, so a bad request is answered 400 before it
+// takes a slot or leaves a trace on a session, and returns what the block
+// sets as tpp options. With defaults set, as for a new session, an unset
+// spelling resolves to the library default; otherwise it is left to the
+// session. The request log records the method and engine resolved.
+func (o runOptions) parse(ctx context.Context, defaults bool) ([]tpp.Option, error) {
+	var opts []tpp.Option
+	var method, engine string
+	if o.method != "" || defaults {
+		m, err := tpp.ParseMethod(o.method)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, tpp.WithMethod(m))
+		method = string(m)
+	}
+	if o.division != "" || defaults {
+		d, err := tpp.ParseDivision(o.division)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, tpp.WithDivision(d))
+	}
+	if o.engine != "" || defaults {
+		e, err := tpp.ParseEngine(o.engine)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, tpp.WithEngine(e))
+		engine = e.String()
+	}
+	if o.budget != nil {
+		if *o.budget < 0 {
+			return nil, fmt.Errorf("%w: %d", tpp.ErrNegativeBudget, *o.budget)
+		}
+		opts = append(opts, tpp.WithBudget(*o.budget))
+	}
+	if o.workers != nil {
+		if *o.workers < 0 {
+			return nil, fmt.Errorf("negative workers %d", *o.workers)
+		}
+		opts = append(opts, tpp.WithWorkers(*o.workers))
+	}
+	if o.seed != nil {
+		opts = append(opts, tpp.WithSeed(*o.seed))
+	}
+	if sc := scopeFrom(ctx); sc != nil {
+		sc.method, sc.engine = method, engine
+	}
+	return opts, nil
+}
+
+// protect is the one protect path, shared by session protect and the
+// one-shot protect's unpublished record: run the selection with the
+// per-run options, count the run, fold the selection counters and build
+// the response (budget nil echoes the session's default). The caller holds
+// rec's slot, or rec is unpublished. A run that starts dirties the session
+// even if it fails: its warm state may have moved.
+func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Option, budget *int, omitReleased bool) (resp protectResponse, err error) {
+	s.metrics.protectRequests.Inc()
+	s.metrics.inflightRuns.Add(1)
+	rec.dirty = true
+	res, err := rec.session.Run(ctx, opts...)
+	s.metrics.inflightRuns.Add(-1)
+	s.foldSelectionCounters(rec)
+	if err != nil {
+		return resp, err
+	}
+	rec.runs++
+	if budget == nil {
+		budget = &rec.defaultBudget
+	}
+	p := rec.session.Problem()
+	resp = protectResponse{
+		Method:            res.Method,
+		Nodes:             p.G.NumNodes(),
+		Edges:             p.G.NumEdges(),
+		Budget:            *budget,
+		Protectors:        edgePairs(res.Protectors, rec.lab),
+		InitialSimilarity: res.SimilarityTrace[0],
+		FinalSimilarity:   res.FinalSimilarity(),
+		FullProtection:    res.FullProtection(),
+		WarmStart:         res.WarmStart,
+		SimilarityTrace:   res.SimilarityTrace,
+		ElapsedMS:         float64(res.Elapsed.Microseconds()) / 1000,
+	}
+	if !omitReleased {
+		resp.ReleasedEdges = edgePairs(rec.session.Release(res).Edges(), rec.lab)
+	}
+	return resp, nil
+}
+
+// foldSelectionCounters folds rec's warm/cold/fallback counters into the
+// aggregate metrics, adding only what changed since rec's last fold: a
+// long-lived session counts each selection once, a fresh record adds its
+// totals. Enumeration and delta timings flow through the stage recorder
+// instead and need no folding.
+func (s *Server) foldSelectionCounters(rec *sessionRecord) {
+	warm := int64(rec.session.WarmRuns())
+	cold := int64(rec.session.ColdRuns())
+	falls := int64(rec.session.WarmFallbacks())
+	s.metrics.warmRuns.Add(warm - rec.statWarm)
+	s.metrics.coldRuns.Add(cold - rec.statCold)
+	s.metrics.warmFallbacks.Add(falls - rec.statFallbacks)
+	rec.statWarm, rec.statCold, rec.statFallbacks = warm, cold, falls
+}
+
+// maxPooledJSONBuf caps the response buffers writeJSON hands back to its
+// pool: a rare huge response (a large released graph) is left to the GC
+// rather than pinning its capacity in the pool.
+const maxPooledJSONBuf = 1 << 20
+
+var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v as one line of compact JSON into a pooled buffer and
+// writes it with an exact Content-Length in a single call, so responses are
+// never chunked. Encoding completes before any header goes out: a value
+// that cannot be encoded becomes a logged 500, not a truncated 200.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledJSONBuf {
+			jsonBufPool.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		slog.Error("tppd: encoding response", "request_id", w.Header().Get(requestIDHeader), "error", err)
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encoding response: " + err.Error()}) // a lone string field always encodes
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client left; nothing to answer
+}

@@ -160,15 +160,15 @@ func TestCreateAdmissionRace(t *testing.T) {
 	}
 
 	req := protectRequest{Edges: quickstartEdges, Targets: [][2]string{{"0", "5"}, {"2", "7"}}, Pattern: "Triangle"}
-	opts, err := srv.validateProtectRequest(&req)
+	opts, err := req.options(context.Background(), srv.maxScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, lab, err := req.newSession(context.Background(), opts)
+	c, err := req.newRecord(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &sessionRecord{id: mintSessionID(), slot: make(chan struct{}, 1), session: session, lab: lab}
+	c.id = mintSessionID()
 	need := sessionFootprint(c)
 
 	// The create reserves its bytes under its id and reclaims.

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -17,7 +14,6 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/durable"
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/motif"
 	"repro/internal/telemetry"
@@ -49,7 +45,6 @@ type Server struct {
 	mux      *http.ServeMux
 	registry *telemetry.Registry
 	metrics  *serverMetrics
-	stats    serverStats // façade deriving /v1/stats from metrics
 
 	logger   *slog.Logger  // request logger; nil means slog.Default()
 	slowReq  time.Duration // log requests slower than this at Warn (0 disables)
@@ -82,7 +77,6 @@ func NewServer(maxConcurrent int, maxBody int64, maxTimeout time.Duration, maxSc
 		idPrefix:   newIDPrefix(),
 	}
 	s.metrics = newServerMetrics(s)
-	s.stats = serverStats{m: s.metrics}
 	s.sessions = newSessionStore(sessionTTL, func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) }, maxConcurrent)
 	return s
 }
@@ -106,99 +100,6 @@ func (s *Server) ConfigureLogging(logger *slog.Logger, slow time.Duration) {
 // Call before the first request.
 func (s *Server) ConfigureBackpressure(wait time.Duration) {
 	s.queueWait = wait
-}
-
-// errServerBusy reports that every selection slot stayed occupied for the
-// whole queue-wait budget (or the queue is full).
-var errServerBusy = errors.New("all selection slots busy; retry later")
-
-// queueBound is the waiter cap per slot: c slots admit at most
-// queueBound*c queued requests before fast-failing with 429, so the queue
-// stays bounded even under a flood of distinct clients.
-const queueBound = 8
-
-// acquireSlot takes a selection slot: immediately if one is free,
-// otherwise queueing up to the queue-wait budget (or the request deadline,
-// whichever ends first) behind at most queueBound waiters per slot. On nil
-// error the returned release hands the slot back and folds the hold time
-// into the service-time EWMA; it is idempotent, so handlers can both call
-// it early (before streaming the response) and defer it.
-func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
-	ss := s.sessions
-	select {
-	case ss.sem <- struct{}{}:
-		return ss.releaseFunc(), nil
-	default:
-	}
-	if s.queueWait <= 0 {
-		// Queue-until-deadline mode keeps the unbounded queue: the caller
-		// opted out of fast-fail backpressure entirely.
-		ss.waiters.Add(1)
-		defer ss.waiters.Add(-1)
-		select {
-		case ss.sem <- struct{}{}:
-			return ss.releaseFunc(), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if ss.waiters.Load() >= int64(queueBound*cap(ss.sem)) {
-		s.metrics.busyRejections.Inc()
-		return nil, errServerBusy
-	}
-	ss.waiters.Add(1)
-	defer ss.waiters.Add(-1)
-	t := time.NewTimer(s.queueWait)
-	defer t.Stop()
-	select {
-	case ss.sem <- struct{}{}:
-		return ss.releaseFunc(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-t.C:
-		s.metrics.busyRejections.Inc()
-		return nil, errServerBusy
-	}
-}
-
-// releaseFunc builds the idempotent release closure for one held slot.
-func (ss *sessionStore) releaseFunc() func() {
-	start := time.Now()
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		ss.observeService(time.Since(start))
-		<-ss.sem
-	}
-}
-
-// busyResponse is the 429 body: the error, the queue depth at rejection
-// time, and the same back-off estimate the Retry-After header
-// carries.
-type busyResponse struct {
-	Error             string `json:"error"`
-	QueueDepth        int64  `json:"queue_depth"`
-	RetryAfterSeconds int    `json:"retry_after_seconds"`
-}
-
-// writeAcquireError maps a failed slot acquisition to the wire: busy
-// becomes 429 with the queue depth and an EWMA-derived Retry-After, a dead
-// context follows the usual run-error mapping (504/499).
-func (s *Server) writeAcquireError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errServerBusy) {
-		secs := s.sessions.retryAfterSeconds(s.queueWait)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, busyResponse{
-			Error:             err.Error(),
-			QueueDepth:        s.sessions.waiters.Load(),
-			RetryAfterSeconds: secs,
-		})
-		return
-	}
-	writeRunError(w, err)
 }
 
 // BeginDrain flips readiness: GET /v1/healthz answers 503 from here on, so
@@ -325,82 +226,42 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// handleProtect serves the one-shot POST /v1/protect: the request's graph
+// becomes an unpublished session record that runs the same protect path as
+// a session protect, and the response also echoes the targets, the only
+// way a client learns which ones sample_targets drew.
 func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
-	var req protectRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
-		return
-	}
-
-	// Cheap validation first, so malformed options fail fast with 400
-	// before the request costs the server anything.
-	opts, err := s.validateProtectRequest(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	annotateScope(r.Context(), opts)
-
-	// The deadline covers the whole request — materialising a large dataset
-	// graph can dominate the selection itself.
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-
-	// Bound the heavy work — graph materialisation, selection and released-
-	// graph assembly — by a selection slot. Waiting respects the deadline
-	// and the queue-wait budget (429 once it runs out). The slot is handed
-	// back before the response streams to the client, so a slow reader
-	// cannot pin a worker the CPU is done with.
-	releaseSem, err := s.acquireSlot(ctx)
-	if err != nil {
-		s.writeAcquireError(w, err)
-		return
-	}
-	defer releaseSem()
-
-	session, lab, err := req.newSession(ctx, opts)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			writeRunError(w, ctxErr)
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	s.withNewRecord(w, r, func(ctx context.Context, req *protectRequest, rec *sessionRecord) reply {
+		resp, err := s.protect(ctx, rec, nil, nil, req.OmitReleased)
+		if err != nil {
+			return failed(err)
 		}
+		resp.Targets = edgePairs(rec.session.Problem().Targets, rec.lab)
+		return reply{http.StatusOK, resp}
+	})
+}
+
+// withNewRecord is the front create and one-shot protect share: decode the
+// request, check its options before it takes a slot, then, holding a
+// selection slot, build its graph into an unpublished record and run fn on
+// it.
+func (s *Server) withNewRecord(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context, req *protectRequest, rec *sessionRecord) reply) {
+	var req protectRequest
+	if !s.decode(w, r, &req, false) {
 		return
 	}
-	g, targets := session.Problem().G, session.Problem().Targets
-
-	s.metrics.protectRequests.Inc()
-	s.metrics.inflightRuns.Add(1)
-	res, err := session.Run(ctx)
-	s.metrics.inflightRuns.Add(-1)
-	s.stats.record(session)
+	opts, err := req.options(r.Context(), s.maxScale)
 	if err != nil {
-		writeRunError(w, err)
+		writeRunError(w, badRequest{err})
 		return
 	}
-
-	resp := protectResponse{
-		Method:            res.Method,
-		Nodes:             g.NumNodes(),
-		Edges:             g.NumEdges(),
-		Targets:           edgePairs(targets, lab),
-		Budget:            req.Budget,
-		Protectors:        edgePairs(res.Protectors, lab),
-		InitialSimilarity: res.SimilarityTrace[0],
-		FinalSimilarity:   res.FinalSimilarity(),
-		FullProtection:    res.FullProtection(),
-		WarmStart:         res.WarmStart,
-		SimilarityTrace:   res.SimilarityTrace,
-		ElapsedMS:         float64(res.Elapsed.Microseconds()) / 1000,
-	}
-	if !req.OmitReleased {
-		resp.ReleasedEdges = edgePairs(session.Release(res).Edges(), lab)
-	}
-	releaseSem() // all CPU-bound work done; don't hold the slot for the network write
-	writeJSON(w, http.StatusOK, resp)
+	s.work(w, r, req.TimeoutMS, func(ctx context.Context) reply {
+		rec, err := req.newRecord(ctx, opts)
+		if err != nil {
+			return failed(err)
+		}
+		return fn(ctx, &req, rec)
+	})
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
@@ -413,19 +274,18 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsResponse is the wire form of GET /v1/stats: aggregate service
-// observability — how many protection requests ran, how many sessions are
-// live right now, how many motif-index enumerations were performed and how
-// long they took (enumeration dominates request cost, so these timings are
-// the service's main capacity signal). Every field derives from the same
-// registry instruments GET /metrics exports (see serverStats); the
-// *_last_ms fields carry the histograms' running mean rather than the old
-// race-prone last-write value — same JSON shape, race-free source.
+// observability — how many protection runs were accepted and how many are
+// executing right now, how many motif-index enumerations were performed and
+// how long they took (enumeration dominates request cost, so these timings
+// are the service's main capacity signal). Every field derives from the
+// same registry instruments GET /metrics exports; the *_mean_ms fields are
+// the histograms' running means.
 type statsResponse struct {
 	TotalRequests      int64   `json:"total_requests"`
-	LiveSessions       int64   `json:"live_sessions"`
+	RunsInflight       int64   `json:"runs_inflight"`
 	IndexBuilds        int64   `json:"index_builds"`
 	EnumerationTotalMS float64 `json:"enumeration_total_ms"`
-	EnumerationLastMS  float64 `json:"enumeration_last_ms"`
+	EnumerationMeanMS  float64 `json:"enumeration_mean_ms"`
 
 	// Long-lived session lifecycle and incremental-maintenance counters.
 	// Comparing delta_apply_* against enumeration_* is the service-level
@@ -437,7 +297,7 @@ type statsResponse struct {
 	SessionsEvicted   int64   `json:"sessions_evicted"`
 	DeltasApplied     int64   `json:"deltas_applied"`
 	DeltaApplyTotalMS float64 `json:"delta_apply_total_ms"`
-	DeltaApplyLastMS  float64 `json:"delta_apply_last_ms"`
+	DeltaApplyMeanMS  float64 `json:"delta_apply_mean_ms"`
 
 	// Delta schema v2 mutation mix: how much node and target churn the
 	// sessions have absorbed (edge churn is the deltas_applied line itself).
@@ -483,142 +343,110 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	resp := s.stats.snapshot()
-	resp.SessionsOpen = s.sessions.open()
-	resp.MaxWorkers = runtime.GOMAXPROCS(0)
-	resp.MaxConcurrentInUse = len(s.sessions.sem)
-	resp.MaxConcurrentConfig = cap(s.sessions.sem)
-	resp.ResidentBytes = s.sessions.budget.Used()
-	resp.MemBudgetBytes = s.sessions.budget.Cap()
-	resp.QueueDepth = s.sessions.waiters.Load()
-	writeJSON(w, http.StatusOK, resp)
+	m := s.metrics
+	enum := m.stages.Histogram(telemetry.StageEnumerate)
+	writeJSON(w, http.StatusOK, statsResponse{
+		TotalRequests:      m.protectRequests.Load(),
+		RunsInflight:       m.inflightRuns.Load(),
+		IndexBuilds:        enum.Count(),
+		EnumerationTotalMS: float64(enum.Sum()) / 1e6,
+		EnumerationMeanMS:  enum.Mean() / 1e6,
+
+		SessionsOpen:      s.sessions.open(),
+		SessionsCreated:   m.sessionsCreated.Load(),
+		SessionsClosed:    m.sessionsClosed.Load(),
+		SessionsEvicted:   m.sessionsEvicted.Load(),
+		DeltasApplied:     m.deltasApplied.Load(),
+		DeltaApplyTotalMS: float64(m.deltaLatency.Sum()) / 1e6,
+		DeltaApplyMeanMS:  m.deltaLatency.Mean() / 1e6,
+
+		NodesAdded:     m.nodesAdded.Load(),
+		NodesRemoved:   m.nodesRemoved.Load(),
+		TargetsAdded:   m.targetsAdded.Load(),
+		TargetsDropped: m.targetsDropped.Load(),
+
+		WarmRuns:      m.warmRuns.Load(),
+		ColdRuns:      m.coldRuns.Load(),
+		WarmFallbacks: m.warmFallbacks.Load(),
+
+		WALAppends:          m.walAppends.Load(),
+		WALFsyncTotalMS:     float64(m.walFsync.Sum()) / 1e6,
+		SnapshotsWritten:    m.snapshotBytes.Count(),
+		SnapshotBytesTotal:  m.snapshotBytes.Sum(),
+		SessionsRehydrated:  m.sessionsRehydrated.Load(),
+		SessionsQuarantined: m.sessionsQuarantined.Load(),
+
+		BusyRejections: m.busyRejections.Load(),
+
+		ResidentBytes:   s.sessions.budget.Used(),
+		MemBudgetBytes:  s.sessions.budget.Cap(),
+		SessionsSpilled: m.sessionsSpilled.Load(),
+		MemRejections:   m.memRejections.Load(),
+		QueueDepth:      s.sessions.waiters.Load(),
+
+		MaxWorkers:          runtime.GOMAXPROCS(0),
+		MaxConcurrentInUse:  len(s.sessions.sem),
+		MaxConcurrentConfig: cap(s.sessions.sem),
+	})
 }
 
-// annotateScope records the request's resolved options on its log scope.
-func annotateScope(ctx context.Context, opts runOptions) {
-	sc := scopeFrom(ctx)
-	if sc == nil {
-		return
-	}
-	sc.method = string(opts.method)
-	sc.pattern = opts.pattern.String()
-	sc.engine = opts.engine.String()
-}
-
-// requestContext derives the per-request deadline: the client's timeout_ms
-// clamped to the server cap, or the cap itself when the client set none.
-// A positive client timeout always bounds the run, even when the server
-// cap is disabled; no deadline applies only when both are unset.
-func (s *Server) requestContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
-	timeout := s.maxTimeout
-	if timeoutMS > 0 {
-		if d := time.Duration(timeoutMS) * time.Millisecond; timeout <= 0 || d < timeout {
-			timeout = d
-		}
-	}
-	if timeout <= 0 {
-		return context.WithCancel(parent)
-	}
-	return context.WithTimeout(parent, timeout)
-}
-
-// statusClientClosedRequest is nginx's convention for a request aborted by
-// the client; no stdlib constant exists.
-const statusClientClosedRequest = 499
-
-// runErrorStatus maps a selection or delta error to an HTTP status: caller
-// mistakes (typed option errors, invalid deltas) to 400, deadline to 504,
-// client cancellation to 499, anything else to 500.
-func runErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, tpp.ErrUnknownMethod),
-		errors.Is(err, tpp.ErrUnknownDivision),
-		errors.Is(err, tpp.ErrNegativeBudget),
-		errors.Is(err, tpp.ErrPatternFixed),
-		errors.Is(err, dynamic.ErrInvalid):
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
-func writeRunError(w http.ResponseWriter, err error) {
-	writeJSON(w, runErrorStatus(err), errorResponse{Error: err.Error()})
-}
-
-// runOptions is the parsed option set shared by the one-shot protect and
-// session-create paths.
-type runOptions struct {
-	pattern  motif.Pattern
-	method   tpp.Method
-	division tpp.Division
-	engine   tpp.Engine
-}
-
-// validateProtectRequest performs the cheap validations — option spellings
-// and server limits — that must fail fast with 400 before the request
-// queues for a work slot. Empty option strings select the documented
-// defaults.
-func (s *Server) validateProtectRequest(r *protectRequest) (runOptions, error) {
-	var opts runOptions
-	opts.pattern = motif.Triangle
-	var err error
+// options validates a create or one-shot request's pattern, limits and
+// option block before it takes a slot, and returns them as the new
+// session's options.
+func (r *protectRequest) options(ctx context.Context, maxScale int) ([]tpp.Option, error) {
+	pattern := motif.Triangle
 	if r.Pattern != "" {
-		if opts.pattern, err = motif.ParsePattern(r.Pattern); err != nil {
-			return runOptions{}, err
+		var err error
+		if pattern, err = motif.ParsePattern(r.Pattern); err != nil {
+			return nil, err
 		}
 	}
-	if opts.method, err = tpp.ParseMethod(r.Method); err != nil {
-		return runOptions{}, err
+	if r.Dataset != nil && r.Dataset.Scale > maxScale {
+		return nil, fmt.Errorf("dataset scale %d exceeds server limit %d", r.Dataset.Scale, maxScale)
 	}
-	if opts.division, err = tpp.ParseDivision(r.Division); err != nil {
-		return runOptions{}, err
+	opts, err := runOptions{
+		method: r.Method, division: r.Division, engine: r.Engine,
+		budget: &r.Budget, workers: &r.Workers, seed: &r.Seed,
+	}.parse(ctx, true)
+	if err != nil {
+		return nil, err
 	}
-	if opts.engine, err = tpp.ParseEngine(r.Engine); err != nil {
-		return runOptions{}, err
+	if sc := scopeFrom(ctx); sc != nil {
+		sc.pattern = pattern.String()
 	}
-	if r.Workers < 0 {
-		return runOptions{}, fmt.Errorf("negative workers %d", r.Workers)
-	}
-	if r.Dataset != nil && r.Dataset.Scale > s.maxScale {
-		return runOptions{}, fmt.Errorf("dataset scale %d exceeds server limit %d", r.Dataset.Scale, s.maxScale)
-	}
-	return opts, nil
+	return append(opts, tpp.WithPattern(pattern)), nil
 }
 
-// newSession materialises the request's graph and constructs the Protector
-// with the request's options as defaults. The caller holds a semaphore
-// slot (graph materialisation can dominate a request); every error is the
-// client's data unless ctx died first.
-func (r *protectRequest) newSession(ctx context.Context, opts runOptions) (*tpp.Protector, *graph.Labeling, error) {
+// newRecord materialises the request's graph and wraps a Protector built
+// with opts in an unpublished record, the form create and one-shot protect
+// both work on. The caller holds a selection slot: building a large graph
+// can dominate the request. Every error is the client's data unless ctx
+// died first.
+func (r *protectRequest) newRecord(ctx context.Context, opts []tpp.Option) (*sessionRecord, error) {
 	g, lab, err := r.buildGraph()
+	var session *tpp.Protector
+	if err == nil && ctx.Err() == nil {
+		var targets []graph.Edge
+		if targets, err = r.resolveTargets(g, lab); err == nil {
+			session, err = tpp.New(g, targets, opts...)
+		}
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, badRequest{err}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	targets, err := r.resolveTargets(g, lab)
-	if err != nil {
-		return nil, nil, err
-	}
-	// tpp.New validates the remaining options and the target set.
-	session, err := tpp.New(g, targets,
-		tpp.WithPattern(opts.pattern),
-		tpp.WithMethod(opts.method),
-		tpp.WithDivision(opts.division),
-		tpp.WithEngine(opts.engine),
-		tpp.WithBudget(r.Budget),
-		tpp.WithSeed(r.Seed),
-		tpp.WithWorkers(r.Workers),
-	)
-	if err != nil {
-		return nil, nil, err
-	}
-	return session, lab, nil
+	now := time.Now()
+	return &sessionRecord{
+		slot:          make(chan struct{}, 1),
+		session:       session,
+		lab:           lab,
+		pattern:       session.Problem().Pattern.String(),
+		defaultBudget: r.Budget,
+		created:       now,
+		lastUsed:      now,
+	}, nil
 }
 
 // buildGraph materialises the request's graph and its label mapping.
@@ -740,36 +568,4 @@ func edgePairs(edges []graph.Edge, lab *graph.Labeling) [][2]string {
 		out[i] = [2]string{lab.Name(e.U), lab.Name(e.V)}
 	}
 	return out
-}
-
-// maxPooledJSONBuf caps the response buffers writeJSON hands back to its
-// pool: a rare huge response (a large released graph) is left to the GC
-// rather than pinning its capacity in the pool.
-const maxPooledJSONBuf = 1 << 20
-
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeJSON encodes v as one line of compact JSON into a pooled buffer and
-// writes it with an exact Content-Length in a single call, so responses are
-// never chunked. Encoding completes before any header goes out: a value
-// that cannot be encoded becomes a logged 500, not a truncated 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledJSONBuf {
-			jsonBufPool.Put(buf)
-		}
-	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		slog.Error("tppd: encoding response", "request_id", w.Header().Get(requestIDHeader), "error", err)
-		buf.Reset()
-		status = http.StatusInternalServerError
-		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encoding response: " + err.Error()}) // a lone string field always encodes
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client left; nothing to answer
 }

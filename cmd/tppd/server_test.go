@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,15 +172,48 @@ func TestProtectBadRequests(t *testing.T) {
 	}
 }
 
+// TestProtectMalformedJSON drives every route that decodes a body with
+// bodies that are not exactly one JSON value: each is a 400, and a rejected
+// delta is not applied. Trailing whitespace is still fine.
 func TestProtectMalformedJSON(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/protect", "application/json", bytes.NewReader([]byte("{nope")))
-	if err != nil {
-		t.Fatal(err)
+	_, ts := newSessionTestServer(t, 0)
+	id := createQuickstartSession(t, ts)
+	oneShot := `{"edges":[["a","b"],["b","c"],["a","c"]],"targets":[["a","b"]]}`
+	routes := []struct{ path, valid string }{
+		{"/v1/protect", oneShot},
+		{"/v1/sessions", oneShot},
+		{"/v1/sessions/" + id + "/delta", `{"insert":[["0","9"]]}`},
+		{"/v1/sessions/" + id + "/protect", `{"omit_released":true}`},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(out)
+	}
+	for _, rt := range routes {
+		for _, body := range []string{
+			"{nope",
+			rt.valid + " trailing junk",
+			rt.valid + rt.valid,
+			rt.valid + "}",
+		} {
+			if status, out := post(rt.path, body); status != http.StatusBadRequest {
+				t.Errorf("POST %s %q: status %d, want 400: %s", rt.path, body, status, out)
+			}
+		}
+	}
+	if info := getSessionInfo(t, ts, id); info.DeltasApplied != 0 {
+		t.Fatalf("deltas_applied = %d after only rejected deltas", info.DeltasApplied)
+	}
+	for _, rt := range routes {
+		if status, out := post(rt.path, rt.valid+" \n\t"); status/100 != 2 {
+			t.Errorf("POST %s with trailing whitespace: status %d, want 2xx: %s", rt.path, status, out)
+		}
 	}
 }
 
@@ -349,7 +384,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 
 	before := readStats()
-	if before.TotalRequests != 0 || before.IndexBuilds != 0 || before.LiveSessions != 0 {
+	if before.TotalRequests != 0 || before.IndexBuilds != 0 || before.RunsInflight != 0 {
 		t.Fatalf("fresh server has non-zero stats: %+v", before)
 	}
 	if before.MaxConcurrentConfig != 2 || before.MaxWorkers < 1 {
@@ -372,10 +407,10 @@ func TestStatsEndpoint(t *testing.T) {
 	if after.IndexBuilds < 1 {
 		t.Fatalf("index_builds = %d, want >= 1", after.IndexBuilds)
 	}
-	if after.LiveSessions != 0 {
-		t.Fatalf("live_sessions = %d after request finished", after.LiveSessions)
+	if after.RunsInflight != 0 {
+		t.Fatalf("runs_inflight = %d after request finished", after.RunsInflight)
 	}
-	if after.EnumerationTotalMS < 0 || after.EnumerationLastMS > after.EnumerationTotalMS {
+	if after.EnumerationTotalMS < 0 || after.EnumerationMeanMS > after.EnumerationTotalMS {
 		t.Fatalf("enumeration timings inconsistent: %+v", after)
 	}
 }

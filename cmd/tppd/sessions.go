@@ -4,13 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -415,52 +411,19 @@ type sessionProtectRequest struct {
 // Nothing is enumerated yet: the motif index is built by the first protect
 // call and maintained incrementally by deltas afterwards.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req protectRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
-		return
-	}
-	// Cheap validation before queueing for a work slot, so malformed
-	// requests fail fast — same discipline as /v1/protect.
-	opts, err := s.validateProtectRequest(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	releaseSem, err := s.acquireSlot(ctx)
-	if err != nil {
-		s.writeAcquireError(w, err)
-		return
-	}
-	defer releaseSem()
-	session, lab, err := req.newSession(ctx, opts)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			writeRunError(w, ctxErr)
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
-		return
-	}
-	now := time.Now()
-	rec := &sessionRecord{
-		id:            mintSessionID(),
-		slot:          make(chan struct{}, 1),
-		session:       session,
-		lab:           lab,
-		pattern:       opts.pattern.String(),
-		defaultBudget: req.Budget,
-		created:       now,
-		lastUsed:      now,
-	}
-	// The new record's slot is held from its budget reservation until it is
-	// published, so no reclaimer can pick the unpublished record as a victim.
+	s.withNewRecord(w, r, func(ctx context.Context, _ *protectRequest, rec *sessionRecord) reply {
+		return s.createSession(ctx, rec)
+	})
+}
+
+// createSession admits, persists and publishes a new record under a fresh
+// id. The record's slot is held from its budget reservation until it is
+// published, so no reclaimer can pick the unpublished record as a victim
+// and no concurrent request can touch it half-created.
+func (s *Server) createSession(ctx context.Context, rec *sessionRecord) reply {
+	rec.id = mintSessionID()
 	rec.slot <- struct{}{}
+	defer func() { <-rec.slot }()
 	// Admission control: the new session must fit the memory budget after
 	// spilling every cold session the budget can give up. A create that
 	// still does not fit is backpressure (429 + Retry-After), not an error —
@@ -468,18 +431,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// one session, and the client should retry or shrink.
 	need := sessionFootprint(rec)
 	if !s.admitSession(rec, need) {
-		<-rec.slot
 		s.metrics.memRejections.Inc()
-		secs := s.sessions.retryAfterSeconds(s.queueWait)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		b := s.sessions.budget
-		writeJSON(w, http.StatusTooManyRequests, busyResponse{
-			Error: fmt.Sprintf("session needs ~%d bytes; memory budget %d has %d resident that cannot spill now",
-				need, b.Cap(), b.Used()),
-			QueueDepth:        s.sessions.waiters.Load(),
-			RetryAfterSeconds: secs,
-		})
-		return
+		return s.busy(fmt.Sprintf("session needs ~%d bytes; memory budget %d has %d resident that cannot spill now",
+			need, b.Cap(), b.Used()))
 	}
 	// With durability on, the initial snapshot must be on disk before the
 	// id is handed out: a created session that vanished across a restart
@@ -488,16 +443,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		h, err := s.persistNewSession(ctx, rec)
 		if err != nil {
 			s.sessions.budget.Remove(rec.id)
-			<-rec.slot
 			s.serverLogger().Error("tppd: persisting new session", "session", rec.id, "error", err)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()})
-			return
+			return reply{http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()}}
 		}
 		rec.durable = h
 	}
-	// The response is assembled before publish: once the id is out in the
-	// store, concurrent requests may already be mutating the session.
-	info := s.sessionInfo(rec.id, rec)
+	info := rec.info()
 	if !s.sessions.publish(rec) {
 		// Only reachable if two creates minted the same random 64-bit id.
 		// The map keeps the record that won the publish, whose handle still
@@ -505,23 +456,21 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// reservation also drops the winner's entry; its next footprint
 		// change re-accounts it.
 		s.sessions.budget.Remove(rec.id)
-		<-rec.slot
 		if rec.durable != nil {
 			rec.durable.Close()
 		}
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("session %q already exists", rec.id)})
-		return
+		return reply{http.StatusConflict, errorResponse{Error: fmt.Sprintf("session %q already exists", rec.id)}}
 	}
-	<-rec.slot
 	s.metrics.sessionsCreated.Inc()
-	annotateSession(r.Context(), rec.id)
-	writeJSON(w, http.StatusCreated, info)
+	annotateSession(ctx, rec.id)
+	return reply{http.StatusCreated, info}
 }
 
-func (s *Server) sessionInfo(id string, rec *sessionRecord) sessionResponse {
+// info describes the session to the client. The caller holds rec's slot.
+func (rec *sessionRecord) info() sessionResponse {
 	p := rec.session.Problem()
 	return sessionResponse{
-		ID:            id,
+		ID:            rec.id,
 		Nodes:         p.G.NumNodes(),
 		Edges:         p.G.NumEdges(),
 		Targets:       edgePairs(p.Targets, rec.lab),
@@ -534,49 +483,32 @@ func (s *Server) sessionInfo(id string, rec *sessionRecord) sessionResponse {
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	rec, err := s.getSession(r.Context(), r.PathValue("id"))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	if rec == nil {
-		writeSessionNotFound(w, r.PathValue("id"))
-		return
-	}
-	defer s.sessions.release(rec)
-	annotateSession(r.Context(), rec.id)
-	writeJSON(w, http.StatusOK, s.sessionInfo(rec.id, rec))
+	respond(w, s.withSession(r.Context(), r, func(rec *sessionRecord) reply {
+		return reply{http.StatusOK, rec.info()}
+	}))
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	rec, err := s.getSession(r.Context(), r.PathValue("id"))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	if rec == nil {
-		writeSessionNotFound(w, r.PathValue("id"))
-		return
-	}
-	annotateSession(r.Context(), rec.id)
-	// Destroy the files while still holding the slot, so a concurrent
-	// request for the same id cannot rehydrate a half-deleted session: it
-	// blocks on the slot until the record is gone and the files are too. A
-	// session degraded to memory-only has no handle but still has files.
-	var derr error
-	if rec.durable != nil {
-		derr = rec.durable.Destroy()
-		rec.durable = nil
-	} else if s.store != nil {
-		derr = s.store.Remove(rec.id)
-	}
-	if derr != nil {
-		s.serverLogger().Error("tppd: destroying session files", "session", rec.id, "error", derr)
-	}
-	s.sessions.remove(rec)
-	<-rec.slot
-	s.metrics.sessionsClosed.Inc()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "id": rec.id})
+	respond(w, s.withSession(r.Context(), r, func(rec *sessionRecord) reply {
+		// Destroy the files while still holding the slot, so a concurrent
+		// request for the same id cannot rehydrate a half-deleted session:
+		// it blocks on the slot until the record is gone and the files are
+		// too. A session degraded to memory-only has no handle but still
+		// has files.
+		var derr error
+		if rec.durable != nil {
+			derr = rec.durable.Destroy()
+			rec.durable = nil
+		} else if s.store != nil {
+			derr = s.store.Remove(rec.id)
+		}
+		if derr != nil {
+			s.serverLogger().Error("tppd: destroying session files", "session", rec.id, "error", derr)
+		}
+		s.sessions.remove(rec)
+		s.metrics.sessionsClosed.Inc()
+		return reply{http.StatusOK, map[string]string{"status": "deleted", "id": rec.id}}
+	}))
 }
 
 // handleSessionDelta applies one batch of edge insertions/removals to the
@@ -584,54 +516,27 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // protect call pays for the delta, not the graph.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	var req deltaRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+	if !s.decode(w, r, &req, false) {
 		return
 	}
-	// Lock order is always work slot → record slot: a request queueing for
-	// a work slot must not hold the session lock, or cheap GET/DELETE
-	// calls on the same session would hang behind work that has not even
-	// started.
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	releaseSem, err := s.acquireSlot(ctx)
-	if err != nil {
-		s.writeAcquireError(w, err)
-		return
-	}
-	defer releaseSem()
-	rec, err := s.getSession(ctx, r.PathValue("id"))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	if rec == nil {
-		writeSessionNotFound(w, r.PathValue("id"))
-		return
-	}
-	recHeld := true
-	releaseRec := func() {
-		if recHeld {
-			s.sessions.release(rec)
-			recHeld = false
-		}
-	}
-	defer releaseRec()
+	s.work(w, r, req.TimeoutMS, func(ctx context.Context) reply {
+		return s.withSession(ctx, r, func(rec *sessionRecord) reply {
+			return s.applyDelta(ctx, rec, &req)
+		})
+	})
+}
 
-	annotateSession(r.Context(), rec.id)
-
-	d, err := resolveDelta(&req, rec.lab)
+// applyDelta commits one delta to rec, whose slot the caller holds: apply
+// it in memory, fold its node churn into the label table, log it to the
+// WAL, then re-account the session's footprint.
+func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaRequest) reply {
+	d, err := resolveDelta(req, rec.lab)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return failed(badRequest{err})
 	}
 	rep, err := rec.session.Apply(ctx, d)
 	if err != nil {
-		writeRunError(w, err)
-		return
+		return failed(err)
 	}
 	// The delta committed: fold the node churn into the session's label
 	// table (new labels join in ID order, the remap renames/retires the
@@ -652,9 +557,8 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 				"session", rec.id, "error", err)
 			rec.durable.Close()
 			rec.durable = nil
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: "delta applied but not durably logged: " + err.Error()})
-			return
+			return reply{http.StatusInternalServerError,
+				errorResponse{Error: "delta applied but not durably logged: " + err.Error()}}
 		}
 		if rec.durable.ShouldCompact() {
 			// Compaction failure is not a client error: the log is intact,
@@ -671,7 +575,11 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	s.metrics.targetsAdded.Add(int64(rep.TargetsAdded))
 	s.metrics.targetsDropped.Add(int64(rep.TargetsDropped))
 	s.metrics.deltaLatency.Observe(int64(rep.Elapsed))
-	resp := deltaResponse{
+	// The delta changed the session's size: refresh its budget entry (and
+	// spill colder sessions if the budget ran over) while the slot is
+	// still held.
+	s.noteFootprint(rec)
+	return reply{http.StatusOK, deltaResponse{
 		Inserted:         rep.Inserted,
 		Removed:          rep.Removed,
 		NodesAdded:       rep.NodesAdded,
@@ -687,15 +595,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		DroppedInstances: rep.IndexStats.DroppedInstances,
 		Instances:        rep.IndexStats.Instances,
 		ElapsedMS:        float64(rep.Elapsed.Microseconds()) / 1000,
-	}
-	// The delta changed the session's size: refresh its budget entry (and
-	// spill colder sessions if the budget ran over) while the slot is still
-	// held, then hand back the slot and the session before streaming the
-	// response to a possibly-slow client.
-	s.noteFootprint(rec)
-	releaseRec()
-	releaseSem()
-	writeJSON(w, http.StatusOK, resp)
+	}}
 }
 
 // resolveDelta maps the request's labelled mutation batch into a Delta.
@@ -796,145 +696,33 @@ func applyDeltaLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport)
 
 // handleSessionProtect runs one protection request on the session's current
 // graph, reusing (and, after deltas, incrementally-updated) cached state.
+// Every override is checked before the request takes a slot, so a 400
+// leaves no trace on the session or the counters.
 func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 	var req sessionProtectRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	// An empty body is legal: it means "run with the session's defaults".
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+	if !s.decode(w, r, &req, true) {
 		return
 	}
-	var opts []tpp.Option
-	if req.Method != "" {
-		m, err := tpp.ParseMethod(req.Method)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		opts = append(opts, tpp.WithMethod(m))
-	}
-	if req.Division != "" {
-		d, err := tpp.ParseDivision(req.Division)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		opts = append(opts, tpp.WithDivision(d))
-	}
-	if req.Engine != "" {
-		e, err := tpp.ParseEngine(req.Engine)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		opts = append(opts, tpp.WithEngine(e))
-	}
-	if req.Budget != nil {
-		opts = append(opts, tpp.WithBudget(*req.Budget))
-	}
-	if req.Seed != nil {
-		opts = append(opts, tpp.WithSeed(*req.Seed))
-	}
-	if req.Workers != nil {
-		if *req.Workers < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("negative workers %d", *req.Workers)})
-			return
-		}
-		opts = append(opts, tpp.WithWorkers(*req.Workers))
-	}
-
-	// Same lock order as the delta handler: work slot first, session lock
-	// second, both handed back before the response write.
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	releaseSem, err := s.acquireSlot(ctx)
+	opts, err := runOptions{
+		method: req.Method, division: req.Division, engine: req.Engine,
+		budget: req.Budget, workers: req.Workers, seed: req.Seed,
+	}.parse(r.Context(), false)
 	if err != nil {
-		s.writeAcquireError(w, err)
+		writeRunError(w, badRequest{err})
 		return
 	}
-	defer releaseSem()
-	rec, err := s.getSession(ctx, r.PathValue("id"))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	if rec == nil {
-		writeSessionNotFound(w, r.PathValue("id"))
-		return
-	}
-	recHeld := true
-	releaseRec := func() {
-		if recHeld {
-			s.sessions.release(rec)
-			recHeld = false
-		}
-	}
-	defer releaseRec()
-
-	annotateSession(r.Context(), rec.id)
-	if sc := scopeFrom(r.Context()); sc != nil {
-		sc.method = req.Method
-		sc.engine = req.Engine
-	}
-
-	s.metrics.protectRequests.Inc()
-	s.metrics.inflightRuns.Add(1)
-	rec.dirty = true
-	res, err := rec.session.Run(ctx, opts...)
-	s.metrics.inflightRuns.Add(-1)
-	s.recordSessionStats(rec)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	rec.runs++
-
-	p := rec.session.Problem()
-	budget := rec.defaultBudget
-	if req.Budget != nil {
-		budget = *req.Budget
-	}
-	resp := protectResponse{
-		Method:            res.Method,
-		Nodes:             p.G.NumNodes(),
-		Edges:             p.G.NumEdges(),
-		Budget:            budget,
-		Protectors:        edgePairs(res.Protectors, rec.lab),
-		InitialSimilarity: res.SimilarityTrace[0],
-		FinalSimilarity:   res.FinalSimilarity(),
-		FullProtection:    res.FullProtection(),
-		WarmStart:         res.WarmStart,
-		SimilarityTrace:   res.SimilarityTrace,
-		ElapsedMS:         float64(res.Elapsed.Microseconds()) / 1000,
-	}
-	if !req.OmitReleased {
-		resp.ReleasedEdges = edgePairs(rec.session.Release(res).Edges(), rec.lab)
-	}
-	// The first run built the motif index — easily the biggest jump a
-	// session's footprint ever takes — so re-account before handing back.
-	s.noteFootprint(rec)
-	releaseRec()
-	releaseSem()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// recordSessionStats folds a session's selection counters into the
-// aggregate warm/cold metrics, adding only what changed since the last
-// fold so repeated protect calls on the same long-lived session count each
-// selection once. Enumeration and delta timings flow through the stage
-// recorder instead and need no folding.
-func (s *Server) recordSessionStats(rec *sessionRecord) {
-	warm := int64(rec.session.WarmRuns())
-	cold := int64(rec.session.ColdRuns())
-	falls := int64(rec.session.WarmFallbacks())
-	s.metrics.warmRuns.Add(warm - rec.statWarm)
-	s.metrics.coldRuns.Add(cold - rec.statCold)
-	s.metrics.warmFallbacks.Add(falls - rec.statFallbacks)
-	rec.statWarm, rec.statCold, rec.statFallbacks = warm, cold, falls
-}
-
-func writeSessionNotFound(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown session %q (expired, deleted, or never created)", id)})
+	s.work(w, r, req.TimeoutMS, func(ctx context.Context) reply {
+		return s.withSession(ctx, r, func(rec *sessionRecord) reply {
+			resp, err := s.protect(ctx, rec, opts, req.Budget, req.OmitReleased)
+			// The first run built the motif index — easily the biggest jump
+			// a session's footprint ever takes — so re-account before
+			// handing back.
+			s.noteFootprint(rec)
+			if err != nil {
+				return failed(err)
+			}
+			return reply{http.StatusOK, resp}
+		})
+	})
 }

@@ -86,8 +86,8 @@ func (h *Histogram) Sum() int64 {
 }
 
 // Mean returns the average observed sample in raw units, or 0 before the
-// first observation. The /v1/stats façade uses it to keep the historical
-// "*_last_ms" wire fields populated from a race-free instrument.
+// first observation. tppd's /v1/stats reports it as the "*_mean_ms"
+// fields.
 func (h *Histogram) Mean() float64 {
 	n := h.Count()
 	if n == 0 {
