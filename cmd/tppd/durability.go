@@ -1,38 +1,40 @@
 package main
 
-// Durability wiring: how the daemon uses internal/durable.
+// Durability wiring: how the daemon uses internal/durable, which keeps
+// each session as one append-only log file in -data-dir.
 //
 // Lifecycle, with -data-dir set:
 //
-//   - create      initial snapshot + empty WAL on disk before the id is
-//     handed to the client
-//   - delta       appended (and under -wal-sync fsynced) to the WAL before
-//     the ack; every -wal-compact entries the log folds into a
-//     fresh snapshot
+//   - create      a new log holding the initial snapshot, on disk before
+//     the id is handed to the client
+//   - delta       appended (and under -wal-sync fsynced) to the log before
+//     the ack; every -wal-compact deltas a fresh snapshot is
+//     appended, which bounds replay
 //   - spill       LRU reclaim and TTL eviction drop the in-memory session;
-//     the files stay and the next request for the id rehydrates
-//     it transparently. Only a dirty session (a protect ran
-//     since its last snapshot) writes a final snapshot first; a
-//     clean one just closes its WAL handle
+//     the next request for the id rehydrates it from the log.
+//     Only a dirty session (a protect ran since its last
+//     snapshot) appends a final snapshot first
+//   - degraded    a failed append or compaction leaves the session
+//     memory-only; its next delta or spill first rewrites the
+//     log whole from memory, and a delta that cannot be
+//     persisted that way is refused, not applied
 //   - shutdown    sessionStore.close spills every session the same way,
-//     in sorted-id order (bounded per-session wait); the next
-//     boot replays at most -wal-compact entries per session
-//   - delete      removes the files with the session
-//   - boot        Rehydrate loads every persisted session: snapshot
-//     decoded, WAL replayed, torn tails truncated; sessions that
+//     in sorted-id order (bounded per-session wait)
+//   - delete      removes the log with the session
+//   - boot        Rehydrate recovers every persisted session; those that
 //     fail recovery are quarantined (renamed aside) and the
 //     server keeps serving without them
 //
 // Protect runs are deliberately not logged: a selection is a pure function
-// of the session state the snapshot+WAL already capture, so replay
-// reproduces it bit-identically (the warm/cold engine contract), and the
-// warm-start cache and run counter are persisted by the next snapshot
-// (compaction, or the spill of the session the run left dirty) rather
-// than per run.
+// of the session state the log already captures, so replay reproduces it
+// bit-identically (the warm/cold engine contract), and the warm-start cache
+// and run counter are persisted by the next snapshot rather than per run.
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"strconv"
 	"time"
@@ -44,9 +46,9 @@ import (
 )
 
 // ConfigureDurability attaches the persistence layer: new sessions are
-// snapshotted at creation, committed deltas are WAL-appended before the
-// ack, LRU reclaim, TTL eviction and shutdown spill sessions to disk
-// instead of discarding state, and an unknown session id is looked up on
+// snapshotted at creation, committed deltas are logged before the ack,
+// LRU reclaim, TTL eviction and shutdown spill sessions to disk instead of
+// discarding state, and an unknown session id is looked up on
 // disk before it 404s. memBudget caps the resident session bytes (0 =
 // unlimited); it lives here because only a durable store can take a
 // spill. Call before Handler, before Rehydrate and before any session
@@ -62,7 +64,7 @@ func (s *Server) ConfigureDurability(store *durable.Store, memBudget int64) {
 }
 
 // Rehydrate loads every persisted session back into memory. Sessions that
-// fail recovery — corrupt snapshot, corrupt WAL, replay divergence — are
+// fail recovery — corrupt snapshot, corrupt log, replay divergence — are
 // quarantined and counted, never fatal: the server boots with what it can
 // prove correct. Call once, after ConfigureDurability and before the
 // listener starts.
@@ -132,13 +134,13 @@ func (s *Server) getSession(ctx context.Context, id string) (*sessionRecord, err
 }
 
 // loadSession recovers one session from disk. (nil, nil) means the id has
-// no persisted bytes; an error means recovery or replay failed and the
-// session's files were quarantined.
+// no log; an error means recovery or replay failed and the session's log
+// was quarantined.
 func (s *Server) loadSession(ctx context.Context, id string) (*sessionRecord, error) {
-	if !s.store.Exists(id) {
+	snap, entries, h, err := s.store.Recover(id)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
-	snap, entries, h, err := s.store.Recover(id)
 	if err != nil {
 		s.quarantineSession(id, err)
 		return nil, err
@@ -153,7 +155,7 @@ func (s *Server) loadSession(ctx context.Context, id string) (*sessionRecord, er
 	return rec, nil
 }
 
-// rehydrateRecord turns a recovered snapshot + WAL tail into a live
+// rehydrateRecord turns a recovered snapshot + delta tail into a live
 // session record: restore the Protector (which rebuilds and cross-checks
 // the motif index), replay the logged deltas through the same Apply path
 // the live handlers used, and fold each entry's labels into the label
@@ -171,7 +173,7 @@ func (s *Server) rehydrateRecord(ctx context.Context, snap *durable.SessionSnaps
 		}
 		rep, err := session.Apply(ctx, ent.Delta)
 		if err != nil {
-			return nil, fmt.Errorf("replaying WAL entry seq %d: %w", ent.Seq, err)
+			return nil, fmt.Errorf("replaying log entry seq %d: %w", ent.Seq, err)
 		}
 		applyDeltaLabels(lab, ent.Labels, rep)
 	}
@@ -198,17 +200,6 @@ func (s *Server) rehydrateRecord(ctx context.Context, snap *durable.SessionSnaps
 	}, nil
 }
 
-// persistNewSession writes a fresh session's initial snapshot and empty
-// WAL, returning the append handle. Called from the create handler before
-// the record is published.
-func (s *Server) persistNewSession(ctx context.Context, rec *sessionRecord) (*durable.Session, error) {
-	snap, err := s.sessionSnapshot(ctx, rec, 0)
-	if err != nil {
-		return nil, err
-	}
-	return s.store.Create(snap)
-}
-
 // sessionSnapshot assembles the durable snapshot of a session: the
 // Protector's persistent state wrapped with the serving metadata (labels,
 // created time, run count) the record owns. The caller holds the record
@@ -229,61 +220,76 @@ func (s *Server) sessionSnapshot(ctx context.Context, rec *sessionRecord, seq ui
 	}, nil
 }
 
-// compactSession folds the session's WAL into a fresh snapshot. Called
-// from the delta handler once the log crosses the compaction threshold.
-func (s *Server) compactSession(ctx context.Context, rec *sessionRecord) error {
+// snapshotSession appends a fresh snapshot to the session's log: the
+// compaction of a log that reached -wal-compact deltas, and the final
+// write of a dirty session's spill.
+func (s *Server) snapshotSession(ctx context.Context, rec *sessionRecord) error {
 	snap, err := s.sessionSnapshot(ctx, rec, rec.durable.Seq())
-	if err != nil {
-		return err
+	if err == nil {
+		err = rec.durable.Snapshot(snap)
 	}
-	if err := rec.durable.Compact(snap); err != nil {
+	if err != nil {
 		return err
 	}
 	rec.dirty = false
 	return nil
 }
 
+// repersist writes a degraded session's log whole again from memory: a
+// fresh file holding one snapshot at its lifetime delta count, renamed over
+// the log that fell behind. The caller holds the record slot.
+func (s *Server) repersist(ctx context.Context, rec *sessionRecord) error {
+	snap, err := s.sessionSnapshot(ctx, rec, uint64(rec.deltas))
+	if err != nil {
+		return err
+	}
+	if rec.durable, err = s.store.Rewrite(snap); err != nil {
+		return err
+	}
+	rec.dirty = false
+	return nil
+}
+
+// degrade drops a session's log handle after a failed write: the session
+// serves from memory until repersist succeeds.
+func (s *Server) degrade(rec *sessionRecord, what string, err error) {
+	s.serverLogger().Error("tppd: "+what+" failed; session durability degraded", "session", rec.id, "error", err)
+	rec.durable.Close()
+	rec.durable = nil
+}
+
 // spillSession releases a session's persistence before it is dropped from
-// memory; the files stay behind for rehydration. Called (with the record
+// memory; the log stays behind for rehydration. Called (with the record
 // slot held) by LRU reclaim, TTL eviction and the shutdown drain. A clean
-// session is already reproduced bit-identically by snapshot + WAL, so its
-// spill only closes the WAL handle — a clean buffer is evicted without a
-// write-back. A dirty one (a protect ran since its last snapshot) writes a
-// final snapshot first; if that fails, only the state since the last
-// snapshot+WAL write is lost, exactly like a crash at that point.
+// session is already reproduced bit-identically by its log, so its spill
+// only closes the handle — a clean buffer is evicted without a write-back.
+// A dirty one (a protect ran since its last snapshot) appends a final
+// snapshot first; if that fails, only the state since the last logged
+// write is lost, exactly like a crash at that point.
 //
-// A session degraded to memory-only by a WAL append failure has no handle
-// but kept acking deltas, so its files describe an older state: it is
-// re-persisted whole (a fresh snapshot at its lifetime delta count and an
-// empty WAL). If even that fails its stale files are quarantined, so the
-// next touch answers 404 rather than rehydrating a rolled-back session.
+// A degraded session has no handle and its log describes an older state,
+// so it is re-persisted whole. If even that fails its stale log is
+// quarantined, so the next touch answers 404 rather than rehydrating a
+// rolled-back session.
 func (s *Server) spillSession(rec *sessionRecord) {
 	switch {
 	case rec.durable == nil:
-		snap, err := s.sessionSnapshot(context.Background(), rec, uint64(rec.deltas))
-		if err == nil {
-			rec.durable, err = s.store.Create(snap)
-		}
-		if err != nil {
+		if err := s.repersist(context.Background(), rec); err != nil {
 			s.quarantineSession(rec.id, fmt.Errorf("re-persisting degraded session: %w", err))
 			return
 		}
 	case rec.dirty:
-		snap, err := s.sessionSnapshot(context.Background(), rec, rec.durable.Seq())
-		if err == nil {
-			err = rec.durable.Snapshot(snap)
-		}
-		if err != nil {
+		if err := s.snapshotSession(context.Background(), rec); err != nil {
 			s.serverLogger().Error("tppd: spilling session snapshot", "session", rec.id, "error", err)
 		}
 	}
 	if err := rec.durable.Close(); err != nil {
-		s.serverLogger().Error("tppd: closing session WAL", "session", rec.id, "error", err)
+		s.serverLogger().Error("tppd: closing session log", "session", rec.id, "error", err)
 	}
 	rec.durable = nil
 }
 
-// quarantineSession renames a damaged session's files aside and logs why.
+// quarantineSession renames a damaged session's log aside and logs why.
 func (s *Server) quarantineSession(id string, cause error) {
 	s.serverLogger().Error("tppd: quarantining session", "session", id, "error", cause)
 	if err := s.store.Quarantine(id); err != nil {

@@ -17,6 +17,9 @@ import (
 	"repro/internal/durable"
 )
 
+// sessionLogPath is where a store in dir keeps session id's log.
+func sessionLogPath(dir, id string) string { return filepath.Join(dir, id+".tpplog") }
+
 // newDurableTestServer starts a service persisting sessions into dir and
 // rehydrates whatever is already there, returning the rehydrated /
 // quarantined counts alongside the handles.
@@ -241,15 +244,15 @@ func TestDurableDeleteRemovesFiles(t *testing.T) {
 	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
 	id := createQuickstartSession(t, ts)
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "7"}}}, "delta")
-	if !srv.store.Exists(id) {
-		t.Fatal("created session has no persisted files")
+	if _, err := os.Stat(sessionLogPath(dir, id)); err != nil {
+		t.Fatalf("created session has no log: %v", err)
 	}
 	resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: status %d: %s", resp.StatusCode, body)
 	}
-	if srv.store.Exists(id) {
-		t.Fatal("deleted session still has files on disk")
+	if _, err := os.Stat(sessionLogPath(dir, id)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("deleted session still has a log on disk: %v", err)
 	}
 	// Not lazily rehydratable either.
 	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil)
@@ -274,12 +277,12 @@ func TestDurableQuarantineOnCorrupt(t *testing.T) {
 	tsA.Close()
 	srvA.Close()
 
-	raw, err := os.ReadFile(filepath.Join(dir, sick+".snap"))
+	raw, err := os.ReadFile(sessionLogPath(dir, sick))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(filepath.Join(dir, sick+".snap"), raw, 0o644); err != nil {
+	if err := os.WriteFile(sessionLogPath(dir, sick), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -297,21 +300,19 @@ func TestDurableQuarantineOnCorrupt(t *testing.T) {
 	if info := getSessionInfo(t, tsB, healthy); info.Nodes != 10 {
 		t.Fatalf("healthy session damaged by neighbour's quarantine: %+v", info)
 	}
-	for _, suffix := range []string{".snap", ".wal"} {
-		if _, err := os.Stat(filepath.Join(dir, "quarantine", sick+suffix)); err != nil {
-			t.Fatalf("quarantine copy %s missing: %v", suffix, err)
-		}
+	if _, err := os.Stat(sessionLogPath(filepath.Join(dir, "quarantine"), sick)); err != nil {
+		t.Fatalf("quarantine copy missing: %v", err)
 	}
 	if st := getStats(t, tsB); st.SessionsQuarantined != 1 {
 		t.Fatalf("stats sessions_quarantined = %d, want 1", st.SessionsQuarantined)
 	}
 }
 
-// TestDurableCompactionThreshold: the WAL folds into a fresh snapshot at
-// the configured threshold, and recovery afterwards replays only the tail.
+// TestDurableCompactionThreshold: a fresh snapshot lands in the log at the
+// configured threshold, and recovery afterwards replays only the tail.
 // No protect ever ran, so the session stays clean and the graceful
-// shutdown writes no snapshot of its own: the tail survives it as a WAL
-// entry and a restarted server replays it.
+// shutdown writes no snapshot of its own: the tail survives it as a delta
+// frame and a restarted server replays it.
 func TestDurableCompactionThreshold(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false, CompactEvery: 2})
@@ -412,8 +413,8 @@ func TestShutdownWedgedSession(t *testing.T) {
 	if srv.sessions.open() != 1 {
 		t.Fatalf("store holds %d sessions after close, want the 1 wedged", srv.sessions.open())
 	}
-	if !srv.store.Exists(okID) {
-		t.Fatal("healthy session files missing after shutdown spill")
+	if _, err := os.Stat(sessionLogPath(dir, okID)); err != nil {
+		t.Fatalf("healthy session log missing after shutdown spill: %v", err)
 	}
 	srv.sessions.release(rec)
 
@@ -430,22 +431,22 @@ func TestShutdownWedgedSession(t *testing.T) {
 }
 
 // faultFS is the os filesystem with two one-shot faults a test can arm:
-// failWAL fails the next write to any WAL file, failSnap the next creation
-// of a snapshot temp file.
+// failWAL fails the next write to any session log, failSnap the next
+// creation of a log rewrite's temp file.
 type faultFS struct {
 	failWAL  atomic.Bool
 	failSnap atomic.Bool
 }
 
 func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
-	if strings.HasSuffix(name, ".snap.tmp") && f.failSnap.CompareAndSwap(true, false) {
-		return nil, errors.New("injected: snapshot temp create failed")
+	if strings.HasSuffix(name, ".tmp") && f.failSnap.CompareAndSwap(true, false) {
+		return nil, errors.New("injected: rewrite temp create failed")
 	}
 	file, err := os.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasSuffix(name, ".wal") {
+	if strings.HasSuffix(name, ".tpplog") {
 		return &faultWAL{File: file, fs: f}, nil
 	}
 	return file, nil
@@ -457,7 +458,6 @@ func (*faultFS) Remove(name string) error                     { return os.Remove
 func (*faultFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (*faultFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (*faultFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
-func (*faultFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 
 func (*faultFS) SyncDir(name string) error {
 	d, err := os.Open(name)
@@ -475,7 +475,7 @@ type faultWAL struct {
 
 func (w *faultWAL) Write(p []byte) (int, error) {
 	if w.fs.failWAL.CompareAndSwap(true, false) {
-		return 0, errors.New("injected: WAL write failed")
+		return 0, errors.New("injected: log write failed")
 	}
 	return w.File.Write(p)
 }
@@ -493,11 +493,11 @@ func evictNow(t *testing.T, srv *Server, id string) {
 	<-rec.slot
 }
 
-// TestSpillDegradedSession: a session whose WAL append failed keeps acking
-// deltas from memory alone, so its files on disk fall behind. Spilling it
-// must re-persist it whole — never leave the stale files to be rehydrated
-// as a silent rollback of acked deltas — and when even that fails, the
-// stale files are quarantined so the next touch answers 404.
+// TestSpillDegradedSession: a session whose log append failed holds a
+// delta its log lacks. Its next delta re-persists it whole first, and so
+// does a spill — never leaving the stale log to be rehydrated as a silent
+// rollback — and when even that fails, the stale log is quarantined so the
+// next touch answers 404.
 func TestSpillDegradedSession(t *testing.T) {
 	ffs := &faultFS{}
 	dir := t.TempDir()
@@ -506,14 +506,15 @@ func TestSpillDegradedSession(t *testing.T) {
 	base := getSessionInfo(t, ts, id)
 
 	// The first append fails: the delta is live but not logged (500), and
-	// the session degrades to memory-only. The next delta is acked.
+	// the session degrades to memory-only. The next delta re-persists it
+	// and is acked.
 	ffs.failWAL.Store(true)
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", deltaRequest{
 		AddNodes: []string{"x1"},
 		Insert:   [][2]string{{"x1", "0"}},
 	})
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("delta on failing WAL: status %d, want 500: %s", resp.StatusCode, body)
+		t.Fatalf("delta on failing log: status %d, want 500: %s", resp.StatusCode, body)
 	}
 	mustDelta(t, ts, id, deltaRequest{AddNodes: []string{"x2"}, Insert: [][2]string{{"x2", "1"}}}, "degraded delta")
 	before := getSessionInfo(t, ts, id)
@@ -538,21 +539,21 @@ func TestSpillDegradedSession(t *testing.T) {
 		Insert: [][2]string{{"x1", "5"}},
 	})
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("second delta on failing WAL: status %d, want 500: %s", resp.StatusCode, body)
+		t.Fatalf("second delta on failing log: status %d, want 500: %s", resp.StatusCode, body)
 	}
 	ffs.failSnap.Store(true)
 	evictNow(t, srv, id)
 	if resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("after a failed re-persist: status %d, want 404: %s", resp.StatusCode, body)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", id+".snap")); err != nil {
-		t.Fatalf("stale snapshot not quarantined: %v", err)
+	if _, err := os.Stat(sessionLogPath(filepath.Join(dir, "quarantine"), id)); err != nil {
+		t.Fatalf("stale log not quarantined: %v", err)
 	}
 }
 
-// TestDeleteDegradedSession: deleting a session whose WAL append failed
-// must remove its files too, though it no longer holds a WAL handle;
-// otherwise the next touch rehydrates the deleted session from them.
+// TestDeleteDegradedSession: deleting a session whose log append failed
+// must remove its log too, though it no longer holds a handle; otherwise
+// the next touch rehydrates the deleted session from it.
 func TestDeleteDegradedSession(t *testing.T) {
 	ffs := &faultFS{}
 	_, ts, _, _ := newDurableTestServer(t, t.TempDir(), 0, durable.Options{FS: ffs})
@@ -562,12 +563,78 @@ func TestDeleteDegradedSession(t *testing.T) {
 		Insert: [][2]string{{"1", "7"}},
 	})
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("delta on failing WAL: status %d, want 500: %s", resp.StatusCode, body)
+		t.Fatalf("delta on failing log: status %d, want 500: %s", resp.StatusCode, body)
 	}
 	if resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: status %d: %s", resp.StatusCode, body)
 	}
 	if resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("after delete: status %d, want 404: %s", resp.StatusCode, body)
+	}
+}
+
+// degradeByFailedAppend arms one log-write failure and sends a delta into
+// it: the delta is applied in memory but not logged (500), and the session
+// degrades to memory-only.
+func degradeByFailedAppend(t *testing.T, ffs *faultFS, ts *httptest.Server, id string) {
+	t.Helper()
+	ffs.failWAL.Store(true)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", deltaRequest{
+		AddNodes: []string{"x1"},
+		Insert:   [][2]string{{"x1", "0"}},
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("delta on failing log: status %d, want 500: %s", resp.StatusCode, body)
+	}
+}
+
+// TestDegradedDeltaRepersists: a degraded session never acks a delta its
+// log lacks. Its next delta first rewrites the log whole from memory, so a
+// server booted on the same directory without a graceful shutdown (a
+// crash) recovers every delta that was acked.
+func TestDegradedDeltaRepersists(t *testing.T) {
+	ffs := &faultFS{}
+	dir := t.TempDir()
+	_, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{FS: ffs})
+	id := createQuickstartSession(t, ts)
+	degradeByFailedAppend(t, ffs, ts, id)
+	mustDelta(t, ts, id, deltaRequest{AddNodes: []string{"x2"}, Insert: [][2]string{{"x2", "1"}}}, "delta on degraded session")
+	acked := getSessionInfo(t, ts, id)
+
+	// Crash: boot a second server on the directory while the first still
+	// holds its handles and never spilled.
+	_, ts2, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{})
+	if restored != 1 || quarantined != 0 {
+		t.Fatalf("crash restart: %d restored, %d quarantined, want 1/0", restored, quarantined)
+	}
+	got := getSessionInfo(t, ts2, id)
+	if got.DeltasApplied != acked.DeltasApplied || got.Nodes != acked.Nodes || got.Edges != acked.Edges {
+		t.Fatalf("after crash: deltas_applied=%d nodes=%d edges=%d, acked state %d/%d/%d",
+			got.DeltasApplied, got.Nodes, got.Edges, acked.DeltasApplied, acked.Nodes, acked.Edges)
+	}
+}
+
+// TestDegradedDeltaRefused: when a degraded session cannot be re-persisted,
+// its next delta is refused with a non-2xx that says it was not applied,
+// and the session is untouched; once the log can be rewritten again, the
+// same delta goes through.
+func TestDegradedDeltaRefused(t *testing.T) {
+	ffs := &faultFS{}
+	_, ts, _, _ := newDurableTestServer(t, t.TempDir(), 0, durable.Options{FS: ffs})
+	id := createQuickstartSession(t, ts)
+	degradeByFailedAppend(t, ffs, ts, id)
+
+	before := getSessionInfo(t, ts, id)
+	ffs.failSnap.Store(true)
+	delta := deltaRequest{AddNodes: []string{"x2"}, Insert: [][2]string{{"x2", "1"}}}
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", delta)
+	if resp.StatusCode/100 == 2 || !strings.Contains(string(body), "not applied") {
+		t.Fatalf("delta on an unpersistable session: status %d %s, want a non-2xx saying not applied", resp.StatusCode, body)
+	}
+	if info := getSessionInfo(t, ts, id); info.Nodes != before.Nodes || info.Edges != before.Edges || info.DeltasApplied != before.DeltasApplied {
+		t.Fatalf("refused delta changed the session: %+v, before %+v", info, before)
+	}
+	if got := mustDelta(t, ts, id, delta, "retried delta"); got.NodesAdded != 1 {
+		t.Fatalf("retried delta added %d nodes, want 1", got.NodesAdded)
 	}
 }

@@ -31,14 +31,15 @@
 // incrementally (time proportional to the delta, not the graph) and idle
 // sessions are evicted after -session-ttl.
 //
-// With -data-dir set, sessions are durable: each one keeps a versioned
-// snapshot plus a write-ahead log of its committed deltas (fsynced before
-// the ack under -wal-sync, folded into a fresh snapshot every
-// -wal-compact entries), TTL eviction spills a session to disk instead of
-// discarding state (writing a final snapshot only when a protect ran since
-// the last one), and a restart rehydrates every recoverable session —
-// torn WAL tails are truncated, unrecoverable sessions are quarantined
-// aside and the server keeps serving.
+// With -data-dir set, sessions are durable: each one is a single
+// append-only log file of snapshot and delta frames (each delta fsynced
+// before the ack under -wal-sync, a fresh snapshot appended every
+// -wal-compact deltas), TTL eviction spills a session to disk instead of
+// discarding state (appending a final snapshot only when a protect ran
+// since the last one), and a restart rehydrates every recoverable session —
+// a torn final frame is truncated, unrecoverable sessions are quarantined
+// aside and the server keeps serving. A data dir in the older two-file
+// layout is converted on boot.
 //
 // All sessions live in one table: one map and lock, one pool of
 // -max-concurrent selection slots with a bounded queue, and one memory
@@ -100,10 +101,10 @@ func main() {
 		reqTimeout    = flag.Duration("request-timeout", time.Minute, "per-request selection time cap")
 		maxScale      = flag.Int("max-dataset-scale", defaultMaxScale, "max node count for server-side dataset graphs")
 		sessionTTL    = flag.Duration("session-ttl", 30*time.Minute, "evict named sessions idle for longer (0 disables)")
-		memBudget     = flag.String("mem-budget", "0", "total resident session memory budget in bytes, k/m/g suffix allowed; cold sessions spill to -data-dir snapshots (0 disables)")
-		dataDir       = flag.String("data-dir", "", "persist sessions here (snapshot + delta WAL per session, rehydrated on boot); empty disables durability")
-		walSync       = flag.Bool("wal-sync", true, "fsync each WAL append before acking the delta")
-		walCompact    = flag.Int("wal-compact", 256, "fold a session's WAL into a fresh snapshot every N deltas")
+		memBudget     = flag.String("mem-budget", "0", "total resident session memory budget in bytes, k/m/g suffix allowed; cold sessions spill to their logs in -data-dir (0 disables)")
+		dataDir       = flag.String("data-dir", "", "persist sessions here (one append-only log of snapshots and deltas per session, rehydrated on boot); empty disables durability")
+		walSync       = flag.Bool("wal-sync", true, "fsync each delta's log append before acking it")
+		walCompact    = flag.Int("wal-compact", 256, "append a fresh snapshot to a session's log every N deltas, bounding replay on load")
 		queueWait     = flag.Duration("queue-wait", time.Second, "reject with 429 when no selection slot frees within this (0 queues until the request deadline)")
 		pprofAddr     = flag.String("pprof", "", "serve the debug listener (pprof, expvar, /metrics) on this address (empty disables)")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (debug shows every request)")

@@ -11,7 +11,7 @@ import (
 
 // TestSessionProtectValidationLeavesNoTrace: a session protect whose
 // overrides fail validation is a 400 that leaves no trace. No run is
-// counted and the session stays clean, so a spill closes its WAL instead
+// counted and the session stays clean, so a spill closes its log instead
 // of writing a snapshot.
 func TestSessionProtectValidationLeavesNoTrace(t *testing.T) {
 	srv, ts := newBudgetedDurableServer(t, t.TempDir(), 1<<30)

@@ -3,12 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,7 +106,7 @@ func TestSpillParity(t *testing.T) {
 		t.Errorf("resident %d bytes exceeds budget %d with no concurrent load", st.ResidentBytes, st.MemBudgetBytes)
 	}
 
-	// The subject session now rehydrates from its snapshot+WAL on touch;
+	// The subject session now rehydrates from its log on touch;
 	// the control stayed resident the whole time. Same deltas, same
 	// protects, on both.
 	finish := func(ts *httptest.Server, id string, outs []protectResponse) []protectResponse {
@@ -199,10 +199,10 @@ func TestCreateAdmissionRace(t *testing.T) {
 	}
 }
 
-// TestSpillCleanDirtyParity: a spill writes only what snapshot + WAL lack.
-// A session with no protect since its last snapshot spills by closing its
-// WAL (no snapshot written, the .snap untouched byte for byte); one a
-// protect left dirty writes exactly one snapshot. Either way the session
+// TestSpillCleanDirtyParity: a spill writes only what the session's log
+// lacks. A session with no protect since its last snapshot spills by
+// closing its log, which stays byte for byte as it was; one a protect
+// left dirty appends exactly one snapshot frame. Either way the session
 // rehydrates indistinguishable from a never-spilled control.
 func TestSpillCleanDirtyParity(t *testing.T) {
 	dir := t.TempDir()
@@ -210,11 +210,10 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 	_, control := newSessionTestServer(t, 0)
 	subjectID := createQuickstartSession(t, subject)
 	controlID := createQuickstartSession(t, control)
-	snapPath := filepath.Join(dir, subjectID+".snap")
 
-	readSnap := func() []byte {
+	readLog := func() []byte {
 		t.Helper()
-		b, err := os.ReadFile(snapPath)
+		b, err := os.ReadFile(sessionLogPath(dir, subjectID))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +222,7 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 	spill := func(stage string, dirty bool) {
 		t.Helper()
 		before := getStats(t, subject)
-		snapBefore := readSnap()
+		logBefore := readLog()
 		spillAll(srv)
 		after := getStats(t, subject)
 		if after.SessionsSpilled != before.SessionsSpilled+1 {
@@ -237,8 +236,21 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 			t.Fatalf("%s: snapshots_written %d → %d, want %d (dirty=%v)",
 				stage, before.SnapshotsWritten, after.SnapshotsWritten, want, dirty)
 		}
-		if !dirty && !bytes.Equal(readSnap(), snapBefore) {
-			t.Fatalf("%s: a clean spill rewrote the snapshot", stage)
+		logAfter := readLog()
+		if !dirty {
+			if !bytes.Equal(logAfter, logBefore) {
+				t.Fatalf("%s: a clean spill rewrote the log", stage)
+			}
+			return
+		}
+		// One snapshot frame: an 8-byte header whose length word has the
+		// snapshot bit (31) set and counts exactly the bytes after it.
+		added := logAfter[len(logBefore):]
+		if !bytes.HasPrefix(logAfter, logBefore) || len(added) < 8 {
+			t.Fatalf("%s: the dirty spill did not append to the log (%d → %d bytes)", stage, len(logBefore), len(logAfter))
+		}
+		if word := binary.LittleEndian.Uint32(added); word>>31 != 1 || int(word&^(1<<31)) != len(added)-8 {
+			t.Fatalf("%s: the dirty spill appended %d bytes that are not one snapshot frame (length word %08x)", stage, len(added), word)
 		}
 	}
 	delta := func(stage string, req deltaRequest) {
@@ -267,7 +279,7 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 	delta("delta-2", deltaRequest{AddNodes: []string{"n"}, Insert: [][2]string{{"n", "9"}, {"n", "6"}}})
 	spill("spill after rehydrate+delta", false)
 	// The warm state came back from the dirty spill's snapshot and absorbed
-	// the delta replayed from the WAL after the clean one.
+	// the delta replayed from the log after the clean one.
 	protect("protect-2", true)
 }
 

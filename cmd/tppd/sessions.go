@@ -48,15 +48,16 @@ type sessionRecord struct {
 	deltas   int64
 
 	// durable is the session's persistence handle (nil without -data-dir,
-	// or after an append error degraded the session to memory-only).
+	// or after a failed append or compaction degraded the session to
+	// memory-only).
 	// Guarded by the record slot like everything else on the record.
 	durable *durable.Session
 	// dirty reports that a protect has run (successfully or not) since the
-	// session's last durable snapshot, so snapshot + WAL no longer
-	// reproduce it: the run counter and the warm-start selection live only
-	// in memory. Deltas never dirty a session — each is in the WAL before
-	// its ack. Zero at create and rehydrate (the record matches its files),
-	// cleared by compaction. A clean session spills by closing its WAL.
+	// session's last durable snapshot, so its log no longer reproduces
+	// it: the run counter and the warm-start selection live only in
+	// memory. Deltas never dirty a session — each is in the log before its
+	// ack. Zero at create and rehydrate (the record matches its log),
+	// cleared by compaction. A clean session spills by closing its log.
 	dirty bool
 
 	// Last values folded into the aggregate selection counters, so repeated
@@ -89,7 +90,7 @@ type sessionStore struct {
 	budget *shard.Budget
 	ttl    time.Duration
 
-	// spill, when set, persists whatever snapshot + WAL lack of a session
+	// spill, when set, persists whatever the log lacks of a session
 	// before eviction or shutdown removes it from memory; it is called with
 	// the record's slot held. Set by ConfigureDurability.
 	spill func(*sessionRecord)
@@ -237,7 +238,7 @@ func mintSessionID() string {
 // publish registers rec — id and slot already set — and reports whether
 // the id was fresh (false = conflict, rec not registered). Minting and
 // publishing are split so the create path can persist the initial snapshot
-// (and a rehydration can replay the WAL) before the id is reachable by
+// (and a rehydration can replay the log) before the id is reachable by
 // concurrent requests.
 func (ss *sessionStore) publish(rec *sessionRecord) bool {
 	ss.mu.Lock()
@@ -302,7 +303,7 @@ func (ss *sessionStore) open() int {
 // after the HTTP server has drained, so no handler should still hold a
 // record slot — but a wedged one must not hang shutdown, so each wait is
 // bounded by closeTimeout and a session that never frees is skipped (its
-// last durable snapshot and WAL, not its in-memory tail, survive).
+// logged state, not its in-memory tail, survives).
 func (ss *sessionStore) close() {
 	select {
 	case <-ss.stop:
@@ -440,13 +441,15 @@ func (s *Server) createSession(ctx context.Context, rec *sessionRecord) reply {
 	// id is handed out: a created session that vanished across a restart
 	// would break the "acked means durable" contract at its first moment.
 	if s.store != nil {
-		h, err := s.persistNewSession(ctx, rec)
+		snap, err := s.sessionSnapshot(ctx, rec, 0)
+		if err == nil {
+			rec.durable, err = s.store.Create(snap)
+		}
 		if err != nil {
 			s.sessions.budget.Remove(rec.id)
 			s.serverLogger().Error("tppd: persisting new session", "session", rec.id, "error", err)
 			return reply{http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()}}
 		}
-		rec.durable = h
 	}
 	info := rec.info()
 	if !s.sessions.publish(rec) {
@@ -490,11 +493,11 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	respond(w, s.withSession(r.Context(), r, func(rec *sessionRecord) reply {
-		// Destroy the files while still holding the slot, so a concurrent
+		// Destroy the log while still holding the slot, so a concurrent
 		// request for the same id cannot rehydrate a half-deleted session:
-		// it blocks on the slot until the record is gone and the files are
+		// it blocks on the slot until the record is gone and the log is
 		// too. A session degraded to memory-only has no handle but still
-		// has files.
+		// has a log.
 		var derr error
 		if rec.durable != nil {
 			derr = rec.durable.Destroy()
@@ -503,7 +506,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 			derr = s.store.Remove(rec.id)
 		}
 		if derr != nil {
-			s.serverLogger().Error("tppd: destroying session files", "session", rec.id, "error", derr)
+			s.serverLogger().Error("tppd: destroying session log", "session", rec.id, "error", derr)
 		}
 		s.sessions.remove(rec)
 		s.metrics.sessionsClosed.Inc()
@@ -527,12 +530,21 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyDelta commits one delta to rec, whose slot the caller holds: apply
-// it in memory, fold its node churn into the label table, log it to the
-// WAL, then re-account the session's footprint.
+// it in memory, fold its node churn into the label table, log it, then
+// re-account the session's footprint.
 func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaRequest) reply {
 	d, err := resolveDelta(req, rec.lab)
 	if err != nil {
 		return failed(badRequest{err})
+	}
+	// A degraded session must be on disk again before it takes a delta it
+	// would otherwise ack from memory alone.
+	if s.store != nil && rec.durable == nil {
+		if err := s.repersist(ctx, rec); err != nil {
+			s.serverLogger().Error("tppd: re-persisting degraded session", "session", rec.id, "error", err)
+			return reply{http.StatusInternalServerError,
+				errorResponse{Error: "delta not applied: session cannot be persisted: " + err.Error()}}
+		}
 	}
 	rep, err := rec.session.Apply(ctx, d)
 	if err != nil {
@@ -553,19 +565,16 @@ func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaR
 	// commit was not made durable.
 	if rec.durable != nil {
 		if err := rec.durable.AppendDelta(d, req.AddNodes); err != nil {
-			s.serverLogger().Error("tppd: WAL append failed; session durability degraded",
-				"session", rec.id, "error", err)
-			rec.durable.Close()
-			rec.durable = nil
+			s.degrade(rec, "log append", err)
 			return reply{http.StatusInternalServerError,
 				errorResponse{Error: "delta applied but not durably logged: " + err.Error()}}
 		}
+		// Compaction failure is not this delta's error: its frame is
+		// already logged. The log may now end in a torn snapshot frame, so
+		// the session degrades and its next delta or spill rewrites it.
 		if rec.durable.ShouldCompact() {
-			// Compaction failure is not a client error: the log is intact,
-			// just long; retried at the next threshold crossing.
-			if err := s.compactSession(ctx, rec); err != nil {
-				s.serverLogger().Warn("tppd: WAL compaction failed; will retry",
-					"session", rec.id, "error", err)
+			if err := s.snapshotSession(ctx, rec); err != nil {
+				s.degrade(rec, "log compaction", err)
 			}
 		}
 	}

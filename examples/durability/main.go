@@ -4,15 +4,16 @@
 // else — the mutated graph, the evolved target list, and the warm-start
 // selection that makes steady-state re-protection fast. This example walks
 // the crash-recovery cycle at the library level (internal/durable, the
-// layer behind tppd's -data-dir): snapshot a live session, append each
-// applied delta to a CRC-framed write-ahead log with fsync-before-ack,
-// then simulate a power cut — the in-memory session is abandoned and the
-// log's final record is torn mid-frame, exactly the shape a mid-append
-// crash leaves behind. Recovery truncates the torn tail, replays the
-// intact records onto the decoded snapshot, and re-protects: the recovered
+// layer behind tppd's -data-dir). A session is one append-only file of
+// CRC-framed records: snapshot the live session as the file's first frame,
+// append each applied delta as a frame with fsync-before-ack, then
+// simulate a power cut — the in-memory session is abandoned and the log's
+// final record is torn mid-frame, exactly the shape a mid-append crash
+// leaves behind. Recovery truncates the torn tail, replays the intact
+// records onto the decoded snapshot, and re-protects: the recovered
 // selection is bit-identical to a session that never crashed, because
-// selection is a pure function of snapshot + WAL state. A final compaction
-// folds the log back into a fresh snapshot.
+// selection is a pure function of the logged state. A final compaction
+// appends a fresh snapshot frame, so the next boot replays nothing.
 //
 // Run with: go run ./examples/durability
 package main
@@ -73,12 +74,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	snapInfo, _ := os.Stat(filepath.Join(dir, "s1.snap"))
-	fmt.Printf("persisted: %d nodes, %d edges, %d targets → %d-byte snapshot\n",
-		st.Graph.NumNodes(), st.Graph.NumEdges(), len(st.Targets), snapInfo.Size())
+	logPath := filepath.Join(dir, "s1.tpplog")
+	fmt.Printf("persisted: %d nodes, %d edges, %d targets → %d-byte log holding one snapshot\n",
+		st.Graph.NumNodes(), st.Graph.NumEdges(), len(st.Targets), fileSize(logPath))
 
 	// The network evolves. Every applied delta is logged and fsynced before
-	// the caller would be acked — the WAL is the commit point.
+	// the caller would be acked — the log is the commit point.
 	churn := gen.NewMutationChurn(ds.Graph, targets, gen.DefaultChurnRates(), rng)
 	var applied []dynamic.Delta
 	for i := 0; i < 6; i++ {
@@ -99,20 +100,20 @@ func main() {
 		len(applied), len(want.Protectors))
 
 	// CRASH. The process dies mid-append: the in-memory session is gone and
-	// the last WAL record is half-written. Simulate the torn write by
+	// the last delta record is half-written. Simulate the torn write by
 	// chopping bytes off the log's tail.
-	walPath := filepath.Join(dir, "s1.wal")
-	wi, _ := os.Stat(walPath)
-	if err := os.Truncate(walPath, wi.Size()-7); err != nil {
+	size := fileSize(logPath)
+	if err := os.Truncate(logPath, size-7); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n-- crash: session memory lost, WAL torn mid-frame (%d → %d bytes) --\n\n",
-		wi.Size(), wi.Size()-7)
+	fmt.Printf("\n-- crash: session memory lost, log torn mid-frame (%d → %d bytes) --\n\n",
+		size, size-7)
 	_ = handle.Close()
 
-	// Recovery: decode + CRC-verify the snapshot, truncate the torn tail,
-	// replay the intact records. The torn record was never acked — losing
-	// it is the contract, not a bug.
+	// Recovery: read the log once, CRC-verify every frame, truncate the
+	// torn final frame, decode the snapshot and replay the intact deltas
+	// after it. The torn record was never acked — losing it is the
+	// contract, not a bug.
 	store2, err := durable.Open(dir, durable.Options{SyncWrites: true})
 	if err != nil {
 		log.Fatal(err)
@@ -130,7 +131,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("recovered: snapshot at seq %d + %d intact WAL records (torn 6th truncated)\n",
+	fmt.Printf("recovered: snapshot at seq %d + %d intact delta records (torn 6th truncated)\n",
 		snap.Seq, len(tail))
 
 	// The recovered session must agree with a crash-free control fed the
@@ -168,8 +169,9 @@ func main() {
 	fmt.Printf("parity: recovered selection == crash-free control (%d protectors, warm start: %v)\n",
 		len(got.Protectors), got.WarmStart)
 
-	// Compaction folds the replayed log into a fresh snapshot (write temp,
-	// fsync, rename, truncate WAL) so the next boot replays nothing.
+	// Compaction appends a fresh snapshot frame and fsyncs it, so the next
+	// boot replays nothing; the frames before it are dead bytes, dropped
+	// when a later snapshot finds them outgrowing the live state.
 	st2, err := restored.Snapshot(ctx)
 	if err != nil {
 		log.Fatal(err)
@@ -179,9 +181,25 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	si, _ := os.Stat(filepath.Join(dir, "s1.snap"))
-	wi2, _ := os.Stat(walPath)
-	fmt.Printf("compacted: snapshot now at seq %d (%d bytes), WAL reset to %d bytes\n",
-		handle2.Seq(), si.Size(), wi2.Size())
 	handle2.Close()
+	snap3, tail3, handle3, err := store2.Recover("s1")
+	if err != nil {
+		log.Fatal(err)
+	}
+	handle3.Close()
+	if snap3.Seq != handle2.Seq() || len(tail3) != 0 {
+		log.Fatalf("compaction: next boot sees snapshot at seq %d + %d deltas, want seq %d + 0",
+			snap3.Seq, len(tail3), handle2.Seq())
+	}
+	fmt.Printf("compacted: snapshot appended at seq %d (log now %d bytes); the next boot replays 0 deltas\n",
+		snap3.Seq, fileSize(logPath))
+}
+
+// fileSize returns the size of the file at path.
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return fi.Size()
 }

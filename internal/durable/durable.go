@@ -1,40 +1,30 @@
 // Package durable persists tpp protection sessions across process
-// restarts: a compact versioned binary snapshot per session plus a
-// write-ahead log of the deltas applied since, so a crash loses nothing a
-// client was ever acked for.
+// restarts, so a crash loses nothing a client was ever acked for.
 //
-// On-disk layout, one directory per store:
+// Each session is one append-only log, <dir>/<id>.tpplog: a header, then
+// CRC-framed records, each a snapshot of the whole session or one
+// committed delta (format in log.go). A snapshot captures a
+// tpp.SessionState together with the serving metadata cmd/tppd needs back
+// (labels, created time, run count); a delta frame carries the delta's
+// sequence number, the labels of the nodes it adds and its binary
+// encoding. <dir>/quarantine/ holds sessions renamed aside after a failed
+// recovery.
 //
-//	<dir>/<id>.snap        snapshot: magic "TPPS", version, body, CRC-32C
-//	<dir>/<id>.wal         delta log: magic "TPPW", version, framed entries
-//	<dir>/<id>.snap.tmp    in-flight snapshot write (removed on open)
-//	<dir>/quarantine/      sessions renamed aside after a failed recovery
+// Create writes a new file holding the header and the first snapshot
+// frame, then fsyncs it and the directory. AppendDelta appends a delta
+// frame (fsynced before the caller acks under Options.SyncWrites).
+// Snapshot and Compact append a snapshot frame and fsync, making every
+// frame before it dead; once the dead bytes would outgrow the live ones by
+// rewriteRatio, the snapshot replaces the file instead (temp, fsync,
+// rename, directory fsync). Only recovery's cut of a torn tail changes a
+// live file in place, so every crash point leaves the old log or the new.
 //
-// The snapshot captures a tpp.SessionState (graph as delta-coded sorted
-// adjacency rows, targets in priority order, resolved options, warm-start
-// selection state, counters and the live index's invariants) together with
-// the serving metadata cmd/tppd needs back (labels, created time, run
-// count). Each WAL frame is a length prefix, a CRC-32C of the payload, and
-// the payload itself: the entry's sequence number, the labels of any nodes
-// the delta adds, and the delta's binary encoding (dynamic.AppendBinary).
-// Appends are fsynced before the caller acks when Options.SyncWrites is
-// set.
-//
-// Compaction folds the log back into a fresh snapshot once it reaches
-// Options.CompactEvery entries: the snapshot is written to a temp file,
-// fsynced, renamed over the old one, the directory fsynced, and only then
-// is the WAL truncated. Every crash point is safe: a crash before the
-// rename leaves the old snapshot + full WAL; a crash between rename and
-// truncate leaves frames whose sequence numbers the new snapshot already
-// covers, and replay skips any prefix with seq <= snapshot.Seq.
-//
-// Recovery (Recover) decodes the snapshot, replays the WAL, truncates a
-// torn tail in place (ErrTornTail is informational — the prefix is good),
-// and returns typed errors for everything else so the caller can
-// quarantine the session instead of crashing: ErrCorruptSnapshot for a
-// snapshot that fails its checksum or structure, ErrCorruptWAL for
-// mid-log damage no torn-tail story explains (sequence gaps, frames whose
-// checksum passes but whose payload does not decode).
+// Recover reads the file once, takes the last intact snapshot frame and
+// returns the delta frames after it, which must continue its sequence.
+// Damage in the final frame is a torn tail, the signature of a crash
+// mid-append, and is truncated; damage anywhere else is corruption, typed
+// so the caller can quarantine the session instead of crashing. Open
+// converts sessions in the older two-file layout once (legacy.go).
 //
 // All I/O goes through the FS seam so the fault-injection tests can fail,
 // tear or crash any write, rename or sync.
@@ -49,19 +39,20 @@ import (
 )
 
 var (
-	// ErrCorruptSnapshot reports a snapshot file that failed its magic,
-	// version, CRC or structural validation. The session should be
-	// quarantined.
+	// ErrCorruptSnapshot reports a session log with no intact snapshot
+	// frame, or whose last snapshot failed its magic, version, CRC or
+	// structural validation. The session should be quarantined.
 	ErrCorruptSnapshot = errors.New("durable: corrupt snapshot")
-	// ErrTornTail reports a WAL whose final frames are incomplete or fail
-	// their checksum — the expected signature of a crash mid-append. The
+	// ErrTornTail reports a log whose final frame is incomplete or fails
+	// its checksum — the expected signature of a crash mid-append. The
 	// frames before the tear are intact; Recover truncates the tear and
 	// carries on.
-	ErrTornTail = errors.New("durable: torn WAL tail")
-	// ErrCorruptWAL reports WAL damage that is not a torn tail: a bad
-	// header, a sequence discontinuity, or a frame whose checksum passes
-	// but whose payload does not decode. The session should be quarantined.
-	ErrCorruptWAL = errors.New("durable: corrupt WAL")
+	ErrTornTail = errors.New("durable: torn log tail")
+	// ErrCorruptWAL reports log damage that is not a torn tail: a bad
+	// header, a sequence discontinuity, a damaged frame before the last
+	// one, or a delta frame whose checksum passes but whose payload does
+	// not decode. The session should be quarantined.
+	ErrCorruptWAL = errors.New("durable: corrupt log")
 )
 
 // FS is the filesystem seam every store operation goes through. The
@@ -75,8 +66,8 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(name string) ([]fs.DirEntry, error)
 	Truncate(name string, size int64) error
-	Stat(name string) (fs.FileInfo, error)
-	// SyncDir fsyncs a directory, making a completed rename durable.
+	// SyncDir fsyncs a directory, making a completed create or rename
+	// durable.
 	SyncDir(name string) error
 }
 
@@ -103,7 +94,6 @@ func (osFS) Remove(name string) error                     { return os.Remove(nam
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
-func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(name)
@@ -118,13 +108,17 @@ func (osFS) SyncDir(name string) error {
 }
 
 const (
-	snapSuffix     = ".snap"
-	walSuffix      = ".wal"
-	tmpSuffix      = ".snap.tmp"
+	logSuffix      = ".tpplog"
+	tmpSuffix      = ".tmp"
 	quarantineDir  = "quarantine"
 	defaultCompact = 256
+	// rewriteRatio is how far a log's dead bytes (every frame before its
+	// last snapshot) may outgrow its live ones before the next snapshot
+	// rewrites the file instead of appending to it. A rewrite costs a
+	// temp file, a rename and a directory fsync, so it is amortised over
+	// this many snapshot appends; a log stays within rewriteRatio+1 times
+	// the size of its live state.
+	rewriteRatio = 4
 )
 
-func (st *Store) snapPath(id string) string { return filepath.Join(st.dir, id+snapSuffix) }
-func (st *Store) walPath(id string) string  { return filepath.Join(st.dir, id+walSuffix) }
-func (st *Store) tmpPath(id string) string  { return filepath.Join(st.dir, id+tmpSuffix) }
+func (st *Store) logPath(id string) string { return filepath.Join(st.dir, id+logSuffix) }

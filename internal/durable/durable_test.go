@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"testing"
@@ -302,8 +304,8 @@ func TestStoreCreateRecover(t *testing.T) {
 		}
 		want = append(want, Entry{Seq: uint64(i + 1), Labels: labels, Delta: d})
 	}
-	if h.Seq() != 3 || h.Entries() != 3 {
-		t.Fatalf("handle seq=%d entries=%d after 3 appends", h.Seq(), h.Entries())
+	if h.Seq() != 3 || h.entries != 3 {
+		t.Fatalf("handle seq=%d entries=%d after 3 appends", h.Seq(), h.entries)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -354,6 +356,10 @@ func TestStoreCreateRecover(t *testing.T) {
 	}
 }
 
+// TestStoreIDsAndExists pins IDs and the unknown-id answer of Recover,
+// which replaced the separate existence probe: an id with no log is an
+// error wrapping fs.ErrNotExist, the one answer a lazy lookup turns into
+// a 404.
 func TestStoreIDsAndExists(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, Options{})
@@ -364,25 +370,32 @@ func TestStoreIDsAndExists(t *testing.T) {
 		}
 		h.Close()
 	}
-	// An orphaned WAL (snapshot lost) must still surface as an ID.
-	if err := os.WriteFile(st.walPath("s-orphan"), appendWALHeader(nil), 0o644); err != nil {
+	// Files that are not session logs are not sessions.
+	if err := os.WriteFile(dir+"/notes.txt", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := st.IDs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 3 || ids[0] != "s-a" || ids[1] != "s-b" || ids[2] != "s-orphan" {
+	if len(ids) != 2 || ids[0] != "s-a" || ids[1] != "s-b" {
 		t.Fatalf("IDs() = %v", ids)
 	}
-	if !st.Exists("s-a") || !st.Exists("s-orphan") {
-		t.Fatal("Exists misses persisted sessions")
+	_, _, h, err := st.Recover("s-a")
+	if err != nil {
+		t.Fatalf("Recover misses a persisted session: %v", err)
 	}
-	if st.Exists("s-gone") || st.Exists("../escape") || st.Exists("") {
-		t.Fatal("Exists invents sessions")
+	h.Close()
+	for _, id := range []string{"s-gone", "../escape", ""} {
+		if _, _, _, err := st.Recover(id); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Recover(%q) error = %v, want fs.ErrNotExist", id, err)
+		}
 	}
 	if _, err := st.Create(&SessionSnapshot{ID: "bad/id", State: testState(t, 5)}); err == nil {
 		t.Fatal("Create accepted a path-escaping id")
+	}
+	if _, err := st.Create(testSnapshot(t, "s-a", 5)); err == nil {
+		t.Fatal("Create overwrote an existing session's log")
 	}
 }
 
@@ -407,8 +420,8 @@ func TestCompaction(t *testing.T) {
 	if err := h.Compact(snap2); err != nil {
 		t.Fatal(err)
 	}
-	if h.Entries() != 0 || h.ShouldCompact() {
-		t.Fatalf("after compaction: entries=%d", h.Entries())
+	if h.entries != 0 || h.ShouldCompact() {
+		t.Fatalf("after compaction: entries=%d", h.entries)
 	}
 	// Seq mismatch between snapshot and log is refused outright.
 	bad := testSnapshot(t, "s-compact", 13)
@@ -437,7 +450,7 @@ func TestCompaction(t *testing.T) {
 
 // TestEntriesCountAcrossResidencies pins the replay bound a close-only
 // spill relies on: a handle closed and recovered again re-counts the WAL
-// entries past the snapshot, so Entries() accumulates across residencies
+// entries past the snapshot, so the entry count accumulates across residencies
 // and ShouldCompact fires at CompactEvery however many close/recover
 // cycles the entries were spread over.
 func TestEntriesCountAcrossResidencies(t *testing.T) {
@@ -465,9 +478,9 @@ func TestEntriesCountAcrossResidencies(t *testing.T) {
 			t.Fatal(err)
 		}
 		h = h2
-		if snap.Seq != 0 || len(entries) != appended || h.Entries() != appended || h.Seq() != uint64(appended) {
-			t.Fatalf("after %d appends: watermark %d, %d tail entries, Entries()=%d, Seq()=%d",
-				appended, snap.Seq, len(entries), h.Entries(), h.Seq())
+		if snap.Seq != 0 || len(entries) != appended || h.entries != appended || h.Seq() != uint64(appended) {
+			t.Fatalf("after %d appends: watermark %d, %d tail entries, entries=%d, Seq()=%d",
+				appended, snap.Seq, len(entries), h.entries, h.Seq())
 		}
 		if got, want := h.ShouldCompact(), appended >= compactEvery; got != want {
 			t.Fatalf("after %d appends over several residencies: ShouldCompact=%v, want %v", appended, got, want)
@@ -489,19 +502,20 @@ func TestEntriesCountAcrossResidencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if got.Seq != compactEvery || len(entries) != 0 || h.Entries() != 0 {
-		t.Fatalf("after compaction: watermark %d, %d tail entries, Entries()=%d; want %d/0/0",
-			got.Seq, len(entries), h.Entries(), compactEvery)
+	if got.Seq != compactEvery || len(entries) != 0 || h.entries != 0 {
+		t.Fatalf("after compaction: watermark %d, %d tail entries, entries=%d; want %d/0/0",
+			got.Seq, len(entries), h.entries, compactEvery)
 	}
 }
 
-// walSizes appends n deltas and returns the WAL file size after the header
-// and after each append — the frame boundaries the torn-tail tests cut at.
+// walSizes appends n deltas and returns the log's size after its first
+// snapshot frame and after each append — the frame boundaries the
+// torn-tail and corruption tests cut at.
 func walSizes(t *testing.T, st *Store, id string, h *Session, n int) []int64 {
 	t.Helper()
 	sizes := make([]int64, 0, n+1)
 	stat := func() {
-		fi, err := os.Stat(st.walPath(id))
+		fi, err := os.Stat(st.logPath(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,22 +532,45 @@ func walSizes(t *testing.T, st *Store, id string, h *Session, n int) []int64 {
 	return sizes
 }
 
+// TestRecoverTornTail: damage confined to the log's final frame is the
+// shape a crash mid-append leaves. Recovery truncates it and keeps every
+// frame before it, whether the torn frame is a delta or a snapshot. A tear
+// that leaves no intact snapshot frame at all (a crash inside Create,
+// before the session was ever acked) has nothing to recover:
+// ErrCorruptSnapshot, and the caller quarantines it.
 func TestRecoverTornTail(t *testing.T) {
+	// lastSnapshot appends a snapshot frame at seq 3, the log's state after
+	// its three deltas, for the rows that tear it.
+	lastSnapshot := func(t *testing.T, data []byte) []byte {
+		snap := testSnapshot(t, "s-torn", 17)
+		snap.Seq = 3
+		return appendSnapshotFrame(append([]byte(nil), data...), snap)
+	}
 	cases := []struct {
 		name string
-		// mangle reshapes the WAL bytes given the frame boundaries.
-		mangle      func(data []byte, sizes []int64) []byte
+		// mangle reshapes the log bytes given the frame boundaries.
+		mangle      func(t *testing.T, data []byte, sizes []int64) []byte
 		wantEntries int
+		wantErr     error // non-nil: recovery must fail with this
 	}{
-		{"mid frame header", func(data []byte, s []int64) []byte { return data[:s[2]+4] }, 2},
-		{"mid payload", func(data []byte, s []int64) []byte { return data[:s[2]+frameHdrLen+3] }, 2},
-		{"checksum damage", func(data []byte, s []int64) []byte {
+		{"mid frame header", func(t *testing.T, data []byte, s []int64) []byte { return data[:s[2]+4] }, 2, nil},
+		{"mid payload", func(t *testing.T, data []byte, s []int64) []byte { return data[:s[2]+frameHdrLen+3] }, 2, nil},
+		{"checksum damage", func(t *testing.T, data []byte, s []int64) []byte {
 			out := append([]byte(nil), data...)
 			out[s[2]+frameHdrLen] ^= 0xFF
 			return out
-		}, 2},
-		{"empty file", func(data []byte, s []int64) []byte { return nil }, 0},
-		{"short header", func(data []byte, s []int64) []byte { return data[:3] }, 0},
+		}, 2, nil},
+		{"torn snapshot frame", func(t *testing.T, data []byte, s []int64) []byte {
+			return lastSnapshot(t, data)[:s[3]+frameHdrLen+100]
+		}, 3, nil},
+		{"damaged last snapshot frame", func(t *testing.T, data []byte, s []int64) []byte {
+			out := lastSnapshot(t, data)
+			out[s[3]+frameHdrLen+100] ^= 0xFF
+			return out
+		}, 3, nil},
+		{"torn first snapshot", func(t *testing.T, data []byte, s []int64) []byte { return data[:s[0]-1] }, 0, ErrCorruptSnapshot},
+		{"empty file", func(t *testing.T, data []byte, s []int64) []byte { return nil }, 0, ErrCorruptSnapshot},
+		{"short header", func(t *testing.T, data []byte, s []int64) []byte { return data[:3] }, 0, ErrCorruptSnapshot},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -546,20 +583,26 @@ func TestRecoverTornTail(t *testing.T) {
 			sizes := walSizes(t, st, "s-torn", h, 3)
 			h.Close()
 
-			raw, err := os.ReadFile(st.walPath("s-torn"))
+			raw, err := os.ReadFile(st.logPath("s-torn"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(st.walPath("s-torn"), tc.mangle(raw, sizes), 0o644); err != nil {
+			if err := os.WriteFile(st.logPath("s-torn"), tc.mangle(t, raw, sizes), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
-			_, entries, h2, err := st.Recover("s-torn")
+			snap, entries, h2, err := st.Recover("s-torn")
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Recover error = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("torn tail must recover, got %v", err)
 			}
-			if len(entries) != tc.wantEntries {
-				t.Fatalf("recovered %d entries, want %d", len(entries), tc.wantEntries)
+			if snap.Seq != 0 || len(entries) != tc.wantEntries {
+				t.Fatalf("recovered snapshot seq %d + %d entries, want 0 + %d", snap.Seq, len(entries), tc.wantEntries)
 			}
 			if h2.Seq() != uint64(tc.wantEntries) {
 				t.Fatalf("recovered handle at seq %d, want %d", h2.Seq(), tc.wantEntries)
@@ -586,6 +629,11 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 }
 
+// TestRecoverCorruptWAL: damage no crash mid-append explains is
+// corruption, typed for quarantine. That includes a checksum failure in
+// any frame but the last: a bit flip in the snapshot frame must never
+// pass for a torn tail, which would silently truncate the acked deltas
+// after it.
 func TestRecoverCorruptWAL(t *testing.T) {
 	frameWith := func(payload []byte) []byte {
 		buf := make([]byte, frameHdrLen, frameHdrLen+len(payload))
@@ -593,41 +641,57 @@ func TestRecoverCorruptWAL(t *testing.T) {
 		putFrameHeader(buf, payload)
 		return buf
 	}
+	flip := func(data []byte, at int64) []byte {
+		out := append([]byte(nil), data...)
+		out[at] ^= 0xFF
+		return out
+	}
 	cases := []struct {
 		name   string
-		mangle func(data []byte) []byte
+		mangle func(t *testing.T, data []byte, sizes []int64) []byte
+		want   error
 	}{
-		{"bad magic", func(data []byte) []byte {
-			out := append([]byte(nil), data...)
-			out[0] ^= 0xFF
-			return out
-		}},
-		{"unknown version", func(data []byte) []byte {
+		{"bad magic", func(t *testing.T, data []byte, s []int64) []byte { return flip(data, 0) }, ErrCorruptWAL},
+		{"unknown version", func(t *testing.T, data []byte, s []int64) []byte {
 			out := append([]byte(nil), data...)
 			out[4] = 9
 			return out
-		}},
-		{"sequence gap", func(data []byte) []byte {
+		}, ErrCorruptWAL},
+		{"sequence gap", func(t *testing.T, data []byte, s []int64) []byte {
 			d, labels := testDelta(7)
 			return appendFrame(append([]byte(nil), data...), 9, labels, d)
-		}},
-		{"stale frame after live one", func(data []byte) []byte {
+		}, ErrCorruptWAL},
+		{"stale frame after live one", func(t *testing.T, data []byte, s []int64) []byte {
 			d, labels := testDelta(7)
 			return appendFrame(append([]byte(nil), data...), 1, labels, d)
-		}},
-		{"checksummed garbage delta", func(data []byte) []byte {
+		}, ErrCorruptWAL},
+		{"checksummed garbage delta", func(t *testing.T, data []byte, s []int64) []byte {
 			var payload []byte
 			payload = appendUvarintForTest(payload, 3) // next seq
 			payload = appendUvarintForTest(payload, 0) // no labels
 			payload = append(payload, 0xFF, 0xFF)      // not a delta
 			return append(append([]byte(nil), data...), frameWith(payload)...)
-		}},
-		{"hostile label count", func(data []byte) []byte {
+		}, ErrCorruptWAL},
+		{"hostile label count", func(t *testing.T, data []byte, s []int64) []byte {
 			var payload []byte
 			payload = appendUvarintForTest(payload, 3)
 			payload = appendUvarintForTest(payload, 1<<40)
 			return append(append([]byte(nil), data...), frameWith(payload)...)
-		}},
+		}, ErrCorruptWAL},
+		{"damaged snapshot frame before deltas", func(t *testing.T, data []byte, s []int64) []byte {
+			return flip(data, logHeaderLen+frameHdrLen+100)
+		}, ErrCorruptSnapshot},
+		{"damaged delta frame before the last", func(t *testing.T, data []byte, s []int64) []byte {
+			return flip(data, s[0]+frameHdrLen)
+		}, ErrCorruptWAL},
+		{"delta frame before any snapshot", func(t *testing.T, data []byte, s []int64) []byte {
+			return append(appendLogHeader(nil), data[s[0]:]...)
+		}, ErrCorruptWAL},
+		{"snapshot out of sequence", func(t *testing.T, data []byte, s []int64) []byte {
+			snap := testSnapshot(t, "s-corrupt", 19)
+			snap.Seq = 7
+			return appendSnapshotFrame(append([]byte(nil), data...), snap)
+		}, ErrCorruptWAL},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -637,93 +701,19 @@ func TestRecoverCorruptWAL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 2; i++ {
-				d, labels := testDelta(i)
-				if err := h.AppendDelta(d, labels); err != nil {
-					t.Fatal(err)
-				}
-			}
+			sizes := walSizes(t, st, "s-corrupt", h, 2)
 			h.Close()
-			raw, err := os.ReadFile(st.walPath("s-corrupt"))
+			raw, err := os.ReadFile(st.logPath("s-corrupt"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(st.walPath("s-corrupt"), tc.mangle(raw), 0o644); err != nil {
+			if err := os.WriteFile(st.logPath("s-corrupt"), tc.mangle(t, raw, sizes), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, _, err = st.Recover("s-corrupt")
-			if !errors.Is(err, ErrCorruptWAL) {
-				t.Fatalf("Recover error = %v, want ErrCorruptWAL", err)
+			if _, _, _, err = st.Recover("s-corrupt"); !errors.Is(err, tc.want) {
+				t.Fatalf("Recover error = %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestRecoverStaleWALPrefix(t *testing.T) {
-	dir := t.TempDir()
-	st := openTestStore(t, dir, Options{})
-	h, err := st.Create(testSnapshot(t, "s-stale", 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		d, labels := testDelta(i)
-		if err := h.AppendDelta(d, labels); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A spill snapshot advances the watermark without resetting the WAL —
-	// the same on-disk shape as a crash between compaction's rename and
-	// truncate.
-	snap := testSnapshot(t, "s-stale", 23)
-	snap.Seq = h.Seq()
-	if err := h.Snapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	h.Close()
-
-	got, entries, h2, err := st.Recover("s-stale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != 2 || len(entries) != 0 {
-		t.Fatalf("stale prefix should replay nothing: seq=%d entries=%d", got.Seq, len(entries))
-	}
-	if h2.Seq() != 2 {
-		t.Fatalf("handle resumes at seq %d, want 2", h2.Seq())
-	}
-	// Recovery finished the interrupted truncate.
-	fi, err := os.Stat(st.walPath("s-stale"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != walHeaderLen {
-		t.Fatalf("stale WAL not truncated: %d bytes", fi.Size())
-	}
-	d, labels := testDelta(5)
-	if err := h2.AppendDelta(d, labels); err != nil {
-		t.Fatal(err)
-	}
-	h2.Close()
-	_, entries, h3, err := st.Recover("s-stale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h3.Close()
-	if len(entries) != 1 || entries[0].Seq != 3 {
-		t.Fatalf("post-truncate append misrecovered: %+v", entries)
-	}
-}
-
-func TestRecoverMissingSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	st := openTestStore(t, dir, Options{})
-	if err := os.WriteFile(st.walPath("s-orphan"), appendWALHeader(nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err := st.Recover("s-orphan")
-	if !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("orphaned WAL: Recover error = %v, want ErrCorruptSnapshot", err)
 	}
 }
 
@@ -740,12 +730,12 @@ func TestQuarantine(t *testing.T) {
 	}
 	h.Close()
 
-	raw, err := os.ReadFile(st.snapPath("s-sick"))
+	raw, err := os.ReadFile(st.logPath("s-sick"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(st.snapPath("s-sick"), raw, 0o644); err != nil {
+	raw[logHeaderLen+frameHdrLen+100] ^= 0xFF // inside the snapshot frame
+	if err := os.WriteFile(st.logPath("s-sick"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := st.Recover("s-sick"); !errors.Is(err, ErrCorruptSnapshot) {
@@ -761,13 +751,12 @@ func TestQuarantine(t *testing.T) {
 	if len(ids) != 0 {
 		t.Fatalf("quarantined session still listed: %v", ids)
 	}
-	if st.Exists("s-sick") {
-		t.Fatal("quarantined session still Exists")
+	if _, _, _, err := st.Recover("s-sick"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("quarantined session still recoverable: %v", err)
 	}
-	for _, suffix := range []string{snapSuffix, walSuffix} {
-		if _, err := os.Stat(dir + "/" + quarantineDir + "/s-sick" + suffix); err != nil {
-			t.Fatalf("quarantine copy %s missing: %v", suffix, err)
-		}
+	got, err := os.ReadFile(dir + "/" + quarantineDir + "/s-sick" + logSuffix)
+	if err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("quarantine copy missing or altered: %v", err)
 	}
 }
 
@@ -781,24 +770,27 @@ func TestRemove(t *testing.T) {
 	if err := h.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Exists("s-del") {
-		t.Fatal("destroyed session still Exists")
+	if _, _, _, err := st.Recover("s-del"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("destroyed session still recoverable: %v", err)
 	}
-	// Removing twice is fine: missing files are not an error.
+	// Removing twice is fine: a missing log is not an error.
 	if err := st.Remove("s-del"); err != nil {
 		t.Fatalf("second Remove: %v", err)
 	}
 }
 
+// TestOpenRemovesStaleTemp: a rewrite's temp file, and the older layout's
+// snapshot temp, are debris of a crash; Open sweeps both.
 func TestOpenRemovesStaleTemp(t *testing.T) {
 	dir := t.TempDir()
-	stale := dir + "/s-crashed" + tmpSuffix
-	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	openTestStore(t, dir, Options{})
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale temp survived Open: %v", err)
+	for _, stale := range []string{dir + "/s-crashed" + logSuffix + tmpSuffix, dir + "/s-old.snap.tmp"} {
+		if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openTestStore(t, dir, Options{})
+		if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("stale temp %s survived Open: %v", stale, err)
+		}
 	}
 }
 
@@ -823,6 +815,168 @@ func TestWALAppendAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state AppendDelta allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestRecoverAppendAfterRewrite: a snapshot that rewrites the log leaves
+// the handle on the new file, so a delta appended after it is what the
+// next recovery replays — also while the writer still holds the handle, as
+// after a crash.
+func TestRecoverAppendAfterRewrite(t *testing.T) {
+	dir := t.TempDir()
+	seedSession(t, dir, "s-rewrite", 2)
+	st := openTestStore(t, dir, Options{SyncWrites: true})
+	_, _, h, err := st.Recover("s-rewrite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	snap := primeRewrite(t, h)
+	before := h.size
+	if err := h.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if h.size >= before {
+		t.Fatalf("log grew %d -> %d bytes: the snapshot appended instead of rewriting", before, h.size)
+	}
+	d, labels := testDelta(2)
+	if err := h.AppendDelta(d, labels); err != nil {
+		t.Fatal(err)
+	}
+	got, entries, h2, err := openTestStore(t, dir, Options{}).Recover("s-rewrite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	if got.Seq != 2 || len(entries) != 1 || entries[0].Seq != 3 || !deltasEqual(entries[0].Delta, d) {
+		t.Fatalf("after rewrite + append: watermark %d, entries %+v; want 2 and the appended seq 3", got.Seq, entries)
+	}
+	raw, err := os.ReadFile(st.logPath("s-rewrite"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := logHeaderLen + frameHdrLen + len(EncodeSnapshot(nil, snap)) + len(appendFrame(nil, 3, labels, d)); len(raw) != want {
+		t.Fatalf("rewritten log is %d bytes, want header + one snapshot + one delta = %d", len(raw), want)
+	}
+}
+
+// legacyFixtureDir holds one session in the older two-file layout, as that
+// layout's writer left it: session legacyID created from
+// testSnapshot(_, legacyID, 47), deltas testDelta(0..1) logged, a spill
+// snapshot at seq 2 that left the WAL alone, then testDelta(2..4). Its
+// .snap is at seq 2 and its .wal holds frames 1-5, the first two stale.
+// That writer's recovery returned the .snap's snapshot and the frames
+// with seq 3, 4 and 5.
+const (
+	legacyFixtureDir = "testdata/legacy-pair"
+	legacyID         = "s-legacy"
+)
+
+// copyLegacyFixture copies the legacy pair into a fresh directory.
+func copyLegacyFixture(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{legacyID + ".snap", legacyID + ".wal"} {
+		raw, err := os.ReadFile(filepath.Join(legacyFixtureDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestRecoverLegacyPair: Open converts a legacy pair into a log that
+// recovers to what the pair recovered to, removes the pair, is idempotent,
+// and, when both layouts are present, keeps the log.
+func TestRecoverLegacyPair(t *testing.T) {
+	dir := copyLegacyFixture(t)
+	wantSnap, err := os.ReadFile(filepath.Join(legacyFixtureDir, legacyID+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, wantEntries int) []byte {
+		t.Helper()
+		st := openTestStore(t, dir, Options{})
+		for _, name := range []string{legacyID + ".snap", legacyID + ".wal"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s: legacy %s survived Open: %v", stage, name, err)
+			}
+		}
+		if ids, err := st.IDs(); err != nil || len(ids) != 1 || ids[0] != legacyID {
+			t.Fatalf("%s: IDs() = %v, %v", stage, ids, err)
+		}
+		snap, entries, h, err := st.Recover(legacyID)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		defer h.Close()
+		if !bytes.Equal(EncodeSnapshot(nil, snap), wantSnap) {
+			t.Fatalf("%s: recovered snapshot differs from the legacy .snap", stage)
+		}
+		if snap.Seq != 2 || len(entries) != wantEntries || h.Seq() != uint64(2+wantEntries) {
+			t.Fatalf("%s: watermark %d, %d entries, handle at %d; want 2, %d, %d",
+				stage, snap.Seq, len(entries), h.Seq(), wantEntries, 2+wantEntries)
+		}
+		for i, e := range entries {
+			d, labels := testDelta(i + 2)
+			if e.Seq != uint64(i+3) || !slices.Equal(e.Labels, labels) || !deltasEqual(e.Delta, d) {
+				t.Fatalf("%s: entry %d = seq %d %v, want seq %d %v", stage, i, e.Seq, e.Labels, i+3, labels)
+			}
+		}
+		raw, err := os.ReadFile(st.logPath(legacyID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	converted := check("converted", 3)
+	if again := check("reopened", 3); !bytes.Equal(again, converted) {
+		t.Fatal("a second Open rewrote the converted log")
+	}
+
+	// Advance the log past the pair, then put the pair back as a crash
+	// between the conversion's rename and its removal of the pair leaves
+	// it: the log wins and the pair goes.
+	st := openTestStore(t, dir, Options{})
+	_, _, h, err := st.Recover(legacyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, labels := testDelta(5)
+	if err := h.AppendDelta(d, labels); err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	for _, name := range []string{legacyID + ".snap", legacyID + ".wal"} {
+		raw, _ := os.ReadFile(filepath.Join(legacyFixtureDir, name))
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("both layouts", 4)
+
+	// A pair that does not parse is quarantined whole, and an orphaned WAL
+	// with it.
+	dir = copyLegacyFixture(t)
+	raw, _ := os.ReadFile(filepath.Join(dir, legacyID+".snap"))
+	raw[len(raw)/2] ^= 0xFF
+	if err := os.WriteFile(filepath.Join(dir, legacyID+".snap"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s-orphan.wal"), legacyWALMagic[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st = openTestStore(t, dir, Options{})
+	if ids, err := st.IDs(); err != nil || len(ids) != 0 {
+		t.Fatalf("corrupt pairs converted: %v, %v", ids, err)
+	}
+	for _, name := range []string{legacyID + ".snap", legacyID + ".wal", "s-orphan.wal"} {
+		if _, err := os.Stat(filepath.Join(dir, quarantineDir, name)); err != nil {
+			t.Fatalf("%s not quarantined: %v", name, err)
+		}
 	}
 }
 

@@ -140,156 +140,79 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 
 	snap := &SessionSnapshot{State: &tpp.SessionState{}}
 	st := snap.State
-	var err error
-	if snap.Seq, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	createdNanos, err := r.varint()
-	if err != nil {
-		return nil, err
-	}
-	snap.Created = time.Unix(0, createdNanos)
-	if snap.Runs, err = r.nonNegInt64("runs"); err != nil {
-		return nil, err
-	}
-	if snap.DefaultBudget, err = r.intBounded("default budget", math.MaxInt32); err != nil {
-		return nil, err
-	}
-	nLabels, err := r.count("labels", 1)
-	if err != nil {
-		return nil, err
-	}
-	if nLabels > 0 {
+	snap.Seq = r.uvarint()
+	snap.Created = time.Unix(0, r.varint())
+	snap.Runs = r.nonNegInt64("runs")
+	snap.DefaultBudget = r.smallInt("default budget")
+	if nLabels := r.count("labels", 1); nLabels > 0 {
 		snap.Labels = make([]string, nLabels)
 		for i := range snap.Labels {
-			if snap.Labels[i], err = r.str("label"); err != nil {
-				return nil, err
-			}
+			snap.Labels[i] = r.str("label")
 		}
 	}
 
-	patternName, err := r.str("pattern")
-	if err != nil {
-		return nil, err
+	var err error
+	if st.Pattern, err = motif.ParsePattern(r.str("pattern")); err != nil {
+		r.fail("%v", err)
 	}
-	if st.Pattern, err = motif.ParsePattern(patternName); err != nil {
-		return nil, corruptSnapf("%v", err)
-	}
-	method, err := r.str("method")
-	if err != nil {
-		return nil, err
-	}
-	st.Method = tpp.Method(method)
-	division, err := r.str("division")
-	if err != nil {
-		return nil, err
-	}
-	st.Division = tpp.Division(division)
-	if st.Budget, err = r.intBounded("budget", math.MaxInt32); err != nil {
-		return nil, err
-	}
-	engine, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch engine {
+	st.Method = tpp.Method(r.str("method"))
+	st.Division = tpp.Division(r.str("division"))
+	st.Budget = r.smallInt("budget")
+	switch engine := r.byte(); engine {
 	case byte(tpp.EngineRecount), byte(tpp.EngineIndexed):
 		st.Engine = tpp.Engine(engine)
 	case lazyEngineByte:
 		st.Engine = tpp.EngineIndexed
 	default:
-		return nil, corruptSnapf("unknown engine %d", engine)
+		r.fail("unknown engine %d", engine)
 	}
-	scope, err := r.byte()
-	if err != nil {
-		return nil, err
+	if st.Scope = tpp.Scope(r.byte()); st.Scope < tpp.ScopeAllEdges || st.Scope > tpp.ScopeTargetSubgraphs {
+		r.fail("unknown scope %d", st.Scope)
 	}
-	if st.Scope = tpp.Scope(scope); st.Scope < tpp.ScopeAllEdges || st.Scope > tpp.ScopeTargetSubgraphs {
-		return nil, corruptSnapf("unknown scope %d", scope)
-	}
-	if st.Workers, err = r.intBounded("workers", math.MaxInt32); err != nil {
-		return nil, err
-	}
-	if st.Seed, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if st.WarmOff, err = r.boolean(); err != nil {
-		return nil, err
-	}
+	st.Workers = r.smallInt("workers")
+	st.Seed = r.varint()
+	st.WarmOff = r.boolean()
 
-	if st.Graph, err = r.graph(); err != nil {
-		return nil, err
-	}
+	st.Graph = r.graph()
 	n := st.Graph.NumNodes()
 	if len(snap.Labels) != 0 && len(snap.Labels) != n {
-		return nil, corruptSnapf("%d labels for %d nodes", len(snap.Labels), n)
+		r.fail("%d labels for %d nodes", len(snap.Labels), n)
 	}
-	if st.Targets, err = r.edgeList("targets", n); err != nil {
-		return nil, err
-	}
+	st.Targets = r.edgeList("targets", n)
 
-	if st.WarmRuns, err = r.nonNegInt64("warm runs"); err != nil {
-		return nil, err
-	}
-	if st.ColdRuns, err = r.nonNegInt64("cold runs"); err != nil {
-		return nil, err
-	}
-	if st.WarmFallbacks, err = r.nonNegInt64("warm fallbacks"); err != nil {
-		return nil, err
-	}
-	if st.DeltasApplied, err = r.nonNegInt64("deltas applied"); err != nil {
-		return nil, err
-	}
+	st.WarmRuns = r.nonNegInt64("warm runs")
+	st.ColdRuns = r.nonNegInt64("cold runs")
+	st.WarmFallbacks = r.nonNegInt64("warm fallbacks")
+	st.DeltasApplied = r.nonNegInt64("deltas applied")
 
-	hasWarm, err := r.boolean()
-	if err != nil {
-		return nil, err
-	}
-	if hasWarm {
+	if r.boolean() {
 		w := &tpp.WarmSelection{}
-		if w.Exhausted, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		if w.Protectors, err = r.edgeList("warm protectors", n); err != nil {
-			return nil, err
-		}
+		w.Exhausted = r.boolean()
+		w.Protectors = r.edgeList("warm protectors", n)
 		if len(w.Protectors) > 0 {
 			w.Gains = make([]int, len(w.Protectors))
 			for i := range w.Gains {
-				if w.Gains[i], err = r.intBounded("warm gain", math.MaxInt32); err != nil {
-					return nil, err
-				}
+				w.Gains[i] = r.smallInt("warm gain")
 			}
 		}
-		if w.Touched, err = r.edgeList("warm touched", n); err != nil {
-			return nil, err
-		}
+		w.Touched = r.edgeList("warm touched", n)
 		st.Warm = w
 	}
 
-	hasIndex, err := r.boolean()
-	if err != nil {
-		return nil, err
-	}
-	if hasIndex {
+	if r.boolean() {
 		iv := &tpp.IndexInvariants{}
-		if iv.Universe, err = r.intBounded("index universe", math.MaxInt32); err != nil {
-			return nil, err
-		}
-		if iv.Instances, err = r.intBounded("index instances", math.MaxInt32); err != nil {
-			return nil, err
-		}
-		if iv.TotalSimilarity, err = r.intBounded("index similarity", math.MaxInt32); err != nil {
-			return nil, err
-		}
-		if iv.GainCRC, err = r.uint32le(); err != nil {
-			return nil, err
-		}
+		iv.Universe = r.smallInt("index universe")
+		iv.Instances = r.smallInt("index instances")
+		iv.TotalSimilarity = r.smallInt("index similarity")
+		iv.GainCRC = r.uint32le()
 		st.Index = iv
 	}
 
 	if r.off != len(r.data) {
-		return nil, corruptSnapf("%d trailing bytes after snapshot body", len(r.data)-r.off)
+		r.fail("%d trailing bytes after snapshot body", len(r.data)-r.off)
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return snap, nil
 }
@@ -343,172 +266,147 @@ func appendEdgeList(buf []byte, es []graph.Edge) []byte {
 	return buf
 }
 
-// snapReader is a bounds-checked cursor over a snapshot body.
+// snapReader is a bounds-checked cursor over a snapshot body. The first
+// failure sticks in err and every later read returns a zero value, so a
+// decode reads straight through and checks err once at the end. Zero
+// counts keep a failed decode from allocating.
 type snapReader struct {
 	data []byte
 	off  int
+	err  error
 }
 
-func (r *snapReader) byte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, corruptSnapf("truncated at offset %d", r.off)
+// fail records a corruption unless an earlier one is already recorded.
+func (r *snapReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = corruptSnapf(format, args...)
 	}
-	b := r.data[r.off]
+}
+
+func (r *snapReader) byte() byte {
+	if r.err != nil || r.off >= len(r.data) {
+		r.fail("truncated at offset %d", r.off)
+		return 0
+	}
 	r.off++
-	return b, nil
+	return r.data[r.off-1]
 }
 
-func (r *snapReader) boolean() (bool, error) {
-	b, err := r.byte()
-	if err != nil {
-		return false, err
-	}
+func (r *snapReader) boolean() bool {
+	b := r.byte()
 	if b > 1 {
-		return false, corruptSnapf("bad boolean %d at offset %d", b, r.off-1)
+		r.fail("bad boolean %d at offset %d", b, r.off-1)
 	}
-	return b == 1, nil
+	return b == 1
 }
 
-func (r *snapReader) uvarint() (uint64, error) {
+func (r *snapReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
-		return 0, corruptSnapf("bad uvarint at offset %d", r.off)
+		r.fail("bad uvarint at offset %d", r.off)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
-func (r *snapReader) varint() (int64, error) {
+func (r *snapReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(r.data[r.off:])
 	if n <= 0 {
-		return 0, corruptSnapf("bad varint at offset %d", r.off)
+		r.fail("bad varint at offset %d", r.off)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
-func (r *snapReader) uint32le() (uint32, error) {
-	if len(r.data)-r.off < 4 {
-		return 0, corruptSnapf("truncated at offset %d", r.off)
+func (r *snapReader) uint32le() uint32 {
+	if r.err != nil || len(r.data)-r.off < 4 {
+		r.fail("truncated at offset %d", r.off)
+		return 0
 	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
 	r.off += 4
-	return v, nil
+	return binary.LittleEndian.Uint32(r.data[r.off-4:])
 }
 
-func (r *snapReader) nonNegInt64(field string) (int64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt64 {
-		return 0, corruptSnapf("%s %d out of range", field, v)
-	}
-	return int64(v), nil
-}
-
-func (r *snapReader) intBounded(field string, max uint64) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+// bounded reads a uvarint no larger than max.
+func (r *snapReader) bounded(field string, max uint64) uint64 {
+	v := r.uvarint()
 	if v > max {
-		return 0, corruptSnapf("%s %d out of range", field, v)
+		r.fail("%s %d out of range", field, v)
+		return 0
 	}
-	return int(v), nil
+	return v
 }
+
+func (r *snapReader) nonNegInt64(field string) int64 { return int64(r.bounded(field, math.MaxInt64)) }
+func (r *snapReader) smallInt(field string) int      { return int(r.bounded(field, math.MaxInt32)) }
 
 // count reads a length prefix and rejects any value whose elements (at
 // least minBytes each) could not fit in the remaining input — the
 // allocation bound for every decoded slice.
-func (r *snapReader) count(field string, minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64((len(r.data)-r.off)/minBytes) {
-		return 0, corruptSnapf("%s count %d exceeds remaining input", field, v)
-	}
-	return int(v), nil
+func (r *snapReader) count(field string, minBytes int) int {
+	return int(r.bounded(field+" count", uint64((len(r.data)-r.off)/minBytes)))
 }
 
-func (r *snapReader) str(field string) (string, error) {
-	n, err := r.count(field, 1)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.data[r.off : r.off+n])
+func (r *snapReader) str(field string) string {
+	n := r.count(field, 1)
 	r.off += n
-	return s, nil
+	return string(r.data[r.off-n : r.off])
 }
 
-func (r *snapReader) nodeID(n int) (graph.NodeID, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *snapReader) nodeID(n int) graph.NodeID {
+	v := r.uvarint()
 	if v >= uint64(n) {
-		return 0, corruptSnapf("node id %d outside [0,%d)", v, n)
+		r.fail("node id %d outside [0,%d)", v, n)
+		return 0
 	}
-	return graph.NodeID(v), nil
+	return graph.NodeID(v)
 }
 
-func (r *snapReader) edgeList(field string, n int) ([]graph.Edge, error) {
-	cnt, err := r.count(field, 2)
-	if err != nil {
-		return nil, err
-	}
+func (r *snapReader) edgeList(field string, n int) []graph.Edge {
+	cnt := r.count(field, 2)
 	if cnt == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]graph.Edge, cnt)
 	for i := range out {
-		if out[i].U, err = r.nodeID(n); err != nil {
-			return nil, err
-		}
-		if out[i].V, err = r.nodeID(n); err != nil {
-			return nil, err
-		}
-		if out[i].U == out[i].V {
-			return nil, corruptSnapf("%s edge %d is a self loop", field, i)
+		out[i].U, out[i].V = r.nodeID(n), r.nodeID(n)
+		if r.err == nil && out[i].U == out[i].V {
+			r.fail("%s edge %d is a self loop", field, i)
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (r *snapReader) graph() (*graph.Graph, error) {
+// graph decodes the adjacency rows appendGraph wrote. It never returns
+// nil; after a failure the graph is partial and r.err is set.
+func (r *snapReader) graph() *graph.Graph {
 	// Every node costs at least one byte (its row count), so the count
 	// check bounds graph.New's allocation by the input size.
-	n, err := r.count("graph nodes", 1)
-	if err != nil {
-		return nil, err
-	}
-	wantEdges, err := r.intBounded("graph edges", math.MaxInt32)
-	if err != nil {
-		return nil, err
-	}
+	n := r.count("graph nodes", 1)
+	wantEdges := r.smallInt("graph edges")
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
-		cnt, err := r.count("adjacency row", 1)
-		if err != nil {
-			return nil, err
-		}
 		prev := graph.NodeID(u)
-		for i := 0; i < cnt; i++ {
-			dv, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			v := uint64(prev) + 1 + dv
+		for i, cnt := 0, r.count("adjacency row", 1); i < cnt && r.err == nil; i++ {
+			v := uint64(prev) + 1 + r.uvarint()
 			if v >= uint64(n) {
-				return nil, corruptSnapf("adjacency of node %d reaches node %d outside [0,%d)", u, v, n)
+				r.fail("adjacency of node %d reaches node %d outside [0,%d)", u, v, n)
+				break
 			}
 			g.AddEdge(graph.NodeID(u), graph.NodeID(v))
 			prev = graph.NodeID(v)
 		}
 	}
 	if g.NumEdges() != wantEdges {
-		return nil, corruptSnapf("adjacency rows hold %d edges, header says %d", g.NumEdges(), wantEdges)
+		r.fail("adjacency rows hold %d edges, header says %d", g.NumEdges(), wantEdges)
 	}
-	return g, nil
+	return g
 }

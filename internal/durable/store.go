@@ -18,12 +18,13 @@ import (
 type Options struct {
 	// FS is the filesystem seam; nil selects the os package.
 	FS FS
-	// SyncWrites fsyncs every WAL append before AppendDelta returns —
+	// SyncWrites fsyncs every delta append before AppendDelta returns —
 	// the fsync-before-ack durability contract. Off, a crash can lose
 	// the deltas still in the page cache (but never corrupt the log).
 	SyncWrites bool
-	// CompactEvery folds the WAL into a fresh snapshot once it holds this
-	// many entries (<=0 selects 256). See Session.ShouldCompact.
+	// CompactEvery bounds replay: once a log holds this many delta frames
+	// after its last snapshot (<=0 selects 256), ShouldCompact asks for a
+	// fresh one.
 	CompactEvery int
 	// Metrics receives persistence counters; all fields are optional
 	// (the telemetry instruments are nil-safe).
@@ -35,7 +36,7 @@ type Options struct {
 // the recovery, not whether the session came back to life.)
 type Metrics struct {
 	WALAppends    *telemetry.Counter
-	WALFsync      *telemetry.Histogram // nanoseconds per WAL fsync
+	WALFsync      *telemetry.Histogram // nanoseconds per delta-append fsync
 	SnapshotBytes *telemetry.Histogram // encoded size per snapshot written
 	Quarantined   *telemetry.Counter
 }
@@ -51,8 +52,8 @@ type Store struct {
 }
 
 // Open prepares dir as a session store: the directory is created if
-// needed and stale in-flight snapshot temp files from a previous crash are
-// removed.
+// needed, temp files a crash left behind are removed, and sessions in the
+// older two-file layout are converted to logs.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FS == nil {
 		opts.FS = osFS{}
@@ -75,61 +76,26 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
+	if err := st.convertLegacy(entries); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
-// IDs lists the persisted session IDs in sorted order: the union of
-// snapshot and WAL basenames, so an orphaned WAL (its snapshot lost)
-// surfaces as a recoverable-then-quarantinable ID instead of silently
-// lingering.
+// IDs lists the persisted session IDs in sorted order.
 func (st *Store) IDs() ([]string, error) {
 	entries, err := st.fsys.ReadDir(st.dir)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
 	var ids []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		var id string
-		switch {
-		case strings.HasSuffix(name, tmpSuffix):
-			continue
-		case strings.HasSuffix(name, snapSuffix):
-			id = strings.TrimSuffix(name, snapSuffix)
-		case strings.HasSuffix(name, walSuffix):
-			id = strings.TrimSuffix(name, walSuffix)
-		default:
-			continue
-		}
-		if id != "" && !seen[id] {
-			seen[id] = true
+		if id, ok := strings.CutSuffix(e.Name(), logSuffix); ok && !e.IsDir() && id != "" {
 			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
 	return ids, nil
-}
-
-// Exists reports whether any persisted bytes exist for id (snapshot or
-// WAL) without opening them — the cheap "was this ever a session?" probe
-// that distinguishes a 404 from a recovery attempt.
-func (st *Store) Exists(id string) bool {
-	if validID(id) != nil {
-		return false
-	}
-	for _, p := range []string{st.snapPath(id), st.walPath(id)} {
-		if _, err := st.fsys.Stat(p); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // validID rejects IDs that would escape the store directory. Server-minted
@@ -146,299 +112,255 @@ func validID(id string) error {
 type Session struct {
 	store   *Store
 	id      string
-	wal     File
+	f       File   // the log, opened for append; nil once closed
 	seq     uint64 // sequence number of the last appended delta
-	entries int    // WAL entries since the last snapshot
+	entries int    // delta frames since the last snapshot frame
+	size    int64  // bytes in the log
 	buf     []byte // reused frame buffer: steady-state appends allocate nothing
-	encBuf  []byte // reused snapshot encode buffer
 }
 
-// Create persists a brand-new session: its initial snapshot (atomically:
-// temp, fsync, rename, dir fsync) and an empty WAL, both durable before
-// Create returns. snap.Seq seeds the sequence numbering (0 for a fresh
-// session).
-func (st *Store) Create(snap *SessionSnapshot) (*Session, error) {
+// Create persists a brand-new session: one new file holding the header and
+// snap's frame, fsynced together with its directory before Create returns.
+// snap.Seq seeds the sequence numbering (0 for a fresh session). An id
+// that already has a log is refused.
+func (st *Store) Create(snap *SessionSnapshot) (*Session, error) { return st.persist(snap, false) }
+
+// Rewrite replaces a session's log with header + snap (temp, fsync,
+// rename, directory fsync) and returns a handle on the new file: how a
+// session whose handle failed is persisted whole again. snap.Seq seeds the
+// sequence numbering.
+func (st *Store) Rewrite(snap *SessionSnapshot) (*Session, error) { return st.persist(snap, true) }
+
+func (st *Store) persist(snap *SessionSnapshot, replace bool) (*Session, error) {
 	if err := validID(snap.ID); err != nil {
 		return nil, err
 	}
 	h := &Session{store: st, id: snap.ID, seq: snap.Seq}
-	if err := h.writeSnapshot(snap); err != nil {
+	h.buf = appendSnapshotFrame(appendLogHeader(nil), snap)
+	if err := h.writeLog(replace); err != nil {
+		h.Close()
 		return nil, err
 	}
-	if err := h.resetWAL(); err != nil {
-		return nil, err
-	}
+	st.opts.Metrics.SnapshotBytes.Observe(int64(len(h.buf) - logHeaderLen - frameHdrLen))
 	return h, nil
 }
 
-// Recover loads a persisted session: the snapshot is decoded, the WAL
-// replayed against its watermark, and a torn tail truncated in place. It
-// returns the snapshot, the WAL entries to re-apply in order, and the live
-// append handle (already positioned after the last good entry). Errors
-// wrap ErrCorruptSnapshot or ErrCorruptWAL; the caller decides whether to
-// quarantine.
+// Recover loads a persisted session in one read: the last intact snapshot
+// frame decoded, the delta frames after it returned in order, and a torn
+// final frame truncated in place. It returns the snapshot, the entries to
+// re-apply, and the live append handle (positioned after the last good
+// frame). An id with no log returns an error wrapping fs.ErrNotExist;
+// damage wraps ErrCorruptSnapshot or ErrCorruptWAL, and the caller
+// decides whether to quarantine.
 func (st *Store) Recover(id string) (*SessionSnapshot, []Entry, *Session, error) {
-	if err := validID(id); err != nil {
-		return nil, nil, nil, err
+	if validID(id) != nil {
+		return nil, nil, nil, fmt.Errorf("durable: session %q: %w", id, fs.ErrNotExist)
 	}
-	raw, err := st.fsys.ReadFile(st.snapPath(id))
+	path := st.logPath(id)
+	raw, err := st.fsys.ReadFile(path)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, nil, fmt.Errorf("%w: session %s has no snapshot", ErrCorruptSnapshot, id)
-		}
-		return nil, nil, nil, fmt.Errorf("durable: reading snapshot of %s: %w", id, err)
+		return nil, nil, nil, fmt.Errorf("durable: reading log of %s: %w", id, err)
 	}
-	snap, err := DecodeSnapshot(raw)
+	rep, err := parseLog(raw)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("session %s: %w", id, err)
+	}
+	if rep.snap == nil {
+		return nil, nil, nil, fmt.Errorf("%w: session %s has no intact snapshot frame", ErrCorruptSnapshot, id)
+	}
+	snap, err := DecodeSnapshot(rep.snap)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("session %s: %w", id, err)
 	}
 	snap.ID = id
-
-	h := &Session{store: st, id: id, seq: snap.Seq}
-	walRaw, err := st.fsys.ReadFile(st.walPath(id))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// A session snapshotted but never logged to (or whose WAL reset
-		// never landed): start a fresh log.
-		if err := h.resetWAL(); err != nil {
-			return nil, nil, nil, err
+	if rep.torn != nil {
+		if err := st.fsys.Truncate(path, rep.goodLen); err != nil {
+			return nil, nil, nil, fmt.Errorf("durable: truncating torn log of %s: %w", id, err)
 		}
-		return snap, nil, h, nil
-	case err != nil:
-		return nil, nil, nil, fmt.Errorf("durable: reading WAL of %s: %w", id, err)
 	}
-	rep, err := parseWAL(walRaw, snap.Seq)
+	f, err := st.fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("session %s: %w", id, err)
+		return nil, nil, nil, fmt.Errorf("durable: reopening log of %s: %w", id, err)
 	}
-	switch {
-	case rep.torn != nil:
-		// Keep the intact prefix, drop the tear, then reopen for append.
-		if rep.goodLen < walHeaderLen {
-			if err := h.resetWAL(); err != nil {
-				return nil, nil, nil, err
-			}
-		} else if err := st.fsys.Truncate(st.walPath(id), rep.goodLen); err != nil {
-			return nil, nil, nil, fmt.Errorf("durable: truncating torn WAL of %s: %w", id, err)
-		}
-	case rep.frames > 0 && len(rep.entries) == 0:
-		// Every frame predates the snapshot: the residue of a crash
-		// between compaction's rename and truncate. Finish the truncate.
-		if err := st.fsys.Truncate(st.walPath(id), walHeaderLen); err != nil {
-			return nil, nil, nil, fmt.Errorf("durable: truncating stale WAL of %s: %w", id, err)
-		}
-	}
-	if rep.torn == nil || rep.goodLen >= walHeaderLen {
-		wal, err := st.fsys.OpenFile(st.walPath(id), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("durable: reopening WAL of %s: %w", id, err)
-		}
-		h.wal = wal
-	}
-	h.seq = rep.lastSeq
-	h.entries = len(rep.entries)
+	h := &Session{store: st, id: id, f: f, seq: rep.lastSeq, entries: len(rep.entries), size: rep.goodLen}
 	return snap, rep.entries, h, nil
 }
 
-// Quarantine renames a session's files aside into <dir>/quarantine/ so a
+// Quarantine renames a session's log aside into <dir>/quarantine/ so a
 // damaged session stops failing recovery on every boot while keeping its
-// bytes for inspection. Missing files are fine; an existing quarantined
+// bytes for inspection. A missing log is fine; an existing quarantined
 // copy is overwritten (the newest failure is the interesting one).
 func (st *Store) Quarantine(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
+	if err := st.quarantine(id + logSuffix); err != nil {
+		return err
+	}
+	st.opts.Metrics.Quarantined.Inc()
+	return nil
+}
+
+// quarantine moves the named store file into the quarantine directory.
+func (st *Store) quarantine(name string) error {
 	qdir := filepath.Join(st.dir, quarantineDir)
 	if err := st.fsys.MkdirAll(qdir, 0o755); err != nil {
 		return fmt.Errorf("durable: creating quarantine dir: %w", err)
 	}
-	var firstErr error
-	for _, suffix := range []string{snapSuffix, walSuffix} {
-		src := filepath.Join(st.dir, id+suffix)
-		if err := st.fsys.Rename(src, filepath.Join(qdir, id+suffix)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("durable: quarantining %s: %w", id+suffix, err)
-			}
-		}
+	if err := st.fsys.Rename(filepath.Join(st.dir, name), filepath.Join(qdir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("durable: quarantining %s: %w", name, err)
 	}
-	if firstErr == nil {
-		st.opts.Metrics.Quarantined.Inc()
-	}
-	return firstErr
+	return nil
 }
 
-// Remove destroys a session's files — the persistence half of DELETE.
+// Remove destroys a session's log — the persistence half of DELETE.
 func (st *Store) Remove(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	var firstErr error
-	for _, p := range []string{st.snapPath(id), st.walPath(id)} {
-		if err := st.fsys.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) && firstErr == nil {
-			firstErr = err
-		}
+	if err := st.fsys.Remove(st.logPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
-	return firstErr
+	return nil
 }
-
-// ID returns the session id the handle persists.
-func (h *Session) ID() string { return h.id }
 
 // Seq returns the sequence number of the last appended (or recovered)
 // delta.
 func (h *Session) Seq() uint64 { return h.seq }
 
-// Entries returns the WAL entry count since the last snapshot.
-func (h *Session) Entries() int { return h.entries }
-
-// ShouldCompact reports whether the WAL has reached the compaction
+// ShouldCompact reports whether the log has reached the compaction
 // threshold; the caller then snapshots the session and calls Compact.
 func (h *Session) ShouldCompact() bool {
 	return h.entries >= h.store.opts.CompactEvery
 }
 
-// AppendDelta appends one committed delta to the WAL — together with the
+// AppendDelta appends one committed delta to the log — together with the
 // labels its AddNodes arrivals were created under — and, under SyncWrites,
 // fsyncs it before returning; only then may the caller ack the client. The
 // frame is assembled in a reused buffer, so steady-state appends allocate
-// nothing. On error the log may hold a torn frame; recovery truncates it,
-// so the entry is not acked and not replayed — exactly the contract. The
-// caller should stop using the handle (and degrade or quarantine the
-// session's durability) after an error.
+// nothing. On error the log may end in a torn frame, which recovery
+// truncates, so the entry is neither acked nor replayed — exactly the
+// contract. The handle is closed after an error; Store.Rewrite persists
+// the session whole again.
 func (h *Session) AppendDelta(d dynamic.Delta, addedLabels []string) error {
-	if h.wal == nil {
-		return fmt.Errorf("durable: session %s: append on closed WAL", h.id)
+	if h.f == nil {
+		return fmt.Errorf("durable: session %s: append on closed log", h.id)
 	}
 	h.buf = appendFrame(h.buf[:0], h.seq+1, addedLabels, d)
-	if _, err := h.wal.Write(h.buf); err != nil {
-		return fmt.Errorf("durable: appending to WAL of %s: %w", h.id, err)
+	if _, err := h.f.Write(h.buf); err != nil {
+		h.Close()
+		return fmt.Errorf("durable: appending to log of %s: %w", h.id, err)
 	}
 	if h.store.opts.SyncWrites {
 		start := time.Now()
-		if err := h.wal.Sync(); err != nil {
-			return fmt.Errorf("durable: syncing WAL of %s: %w", h.id, err)
+		if err := h.f.Sync(); err != nil {
+			h.Close()
+			return fmt.Errorf("durable: syncing log of %s: %w", h.id, err)
 		}
 		h.store.opts.Metrics.WALFsync.Observe(int64(time.Since(start)))
 	}
 	h.seq++
 	h.entries++
+	h.size += int64(len(h.buf))
 	h.store.opts.Metrics.WALAppends.Inc()
 	return nil
 }
 
-// Compact folds the session's current state into a fresh snapshot and
-// resets the WAL: write temp, fsync, rename over the old snapshot, fsync
-// the directory, then truncate the log to its header. snap.Seq must equal
-// the handle's sequence number — the snapshot must describe exactly the
-// state the log reached. Any crash point is recoverable: before the
-// rename the old snapshot + full WAL still serve; after it, replay skips
-// the now-stale frames.
-func (h *Session) Compact(snap *SessionSnapshot) error {
+// Compact is Snapshot, called when ShouldCompact reports the replay bound
+// reached: the fresh snapshot frame supersedes every delta frame before it.
+func (h *Session) Compact(snap *SessionSnapshot) error { return h.Snapshot(snap) }
+
+// Snapshot persists snap, which must describe exactly the state the log
+// reached (snap.Seq equal to the handle's). Normally it appends one
+// snapshot frame and fsyncs; when the frames it supersedes would outgrow
+// the live ones by rewriteRatio, it rewrites the log as header + snap
+// instead. A failed append closes the handle (the log may end in a torn
+// frame, which recovery truncates); a failed rewrite leaves the old log,
+// and the handle on it, as they were.
+func (h *Session) Snapshot(snap *SessionSnapshot) error {
 	if snap.Seq != h.seq {
-		return fmt.Errorf("durable: session %s: compacting at seq %d but WAL is at %d", h.id, snap.Seq, h.seq)
+		return fmt.Errorf("durable: session %s: snapshotting at seq %d but log is at %d", h.id, snap.Seq, h.seq)
 	}
-	if err := h.writeSnapshot(snap); err != nil {
+	if h.f == nil {
+		return fmt.Errorf("durable: session %s: snapshot on closed log", h.id)
+	}
+	h.buf = appendSnapshotFrame(appendLogHeader(h.buf[:0]), snap)
+	var err error
+	if dead, live := h.size-logHeaderLen, int64(len(h.buf)); dead > rewriteRatio*live {
+		err = h.writeLog(true)
+	} else if err = writeSync(h.f, h.buf[logHeaderLen:]); err != nil {
+		h.Close()
+		err = fmt.Errorf("durable: appending snapshot to log of %s: %w", h.id, err)
+	} else {
+		h.size += int64(len(h.buf) - logHeaderLen)
+		h.entries = 0
+	}
+	if err != nil {
 		return err
 	}
-	if err := h.store.fsys.Truncate(h.store.walPath(h.id), walHeaderLen); err != nil {
-		return fmt.Errorf("durable: resetting WAL of %s: %w", h.id, err)
-	}
-	h.entries = 0
+	h.store.opts.Metrics.SnapshotBytes.Observe(int64(len(h.buf) - logHeaderLen - frameHdrLen))
 	return nil
 }
 
-// Snapshot writes a fresh snapshot (same atomic dance as Compact) without
-// resetting the WAL — the final flush when a session whose in-memory state
-// has advanced past snapshot + WAL is spilled, where the log need not be
-// reset because replay skips frames the snapshot covers. A spill with
-// nothing to add just Closes the handle: Recover re-counts the tail, so
-// Entries and the CompactEvery replay bound carry across residencies.
-func (h *Session) Snapshot(snap *SessionSnapshot) error {
-	if snap.Seq != h.seq {
-		return fmt.Errorf("durable: session %s: snapshotting at seq %d but WAL is at %d", h.id, snap.Seq, h.seq)
+// writeLog makes h.buf (a header and frames) the session's whole log and
+// points the handle at it. A new log is created in place, refusing an
+// existing one; replace writes a temp file instead and renames it over the
+// old log. The file is fsynced before it is in place and the directory
+// after. From the moment the file is in place the handle is on it, even
+// if the directory fsync fails.
+func (h *Session) writeLog(replace bool) error {
+	st := h.store
+	path := st.logPath(h.id)
+	name, flag := path, os.O_EXCL
+	if replace {
+		name, flag = path+tmpSuffix, os.O_TRUNC
 	}
-	return h.writeSnapshot(snap)
+	f, err := st.fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND|flag, 0o644)
+	if err != nil {
+		return fmt.Errorf("durable: writing log of %s: %w", h.id, err)
+	}
+	if err = writeSync(f, h.buf); err == nil && replace {
+		err = st.fsys.Rename(name, path)
+	}
+	if err != nil {
+		f.Close()
+		// Best effort: Open sweeps a stale temp, and recovery quarantines
+		// a new log left without an intact snapshot.
+		_ = st.fsys.Remove(name)
+		return fmt.Errorf("durable: writing log of %s: %w", h.id, err)
+	}
+	h.Close()
+	h.f, h.size, h.entries = f, int64(len(h.buf)), 0
+	if err := st.fsys.SyncDir(st.dir); err != nil {
+		return fmt.Errorf("durable: syncing store dir for %s: %w", h.id, err)
+	}
+	return nil
 }
 
-// Close releases the WAL handle. The files stay; Recover picks the
+// writeSync writes b to f and fsyncs it.
+func writeSync(f File, b []byte) error {
+	if _, err := f.Write(b); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// Close releases the append handle. The log stays; Recover picks the
 // session back up.
 func (h *Session) Close() error {
-	if h.wal == nil {
+	if h.f == nil {
 		return nil
 	}
-	err := h.wal.Close()
-	h.wal = nil
+	err := h.f.Close()
+	h.f = nil
 	return err
 }
 
-// Destroy closes the handle and removes the session's files.
+// Destroy closes the handle and removes the session's log.
 func (h *Session) Destroy() error {
 	cerr := h.Close()
 	if err := h.store.Remove(h.id); err != nil {
 		return err
 	}
 	return cerr
-}
-
-// writeSnapshot is the atomic snapshot write: encode, write temp, fsync,
-// rename into place, fsync the directory.
-func (h *Session) writeSnapshot(snap *SessionSnapshot) error {
-	st := h.store
-	h.encBuf = EncodeSnapshot(h.encBuf[:0], snap)
-	tmp := st.tmpPath(h.id)
-	f, err := st.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: creating snapshot temp for %s: %w", h.id, err)
-	}
-	if _, err := f.Write(h.encBuf); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: writing snapshot of %s: %w", h.id, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: syncing snapshot of %s: %w", h.id, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: closing snapshot of %s: %w", h.id, err)
-	}
-	if err := st.fsys.Rename(tmp, st.snapPath(h.id)); err != nil {
-		return fmt.Errorf("durable: publishing snapshot of %s: %w", h.id, err)
-	}
-	if err := st.fsys.SyncDir(st.dir); err != nil {
-		return fmt.Errorf("durable: syncing store dir for %s: %w", h.id, err)
-	}
-	st.opts.Metrics.SnapshotBytes.Observe(int64(len(h.encBuf)))
-	return nil
-}
-
-// resetWAL (re)creates the session's WAL with a fresh header, durable
-// before return, and points the handle at it.
-func (h *Session) resetWAL() error {
-	st := h.store
-	if h.wal != nil {
-		h.wal.Close()
-		h.wal = nil
-	}
-	// O_APPEND, not a plain offset: Compact truncates the file under this
-	// handle, and append mode re-anchors the next write at the new EOF
-	// instead of leaving a zero-filled hole at the old offset.
-	f, err := st.fsys.OpenFile(st.walPath(h.id), os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: creating WAL of %s: %w", h.id, err)
-	}
-	if _, err := f.Write(appendWALHeader(nil)); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: writing WAL header of %s: %w", h.id, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: syncing WAL header of %s: %w", h.id, err)
-	}
-	if err := st.fsys.SyncDir(st.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: syncing store dir for %s: %w", h.id, err)
-	}
-	h.wal = f
-	h.entries = 0
-	return nil
 }
