@@ -558,18 +558,27 @@ func graphCoreFixture(b *testing.B, scale, nTargets int) (*graph.Graph, []graph.
 // BenchmarkGraphCoreIndexBuild measures a full motif index build — the
 // dominant cost of a protection request — with a single enumeration worker,
 // so the number isolates the kernel cost rather than scheduling.
+//
+// PublishPentagon is shaped like one perfbench `publish` session (DBLPSim
+// at 2000 nodes, 512 Pentagon targets): there interning the W edges is
+// about as costly as enumerating the instances.
 func BenchmarkGraphCoreIndexBuild(b *testing.B) {
 	work, targets := graphCoreFixture(b, 4000, 64)
-	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle, motif.Pentagon} {
-		b.Run(pattern.String(), func(b *testing.B) {
+	build := func(name string, g *graph.Graph, pattern motif.Pattern, targets []graph.Edge) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := motif.NewIndexWorkers(work, pattern, targets, 1); err != nil {
+				if _, err := motif.NewIndexWorkers(g, pattern, targets, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle, motif.Pentagon} {
+		build(pattern.String(), work, pattern, targets)
+	}
+	pubWork, pubTargets := graphCoreFixture(b, 2000, 512)
+	build("PublishPentagon", pubWork, motif.Pentagon, pubTargets)
 }
 
 // BenchmarkGraphCoreEnumerate measures the naive recount path (CountAll) the

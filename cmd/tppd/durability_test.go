@@ -430,12 +430,14 @@ func TestShutdownWedgedSession(t *testing.T) {
 	}
 }
 
-// faultFS is the os filesystem with two one-shot faults a test can arm:
+// faultFS is the os filesystem with three one-shot faults a test can arm:
 // failWAL fails the next write to any session log, failSnap the next
-// creation of a log rewrite's temp file.
+// creation of a log rewrite's temp file, failSyncDir the next directory
+// fsync.
 type faultFS struct {
-	failWAL  atomic.Bool
-	failSnap atomic.Bool
+	failWAL     atomic.Bool
+	failSnap    atomic.Bool
+	failSyncDir atomic.Bool
 }
 
 func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
@@ -459,7 +461,10 @@ func (*faultFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirA
 func (*faultFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (*faultFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 
-func (*faultFS) SyncDir(name string) error {
+func (f *faultFS) SyncDir(name string) error {
+	if f.failSyncDir.CompareAndSwap(true, false) {
+		return errors.New("injected: directory fsync failed")
+	}
 	d, err := os.Open(name)
 	if err != nil {
 		return err
@@ -636,5 +641,28 @@ func TestDegradedDeltaRefused(t *testing.T) {
 	}
 	if got := mustDelta(t, ts, id, delta, "retried delta"); got.NodesAdded != 1 {
 		t.Fatalf("retried delta added %d nodes, want 1", got.NodesAdded)
+	}
+}
+
+// TestCreateDirSyncFailureLeavesNoLog: a create whose directory fsync
+// fails is answered 500, so no client holds its id; its log must go too,
+// or the next boot would revive a session nobody was given.
+func TestCreateDirSyncFailureLeavesNoLog(t *testing.T) {
+	ffs := &faultFS{}
+	dir := t.TempDir()
+	_, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{FS: ffs})
+	ffs.failSyncDir.Store(true)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", protectRequest{
+		Edges:   quickstartEdges,
+		Targets: [][2]string{{"0", "5"}},
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("create on a failing dir fsync: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if logs, err := filepath.Glob(filepath.Join(dir, "*.tpplog")); err != nil || len(logs) != 0 {
+		t.Fatalf("logs left by the failed create: %v (err %v)", logs, err)
+	}
+	if _, _, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{}); restored != 0 || quarantined != 0 {
+		t.Fatalf("restart: %d restored, %d quarantined, want 0/0", restored, quarantined)
 	}
 }

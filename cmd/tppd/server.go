@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,11 +167,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // existing edges of that graph; alternatively SampleTargets asks the server
 // to draw that many random target links (seeded, for benchmarking).
 type protectRequest struct {
-	Edges   [][2]string  `json:"edges,omitempty"`
+	Edges   edgeList     `json:"edges,omitempty"`
 	Dataset *datasetSpec `json:"dataset,omitempty"`
 
-	Targets       [][2]string `json:"targets,omitempty"`
-	SampleTargets int         `json:"sample_targets,omitempty"`
+	Targets       edgeList `json:"targets,omitempty"`
+	SampleTargets int      `json:"sample_targets,omitempty"`
 
 	Pattern  string `json:"pattern,omitempty"`  // Triangle (default), Rectangle, RecTri, Pentagon
 	Method   string `json:"method,omitempty"`   // sgb (default), ct, wt, rd, rdt
@@ -465,7 +466,9 @@ func (r *protectRequest) buildGraph() (*graph.Graph, *graph.Labeling, error) {
 
 // graphFromPairs interns the string-labelled edge list into a dense graph,
 // mirroring graph.ReadEdgeList's tolerance: self loops and duplicate edges
-// are dropped silently.
+// are dropped silently. Nodes are numbered by first appearance and the
+// graph is built in one graph.FromEdges pass. Each stored label is a clone,
+// so the session does not pin the request body its pairs were cut from.
 func graphFromPairs(pairs [][2]string) (*graph.Graph, *graph.Labeling, error) {
 	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID)}
 	intern := func(s string) (graph.NodeID, error) {
@@ -475,6 +478,7 @@ func graphFromPairs(pairs [][2]string) (*graph.Graph, *graph.Labeling, error) {
 		if id, ok := lab.ToID[s]; ok {
 			return id, nil
 		}
+		s = strings.Clone(s)
 		id := graph.NodeID(len(lab.ToName))
 		lab.ToID[s] = id
 		lab.ToName = append(lab.ToName, s)
@@ -493,13 +497,9 @@ func graphFromPairs(pairs [][2]string) (*graph.Graph, *graph.Labeling, error) {
 		if u == v {
 			continue
 		}
-		edges = append(edges, graph.NewEdge(u, v))
+		edges = append(edges, graph.Edge{U: u, V: v})
 	}
-	g := graph.New(len(lab.ToName))
-	for _, e := range edges {
-		g.AddEdgeE(e)
-	}
-	return g, lab, nil
+	return graph.FromEdges(len(lab.ToName), edges), lab, nil
 }
 
 func graphFromDataset(spec *datasetSpec) (*graph.Graph, *graph.Labeling, error) {

@@ -349,10 +349,15 @@ func (r *snapReader) nonNegInt64(field string) int64 { return int64(r.bounded(fi
 func (r *snapReader) smallInt(field string) int      { return int(r.bounded(field, math.MaxInt32)) }
 
 // count reads a length prefix and rejects any value whose elements (at
-// least minBytes each) could not fit in the remaining input — the
-// allocation bound for every decoded slice.
+// least minBytes each) could not fit in the input left after the prefix —
+// the allocation bound for every decoded slice.
 func (r *snapReader) count(field string, minBytes int) int {
-	return int(r.bounded(field+" count", uint64((len(r.data)-r.off)/minBytes)))
+	v := r.uvarint()
+	if v > uint64((len(r.data)-r.off)/minBytes) {
+		r.fail("%s count %d out of range", field, v)
+		return 0
+	}
+	return int(v)
 }
 
 func (r *snapReader) str(field string) string {
@@ -392,19 +397,22 @@ func (r *snapReader) graph() *graph.Graph {
 	// check bounds graph.New's allocation by the input size.
 	n := r.count("graph nodes", 1)
 	wantEdges := r.smallInt("graph edges")
-	g := graph.New(n)
+	// Every edge costs at least one byte too.
+	edges := make([]graph.Edge, 0, min(wantEdges, len(r.data)-r.off))
 	for u := 0; u < n; u++ {
 		prev := graph.NodeID(u)
 		for i, cnt := 0, r.count("adjacency row", 1); i < cnt && r.err == nil; i++ {
-			v := uint64(prev) + 1 + r.uvarint()
-			if v >= uint64(n) {
+			d := r.uvarint()
+			v := uint64(prev) + 1 + d
+			if d >= uint64(n) || v >= uint64(n) {
 				r.fail("adjacency of node %d reaches node %d outside [0,%d)", u, v, n)
 				break
 			}
-			g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			edges = append(edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v)})
 			prev = graph.NodeID(v)
 		}
 	}
+	g := graph.FromEdges(n, edges)
 	if g.NumEdges() != wantEdges {
 		r.fail("adjacency rows hold %d edges, header says %d", g.NumEdges(), wantEdges)
 	}

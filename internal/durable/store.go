@@ -306,8 +306,9 @@ func (h *Session) Snapshot(snap *SessionSnapshot) error {
 // points the handle at it. A new log is created in place, refusing an
 // existing one; replace writes a temp file instead and renames it over the
 // old log. The file is fsynced before it is in place and the directory
-// after. From the moment the file is in place the handle is on it, even
-// if the directory fsync fails.
+// after. If the directory fsync fails, a new log is removed again (its
+// create fails, so no client holds the id and a boot must not revive it),
+// while a rewrite's renamed log stays, with the handle on it.
 func (h *Session) writeLog(replace bool) error {
 	st := h.store
 	path := st.logPath(h.id)
@@ -332,6 +333,10 @@ func (h *Session) writeLog(replace bool) error {
 	h.Close()
 	h.f, h.size, h.entries = f, int64(len(h.buf)), 0
 	if err := st.fsys.SyncDir(st.dir); err != nil {
+		if !replace {
+			h.Close()
+			_ = st.fsys.Remove(path) // best effort, as above
+		}
 		return fmt.Errorf("durable: syncing store dir for %s: %w", h.id, err)
 	}
 	return nil

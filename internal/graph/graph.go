@@ -116,6 +116,57 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]NodeID, n)}
 }
 
+// FromEdges returns a graph with n nodes and the given edges, built in
+// one pass instead of len(edges) sorted inserts: it counts degrees, fills
+// one backing array with every endpoint, then sorts and dedups each row.
+// Edges may be in either orientation and may repeat; a repeat collapses
+// exactly as a second AddEdge would. Self loops and out-of-range nodes
+// panic, as with AddEdge.
+//
+// Each row is capped at its own span of the backing array (three-index
+// slice), so a later AddEdge into row u reallocates that row and never
+// writes into row u+1. The span a duplicate left unused is kept as the
+// row's insert slack and counted by MemFootprint.
+func FromEdges(n int, edges []Edge) *Graph {
+	g := New(n)
+	// end[u] counts u's endpoints, then becomes the start of u's span,
+	// then (after the fill) its end.
+	end := make([]int, n)
+	for _, e := range edges {
+		if e.U == e.V {
+			panic(fmt.Sprintf("graph: self loop (%d,%d) is not a valid edge", e.U, e.V))
+		}
+		g.valid(e.U)
+		g.valid(e.V)
+		end[e.U]++
+		end[e.V]++
+	}
+	off := 0
+	for u, d := range end {
+		end[u] = off
+		off += d
+	}
+	back := make([]NodeID, off)
+	for _, e := range edges {
+		back[end[e.U]] = e.V
+		end[e.U]++
+		back[end[e.V]] = e.U
+		end[e.V]++
+	}
+	start := 0
+	for u, stop := range end {
+		row := back[start:stop:stop]
+		slices.Sort(row)
+		row = slices.Compact(row) // keeps the span as capacity
+		g.adj[u] = row
+		g.edges += len(row)
+		start = stop
+	}
+	g.edges /= 2
+	g.rowCap = len(back)
+	return g
+}
+
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 

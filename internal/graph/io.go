@@ -70,11 +70,7 @@ func ReadEdgeList(r io.Reader) (*Graph, *Labeling, error) {
 		return nil, nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
 
-	g := New(len(lab.ToName))
-	for _, e := range edges {
-		g.AddEdgeE(e) // duplicates return false and are ignored
-	}
-	return g, lab, nil
+	return FromEdges(len(lab.ToName), edges), lab, nil // duplicates collapse
 }
 
 // WriteEdgeList writes g as a plain edge list, one "u v" pair per line in

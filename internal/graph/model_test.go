@@ -190,3 +190,66 @@ func TestGraphMatchesModelRandomOps(t *testing.T) {
 		checkAgainstModel(t, g, m)
 	}
 }
+
+// TestFromEdgesMatchesAddEdge checks the bulk constructor against the
+// AddEdge loop it replaces, on random edge lists with duplicates, reversed
+// pairs and isolated nodes: same rows, NumEdges and Edges(); each row
+// capped at its own span, so an insert right after the build leaves the
+// next row alone; and MemFootprint counting exactly the row capacities.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		n := 2 + rng.Intn(40)
+		// Only the lower half of the ids appear in edges, so the upper half
+		// stays isolated.
+		span := 2 + rng.Intn(n-1)
+		var edges []Edge
+		for i, m := 0, rng.Intn(4*n); i < m; i++ {
+			u, v := NodeID(rng.Intn(span)), NodeID(rng.Intn(span))
+			if u == v {
+				continue
+			}
+			edges = append(edges, Edge{u, v}) // either orientation
+			if rng.Intn(4) == 0 {
+				edges = append(edges, Edge{v, u}) // reversed duplicate
+			}
+		}
+		want := New(n)
+		for _, e := range edges {
+			want.AddEdge(e.U, e.V)
+		}
+		g := FromEdges(n, edges)
+		if g.NumNodes() != n || g.NumEdges() != want.NumEdges() {
+			t.Fatalf("iter %d: %d nodes / %d edges, want %d / %d", iter, g.NumNodes(), g.NumEdges(), n, want.NumEdges())
+		}
+		rowCaps := 0
+		for u := NodeID(0); int(u) < n; u++ {
+			if !reflect.DeepEqual(append([]NodeID{}, g.NeighborsView(u)...), append([]NodeID{}, want.NeighborsView(u)...)) {
+				t.Fatalf("iter %d: row %d = %v, want %v", iter, u, g.NeighborsView(u), want.NeighborsView(u))
+			}
+			rowCaps += cap(g.NeighborsView(u))
+		}
+		if !reflect.DeepEqual(g.Edges(), want.Edges()) {
+			t.Fatalf("iter %d: Edges() = %v, want %v", iter, g.Edges(), want.Edges())
+		}
+		if got, wantB := g.MemFootprint(), int64(24+24*cap(g.adj)+4*rowCaps); got != wantB {
+			t.Fatalf("iter %d: MemFootprint %d, want %d from the row capacities", iter, got, wantB)
+		}
+		// Insert into some row u and check row u+1 did not move.
+		u := NodeID(rng.Intn(n - 1))
+		next := append([]NodeID{}, g.NeighborsView(u+1)...)
+		for v := NodeID(0); int(v) < n; v++ {
+			if v != u && v != u+1 && !g.HasEdge(u, v) {
+				g.AddEdge(u, v)
+				want.AddEdge(u, v)
+				break
+			}
+		}
+		if got := g.NeighborsView(u + 1); !reflect.DeepEqual(append([]NodeID{}, got...), next) {
+			t.Fatalf("iter %d: inserting into row %d changed row %d: %v, was %v", iter, u, u+1, got, next)
+		}
+		if !reflect.DeepEqual(g.Edges(), want.Edges()) {
+			t.Fatalf("iter %d: after an insert Edges() = %v, want %v", iter, g.Edges(), want.Edges())
+		}
+	}
+}

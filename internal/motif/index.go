@@ -2,6 +2,7 @@ package motif
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -25,11 +26,13 @@ import (
 // Deleting edges can only destroy instances, never create them (this is the
 // monotonicity of f), so one up-front enumeration is complete.
 //
-// Every per-edge quantity is a flat slice indexed by graph.EdgeID — dense
-// ids interned once from the phase-1 graph — instead of a map[graph.Edge]:
-// the edge→instance incidence lists are a CSR table, deletions are a bitset,
-// and gains live in a slice mirrored by the heap. The hot paths (GainID,
-// DeleteEdgeID, ArgmaxGainID, AppendCandidateIDs) therefore perform no
+// Every per-edge quantity is a flat slice indexed by graph.EdgeID instead
+// of a map[graph.Edge]: the edge→instance incidence lists are a CSR table,
+// deletions are a bitset, and gains live in a slice mirrored by the heap.
+// The ids are interned once per build from the enumerated instances: a
+// one-pass open-addressed dedup of their edges, then a sort of only the
+// distinct edges, so ids follow canonical edge order. The hot paths
+// (GainID, DeleteEdgeID, ArgmaxGainID, AppendCandidateIDs) perform no
 // hashing, no sorting and no allocation. The Edge-keyed methods remain as
 // thin wrappers that resolve the id first (a binary search over the
 // interner's packed keys, not a map lookup).
@@ -171,7 +174,7 @@ func NewIndexWorkers(g *graph.Graph, pattern Pattern, targets []graph.Edge, work
 	}
 	enumerateInto(g, pattern, targets, all, workers, byTarget)
 
-	ix.build(byTarget)
+	ix.build(byTarget, g.NumEdges())
 	ix.stats = BuildStats{Workers: workers, Instances: len(ix.inst), Elapsed: time.Since(start)}
 	return ix, nil
 }
@@ -227,15 +230,18 @@ func enumerateInto(g *graph.Graph, pattern Pattern, targets []graph.Edge, indice
 
 // build wires the index's entire flat state — interned edge universe,
 // merged instance table, CSR incidences, gains, deletion bitset and gain
-// heap — from per-target raw instance buffers fresh from a full enumeration.
-// Only NewIndexWorkers calls it; ApplyMutation reaches the same state
-// through wireIncremental, and the parity suites pin the two against each
-// other. The built state starts fully alive.
-func (ix *Index) build(byTarget [][]rawInstance) {
+// heap — from per-target raw instance buffers fresh from a full enumeration
+// of a graph with graphEdges edges. Only NewIndexWorkers calls it;
+// ApplyMutation reaches the same state through wireIncremental, and the
+// parity suites pin the two against each other. The built state starts
+// fully alive.
+func (ix *Index) build(byTarget [][]rawInstance, graphEdges int) {
 	// Intern the touched edge universe: exactly the edges appearing in some
-	// instance (the paper's W-edge set). Sorting the packed incidences once
-	// replaces any full-graph sweep — the graph's adjacency is never
-	// iterated wholesale, which is what keeps index construction cheap on
+	// instance (the paper's W-edge set). One pass dedups the incidences in
+	// an open-addressed table of packed keys, remembering each incidence's
+	// slot and counting each edge's gain there; only the W distinct keys
+	// are then sorted, so ids keep canonical order. The graph's adjacency
+	// is never iterated wholesale, which keeps index construction cheap on
 	// large sparse graphs.
 	total := 0
 	incidences := 0
@@ -245,33 +251,57 @@ func (ix *Index) build(byTarget [][]rawInstance) {
 			incidences += int(r.ne)
 		}
 	}
-	packed := make([]uint64, 0, incidences)
+	// W <= min(incidences, graphEdges), so the table is at most half full
+	// and a probe always ends at an empty slot.
+	size := 2
+	for size < 2*min(incidences, graphEdges) {
+		size <<= 1
+	}
+	shift := 64 - bits.TrailingZeros(uint(size))
+	keys := make([]uint64, size) // 0 = empty: PackEdge never yields it
+	count := make([]int32, size) // per slot: the edge's gain, then its id
+	slot := make([]int32, 0, incidences)
+	packed := make([]uint64, 0, min(incidences, graphEdges))
 	for _, buf := range byTarget {
 		for _, r := range buf {
 			for _, e := range r.edges[:r.ne] {
-				packed = append(packed, graph.PackEdge(e))
+				k := graph.PackEdge(e)
+				s := probe(keys, k, shift)
+				if keys[s] == 0 {
+					if 2*len(packed) >= size {
+						panic("motif: instance edges outnumber the graph's edges")
+					}
+					keys[s] = k
+					packed = append(packed, k)
+				}
+				count[s]++
+				slot = append(slot, int32(s))
 			}
 		}
 	}
 	slices.Sort(packed)
-	packed = slices.Compact(packed)
 	in := graph.NewInternerFromPacked(packed)
 	ix.in = in
+	ix.gain = make([]int32, len(packed))
+	for id, k := range packed {
+		s := probe(keys, k, shift)
+		ix.gain[id] = count[s]
+		count[s] = int32(id)
+	}
 
 	// Deterministic merge: instances land in target order regardless of
-	// which worker enumerated them, edges resolved to ids.
-	ne := in.NumEdges()
-	ix.gain = make([]int32, ne)
+	// which worker enumerated them, each edge resolved to its id by one
+	// read of the slot recorded above.
 	ix.inst = make([]indexedInstance, 0, total)
 	ix.perTarget = make([]int, len(byTarget))
 	ix.alive = 0
+	k := 0
 	for ti, buf := range byTarget {
 		for _, r := range buf {
 			inst := indexedInstance{target: int32(ti), ne: r.ne}
-			for j, e := range r.edges[:r.ne] {
-				id := in.ID(e)
-				inst.edges[j] = id
-				ix.gain[id]++
+			for j := range r.ne {
+				inst.edges[j] = graph.EdgeID(count[slot[k]])
+				k++
 			}
 			ix.inst = append(ix.inst, inst)
 		}
@@ -280,6 +310,18 @@ func (ix *Index) build(byTarget [][]rawInstance) {
 	}
 
 	ix.wireFlat()
+}
+
+// probe returns the slot of key k in the open-addressed table keys (a
+// power of two long, indexed by the top bits of a Fibonacci hash): the
+// slot holding k, or the empty slot where linear probing would insert it.
+func probe(keys []uint64, k uint64, shift int) int {
+	mask := len(keys) - 1
+	s := int((k * 0x9E3779B97F4A7C15) >> shift)
+	for keys[s] != 0 && keys[s] != k {
+		s = (s + 1) & mask
+	}
+	return s
 }
 
 // wireFlat (re)builds the per-edge flat state — deletion bitset, CSR
