@@ -1,12 +1,12 @@
 // Package repro's top-level benchmarks regenerate every evaluation
 // artefact of the TPP paper (one benchmark per figure and table) and
-// measure the ablations called out in DESIGN.md §6.
+// measure ablations of its design choices.
 //
 // The figure/table benchmarks run the experiment protocol at CI scale
 // (QuickConfig); `go run ./cmd/tppbench -full` regenerates them at paper
-// scale. The ablation benchmarks isolate individual design choices: the
-// indexed greedy's selection cost, Lemma 5 candidate restriction, inverted
-// index vs naive recount, and TBD vs DBD budget division.
+// scale. The ablation benchmarks isolate individual design choices: Lemma 5
+// candidate restriction, inverted index vs naive recount (the README's
+// "Engine × scope × workers" knobs), and TBD vs DBD budget division.
 package repro
 
 import (
@@ -101,7 +101,7 @@ func BenchmarkTable5UtilityLossDBLP(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // benchProblem builds a mid-size TPP instance shared by the ablations.
 func benchProblem(b *testing.B, pattern motif.Pattern) *tpp.Problem {
@@ -116,21 +116,7 @@ func benchProblem(b *testing.B, pattern motif.Pattern) *tpp.Problem {
 	return p
 }
 
-// Ablation 1: SGB-Greedy over the index's exact gain heap. The name and
-// the plain-indexed sub-benchmark stay so that timings recorded next to the
-// retired CELF row remain comparable.
-func BenchmarkAblationLazyVsPlain(b *testing.B) {
-	p := benchProblem(b, motif.Rectangle)
-	b.Run("plain-indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tpp.SGBGreedy(p, 10, tpp.Options{Engine: tpp.EngineIndexed}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// Ablation 2: Lemma 5 candidate restriction under the recount cost model —
+// Ablation 1: Lemma 5 candidate restriction under the recount cost model —
 // the paper's ~20x claim (Fig. 5).
 func BenchmarkAblationRestriction(b *testing.B) {
 	p := benchProblem(b, motif.Triangle)
@@ -151,7 +137,7 @@ func BenchmarkAblationRestriction(b *testing.B) {
 	}
 }
 
-// Ablation 3: inverted-index gains vs naive recount at equal candidate
+// Ablation 2: inverted-index gains vs naive recount at equal candidate
 // scope.
 func BenchmarkAblationIndexVsRecount(b *testing.B) {
 	p := benchProblem(b, motif.Triangle)
@@ -172,7 +158,7 @@ func BenchmarkAblationIndexVsRecount(b *testing.B) {
 	}
 }
 
-// Ablation 4: TBD vs DBD budget division under CT-Greedy — quality claim
+// Ablation 3: TBD vs DBD budget division under CT-Greedy — quality claim
 // (TBD wins) measured as final similarity, reported via custom metric.
 func BenchmarkAblationBudgetDivision(b *testing.B) {
 	p := benchProblem(b, motif.Rectangle)
@@ -343,74 +329,6 @@ func BenchmarkUtilityMetrics(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks on the hot paths --------------------------------------
-
-func BenchmarkMotifCount(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := datasets.DBLPSim(2000, 2).Graph
-	targets := datasets.SampleTargets(g, 20, rng)
-	work := g.Clone()
-	for _, t := range targets {
-		work.RemoveEdgeE(t)
-	}
-	for _, pattern := range motif.Patterns {
-		b.Run(pattern.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if total, _ := motif.CountAll(work, pattern, targets); total < 0 {
-					b.Fatal("impossible")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkIndexBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := datasets.DBLPSim(2000, 3).Graph
-	targets := datasets.SampleTargets(g, 20, rng)
-	work := g.Clone()
-	for _, t := range targets {
-		work.RemoveEdgeE(t)
-	}
-	for _, pattern := range motif.Patterns {
-		b.Run(pattern.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := motif.NewIndex(work, pattern, targets); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkIndexDeleteEdge(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	g := datasets.DBLPSim(2000, 4).Graph
-	targets := datasets.SampleTargets(g, 20, rng)
-	work := g.Clone()
-	for _, t := range targets {
-		work.RemoveEdgeE(t)
-	}
-	ix, err := motif.NewIndex(work, motif.Rectangle, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cands := ix.CandidateEdges()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Rebuild periodically so deletions stay meaningful.
-		if i%len(cands) == 0 {
-			b.StopTimer()
-			ix, err = motif.NewIndex(work, motif.Rectangle, targets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		ix.DeleteEdge(cands[i%len(cands)])
-	}
-}
-
 // edgeIDProblem builds the fixed instance the EdgeID refactor benchmarks
 // run on; BENCH_edgeid.json commits their before/after numbers.
 func edgeIDProblem(b *testing.B, scale int) (*graph.Graph, []graph.Edge) {
@@ -574,7 +492,7 @@ func BenchmarkGraphCoreIndexBuild(b *testing.B) {
 			}
 		})
 	}
-	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle, motif.Pentagon} {
+	for _, pattern := range motif.AllPatterns {
 		build(pattern.String(), work, pattern, targets)
 	}
 	pubWork, pubTargets := graphCoreFixture(b, 2000, 512)
@@ -585,7 +503,7 @@ func BenchmarkGraphCoreIndexBuild(b *testing.B) {
 // plain greedy variants pay per candidate per step.
 func BenchmarkGraphCoreEnumerate(b *testing.B) {
 	work, targets := graphCoreFixture(b, 4000, 64)
-	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle, motif.Pentagon} {
+	for _, pattern := range motif.AllPatterns {
 		b.Run(pattern.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

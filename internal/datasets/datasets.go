@@ -15,8 +15,7 @@
 // the qualitative experimental claims — which greedy wins, how fast the
 // similarity decays with budget, the naive-vs-scalable running-time gap,
 // the tiny utility loss at full protection — depend on that structure, not
-// on the identity of the dataset. See DESIGN.md §4 for the substitution
-// record.
+// on the identity of the dataset.
 package datasets
 
 import (
