@@ -15,10 +15,11 @@ import (
 )
 
 // Dynamic-graph ablation: maintaining the motif index under a batch of edge
-// mutations incrementally (motif.Index.ApplyDelta — kill incident instances
-// via the CSR table, re-enumerate only insert-touched targets) versus what
-// a delta-unaware session must do — re-derive the phase-1 working graph
-// (Problem.Phase1 clone) and re-enumerate every target from scratch.
+// mutations incrementally (motif.Index.ApplyMutation — kill incident
+// instances via the CSR table, re-enumerate only insert-touched targets)
+// versus what a delta-unaware session must do — re-derive the phase-1
+// working graph (Problem.Phase1 clone) and re-enumerate every target from
+// scratch.
 // BENCH_dynamic.json records the measured gap.
 
 type dynamicBench struct {
@@ -65,7 +66,7 @@ func dynamicBenchCases() []struct {
 }
 
 // BenchmarkDynamicApplyIncremental measures maintaining the index under one
-// delta batch (~0.13% of edges) with ApplyDelta: graph mutation is done by
+// delta batch (~0.13% of edges) with ApplyMutation: graph mutation is done by
 // the churn stream, the index absorbs the batch incrementally.
 func BenchmarkDynamicApplyIncremental(b *testing.B) {
 	for _, c := range dynamicBenchCases() {
@@ -76,7 +77,7 @@ func BenchmarkDynamicApplyIncremental(b *testing.B) {
 				b.StopTimer()
 				ins, rem := fx.churn.Next(fx.deltaK)
 				b.StartTimer()
-				if _, err := ix.ApplyDelta(fx.churn.Graph(), ins, rem); err != nil {
+				if _, err := ix.ApplyMutation(fx.churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -85,7 +86,7 @@ func BenchmarkDynamicApplyIncremental(b *testing.B) {
 }
 
 // BenchmarkDynamicApplyPureRemoval measures the removal-only regime: a
-// delta with no insertions never creates instances, so ApplyDelta can skip
+// delta with no insertions never creates instances, so ApplyMutation can skip
 // target re-enumeration entirely and only kill removal-incident instances
 // (the pure-removal fast path). The churn stream is built with pInsert = 0
 // so every batch is removals.
@@ -120,7 +121,7 @@ func BenchmarkDynamicApplyPureRemoval(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				if _, err := ix.ApplyDelta(churn.Graph(), ins, rem); err != nil {
+				if _, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem}); err != nil {
 					b.Fatal(err)
 				}
 			}

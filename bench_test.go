@@ -1,22 +1,18 @@
-// Package repro's top-level benchmarks regenerate every evaluation
-// artefact of the TPP paper (one benchmark per figure and table) and
-// measure ablations of its design choices.
-//
-// The figure/table benchmarks run the experiment protocol at CI scale
-// (QuickConfig); `go run ./cmd/tppbench -full` regenerates them at paper
-// scale. The ablation benchmarks isolate individual design choices: Lemma 5
-// candidate restriction, inverted index vs naive recount (the README's
-// "Engine × scope × workers" knobs), and TBD vs DBD budget division.
+// Package repro's top-level benchmarks time the library's layers one at a
+// time: the Katz and insertion-guard defences, link prediction,
+// anonymisation and utility metrics, the EdgeID selection loop and the
+// graph core. A BENCH_*.json record cites the benchmarks its claims rest
+// on. The paper's figures and tables are regenerated by cmd/tppbench
+// (`go run ./cmd/tppbench -exp all`; add -full for paper scale).
 package repro
 
 import (
-	"io"
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/anonymize"
 	"repro/internal/datasets"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/linkpred"
 	"repro/internal/metrics"
@@ -24,202 +20,7 @@ import (
 	"repro/internal/tpp"
 )
 
-func benchConfig() experiments.Config {
-	cfg := experiments.QuickConfig(io.Discard)
-	cfg.Repetitions = 2
-	cfg.ArenasScale = 250
-	cfg.DBLPScale = 600
-	cfg.ArenasTargets = 8
-	cfg.DBLPTargets = 10
-	cfg.TimeBudget = 5
-	cfg.QualityPoints = 5
-	return cfg
-}
-
-// --- Figure and table regenerators -----------------------------------------
-
-func BenchmarkFig3SimilarityEvolutionArenas(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Fig3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4SimilarityEvolutionDBLP(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Fig4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5RunningTimeArenas(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Fig5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6RunningTimeDBLP(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Fig6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3UtilityLossArenas20(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Table3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4UtilityLossArenas50(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Table4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5UtilityLossDBLP(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Table5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations ---------------------------------------------------------------
-
-// benchProblem builds a mid-size TPP instance shared by the ablations.
-func benchProblem(b *testing.B, pattern motif.Pattern) *tpp.Problem {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	g := datasets.DBLPSim(800, 1).Graph
-	targets := datasets.SampleTargets(g, 12, rng)
-	p, err := tpp.NewProblem(g, pattern, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-// Ablation 1: Lemma 5 candidate restriction under the recount cost model —
-// the paper's ~20x claim (Fig. 5).
-func BenchmarkAblationRestriction(b *testing.B) {
-	p := benchProblem(b, motif.Triangle)
-	for _, tc := range []struct {
-		name string
-		opt  tpp.Options
-	}{
-		{"all-edges", tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeAllEdges}},
-		{"restricted", tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeTargetSubgraphs}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedy(p, 4, tc.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Ablation 2: inverted-index gains vs naive recount at equal candidate
-// scope.
-func BenchmarkAblationIndexVsRecount(b *testing.B) {
-	p := benchProblem(b, motif.Triangle)
-	for _, tc := range []struct {
-		name string
-		opt  tpp.Options
-	}{
-		{"recount", tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeTargetSubgraphs}},
-		{"indexed", tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedy(p, 4, tc.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Ablation 3: TBD vs DBD budget division under CT-Greedy — quality claim
-// (TBD wins) measured as final similarity, reported via custom metric.
-func BenchmarkAblationBudgetDivision(b *testing.B) {
-	p := benchProblem(b, motif.Rectangle)
-	k := 10
-	for _, tc := range []struct {
-		name   string
-		divide func(*tpp.Problem, int) ([]int, error)
-	}{
-		{"TBD", tpp.TBDForProblem},
-		{"DBD", tpp.DBDForProblem},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var finalSim float64
-			for i := 0; i < b.N; i++ {
-				budgets, err := tc.divide(p, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tpp.CTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-				if err != nil {
-					b.Fatal(err)
-				}
-				finalSim = float64(res.FinalSimilarity())
-			}
-			b.ReportMetric(finalSim, "final-similarity")
-		})
-	}
-}
-
-// --- Extension experiments ---------------------------------------------------
-
-func BenchmarkExt1StructuralComparison(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Ext1StructuralComparison(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExt2KatzDefense(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Ext2KatzDefense(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWeightedSGBGreedy(b *testing.B) {
-	p := benchProblem(b, motif.Rectangle)
-	weights := make([]float64, len(p.Targets))
-	for i := range weights {
-		weights[i] = float64(i%3) + 0.5
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := tpp.WeightedSGBGreedy(p, 8, weights); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Extension defences and attack-side layers ----------------------------
 
 func BenchmarkKatzGreedy(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
@@ -236,24 +37,6 @@ func BenchmarkKatzGreedy(b *testing.B) {
 	}
 }
 
-func BenchmarkExt3PentagonPanel(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Ext3PentagonPanel(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExt4DPComparison(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Ext4DPComparison(2.0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGuardInsertionStream(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	g := datasets.DBLPSim(400, 10).Graph
@@ -262,7 +45,7 @@ func BenchmarkGuardInsertionStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	guard, err := tpp.NewGuard(p)
+	guard, err := tpp.NewGuardCtx(context.Background(), p)
 	if err != nil {
 		b.Fatal(err)
 	}

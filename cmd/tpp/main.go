@@ -51,7 +51,7 @@ func run(args []string, errw io.Writer) error {
 		k           = fs.Int("k", 0, "deletion budget (0 = critical budget k*)")
 		seed        = fs.Int64("seed", 1, "random seed for rd/rdt baselines")
 		workers     = fs.Int("workers", 0, "index enumeration workers; selection runs on one goroutine (0 = auto)")
-		engine      = fs.String("engine", "", "gain engine: indexed (default), recount (the paper's cost model); lazy is an alias for indexed")
+		engine      = fs.String("engine", "", "gain engine: indexed (default), recount (the paper's cost model)")
 		report      = fs.Bool("report", true, "print a defense report against all link-prediction indices")
 		timeout     = fs.Duration("timeout", 0, "abort selection after this long (0 = no limit)")
 	)

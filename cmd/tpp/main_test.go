@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/tpp"
 )
 
 // writeTestGraph writes a small labelled graph with two triangles around
@@ -86,7 +88,7 @@ func TestRunMethodsAndDivisions(t *testing.T) {
 func TestRunEnginesAndWorkers(t *testing.T) {
 	in := writeTestGraph(t)
 	var want string
-	for _, engine := range []string{"lazy", "indexed", "recount"} {
+	for _, engine := range []string{"indexed", "recount"} {
 		for _, workers := range []string{"1", "4"} {
 			out := filepath.Join(t.TempDir(), "rel.txt")
 			var errw bytes.Buffer
@@ -105,6 +107,12 @@ func TestRunEnginesAndWorkers(t *testing.T) {
 				t.Fatalf("engine %s workers %s released a different graph", engine, workers)
 			}
 		}
+	}
+	// "lazy" names a retired engine: the CLI refuses it like any unknown one.
+	var errw bytes.Buffer
+	err := run([]string{"-in", in, "-targets", "a-b", "-engine", "lazy", "-report=false"}, &errw)
+	if !errors.Is(err, tpp.ErrUnknownEngine) {
+		t.Fatalf("-engine lazy: err = %v, want tpp.ErrUnknownEngine", err)
 	}
 }
 

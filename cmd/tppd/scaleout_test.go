@@ -287,7 +287,10 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 // protects while filler creates force LRU spills, under the race detector
 // in CI. The pinned contract: the hammered session is never served
 // half-spilled — every request answers 200 (or a clean 429), never a 404
-// or 5xx, and a spill happened.
+// or 5xx, and a spill happened. The spill is certain, not hoped for: the
+// filler retries each 429 until its create lands, and 40 landed creates of
+// one footprint f overflow the 6f budget many times over. The hammers keep
+// going until the filler is done, so every spill races a delta/protect.
 func TestSpillRaceSmoke(t *testing.T) {
 	f := measureSessionFootprint(t)
 	_, ts := newBudgetedDurableServer(t, t.TempDir(), 6*f)
@@ -301,20 +304,42 @@ func TestSpillRaceSmoke(t *testing.T) {
 		failures = append(failures, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
+	fillerDone := make(chan struct{})
+	running := func() bool {
+		select {
+		case <-fillerDone:
+			return false
+		default:
+			return true
+		}
+	}
 
-	const hammers = 3
+	const hammers, growDeltas = 3, 30
 	for g := 0; g < hammers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				node := fmt.Sprintf("h%d-%d", g, i)
-				resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+subject+"/delta", deltaRequest{
-					AddNodes: []string{node},
-					Insert:   [][2]string{{node, "0"}, {node, "5"}},
-				})
+			// The first growDeltas deltas grow the subject; after that each
+			// hammer toggles its own edge, so a slow filler does not grow the
+			// subject (and every request's cost) without bound.
+			toggle, linked := [2]string{"9", fmt.Sprint(1 + 2*g)}, false
+			for i := 0; i < growDeltas || running(); i++ {
+				var req deltaRequest
+				switch {
+				case i < growDeltas:
+					node := fmt.Sprintf("h%d-%d", g, i)
+					req = deltaRequest{AddNodes: []string{node}, Insert: [][2]string{{node, "0"}, {node, "5"}}}
+				case linked:
+					req = deltaRequest{Remove: [][2]string{toggle}}
+				default:
+					req = deltaRequest{Insert: [][2]string{toggle}}
+				}
+				resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+subject+"/delta", req)
 				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 					report("hammer %d delta %d: status %d: %s", g, i, resp.StatusCode, body)
+				}
+				if resp.StatusCode == http.StatusOK && i >= growDeltas {
+					linked = !linked
 				}
 				if i%3 == 0 {
 					resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+subject+"/protect", sessionProtectRequest{})
@@ -328,14 +353,27 @@ func TestSpillRaceSmoke(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(fillerDone)
+		deadline := time.Now().Add(30 * time.Second)
 		for i := 0; i < 40; i++ {
-			resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", protectRequest{
-				Edges:   quickstartEdges,
-				Targets: [][2]string{{"0", "5"}, {"2", "7"}},
-				Pattern: "Triangle",
-			})
-			if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusTooManyRequests {
-				report("filler %d: status %d: %s", i, resp.StatusCode, body)
+			for backoff := time.Millisecond; ; backoff = min(2*backoff, 20*time.Millisecond) {
+				resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", protectRequest{
+					Edges:   quickstartEdges,
+					Targets: [][2]string{{"0", "5"}, {"2", "7"}},
+					Pattern: "Triangle",
+				})
+				if resp.StatusCode == http.StatusCreated {
+					break
+				}
+				if resp.StatusCode != http.StatusTooManyRequests {
+					report("filler %d: status %d: %s", i, resp.StatusCode, body)
+					return
+				}
+				if time.Now().After(deadline) {
+					report("filler %d: still 429 at the deadline: %s", i, body)
+					return
+				}
+				time.Sleep(backoff)
 			}
 		}
 	}()

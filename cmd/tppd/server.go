@@ -176,7 +176,7 @@ type protectRequest struct {
 	Pattern  string `json:"pattern,omitempty"`  // Triangle (default), Rectangle, RecTri, Pentagon
 	Method   string `json:"method,omitempty"`   // sgb (default), ct, wt, rd, rdt
 	Division string `json:"division,omitempty"` // tbd (default), dbd
-	Engine   string `json:"engine,omitempty"`   // indexed (default; "lazy" is an alias), recount
+	Engine   string `json:"engine,omitempty"`   // indexed (default), recount
 	Budget   int    `json:"budget,omitempty"`   // 0 = critical budget k*
 	Seed     int64  `json:"seed,omitempty"`     // rd/rdt randomness and target sampling
 	// Workers sets the number of index enumeration workers; selection

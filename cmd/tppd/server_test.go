@@ -319,7 +319,7 @@ func TestProtectWithWorkers(t *testing.T) {
 		engine  string
 		workers int
 	}{
-		{"lazy", 1}, {"lazy", 4}, {"indexed", 4}, {"recount", 1}, {"recount", 4},
+		{"indexed", 1}, {"indexed", 4}, {"recount", 1}, {"recount", 4},
 	} {
 		resp, body := postProtect(t, ts, protectRequest{
 			Dataset:       &datasetSpec{Name: "dblp", Scale: 150, Seed: 4},
@@ -353,14 +353,31 @@ func TestProtectWithWorkers(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative workers: status %d, want 400: %s", resp.StatusCode, body)
 	}
-	// Unknown engine spellings are rejected before any work.
-	resp, body = postProtect(t, ts, protectRequest{
+	// Unknown engine spellings are rejected before any work, "lazy" (a
+	// retired engine) included, on the one-shot route, at session create
+	// and on a session protect; the error names the valid engines.
+	for _, engine := range []string{"warp", "lazy"} {
+		resp, body = postProtect(t, ts, protectRequest{
+			Edges:   quickstartEdges,
+			Targets: [][2]string{{"0", "5"}},
+			Engine:  engine,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("want indexed or recount")) {
+			t.Fatalf("engine %q: status %d, want 400 naming the engines: %s", engine, resp.StatusCode, body)
+		}
+	}
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", protectRequest{
 		Edges:   quickstartEdges,
 		Targets: [][2]string{{"0", "5"}},
-		Engine:  "warp",
+		Engine:  "lazy",
 	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown engine: status %d, want 400: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("want indexed or recount")) {
+		t.Fatalf("session create with engine lazy: status %d, want 400 naming the engines: %s", resp.StatusCode, body)
+	}
+	id := createQuickstartSession(t, ts)
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{Engine: "lazy"})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("want indexed or recount")) {
+		t.Fatalf("session protect with engine lazy: status %d, want 400 naming the engines: %s", resp.StatusCode, body)
 	}
 }
 

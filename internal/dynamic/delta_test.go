@@ -223,7 +223,7 @@ func TestDeltaApplyAndTargets(t *testing.T) {
 	if err := d.Validate(g, targets); err != nil {
 		t.Fatal(err)
 	}
-	remap := d.ApplyToOriginal(g)
+	remap := d.ApplyToSession(g, nil)
 	remapP := d.ApplyToGraph(phase1)
 	if len(remap) != len(remapP) {
 		t.Fatalf("remap lengths differ: %d vs %d", len(remap), len(remapP))

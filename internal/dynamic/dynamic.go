@@ -372,20 +372,14 @@ func (d Delta) ApplyToGraph(g *graph.Graph) []graph.NodeID {
 	return d.apply(g, false, true)
 }
 
-// ApplyToOriginal is ApplyToGraph for an original-style graph (target links
-// present as edges): additionally, dropped targets leave the graph and
-// added targets join it, before the node removals. Both appliers produce
-// the same remap for the same delta.
-func (d Delta) ApplyToOriginal(g *graph.Graph) []graph.NodeID {
-	return d.apply(g, true, true)
-}
-
 // ApplyToSession applies the delta to a session's pair of graphs — the
-// original-style graph and its cached phase-1 companion (pass nil when the
-// session has not derived one) — and returns the shared node remap. The
-// two graphs always have the same node universe, so the remap is computed
-// once instead of once per graph (it is O(nodes), the only
-// graph-proportional cost on the apply path).
+// original-style graph (target links present as edges: dropped targets
+// leave it and added targets join it, before the node removals) and its
+// cached phase-1 companion (pass nil when the session has not derived one)
+// — and returns the shared node remap, the one ApplyToGraph produces for
+// the same delta. The two graphs always have the same node universe, so
+// the remap is computed once instead of once per graph (it is O(nodes),
+// the only graph-proportional cost on the apply path).
 func (d Delta) ApplyToSession(original, phase1 *graph.Graph) []graph.NodeID {
 	remap := d.apply(original, true, true)
 	if phase1 != nil {

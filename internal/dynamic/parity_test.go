@@ -102,7 +102,7 @@ func TestApplyParityRandomStreams(t *testing.T) {
 				}
 				for step := 0; step < 25; step++ {
 					ins, rem := churn.Next(1 + rng.Intn(7))
-					st, err := ix.ApplyDelta(churn.Graph(), ins, rem)
+					st, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem})
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -153,7 +153,7 @@ func TestApplyParityPureRemoval(t *testing.T) {
 				if len(ins) != 0 {
 					t.Fatalf("step %d: removal-only churn inserted %v", step, ins)
 				}
-				st, err := ix.ApplyDelta(churn.Graph(), ins, rem)
+				st, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem})
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -170,7 +170,7 @@ func TestApplyParityPureRemoval(t *testing.T) {
 	}
 }
 
-// TestApplyParityMidSelection pins down that ApplyDelta discards recorded
+// TestApplyParityMidSelection pins down that ApplyMutation discards recorded
 // protector deletions, exactly like a fresh build: applying a delta to an
 // index that is mid-selection yields the fully-alive state of the mutated
 // graph.
@@ -193,7 +193,7 @@ func TestApplyParityMidSelection(t *testing.T) {
 		}
 	}
 	ins, rem := churn.Next(6)
-	if _, err := ix.ApplyDelta(churn.Graph(), ins, rem); err != nil {
+	if _, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem}); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := motif.NewIndex(churn.Graph(), motif.Triangle, targets)

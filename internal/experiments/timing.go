@@ -68,7 +68,7 @@ func timingMethodsFig5() []timingSpec {
 // timingMethodsFig6 lists the five curves of paper Fig. 6 (DBLP): only the
 // scalable variants run at this scale, exactly as in the paper. Our
 // scalable implementation is the inverted-index engine (strictly stronger
-// than the paper's restricted recount — see the ablation benches).
+// than the paper's restricted recount, which Fig. 5 times).
 func timingMethodsFig6() []timingSpec {
 	fast := tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}
 	return []timingSpec{

@@ -361,7 +361,7 @@ func (c *MutationChurn) Next(k int) Mutation {
 	slices.Sort(m.RemoveNodes)
 
 	// Advance the stream's own state, mirroring dynamic.Delta's
-	// ApplyToOriginal + ApplyTargets (kept dependency-free; the dynamic
+	// ApplyToSession + ApplyTargets (kept dependency-free; the dynamic
 	// package's tests pin the two in lockstep).
 	for i := 0; i < m.AddNodes; i++ {
 		c.g.AddNode()

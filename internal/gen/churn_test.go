@@ -113,7 +113,7 @@ func TestMutationChurnBatchesAreValidDeltas(t *testing.T) {
 		if err := d.Validate(mirror, mirrorTargets); err != nil {
 			t.Fatalf("batch %d: validate: %v", batch, err)
 		}
-		remap := d.ApplyToOriginal(mirror)
+		remap := d.ApplyToSession(mirror, nil)
 		mirrorTargets = d.ApplyTargets(mirrorTargets, remap)
 		sawNodes += d.AddNodes + len(d.RemoveNodes)
 		sawTargets += len(d.AddTargets) + len(d.DropTargets)

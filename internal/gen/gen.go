@@ -281,20 +281,3 @@ func Cycle(n int) *graph.Graph {
 	g.AddEdge(0, graph.NodeID(n-1))
 	return g
 }
-
-// Grid returns the rows×cols king-less grid (4-neighborhood lattice).
-func Grid(rows, cols int) *graph.Graph {
-	g := graph.New(rows * cols)
-	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
-			}
-			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
-			}
-		}
-	}
-	return g
-}

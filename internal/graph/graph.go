@@ -48,18 +48,6 @@ func NewEdge(u, v NodeID) Edge {
 // Canonical reports whether e is already in canonical form (U < V).
 func (e Edge) Canonical() bool { return e.U < e.V }
 
-// Other returns the endpoint of e that is not n.
-// It panics if n is not an endpoint of e.
-func (e Edge) Other(n NodeID) NodeID {
-	switch n {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %v", n, e))
-}
-
 // Has reports whether n is an endpoint of e.
 func (e Edge) Has(n NodeID) bool { return e.U == n || e.V == n }
 

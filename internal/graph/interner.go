@@ -51,23 +51,6 @@ func NewInterner(g *Graph) *Interner {
 	return in
 }
 
-// NewInternerFromEdges builds an edge table whose universe is exactly the
-// given edges — not necessarily all edges of a graph. edges must be
-// canonical, sorted ascending (Edge.Less) and free of duplicates. This is
-// the constructor for callers that discover their edge universe while
-// sweeping something cheaper than the whole graph (e.g. the motif index
-// compacting a previous universe).
-func NewInternerFromEdges(edges []Edge) *Interner {
-	in := &Interner{packed: make([]uint64, len(edges))}
-	for i, e := range edges {
-		if i > 0 && !edges[i-1].Less(e) {
-			panic(fmt.Sprintf("graph: edge list not sorted/unique at %d: %v !< %v", i, edges[i-1], e))
-		}
-		in.packed[i] = PackEdge(e)
-	}
-	return in
-}
-
 // NewInternerFromPacked builds an edge table directly over packed edge keys
 // (PackEdge order), which must be strictly ascending; the slice is
 // retained. Callers that already hold a sorted, deduplicated packed

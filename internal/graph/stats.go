@@ -27,16 +27,6 @@ func (g *Graph) MeanDegree() float64 {
 	return 2 * float64(g.NumEdges()) / float64(g.NumNodes())
 }
 
-// DegreeHistogram returns counts[d] = number of nodes with degree d,
-// indexed up to the maximum degree.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for _, d := range g.Degrees() {
-		counts[d]++
-	}
-	return counts
-}
-
 // DegreeQuantile returns the q-quantile (q in [0,1]) of the degree
 // distribution, using the nearest-rank method.
 func (g *Graph) DegreeQuantile(q float64) int {

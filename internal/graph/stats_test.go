@@ -45,18 +45,6 @@ func TestMeanDegree(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	// Star S4: one node of degree 3, three of degree 1.
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
-	h := g.DegreeHistogram()
-	if len(h) != 4 || h[1] != 3 || h[3] != 1 || h[0] != 0 || h[2] != 0 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestDegreeQuantile(t *testing.T) {
 	g := pathGraph(5) // degrees 1,2,2,2,1
 	if got := g.DegreeQuantile(0.5); got != 2 {

@@ -119,30 +119,3 @@ func (g *Graph) IsConnected() bool {
 	_, count := g.ConnectedComponents()
 	return count == 1
 }
-
-// Subgraph returns the induced subgraph on the given nodes, together with
-// the mapping from new (dense) IDs to the original IDs. Nodes not present
-// in the input are dropped; duplicate input nodes are ignored.
-func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
-	remap := make(map[NodeID]NodeID, len(nodes))
-	orig := make([]NodeID, 0, len(nodes))
-	for _, n := range nodes {
-		if n < 0 || int(n) >= g.NumNodes() {
-			continue
-		}
-		if _, ok := remap[n]; ok {
-			continue
-		}
-		remap[n] = NodeID(len(orig))
-		orig = append(orig, n)
-	}
-	sub := New(len(orig))
-	for newU, oldU := range orig {
-		for _, oldV := range g.adj[oldU] {
-			if newV, ok := remap[oldV]; ok && NodeID(newU) < newV {
-				sub.AddEdge(NodeID(newU), newV)
-			}
-		}
-	}
-	return sub, orig
-}

@@ -7,16 +7,11 @@
 // communities for modularity come from deterministic label propagation.
 package metrics
 
-import (
-	"math/rand"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // AveragePathLength returns l: the mean shortest-path distance over all
-// connected node pairs, via exact all-pairs BFS. Cost O(n·m); use
-// ApproxAveragePathLength for large graphs (the paper likewise skips l on
-// DBLP).
+// connected node pairs, via exact all-pairs BFS. Cost O(n·m), so large
+// graphs skip it (the paper likewise skips l on DBLP).
 func AveragePathLength(g *graph.Graph) float64 {
 	n := g.NumNodes()
 	if n < 2 {
@@ -30,36 +25,6 @@ func AveragePathLength(g *graph.Graph) float64 {
 		g.BFSDistancesInto(graph.NodeID(s), dist, queue)
 		for v := s + 1; v < n; v++ {
 			if dist[v] > 0 {
-				sum += float64(dist[v])
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return sum / float64(pairs)
-}
-
-// ApproxAveragePathLength estimates l by BFS from `samples` uniformly
-// chosen source nodes.
-func ApproxAveragePathLength(g *graph.Graph, samples int, rng *rand.Rand) float64 {
-	n := g.NumNodes()
-	if n < 2 || samples <= 0 {
-		return 0
-	}
-	if samples > n {
-		samples = n
-	}
-	perm := rng.Perm(n)[:samples]
-	dist := make([]int32, n)
-	queue := make([]graph.NodeID, 0, n)
-	var sum float64
-	var pairs int64
-	for _, s := range perm {
-		g.BFSDistancesInto(graph.NodeID(s), dist, queue)
-		for v := 0; v < n; v++ {
-			if v != s && dist[v] > 0 {
 				sum += float64(dist[v])
 				pairs++
 			}

@@ -39,20 +39,6 @@ func TestAveragePathLengthDisconnected(t *testing.T) {
 	}
 }
 
-func TestApproxAveragePathLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.BarabasiAlbertTriad(300, 3, 0.3, rng)
-	exact := AveragePathLength(g)
-	approx := ApproxAveragePathLength(g, 300, rng) // full sample = exact
-	if !almostEqual(exact, approx, 1e-9) {
-		t.Fatalf("full-sample approx %v != exact %v", approx, exact)
-	}
-	small := ApproxAveragePathLength(g, 30, rng)
-	if math.Abs(small-exact) > 0.5 {
-		t.Fatalf("sampled l = %v too far from exact %v", small, exact)
-	}
-}
-
 func TestClusteringCoefficientKnown(t *testing.T) {
 	if got := ClusteringCoefficient(gen.Complete(5)); !almostEqual(got, 1, 1e-12) {
 		t.Fatalf("clust(K5) = %v, want 1", got)

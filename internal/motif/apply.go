@@ -21,8 +21,8 @@ func (ix *Index) targetIndex(t graph.Edge) int {
 	return -1
 }
 
-// ApplyStats describes one incremental mutation application (ApplyMutation
-// / ApplyDelta), for observability: how much of the index the mutation
+// ApplyStats describes one incremental mutation application
+// (ApplyMutation), for observability: how much of the index the mutation
 // actually touched, versus the full re-enumeration it avoided.
 type ApplyStats struct {
 	// Inserted and Removed count the delta edges applied.
@@ -84,13 +84,6 @@ func (m *Mutation) rename(e graph.Edge) graph.Edge {
 		return e
 	}
 	return graph.NewEdge(m.Remap[e.U], m.Remap[e.V])
-}
-
-// ApplyDelta incrementally rewires the index for a batch of edge-only
-// mutations: ApplyMutation with a fixed target list and an unchanged node
-// universe. See ApplyMutation for the full contract.
-func (ix *Index) ApplyDelta(g *graph.Graph, inserted, removed []graph.Edge) (ApplyStats, error) {
-	return ix.ApplyMutation(g, Mutation{Inserted: inserted, Removed: removed})
 }
 
 // ApplyMutation incrementally rewires the index for one applied session
@@ -529,7 +522,7 @@ func canonEdge(e graph.Edge) graph.Edge {
 
 // CanCreateInstances reports whether inserting the edge e — already present
 // in g — could have created any instance of pattern for target t. It is the
-// same conservative-but-sound structural test ApplyDelta uses to restrict
+// same conservative-but-sound structural test ApplyMutation uses to restrict
 // re-enumeration (see insertTouches): a false answer proves t's instance
 // set cannot contain e, so callers maintaining an invariant over a stream
 // of insertions (tpp.Guard) can skip targets — usually all of them —
@@ -538,7 +531,7 @@ func CanCreateInstances(g *graph.Graph, pattern Pattern, t, e graph.Edge) bool {
 	return insertTouches(pattern, t, e, func(x, y graph.NodeID) bool { return g.HasEdge(x, y) })
 }
 
-// applyRemovals is the removal-only maintenance kernel behind ApplyDelta's
+// applyRemovals is the removal-only maintenance kernel behind ApplyMutation's
 // fast path. It kills every instance containing a removed edge (named
 // exactly by the CSR rows of the removed ids), then rewrites the index to
 // the state a fresh build on the shrunken graph would produce: edges left

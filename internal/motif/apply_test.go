@@ -31,7 +31,7 @@ func TestApplyDeltaRemovalKillsIncidentInstances(t *testing.T) {
 	g, _, ix := applyFixture(t)
 	rem := graph.Edge{U: 0, V: 2}
 	g.RemoveEdgeE(rem)
-	st, err := ix.ApplyDelta(g, nil, []graph.Edge{rem})
+	st, err := ix.ApplyMutation(g, Mutation{Removed: []graph.Edge{rem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestApplyDeltaInsertionCreatesInstances(t *testing.T) {
 	for _, e := range ins {
 		g.AddEdgeE(e)
 	}
-	st, err := ix.ApplyDelta(g, ins, nil)
+	st, err := ix.ApplyMutation(g, Mutation{Inserted: ins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestApplyDeltaUntouchedTargetSkipsEnumeration(t *testing.T) {
 	// touched targets, index state unchanged.
 	ins := []graph.Edge{{U: 3, V: 5}}
 	g.AddEdgeE(ins[0])
-	st, err := ix.ApplyDelta(g, ins, nil)
+	st, err := ix.ApplyMutation(g, Mutation{Inserted: ins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +96,16 @@ func TestApplyDeltaUntouchedTargetSkipsEnumeration(t *testing.T) {
 func TestApplyDeltaErrors(t *testing.T) {
 	g, _, ix := applyFixture(t)
 	// Graph not yet mutated: inserted edge absent.
-	if _, err := ix.ApplyDelta(g, []graph.Edge{{U: 0, V: 4}}, nil); err == nil {
+	if _, err := ix.ApplyMutation(g, Mutation{Inserted: []graph.Edge{{U: 0, V: 4}}}); err == nil {
 		t.Fatal("want error for inserted edge absent from graph")
 	}
 	// Removed edge still present.
-	if _, err := ix.ApplyDelta(g, nil, []graph.Edge{{U: 0, V: 2}}); err == nil {
+	if _, err := ix.ApplyMutation(g, Mutation{Removed: []graph.Edge{{U: 0, V: 2}}}); err == nil {
 		t.Fatal("want error for removed edge still present")
 	}
 	// Target link present in the graph.
 	g.AddEdge(0, 1)
-	if _, err := ix.ApplyDelta(g, []graph.Edge{{U: 0, V: 1}}, nil); err == nil {
+	if _, err := ix.ApplyMutation(g, Mutation{Inserted: []graph.Edge{{U: 0, V: 1}}}); err == nil {
 		t.Fatal("want error for target link present")
 	}
 }

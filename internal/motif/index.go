@@ -329,7 +329,7 @@ func probe(keys []uint64, k uint64, shift int) int {
 // ix.gain, which must already hold the interned universe, the resolved
 // instance table and the per-edge alive counts (the build-time gains double
 // as CSR row lengths). Shared by the full builder and the pure-removal
-// fast path of ApplyDelta.
+// fast path of ApplyMutation.
 func (ix *Index) wireFlat() {
 	ne := ix.in.NumEdges()
 	ix.deleted = make([]uint64, (ne+63)/64)
@@ -352,9 +352,6 @@ func (ix *Index) wireFlat() {
 	ix.heapPos = make([]int32, ne)
 	ix.heapDirty = true // restored lazily by the next ArgmaxGainID
 }
-
-// Pattern returns the motif pattern the index was built for.
-func (ix *Index) Pattern() Pattern { return ix.pattern }
 
 // Targets returns a copy of the current target list. Target lists are
 // mutable now that ApplyMutation edits them in place, so the internal slice
@@ -469,23 +466,7 @@ func (ix *Index) GainVectorIDInto(id graph.EdgeID, buf []int) (perTarget []int, 
 	return buf, total
 }
 
-// GainVector returns the per-target marginal gains of deleting p (alive
-// instances of each target containing p, indexed by target position) plus
-// the total. The slice is freshly allocated only when p touches at least
-// one alive instance; otherwise it returns (nil, 0).
-func (ix *Index) GainVector(p graph.Edge) (perTarget []int, total int) {
-	id := ix.in.ID(p)
-	if id == graph.NoEdge {
-		return nil, 0
-	}
-	return ix.GainVectorIDInto(id, make([]int, len(ix.targets)))
-}
-
-// DeletedID reports whether the edge with the given id was already deleted
-// through the index.
-func (ix *Index) DeletedID(id graph.EdgeID) bool { return ix.isDeleted(id) }
-
-// Deleted is DeletedID keyed by edge.
+// Deleted reports whether p was already deleted through the index.
 func (ix *Index) Deleted(p graph.Edge) bool {
 	id := ix.in.ID(p)
 	return id != graph.NoEdge && ix.isDeleted(id)
@@ -609,24 +590,6 @@ func (ix *Index) AllTouchedEdges() []graph.Edge {
 	out := make([]graph.Edge, ix.in.NumEdges())
 	for id := range out {
 		out[id] = ix.in.Edge(graph.EdgeID(id))
-	}
-	return out
-}
-
-// InstancesOfTarget returns copies of the alive instances owned by target
-// ti, for inspection and tests.
-func (ix *Index) InstancesOfTarget(ti int) []Instance {
-	var out []Instance
-	for i := range ix.inst {
-		in := &ix.inst[i]
-		if in.dead || int(in.target) != ti {
-			continue
-		}
-		edges := make([]graph.Edge, in.ne)
-		for j, id := range in.edges[:in.ne] {
-			edges[j] = ix.in.Edge(id)
-		}
-		out = append(out, Instance{Target: in.target, Edges: edges})
 	}
 	return out
 }

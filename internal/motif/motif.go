@@ -141,25 +141,16 @@ func (sc *Scratch) nextEpoch(n int) {
 	sc.link = sc.link[:0]
 }
 
-// EnumerateTarget lists every instance of pattern completing target
+// EnumerateTargetScratch lists every instance of pattern completing target
 // t = (u, v) in g. g must be the phase-1 graph: all target links already
 // removed, so instances never contain a target link and W_t sets are
 // disjoint across targets by construction.
 //
 // The visit callback receives the edges of each instance; the slice is
 // reused between calls and must not be retained. Instances are visited in
-// a deterministic order (ascending by the intermediate nodes).
-//
-// This convenience form allocates a fresh Scratch per call; hot loops use
-// EnumerateTargetScratch with a per-worker Scratch instead.
-func EnumerateTarget(g *graph.Graph, pattern Pattern, t graph.Edge, visit func(edges []graph.Edge)) {
-	var sc Scratch
-	EnumerateTargetScratch(g, pattern, t, &sc, visit)
-}
-
-// EnumerateTargetScratch is EnumerateTarget with caller-owned scratch
-// buffers: in the steady state (warm scratch) enumeration performs no
-// per-visit or per-pair allocations.
+// a deterministic order (ascending by the intermediate nodes). sc holds
+// caller-owned scratch buffers: in the steady state (warm scratch)
+// enumeration performs no per-visit or per-pair allocations.
 func EnumerateTargetScratch(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit func(edges []graph.Edge)) {
 	enumerate(g, pattern, t, sc, visit)
 }
@@ -167,7 +158,7 @@ func EnumerateTargetScratch(g *graph.Graph, pattern Pattern, t graph.Edge, sc *S
 // enumerate is the single kernel behind both enumeration and counting: it
 // walks every instance of pattern completing t, calls visit (when non-nil)
 // per instance, and returns the instance count. Keeping one kernel
-// guarantees Count and EnumerateTarget can never disagree. Triangle,
+// guarantees Count and EnumerateTargetScratch can never disagree. Triangle,
 // Rectangle and RecTri are merge-joins over the graph's sorted neighbor
 // rows, O(d_u · d_v)-ish per target; Pentagon is a meet-in-the-middle join
 // costing Σ_{c∈Γ(v)} d_c + Σ_{a∈Γ(u)} d_a + #instances.
@@ -250,7 +241,7 @@ func enumerate(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit
 		// 2-path v–c–b with c ≠ u and b ∉ {u, v} chains c onto bucket b.
 		// Walking Γ(v) descending and prepending leaves each chain
 		// ascending, so instances come out ascending by (a, b, c) as
-		// EnumerateTarget promises. Then walk u's side: every 2-path
+		// EnumerateTargetScratch promises. Then walk u's side: every 2-path
 		// u–a–b with a ≠ v closes with each c in bucket b except c == a
 		// (b ∉ {u, v} because those buckets stay empty; c ≠ b, c ≠ v
 		// automatic).

@@ -19,8 +19,8 @@ import (
 // *closed* form in the graph — for every edge (u,v), the number of
 // completing structures as if (u,v) were a target — divided by nothing:
 // each closed subgraph is counted once per closing edge, a consistent
-// abundance measure for cross-graph comparison. Cost: one EnumerateTarget
-// per edge.
+// abundance measure for cross-graph comparison. Cost: one target
+// enumeration per edge.
 func GlobalCount(g *graph.Graph, pattern Pattern) int {
 	total := 0
 	g.EachEdge(func(e graph.Edge) bool {

@@ -45,20 +45,6 @@ func (b *Budget) Used() int64 {
 	return b.used
 }
 
-// Len returns the tracked session count.
-func (b *Budget) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.entries)
-}
-
-// Over reports whether the tracked bytes exceed the cap.
-func (b *Budget) Over() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cap > 0 && b.used > b.cap
-}
-
 // Set records (or refreshes) a session's footprint and marks it most
 // recently used. value rides along for the owner's benefit — the session
 // record to spill, opaque to the budget.

@@ -1,7 +1,6 @@
 package tpp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -45,11 +44,6 @@ func validateBudgets(p *Problem, budgets []int) error {
 // achieves a 1/2-approximation (Theorem 4).
 func CTGreedy(p *Problem, budgets []int, opt Options) (*Result, error) {
 	return ctGreedy(p, budgets, opt, runEnv{})
-}
-
-// CTGreedyCtx is CTGreedy with cooperative cancellation (see SGBGreedyCtx).
-func CTGreedyCtx(ctx context.Context, p *Problem, budgets []int, opt Options) (*Result, error) {
-	return ctGreedy(p, budgets, opt, runEnv{ctx: ctx})
 }
 
 func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, error) {
@@ -124,11 +118,6 @@ func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 // approximation (Theorem 5).
 func WTGreedy(p *Problem, budgets []int, opt Options) (*Result, error) {
 	return wtGreedy(p, budgets, opt, runEnv{})
-}
-
-// WTGreedyCtx is WTGreedy with cooperative cancellation (see SGBGreedyCtx).
-func WTGreedyCtx(ctx context.Context, p *Problem, budgets []int, opt Options) (*Result, error) {
-	return wtGreedy(p, budgets, opt, runEnv{ctx: ctx})
 }
 
 func wtGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, error) {

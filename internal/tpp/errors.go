@@ -20,6 +20,7 @@ var (
 	// valid for that triple. Build a new session for a different pattern.
 	ErrPatternFixed = errors.New("tpp: pattern is fixed at session construction")
 	// ErrUnknownEngine reports an engine spelling outside indexed/recount
-	// (or the retired alias lazy) at a protocol boundary (ParseEngine).
+	// (the retired engine name lazy included) at a protocol boundary
+	// (ParseEngine).
 	ErrUnknownEngine = errors.New("tpp: unknown engine")
 )

@@ -33,15 +33,10 @@ type Guard struct {
 	Rejected int
 }
 
-// NewGuard protects the problem fully (SGB greedy at the critical budget)
-// and returns a guard maintaining that state. The problem's graph is not
-// mutated; the guard owns a private copy.
-func NewGuard(p *Problem) (*Guard, error) {
-	return NewGuardCtx(context.Background(), p)
-}
-
-// NewGuardCtx is NewGuard with cooperative cancellation of the initial
-// protection run.
+// NewGuardCtx protects the problem fully (SGB greedy at the critical
+// budget) and returns a guard maintaining that state; ctx cancels the
+// initial protection run. The problem's graph is not mutated; the guard
+// owns a private copy.
 func NewGuardCtx(ctx context.Context, p *Problem) (*Guard, error) {
 	_, res, err := CriticalBudgetCtx(ctx, p, Options{Engine: EngineIndexed})
 	if err != nil {

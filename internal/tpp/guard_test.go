@@ -1,6 +1,7 @@
 package tpp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func newTestGuard(t *testing.T, seed int64, pattern motif.Pattern) (*Guard, *Pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := NewGuard(p)
+	gd, err := NewGuardCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPropertyGuardInvariant(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			gd, err := NewGuard(p)
+			gd, err := NewGuardCtx(context.Background(), p)
 			if err != nil {
 				return false
 			}

@@ -43,9 +43,6 @@ type KatzResult struct {
 	Elapsed    time.Duration
 }
 
-// FinalScore returns the adversary's total Katz score after the defense.
-func (r *KatzResult) FinalScore() float64 { return r.ScoreTrace[len(r.ScoreTrace)-1] }
-
 // KatzGreedy deletes up to k protector links minimising the total
 // truncated Katz score of the targets. The graph passed via the problem is
 // handled exactly like the motif algorithms: targets are removed first,

@@ -22,11 +22,9 @@
 // Underneath, the package provides the paper's three greedy
 // protector-selection algorithms (SGB-Greedy, CT-Greedy, WT-Greedy), their
 // scalable -R variants (Lemma 5 candidate restriction), the TBD and DBD
-// budget division strategies, the RD/RDT baselines, a weighted-target
-// extension (CELF lazy greedy), and a brute-force optimum for verifying
-// approximation bounds on small instances. These remain exported for fine
-// control; cmd/tpp, cmd/tppd and the examples all dispatch through the
-// session.
+// budget division strategies and the RD/RDT baselines. These remain
+// exported for the paper's experiments; cmd/tpp, cmd/tppd and the examples
+// all dispatch through the session.
 package tpp
 
 import (

@@ -387,13 +387,11 @@ func ParseMethod(s string) (Method, error) {
 
 // ParseEngine maps the wire/CLI spelling of a gain engine ("indexed",
 // "recount"; empty selects the default EngineIndexed) to its Engine, or
-// fails with ErrUnknownEngine. "lazy", the name of a retired engine that
-// selected identically, is still accepted as EngineIndexed because stored
-// requests and deployed clients send it. Both engines produce identical
-// selections — the spelling picks a cost model, not an algorithm.
+// fails with ErrUnknownEngine. Both engines produce identical selections —
+// the spelling picks a cost model, not an algorithm.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "indexed", "lazy":
+	case "", "indexed":
 		return EngineIndexed, nil
 	case "recount":
 		return EngineRecount, nil

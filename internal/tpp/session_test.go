@@ -341,17 +341,17 @@ func TestParseMethodAndDivision(t *testing.T) {
 	if _, err := ParseDivision("bogus"); !errors.Is(err, ErrUnknownDivision) {
 		t.Fatalf("ParseDivision(bogus): err = %v", err)
 	}
-	// "lazy" names a retired engine; stored requests still send it.
-	for in, want := range map[string]Engine{
-		"": EngineIndexed, "indexed": EngineIndexed, "lazy": EngineIndexed, "recount": EngineRecount,
-	} {
+	for in, want := range map[string]Engine{"": EngineIndexed, "indexed": EngineIndexed, "recount": EngineRecount} {
 		got, err := ParseEngine(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseEngine("celf"); !errors.Is(err, ErrUnknownEngine) {
-		t.Fatalf("ParseEngine(celf): err = %v", err)
+	// "lazy" names a retired engine and is no longer a spelling of indexed.
+	for _, in := range []string{"celf", "lazy"} {
+		if _, err := ParseEngine(in); !errors.Is(err, ErrUnknownEngine) {
+			t.Fatalf("ParseEngine(%q): err = %v, want ErrUnknownEngine", in, err)
+		}
 	}
 }
 
@@ -370,7 +370,7 @@ func TestGuardAddEdgeCtxPartialRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := NewGuard(p)
+	gd, err := NewGuardCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,10 +398,28 @@ func TestGuardAddEdgeCtxPartialRepair(t *testing.T) {
 	}
 }
 
-// TestFreeFunctionCtxVariants checks the lower-level context-aware entry
-// points abort with ctx.Err() when handed a dead context.
+// TestFreeFunctionCtxVariants checks every context-aware entry point aborts
+// with ctx.Err() on a dead context. Protector.Run refuses an already
+// cancelled context before selecting, so the greedy loops are reached by
+// cancelling from the progress callback after the first committed step:
+// the loop's next cancellation check must stop the run there.
 func TestFreeFunctionCtxVariants(t *testing.T) {
 	g, targets := sessionTestInstance(t)
+	for _, engine := range []Engine{EngineIndexed, EngineRecount} {
+		for _, m := range []Method{MethodSGB, MethodCT, MethodWT} {
+			pr, err := New(g, targets, WithEngine(engine), WithMethod(m), WithBudget(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			steps := 0
+			_, err = pr.Run(ctx, WithProgress(func(int, graph.Edge, int) { steps++; cancel() }))
+			cancel()
+			if !errors.Is(err, context.Canceled) || steps != 1 {
+				t.Fatalf("%v/%s: err = %v after %d steps, want context.Canceled after 1", engine, m, err, steps)
+			}
+		}
+	}
 	p, err := NewProblem(g, motif.Triangle, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -409,15 +427,6 @@ func TestFreeFunctionCtxVariants(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := Options{Engine: EngineIndexed}
-	if _, err := SGBGreedyCtx(ctx, p, 3, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SGBGreedyCtx: %v", err)
-	}
-	if _, err := CTGreedyCtx(ctx, p, []int{1, 1, 1, 1}, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CTGreedyCtx: %v", err)
-	}
-	if _, err := WTGreedyCtx(ctx, p, []int{1, 1, 1, 1}, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WTGreedyCtx: %v", err)
-	}
 	if _, _, err := CriticalBudgetCtx(ctx, p, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CriticalBudgetCtx: %v", err)
 	}

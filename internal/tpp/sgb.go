@@ -17,13 +17,6 @@ func SGBGreedy(p *Problem, k int, opt Options) (*Result, error) {
 	return sgbGreedy(p, k, opt, runEnv{})
 }
 
-// SGBGreedyCtx is SGBGreedy with cooperative cancellation: the selection
-// loop checks ctx between steps (and periodically inside candidate scans)
-// and aborts with ctx.Err() when it is cancelled or past its deadline.
-func SGBGreedyCtx(ctx context.Context, p *Problem, k int, opt Options) (*Result, error) {
-	return sgbGreedy(p, k, opt, runEnv{ctx: ctx})
-}
-
 func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
@@ -81,7 +74,10 @@ func CriticalBudget(p *Problem, opt Options) (int, *Result, error) {
 	return criticalBudget(p, opt, runEnv{})
 }
 
-// CriticalBudgetCtx is CriticalBudget with cooperative cancellation.
+// CriticalBudgetCtx is CriticalBudget with cooperative cancellation: the
+// selection loop checks ctx between steps (and periodically inside
+// candidate scans) and aborts with ctx.Err() when it is cancelled or past
+// its deadline.
 func CriticalBudgetCtx(ctx context.Context, p *Problem, opt Options) (int, *Result, error) {
 	return criticalBudget(p, opt, runEnv{ctx: ctx})
 }
