@@ -18,8 +18,8 @@ import (
 // mutations incrementally (motif.Index.ApplyMutation — kill incident
 // instances via the CSR table, re-enumerate only insert-touched targets)
 // versus what a delta-unaware session must do — re-derive the phase-1
-// working graph (Problem.Phase1 clone) and re-enumerate every target from
-// scratch.
+// working graph (the clone tpp.NewProblem takes) and re-enumerate every
+// target from scratch.
 // BENCH_dynamic.json records the measured gap.
 
 type dynamicBench struct {
@@ -230,8 +230,8 @@ func BenchmarkSessionMutationApply(b *testing.B) {
 
 // BenchmarkSessionMutationRebuild measures the delta-unaware baseline on
 // the same mixed stream: construct a fresh session for the mutated graph
-// and target list (tpp.New validation) and derive its cached state — the
-// phase-1 graph clone and the full index enumeration its first Run pays.
+// and target list (tpp.New validation and its phase-1 graph clone) and the
+// full index enumeration its first Run pays.
 func BenchmarkSessionMutationRebuild(b *testing.B) {
 	for _, pattern := range []motif.Pattern{motif.Triangle, motif.Rectangle} {
 		for _, deltaK := range []int{8, 16} {
@@ -249,8 +249,8 @@ func BenchmarkSessionMutationRebuild(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					working := fresh.Problem().Phase1()
-					if _, err := motif.NewIndex(working, pattern, fresh.Problem().Targets); err != nil {
+					p := fresh.Problem()
+					if _, err := motif.NewIndex(p.G, pattern, p.Targets); err != nil {
 						b.Fatal(err)
 					}
 				}

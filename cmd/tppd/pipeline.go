@@ -326,7 +326,7 @@ func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Opt
 	resp = protectResponse{
 		Method:            res.Method,
 		Nodes:             p.G.NumNodes(),
-		Edges:             p.G.NumEdges(),
+		Edges:             p.G.NumEdges() + len(p.Targets), // the original graph's
 		Budget:            *budget,
 		Protectors:        edgePairs(res.Protectors, rec.lab),
 		InitialSimilarity: res.SimilarityTrace[0],

@@ -475,7 +475,7 @@ func (rec *sessionRecord) info() sessionResponse {
 	return sessionResponse{
 		ID:            rec.id,
 		Nodes:         p.G.NumNodes(),
-		Edges:         p.G.NumEdges(),
+		Edges:         p.G.NumEdges() + len(p.Targets), // the original graph's
 		Targets:       edgePairs(p.Targets, rec.lab),
 		Pattern:       rec.pattern,
 		Created:       rec.created,

@@ -108,7 +108,7 @@ func main() {
 
 	fmt.Printf("\nafter %d deltas: index enumerations %d (the incremental path never rebuilt)\n",
 		session.DeltasApplied(), session.IndexBuilds())
-	fmt.Printf("total delta-apply time %v (first apply includes the one-time copy-on-write graph clone) vs %v of enumeration a rebuild-per-delta design would have re-paid %d times\n",
+	fmt.Printf("total delta-apply time %v vs %v of enumeration a rebuild-per-delta design would have re-paid %d times\n",
 		session.DeltaApplyTime().Round(time.Microsecond),
 		session.IndexBuildTime().Round(time.Microsecond), session.DeltasApplied())
 

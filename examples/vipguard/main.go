@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// --- Attack on the naive release (targets merely hidden) -------------
-	naive := session.Problem().Phase1()
+	naive := session.Problem().G
 	fmt.Println("\nattack on naive release (targets deleted, nothing else):")
 	attack(naive, targets, rng)
 

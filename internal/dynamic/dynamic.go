@@ -35,7 +35,6 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/motif"
 )
 
 // ErrInvalid is wrapped by every delta validation failure, so protocol
@@ -62,10 +61,10 @@ func invalidf(format string, args ...any) error {
 //     not be an endpoint of any surviving or added target.
 //   - AddTargets promotes absent non-target pairs to protected target
 //     links: the link joins the target list (appended in canonical order
-//     after the survivors) and the session's original graph, but never the
-//     phase-1 graph — targets are withheld from release by definition.
+//     after the survivors), but never the phase-1 graph — targets are
+//     withheld from release by definition.
 //   - DropTargets retires current targets: the link leaves the target list
-//     and the session graph entirely (it was never in the phase-1 graph).
+//     (it was never in the phase-1 graph).
 //     A delta may not retire every target: a session must always have at
 //     least one link to protect.
 //
@@ -216,9 +215,9 @@ func canonEdges(es []graph.Edge, kind string) ([]graph.Edge, error) {
 // survive the delta. A removed node must be in range, isolated once the
 // delta's edge removals (and drops of its incident targets) have taken
 // effect, untouched by insertions and added targets, and not an endpoint of
-// any surviving target. Pass the original graph (targets present) or the
-// phase-1 graph (targets removed); every check is arranged to be
-// independent of which.
+// any surviving target. g is the phase-1 graph (targets removed), the one
+// graph a session keeps; every check is arranged to give the same answer
+// on the original graph (targets present), so either may be passed.
 func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 	// Target membership is queried a few dozen times per delta. For
 	// session-sized target lists a direct linear scan (two comparisons per
@@ -358,37 +357,18 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 	return nil
 }
 
-// ApplyToGraph mutates a phase-1 style graph (target links absent) in
-// place: node additions, then edge removals, then insertions, then node
-// removals. Target membership changes never touch a phase-1 graph — target
-// links are withheld from it by definition. It returns the node remap
-// produced by the removals (remap[old] = new ID, graph.NoNode for removed
-// nodes; nil when no nodes were removed — see graph.Graph.RemoveNodes).
+// ApplyToGraph mutates a phase-1 graph (target links absent) in place:
+// node additions, then edge removals, then insertions, then node removals.
+// Target membership changes never touch a phase-1 graph — target links are
+// withheld from it by definition; ApplyTargets applies them to the target
+// list. It returns the node remap produced by the removals (remap[old] =
+// new ID, graph.NoNode for removed nodes; nil when no nodes were removed —
+// see graph.Graph.RemoveNodes).
 //
 // The delta must have passed Validate against g (or a graph with the same
 // membership for the delta's edges and nodes); on a validated delta every
 // mutation takes effect.
 func (d Delta) ApplyToGraph(g *graph.Graph) []graph.NodeID {
-	return d.apply(g, false, true)
-}
-
-// ApplyToSession applies the delta to a session's pair of graphs — the
-// original-style graph (target links present as edges: dropped targets
-// leave it and added targets join it, before the node removals) and its
-// cached phase-1 companion (pass nil when the session has not derived one)
-// — and returns the shared node remap, the one ApplyToGraph produces for
-// the same delta. The two graphs always have the same node universe, so
-// the remap is computed once instead of once per graph (it is O(nodes),
-// the only graph-proportional cost on the apply path).
-func (d Delta) ApplyToSession(original, phase1 *graph.Graph) []graph.NodeID {
-	remap := d.apply(original, true, true)
-	if phase1 != nil {
-		d.apply(phase1, false, false)
-	}
-	return remap
-}
-
-func (d Delta) apply(g *graph.Graph, targetEdges, wantRemap bool) []graph.NodeID {
 	for i := 0; i < d.AddNodes; i++ {
 		g.AddNode()
 	}
@@ -398,22 +378,7 @@ func (d Delta) apply(g *graph.Graph, targetEdges, wantRemap bool) []graph.NodeID
 	for _, e := range d.Insert {
 		g.AddEdgeE(e)
 	}
-	if targetEdges {
-		for _, t := range d.DropTargets {
-			g.RemoveEdgeE(t)
-		}
-		for _, t := range d.AddTargets {
-			g.AddEdgeE(t)
-		}
-	}
-	if wantRemap {
-		return g.RemoveNodes(d.RemoveNodes)
-	}
-	// Same removals, same descending order, no remap materialisation.
-	for i := len(d.RemoveNodes) - 1; i >= 0; i-- {
-		g.RemoveNode(d.RemoveNodes[i])
-	}
-	return nil
+	return g.RemoveNodes(d.RemoveNodes)
 }
 
 // ApplyTargets returns the post-delta target list for a validated delta:
@@ -458,27 +423,4 @@ func (d Delta) ApplyTargets(targets []graph.Edge, remap []graph.NodeID) []graph.
 		out = append(out, rename(t))
 	}
 	return out
-}
-
-// Apply is the package's one-call path for index-bearing callers: it
-// canonicalizes and validates d against the phase-1 graph g and the index's
-// targets, mutates g, and incrementally maintains ix via ApplyMutation —
-// including target-list edits and the node renaming produced by removals.
-// On a validation error, g and ix are untouched.
-func Apply(g *graph.Graph, ix *motif.Index, d Delta) (motif.ApplyStats, error) {
-	d, err := d.Canonicalize()
-	if err != nil {
-		return motif.ApplyStats{}, err
-	}
-	if err := d.Validate(g, ix.Targets()); err != nil {
-		return motif.ApplyStats{}, err
-	}
-	remap := d.ApplyToGraph(g)
-	return ix.ApplyMutation(g, motif.Mutation{
-		Inserted:    d.Insert,
-		Removed:     d.Remove,
-		AddTargets:  d.AddTargets,
-		DropTargets: d.DropTargets,
-		Remap:       remap,
-	})
 }

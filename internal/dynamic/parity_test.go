@@ -11,6 +11,29 @@ import (
 	"repro/internal/motif"
 )
 
+// applyDelta takes d through a session's apply path on a bare phase-1
+// graph and its index: Canonicalize, Validate, ApplyToGraph, then the
+// index's ApplyMutation (tpp.Protector.Apply runs the same four steps and
+// adds the target-list and warm-start bookkeeping).
+func applyDelta(g *graph.Graph, ix *motif.Index, d Delta) error {
+	d, err := d.Canonicalize()
+	if err != nil {
+		return err
+	}
+	if err := d.Validate(g, ix.Targets()); err != nil {
+		return err
+	}
+	remap := d.ApplyToGraph(g)
+	_, err = ix.ApplyMutation(g, motif.Mutation{
+		Inserted:    d.Insert,
+		Removed:     d.Remove,
+		AddTargets:  d.AddTargets,
+		DropTargets: d.DropTargets,
+		Remap:       remap,
+	})
+	return err
+}
+
 // checkIndexParity asserts that got (an incrementally maintained index) is
 // observationally identical to a from-scratch index on the same graph:
 // per-target similarities, edge-keyed gains over both universes, per-target
@@ -234,7 +257,7 @@ func TestApplyParityMutationStreams(t *testing.T) {
 				}
 				for step := 0; step < 20; step++ {
 					d := Delta(churn.Next(1 + rng.Intn(8)))
-					if _, err := Apply(phase1, ix, d); err != nil {
+					if err := applyDelta(phase1, ix, d); err != nil {
 						t.Fatalf("step %d: apply %+v: %v", step, d, err)
 					}
 					curTargets := ix.Targets()
@@ -321,7 +344,7 @@ func FuzzApplyParity(f *testing.F) {
 			if d.Empty() {
 				return
 			}
-			if _, err := Apply(phase1, ix, d); err != nil {
+			if err := applyDelta(phase1, ix, d); err != nil {
 				t.Fatalf("apply %+v: %v", d, err)
 			}
 			fresh, err := motif.NewIndexWorkers(phase1, pattern, ix.Targets(), workers)

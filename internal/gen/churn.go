@@ -360,9 +360,10 @@ func (c *MutationChurn) Next(k int) Mutation {
 	graph.SortEdges(m.DropTargets)
 	slices.Sort(m.RemoveNodes)
 
-	// Advance the stream's own state, mirroring dynamic.Delta's
-	// ApplyToSession + ApplyTargets (kept dependency-free; the dynamic
-	// package's tests pin the two in lockstep).
+	// Advance the stream's own state: dynamic.Delta's ApplyToGraph plus the
+	// target-link edits (the stream's graph keeps its target links), then
+	// ApplyTargets (kept dependency-free; the tests of this package and of
+	// the dynamic package pin the two in lockstep).
 	for i := 0; i < m.AddNodes; i++ {
 		c.g.AddNode()
 	}

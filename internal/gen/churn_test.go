@@ -98,7 +98,9 @@ func TestMutationChurnBatchesAreValidDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seed := BarabasiAlbertTriad(120, 3, 0.4, rng)
 	targets := seed.Edges()[:6]
+	// The mirror is a session's view: the phase-1 graph plus the target list.
 	mirror := seed.Clone()
+	mirror.RemoveEdges(targets)
 	mirrorTargets := append([]graph.Edge(nil), targets...)
 
 	c := NewMutationChurn(seed, targets, DefaultChurnRates(), rng)
@@ -113,13 +115,13 @@ func TestMutationChurnBatchesAreValidDeltas(t *testing.T) {
 		if err := d.Validate(mirror, mirrorTargets); err != nil {
 			t.Fatalf("batch %d: validate: %v", batch, err)
 		}
-		remap := d.ApplyToSession(mirror, nil)
+		remap := d.ApplyToGraph(mirror)
 		mirrorTargets = d.ApplyTargets(mirrorTargets, remap)
 		sawNodes += d.AddNodes + len(d.RemoveNodes)
 		sawTargets += len(d.AddTargets) + len(d.DropTargets)
 
-		if mirror.NumNodes() != c.Graph().NumNodes() || mirror.NumEdges() != c.Graph().NumEdges() {
-			t.Fatalf("batch %d: mirror %v, churn graph %v", batch, mirror, c.Graph())
+		if mirror.NumNodes() != c.Graph().NumNodes() || mirror.NumEdges()+len(mirrorTargets) != c.Graph().NumEdges() {
+			t.Fatalf("batch %d: mirror %v plus %d targets, churn graph %v", batch, mirror, len(mirrorTargets), c.Graph())
 		}
 		ct := c.Targets()
 		if len(ct) != len(mirrorTargets) {

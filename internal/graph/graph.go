@@ -556,8 +556,8 @@ func (g *Graph) EachEdge(fn func(e Edge) bool) {
 }
 
 // Clone returns a deep copy of g. Each neighbor row is copied with exact
-// capacity in one memmove — cloning is on the request path
-// (Problem.Phase1), so this matters.
+// capacity in one memmove — cloning is on the request path (NewProblem's
+// phase-1 copy, Release), so this matters.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{adj: make([][]NodeID, len(g.adj)), edges: g.edges}
 	for i, row := range g.adj {

@@ -89,7 +89,7 @@ func TestPrecisionCollapsesUnderTPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := p.Phase1()
+	naive := p.G
 	before := PrecisionAtK(naive, CommonNeighbors, targets, 300)
 	if before == 0 {
 		t.Fatal("attack premise failed: no signal before protection")

@@ -21,7 +21,7 @@ func randomDeletion(p *Problem, k int, rng *rand.Rand, env runEnv) (*Result, err
 	// report the similarity trace (RD computes no gains — that is its
 	// point), so the clock starts at the actual selection.
 	return randomBaseline(p, k, rng, env, "RD", func(p *Problem, _ *motif.Index) []graph.Edge {
-		return p.Phase1().Edges()
+		return p.G.Edges()
 	})
 }
 

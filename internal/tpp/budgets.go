@@ -28,8 +28,7 @@ func TBD(k int, wCounts []int) ([]int, error) {
 
 // TBDForProblem computes |W_t| on the phase-1 graph and applies TBD.
 func TBDForProblem(p *Problem, k int) ([]int, error) {
-	g := p.Phase1()
-	_, per := motif.CountAll(g, p.Pattern, p.Targets)
+	_, per := motif.CountAll(p.G, p.Pattern, p.Targets)
 	return TBD(k, per)
 }
 
@@ -48,9 +47,21 @@ func DBD(k int, g *graph.Graph, targets []graph.Edge) ([]int, error) {
 	return apportion(k, weights, nil), nil
 }
 
-// DBDForProblem applies DBD using the problem's original graph.
+// DBDForProblem applies DBD with the problem's original degrees, read off
+// the phase-1 graph: a node's original degree is its phase-1 degree plus
+// the number of targets incident to it.
 func DBDForProblem(p *Problem, k int) ([]int, error) {
-	return DBD(k, p.G, p.Targets)
+	targetDeg := make(map[graph.NodeID]int, 2*len(p.Targets))
+	for _, t := range p.Targets {
+		targetDeg[t.U]++
+		targetDeg[t.V]++
+	}
+	degree := func(x graph.NodeID) float64 { return float64(p.G.Degree(x) + targetDeg[x]) }
+	weights := make([]float64, len(p.Targets))
+	for i, t := range p.Targets {
+		weights[i] = degree(t.U) * degree(t.V)
+	}
+	return apportion(k, weights, nil), nil
 }
 
 func toFloats(xs []int) []float64 {

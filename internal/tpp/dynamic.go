@@ -20,8 +20,8 @@ type DeltaReport struct {
 	// TargetsAdded and TargetsDropped count the target-list edits; Targets
 	// is the target count after the delta.
 	TargetsAdded, TargetsDropped, Targets int
-	// Nodes and Edges are the session graph's size after the delta
-	// (target links included).
+	// Nodes and Edges are the size of the session's original graph after
+	// the delta: the phase-1 graph's edges plus the target links.
 	Nodes, Edges int
 	// NodeRemap is the node renaming the delta's node removals produced:
 	// NodeRemap[old] is the node's new ID, graph.NoNode for removed nodes.
@@ -52,7 +52,7 @@ type DeltaReport struct {
 // The delta is canonicalized and validated first — insertions must be new
 // edges over live nodes, removals must exist, neither may touch a target
 // link, an added target must be an absent non-target pair (it joins the
-// target list and the session graph, but is withheld from every release), a
+// target list but never the phase-1 graph, so no release carries it), a
 // dropped target must currently be a target and at least one target must
 // survive, and a removed node must end the delta isolated and
 // target-free; validation failures wrap dynamic.ErrInvalid and leave the
@@ -64,10 +64,10 @@ type DeltaReport struct {
 // (its cost is bounded by the enumeration a fresh build would pay, usually
 // a small fraction of it).
 //
-// The graph passed to New is never mutated: the first Apply detaches the
-// session onto a private clone. Results returned by earlier Runs describe
-// the pre-delta graph and numbering; re-Run the session for selections on
-// the current one.
+// The delta mutates the session's own phase-1 graph in place; the graph
+// passed to New was never retained. Results returned by earlier Runs
+// describe the pre-delta graph and numbering; re-Run the session for
+// selections on the current one.
 func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -79,24 +79,16 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 		return nil, ctx.Err()
 	}
 	start := time.Now()
+	p := pr.problem
 	d, err := d.Canonicalize()
 	if err != nil {
 		return nil, err
 	}
-	if err := d.Validate(pr.problem.G, pr.problem.Targets); err != nil {
+	if err := d.Validate(p.G, p.Targets); err != nil {
 		return nil, err
 	}
-	if !pr.ownsGraph {
-		pr.problem = &Problem{G: pr.problem.G.Clone(), Pattern: pr.problem.Pattern, Targets: pr.problem.Targets}
-		pr.ownsGraph = true
-	}
-	// Target links are withheld from the phase-1 graph, so it follows the
-	// same mutations minus the target-membership edits and stays exactly
-	// problem.G minus targets; the shared node remap is computed once.
-	remap := d.ApplyToSession(pr.problem.G, pr.phase1)
-	// ApplyTargets never mutates the old slice, so a pre-detach sharing of
-	// the caller's target list stays safe.
-	pr.problem.Targets = d.ApplyTargets(pr.problem.Targets, remap)
+	remap := d.ApplyToGraph(p.G)
+	p.Targets = d.ApplyTargets(p.Targets, remap)
 	rep := &DeltaReport{
 		Inserted:       len(d.Insert),
 		Removed:        len(d.Remove),
@@ -104,13 +96,13 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 		NodesRemoved:   len(d.RemoveNodes),
 		TargetsAdded:   len(d.AddTargets),
 		TargetsDropped: len(d.DropTargets),
-		Targets:        len(pr.problem.Targets),
-		Nodes:          pr.problem.G.NumNodes(),
-		Edges:          pr.problem.G.NumEdges(),
+		Targets:        len(p.Targets),
+		Nodes:          p.G.NumNodes(),
+		Edges:          p.G.NumEdges() + len(p.Targets),
 		NodeRemap:      remap,
 	}
 	if pr.ix != nil {
-		st, err := pr.ix.ApplyMutation(pr.phase1, motif.Mutation{
+		st, err := pr.ix.ApplyMutation(p.G, motif.Mutation{
 			Inserted:    d.Insert,
 			Removed:     d.Remove,
 			AddTargets:  d.AddTargets,

@@ -199,8 +199,23 @@ func TestSessionApplyFullMutationParity(t *testing.T) {
 						t.Fatalf("step %d: target %d = %v, churn mirror has %v", step, i, p.Targets[i], wantTargets[i])
 					}
 				}
-				if p.G.NumNodes() != churn.Graph().NumNodes() || p.G.NumEdges() != churn.Graph().NumEdges() {
-					t.Fatalf("step %d: session graph %v, churn mirror %v", step, p.G, churn.Graph())
+				// One graph: the session holds the phase-1 graph alone (no
+				// target link in it), and its footprint counts nothing else.
+				if p.G.NumNodes() != churn.Graph().NumNodes() || p.G.NumEdges()+len(p.Targets) != churn.Graph().NumEdges() {
+					t.Fatalf("step %d: session graph %v plus %d targets, churn mirror %v", step, p.G, len(p.Targets), churn.Graph())
+				}
+				if rep.Nodes != p.G.NumNodes() || rep.Edges != churn.Graph().NumEdges() {
+					t.Fatalf("step %d: report counts %d nodes, %d edges; churn mirror %v", step, rep.Nodes, rep.Edges, churn.Graph())
+				}
+				for _, tgt := range p.Targets {
+					if p.G.HasEdgeE(tgt) {
+						t.Fatalf("step %d: target %v is a link of the session graph", step, tgt)
+					}
+				}
+				wantBytes := sessionBaseBytes + p.G.MemFootprint() + int64(cap(p.Targets))*8 +
+					session.ix.MemFootprint() + session.warm.memFootprint()
+				if got := session.MemFootprint(); got != wantBytes {
+					t.Fatalf("step %d: footprint %d, want %d = base + graph + targets + index + warm", step, got, wantBytes)
 				}
 
 				got, err := session.Run(ctx)
@@ -315,7 +330,7 @@ func TestSessionApplyTargetChurnCold(t *testing.T) {
 	}
 	// Parity against a fresh session on the session's own current state.
 	p := session.Problem()
-	fresh, err := New(p.G, p.Targets)
+	fresh, err := New(p.original(), p.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func newEvaluator(p *Problem, opt Options, workers int) (evaluator, error) {
 	case EngineRecount:
 		return newRecountEvaluator(p, opt.Scope), nil
 	case EngineIndexed:
-		ix, err := motif.NewIndexWorkers(p.Phase1(), p.Pattern, p.Targets, workers)
+		ix, err := motif.NewIndexWorkers(p.G, p.Pattern, p.Targets, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ type recountEvaluator struct {
 }
 
 func newRecountEvaluator(p *Problem, scope Scope) *recountEvaluator {
-	g := p.Phase1()
+	g := p.G.Clone()
 	total, per := motif.CountAll(g, p.Pattern, p.Targets)
 	in := graph.NewInterner(g)
 	return &recountEvaluator{

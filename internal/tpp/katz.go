@@ -57,7 +57,7 @@ func KatzGreedy(p *Problem, k int, opt KatzOptions) (*KatzResult, error) {
 	if opt.MaxLen < 2 {
 		return nil, fmt.Errorf("tpp: Katz max length %d < 2", opt.MaxLen)
 	}
-	g := p.Phase1()
+	g := p.G.Clone()
 	start := time.Now()
 
 	// One walk-vector scratch serves every Katz evaluation of the run: the

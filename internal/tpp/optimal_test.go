@@ -16,12 +16,12 @@ import (
 // (1 − 1/e) bound. Ties are resolved toward the lexicographically smallest
 // protector set.
 func OptimalSGB(p *Problem, k int) (best []graph.Edge, bestBroken int, err error) {
-	ix, err := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		return nil, 0, err
 	}
 	cands := ix.CandidateEdges()
-	insts := motif.Instances(p.Phase1(), p.Pattern, p.Targets)
+	insts := motif.Instances(p.G, p.Pattern, p.Targets)
 	if len(cands) > 24 {
 		return nil, 0, fmt.Errorf("tpp: OptimalSGB: %d candidate edges is too many for exhaustive search", len(cands))
 	}
@@ -77,7 +77,7 @@ func OptimalMLBT(p *Problem, budgets []int) (bestBroken int, err error) {
 	if err := validateBudgets(p, budgets); err != nil {
 		return 0, err
 	}
-	ix, err := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		return 0, err
 	}
@@ -85,7 +85,7 @@ func OptimalMLBT(p *Problem, budgets []int) (bestBroken int, err error) {
 	if len(cands) > 10 {
 		return 0, fmt.Errorf("tpp: OptimalMLBT: %d candidate edges is too many for exhaustive search", len(cands))
 	}
-	insts := motif.Instances(p.Phase1(), p.Pattern, p.Targets)
+	insts := motif.Instances(p.G, p.Pattern, p.Targets)
 
 	deleted := make(map[graph.Edge]bool)
 	used := make([]int, len(budgets))

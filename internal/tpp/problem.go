@@ -35,11 +35,16 @@ import (
 	"repro/internal/motif"
 )
 
-// Problem is one TPP instance: a social graph, a motif pattern defining
-// what counts as a target subgraph, and the sensitive target links.
+// Problem is one TPP instance in its phase-1 form: the graph with every
+// target link withheld, a motif pattern defining what counts as a target
+// subgraph, and the sensitive target links. Phase 1 of the paper's model
+// deletes the targets and phase 2 selects protectors on what remains, so
+// G plus Targets is the whole instance; the original graph is G with the
+// target links added back.
 type Problem struct {
-	// G is the original graph, including target links. It is never mutated
-	// by this package.
+	// G is the phase-1 graph: the original graph minus every target link,
+	// the graph phase-2 protector selection runs on. It is the package's
+	// own copy, never the caller's; readers that mutate clone it.
 	G *graph.Graph
 	// Pattern is the motif that adversarial link prediction exploits.
 	Pattern motif.Pattern
@@ -50,7 +55,9 @@ type Problem struct {
 }
 
 // NewProblem validates and constructs a Problem. Every target must be an
-// existing, distinct edge of g. Target order is preserved.
+// existing, distinct edge of g. Target order is preserved. The problem
+// stores g's phase-1 form, a clone with the targets removed: g itself is
+// neither retained nor mutated.
 func NewProblem(g *graph.Graph, pattern motif.Pattern, targets []graph.Edge) (*Problem, error) {
 	if g == nil {
 		return nil, fmt.Errorf("tpp: nil graph")
@@ -73,15 +80,17 @@ func NewProblem(g *graph.Graph, pattern motif.Pattern, targets []graph.Edge) (*P
 		seen[t] = true
 		ts = append(ts, t)
 	}
-	return &Problem{G: g, Pattern: pattern, Targets: ts}, nil
+	phase1 := g.Clone()
+	phase1.RemoveEdges(ts)
+	return &Problem{G: phase1, Pattern: pattern, Targets: ts}, nil
 }
 
-// Phase1 returns a fresh copy of the graph with every target link removed —
-// the graph on which phase-2 protector selection operates.
-func (p *Problem) Phase1() *graph.Graph {
+// original rebuilds the original graph: a fresh copy of G with the target
+// links added back.
+func (p *Problem) original() *graph.Graph {
 	g := p.G.Clone()
 	for _, t := range p.Targets {
-		g.RemoveEdgeE(t)
+		g.AddEdgeE(t)
 	}
 	return g
 }
@@ -89,7 +98,7 @@ func (p *Problem) Phase1() *graph.Graph {
 // ProtectedGraph returns the released graph: phase-1 graph minus the given
 // protectors. This is what utility metrics and attack evaluation run on.
 func (p *Problem) ProtectedGraph(protectors []graph.Edge) *graph.Graph {
-	g := p.Phase1()
+	g := p.G.Clone()
 	g.RemoveEdges(protectors)
 	return g
 }
@@ -99,8 +108,7 @@ func (p *Problem) ProtectedGraph(protectors []graph.Edge) *graph.Graph {
 // (the paper requires C ≥ s(∅, T); choosing equality makes f(∅, T) = 0 and
 // f(P, T) = number of broken target subgraphs).
 func (p *Problem) InitialSimilarity() int {
-	g := p.Phase1()
-	total, _ := motif.CountAll(g, p.Pattern, p.Targets)
+	total, _ := motif.CountAll(p.G, p.Pattern, p.Targets)
 	return total
 }
 

@@ -66,7 +66,7 @@ func (e *runEnv) index(p *Problem) (*motif.Index, error) {
 	if e.ix != nil {
 		return e.ix, nil
 	}
-	return motif.NewIndexWorkers(p.Phase1(), p.Pattern, p.Targets, e.workers)
+	return motif.NewIndexWorkers(p.G, p.Pattern, p.Targets, e.workers)
 }
 
 // checkEvery is how many candidate evaluations a scan performs between

@@ -67,9 +67,7 @@ type Protector struct {
 	base    settings
 
 	runSlot        chan struct{} // capacity 1: serialises runs and deltas, ctx-aware
-	ix             *motif.Index  // built on first indexed run, then reused
-	phase1         *graph.Graph  // cached phase-1 graph backing ix; mutated by Apply
-	ownsGraph      bool          // problem.G detached from the caller's graph (first Apply)
+	ix             *motif.Index  // built on problem.G on first indexed run, then reused
 	warm           warmState     // warm-start snapshot; serialised on runSlot like ix
 	indexBuilds    atomic.Int64  // number of motif.NewIndex calls (observability)
 	indexBuildTime atomic.Int64  // total nanoseconds spent enumerating indexes
@@ -194,7 +192,8 @@ func WithProgress(fn ProgressFunc) Option { return func(s *settings) { s.progres
 // New constructs a protection session for the graph and target links.
 // It validates the targets (each must be a distinct existing edge) and the
 // options eagerly, so a server can map a New failure to a bad request.
-// The graph is never mutated; expensive state is built lazily on first Run.
+// The session keeps its own phase-1 copy of the graph (see NewProblem), so
+// g is neither retained nor mutated; the motif index is built on first Run.
 func New(g *graph.Graph, targets []graph.Edge, opts ...Option) (*Protector, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -214,8 +213,9 @@ func New(g *graph.Graph, targets []graph.Edge, opts ...Option) (*Protector, erro
 	}, nil
 }
 
-// Problem exposes the validated problem instance (canonicalised targets,
-// phase-1 helpers) for callers that need lower-level access.
+// Problem exposes the session's problem instance: its phase-1 graph and
+// canonicalised targets. It is live session state that Apply updates in
+// place; callers read it between session operations and never mutate it.
 func (pr *Protector) Problem() *Problem { return pr.problem }
 
 // IndexBuilds reports how many times the session has built a motif index —
@@ -266,12 +266,7 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	if s.engine != EngineRecount || s.method == MethodRD || s.method == MethodRDT {
 		// Baselines always need the index for their similarity trace.
 		if pr.ix == nil {
-			// The phase-1 graph is cached alongside the index so Apply can
-			// mutate both in step instead of recloning per delta.
-			if pr.phase1 == nil {
-				pr.phase1 = pr.problem.Phase1()
-			}
-			ix, err := motif.NewIndexWorkers(pr.phase1, pr.problem.Pattern, pr.problem.Targets, env.workers)
+			ix, err := motif.NewIndexWorkers(pr.problem.G, pr.problem.Pattern, pr.problem.Targets, env.workers)
 			if err != nil {
 				return nil, err
 			}
@@ -365,8 +360,8 @@ func (pr *Protector) divide(d Division, k int, env runEnv) ([]int, error) {
 }
 
 // Release materialises the released graph for a result of this session:
-// the original graph minus the targets (phase 1) minus the selected
-// protectors (phase 2). The input graph is never mutated.
+// a fresh copy of the phase-1 graph (the original minus the targets) minus
+// the selected protectors (phase 2).
 func (pr *Protector) Release(res *Result) *graph.Graph {
 	return pr.problem.ProtectedGraph(res.Protectors)
 }

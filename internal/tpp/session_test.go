@@ -443,7 +443,7 @@ func TestIndexResetRestoresBuildState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ package tpp
 // resident session reports an approximate byte footprint so a memory
 // budget can drive admission control and LRU spill of cold sessions
 // to their durable snapshots. The estimate counts the state a spill
-// actually releases — the graphs, the motif index and the warm-start
+// actually releases — the graph, the motif index and the warm-start
 // selection — using the same sizing philosophy as the snapshot encoder
 // (reachable payload bytes, not Go object headers).
 
@@ -21,8 +21,8 @@ const sessionBaseBytes = 512
 const MinSessionBytes = sessionBaseBytes
 
 // MemFootprint returns the approximate resident byte footprint of the
-// session: the original graph, the cached phase-1 graph when one is built,
-// the motif index and the warm-start selection state.
+// session: its one graph (phase 1), the target list, the motif index when
+// one is built and the warm-start selection state.
 //
 // MemFootprint is NOT safe concurrently with Run, Apply or Snapshot; the
 // caller serialises it like any other session operation (cmd/tppd holds the
@@ -31,14 +31,15 @@ func (pr *Protector) MemFootprint() int64 {
 	b := int64(sessionBaseBytes)
 	b += pr.problem.G.MemFootprint()
 	b += int64(cap(pr.problem.Targets)) * 8
-	if pr.phase1 != nil && pr.phase1 != pr.problem.G {
-		b += pr.phase1.MemFootprint()
-	}
 	if pr.ix != nil {
 		b += pr.ix.MemFootprint()
 	}
-	ws := &pr.warm
-	b += (int64(cap(ws.protectors)) + int64(cap(ws.touched)) + int64(cap(ws.mergeBuf))) * 8
+	return b + pr.warm.memFootprint()
+}
+
+// memFootprint returns the bytes held by the warm-start selection state.
+func (ws *warmState) memFootprint() int64 {
+	b := (int64(cap(ws.protectors)) + int64(cap(ws.touched)) + int64(cap(ws.mergeBuf))) * 8
 	b += int64(cap(ws.gains)) * 8
 	b += (int64(cap(ws.ids)) + int64(cap(ws.touchedIDs))) * 4
 	return b

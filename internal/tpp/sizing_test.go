@@ -10,8 +10,7 @@ import (
 
 // TestMemFootprintGrowsWithState pins the qualitative shape of the session
 // footprint estimate: a fresh session counts its graph, the first run adds
-// the phase-1 graph + motif index, and a bigger graph costs more than a
-// smaller one. The absolute numbers are estimates; the budget layer only
+// the motif index, and a bigger graph costs more than a smaller one. The absolute numbers are estimates; the budget layer only
 // needs ordering and rough proportionality.
 func TestMemFootprintGrowsWithState(t *testing.T) {
 	ds := datasets.DBLPSim(400, 1)
@@ -24,7 +23,7 @@ func TestMemFootprintGrowsWithState(t *testing.T) {
 	if fresh < sessionBaseBytes {
 		t.Fatalf("fresh footprint %d below the base overhead", fresh)
 	}
-	if g := ds.Graph.MemFootprint(); fresh < g {
+	if g := pr.Problem().G.MemFootprint(); fresh < g {
 		t.Fatalf("fresh footprint %d does not cover its graph (%d)", fresh, g)
 	}
 

@@ -17,7 +17,8 @@ import (
 // a session's persistent state IS).
 //
 // A SessionState captures everything a Protector cannot recompute: the
-// original graph, the target list in priority order, the resolved session
+// original graph (rebuilt from the session's phase-1 graph and targets),
+// the target list in priority order, the resolved session
 // options, the warm-start selection snapshot and the observability
 // counters. The motif index is deliberately NOT part of the state — it is
 // a pure function of (graph, pattern, targets) and rebuilding it on
@@ -35,8 +36,8 @@ import (
 var ErrStateMismatch = errors.New("tpp: restored index contradicts snapshot invariants")
 
 // SessionState is the complete persistent state of a Protector session.
-// Snapshot borrows the session's live Graph and Targets (no clone — see
-// Snapshot); Restore takes ownership of whatever is passed in.
+// Snapshot builds a fresh Graph but borrows the session's live Targets and
+// warm-selection slices (see Snapshot); Restore copies what it keeps.
 type SessionState struct {
 	// Resolved session options (the settings New applied). Progress
 	// callbacks are per-process and do not persist.
@@ -125,10 +126,12 @@ func invariantsOf(ix *motif.Index) *IndexInvariants {
 // Snapshot captures the session's persistent state. It serialises with Run
 // and Apply on the session's run slot (honouring ctx while waiting), resets
 // the cached index so the recorded invariants describe the canonical reset
-// state, and returns a state that BORROWS the session's graph, target list
-// and warm-selection slices: the caller must finish encoding it before the
-// session's next Apply or Run, or clone first. cmd/tppd snapshots while
-// holding the session's record slot, which guarantees exactly that window.
+// state, and rebuilds the original graph (phase 1 plus the target links) as
+// the state's Graph, so the snapshot format stays the original graph's. The
+// state BORROWS the session's target list and warm-selection slices: the
+// caller must finish encoding it before the session's next Apply or Run, or
+// clone first. cmd/tppd snapshots while holding the session's record slot,
+// which guarantees exactly that window.
 func (pr *Protector) Snapshot(ctx context.Context) (*SessionState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -150,7 +153,7 @@ func (pr *Protector) Snapshot(ctx context.Context) (*SessionState, error) {
 		Seed:     pr.base.seed,
 		WarmOff:  pr.base.warmOff,
 
-		Graph:   pr.problem.G,
+		Graph:   pr.problem.original(),
 		Targets: pr.problem.Targets,
 
 		WarmRuns:      pr.warmRuns.Load(),
@@ -181,8 +184,9 @@ func (pr *Protector) Snapshot(ctx context.Context) (*SessionState, error) {
 // settings.validate and NewProblem a fresh session passes), rebuilds the
 // motif index when the snapshot recorded one, and fails with
 // ErrStateMismatch if the rebuild contradicts the recorded invariants.
-// Restore takes ownership of st.Graph and st.Targets; the warm-selection
-// slices are copied, so one decoded state could be restored twice.
+// NewProblem derives the session's phase-1 graph from st.Graph and copies
+// the targets, and the warm-selection slices are copied too, so st is never
+// retained and one decoded state could be restored twice.
 //
 // The restored session is observationally identical to the one Snapshot
 // saw: same selections (warm or cold), same warm-replay behaviour, same
@@ -210,9 +214,6 @@ func Restore(st *SessionState) (*Protector, error) {
 		problem: problem,
 		base:    s,
 		runSlot: make(chan struct{}, 1),
-		// The graph came off disk; nothing else references it, so deltas
-		// may mutate it in place without the copy-on-write detach.
-		ownsGraph: true,
 	}
 	pr.warmRuns.Store(st.WarmRuns)
 	pr.coldRuns.Store(st.ColdRuns)
@@ -223,8 +224,7 @@ func Restore(st *SessionState) (*Protector, error) {
 		// the recorded invariants: a snapshot whose graph or targets drifted
 		// from the index it described must not serve.
 		start := time.Now()
-		pr.phase1 = problem.Phase1()
-		ix, err := motif.NewIndexWorkers(pr.phase1, problem.Pattern, problem.Targets, normalizeWorkers(s.workers))
+		ix, err := motif.NewIndexWorkers(problem.G, problem.Pattern, problem.Targets, normalizeWorkers(s.workers))
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func TestSnapshotRestoreParity(t *testing.T) {
 	if _, err := live.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	churn := gen.NewChurn(live.Problem().G, targets, 0.5, rng)
+	churn := gen.NewChurn(live.Problem().original(), targets, 0.5, rng)
 	ins, rem := churn.Next(6)
 	if _, err := live.Apply(ctx, dynamic.Delta{Insert: ins, Remove: rem}); err != nil {
 		t.Fatal(err)

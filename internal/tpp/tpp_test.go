@@ -173,22 +173,34 @@ func TestNewProblemValidation(t *testing.T) {
 	}
 }
 
-func TestPhase1RemovesAllTargets(t *testing.T) {
-	p, _ := fig2Problem(t)
-	g1 := p.Phase1()
+// TestNewProblemStoresPhase1 pins the one stored form of an instance:
+// NewProblem keeps a phase-1 copy of the caller's graph (every edge but the
+// targets), never touches the caller's graph, and original() rebuilds it.
+func TestNewProblemStoresPhase1(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := gen.BarabasiAlbertTriad(60, 3, 0.4, rng)
+	targets := datasets.SampleTargets(g, 6, rng)
+	before := g.Edges()
+	p, err := NewProblem(g, motif.Triangle, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.G == g {
+		t.Fatal("problem retained the caller's graph")
+	}
 	for _, tgt := range p.Targets {
-		if g1.HasEdgeE(tgt) {
+		if p.G.HasEdgeE(tgt) {
 			t.Fatalf("target %v survived phase 1", tgt)
 		}
 	}
-	if p.G.NumEdges() != g1.NumEdges()+len(p.Targets) {
-		t.Fatal("phase 1 removed non-target edges")
+	if p.G.NumEdges() != g.NumEdges()-len(p.Targets) {
+		t.Fatalf("phase 1 has %d edges, want %d - %d targets", p.G.NumEdges(), g.NumEdges(), len(p.Targets))
 	}
-	// Original graph untouched.
-	for _, tgt := range p.Targets {
-		if !p.G.HasEdgeE(tgt) {
-			t.Fatal("phase 1 mutated the original graph")
-		}
+	if !reflect.DeepEqual(g.Edges(), before) {
+		t.Fatal("NewProblem mutated the caller's graph")
+	}
+	if !reflect.DeepEqual(p.original().Edges(), before) {
+		t.Fatal("original() does not rebuild the caller's graph")
 	}
 }
 
@@ -357,7 +369,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			g1 := p.Phase1()
+			g1 := p.G
 			edges := g1.Edges()
 			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 			nA := rng.Intn(4)
@@ -395,7 +407,7 @@ func TestPropertySubmodularity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			g1 := p.Phase1()
+			g1 := p.G
 			edges := g1.Edges()
 			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 			if len(edges) < 3 {
@@ -541,6 +553,55 @@ func TestDBDTargetNotEdge(t *testing.T) {
 	}
 }
 
+// TestDBDForProblemUsesOriginalDegrees pins DBDForProblem, which reads the
+// degrees off the phase-1 graph, to DBD on the original graph. Every
+// instance has a hub shared by at least two targets, so a degree that
+// forgot the withheld target links would skew the hub's products against
+// the others' and move the apportionment.
+func TestDBDForProblemUsesOriginalDegrees(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := gen.BarabasiAlbertTriad(40, 3, 0.5, rng)
+		hub := graph.NodeID(rng.Intn(g.NumNodes()))
+		for g.Degree(hub) < 3 {
+			hub = graph.NodeID(rng.Intn(g.NumNodes()))
+		}
+		nbrs := g.Neighbors(hub)
+		rng.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
+		targets := []graph.Edge{graph.NewEdge(hub, nbrs[0]), graph.NewEdge(hub, nbrs[1])}
+		for _, e := range datasets.SampleTargets(g, 4, rng) {
+			if !e.Has(hub) {
+				targets = append(targets, e)
+			}
+		}
+		p, err := NewProblem(g, motif.Triangle, targets)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		for k := 0; k <= 40; k++ {
+			got, err := DBDForProblem(p, k)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			want, err := DBD(k, g, p.Targets)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d, k=%d: DBDForProblem = %v, DBD on the original graph = %v", seed, k, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: both budget divisions always satisfy Σ k_t ≤ k, and TBD
 // additionally k_t ≤ |W_t|.
 func TestPropertyBudgetDivisionFeasible(t *testing.T) {
@@ -561,7 +622,7 @@ func TestPropertyBudgetDivisionFeasible(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, per := motif.CountAll(p.Phase1(), motif.Triangle, p.Targets)
+		_, per := motif.CountAll(p.G, motif.Triangle, p.Targets)
 		sumT, sumD := 0, 0
 		for i := range targets {
 			if tbd[i] > per[i] || tbd[i] < 0 || dbd[i] < 0 {
@@ -595,7 +656,7 @@ func TestBaselinesRespectBudget(t *testing.T) {
 		t.Fatalf("RDT deleted %d, want 3", len(rdt.Protectors))
 	}
 	// RDT draws only from target-subgraph edges.
-	ix, _ := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, _ := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	universe := make(map[graph.Edge]bool)
 	for _, e := range ix.AllTouchedEdges() {
 		universe[e] = true

@@ -235,7 +235,7 @@ func TestWarmFallbackThreshold(t *testing.T) {
 		t.Fatalf("fallbacks = %d, want 1", session.WarmFallbacks())
 	}
 	p := session.Problem()
-	fresh, err := New(p.G, p.Targets, WithWarmStart(false))
+	fresh, err := New(p.original(), p.Targets, WithWarmStart(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func FuzzWarmSelectionParity(f *testing.F) {
 				t.Fatalf("run (budget %d): %v", budget, err)
 			}
 			p := session.Problem()
-			fresh, err := New(p.G, p.Targets,
+			fresh, err := New(p.original(), p.Targets,
 				WithPattern(pattern), WithWorkers(workers), WithWarmStart(false))
 			if err != nil {
 				t.Fatalf("fresh session: %v", err)
