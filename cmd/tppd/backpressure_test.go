@@ -23,9 +23,8 @@ func TestBackpressure429(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Occupy both selection slots, as two long-running selections would.
-	ss := srv.sessions
-	ss.sem <- struct{}{}
-	ss.sem <- struct{}{}
+	srv.sem <- struct{}{}
+	srv.sem <- struct{}{}
 
 	req := protectRequest{
 		Edges:   quickstartEdges,
@@ -76,7 +75,7 @@ func TestBackpressure429(t *testing.T) {
 	}
 
 	// A freed slot restores normal service immediately.
-	<-ss.sem
+	<-srv.sem
 	resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/protect", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after slot freed: status %d, want 200: %s", resp.StatusCode, body)
@@ -94,7 +93,7 @@ func TestBackpressure429(t *testing.T) {
 	if got := srv.metrics.busyRejections.Load(); got != 2 {
 		t.Fatalf("busy rejection counter = %d after the pooled-slot protects, want 2", got)
 	}
-	<-ss.sem
+	<-srv.sem
 }
 
 // TestBackpressureZeroWaitQueues: queue-wait 0 preserves the original
@@ -107,11 +106,10 @@ func TestBackpressureZeroWaitQueues(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	ss := srv.sessions
-	ss.sem <- struct{}{} // saturate; the goroutine frees it mid-request
+	srv.sem <- struct{}{} // saturate; the goroutine frees it mid-request
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		<-ss.sem
+		<-srv.sem
 	}()
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/protect", protectRequest{
 		Edges:   quickstartEdges,
@@ -131,21 +129,22 @@ func TestBackpressureZeroWaitQueues(t *testing.T) {
 // observations the estimate is the EWMA service time times the queue ahead
 // of the client, spread over the selection slots, clamped to [1, 60].
 func TestRetryAfterFromEWMA(t *testing.T) {
-	ss := &sessionStore{sem: make(chan struct{}, 2)}
-	if got := ss.retryAfterSeconds(5 * time.Second); got != 5 {
+	ss := &Server{sem: make(chan struct{}, 2), queueWait: 5 * time.Second}
+	if got := ss.retryAfterSeconds(); got != 5 {
 		t.Fatalf("no-observation fallback = %ds, want the 5s queue-wait", got)
 	}
-	if got := ss.retryAfterSeconds(0); got != 1 {
+	ss.queueWait = 0
+	if got := ss.retryAfterSeconds(); got != 1 {
 		t.Fatalf("fallback floor = %ds, want 1", got)
 	}
 	ss.observeService(4 * time.Second) // first sample seeds the EWMA
 	ss.waiters.Store(1)
 	// (1 waiter + this client) * 4s over 2 slots = 4s.
-	if got := ss.retryAfterSeconds(time.Second); got != 4 {
+	if got := ss.retryAfterSeconds(); got != 4 {
 		t.Fatalf("EWMA estimate = %ds, want 4", got)
 	}
 	ss.waiters.Store(1000)
-	if got := ss.retryAfterSeconds(time.Second); got != 60 {
+	if got := ss.retryAfterSeconds(); got != 60 {
 		t.Fatalf("backlogged estimate = %ds, want the 60s clamp", got)
 	}
 	// Later samples move the mean an eighth of the distance per completion.

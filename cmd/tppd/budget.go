@@ -1,10 +1,10 @@
 package main
 
-// Memory-budget enforcement for the session store.
+// Memory-budget enforcement for the session table.
 //
 // Each resident session reports an approximate byte footprint (graph rows +
 // motif index + warm state, from tpp.MemFootprint, plus its label table).
-// The store tracks those bytes in LRU order against the -mem-budget cap.
+// The table tracks those bytes in LRU order against the -mem-budget cap.
 // When it runs over, the coldest sessions whose locks can be taken without
 // waiting are spilled to their -data-dir files until the budget fits again.
 // Create requests that would not fit even after spilling everything
@@ -51,7 +51,7 @@ func (s *Server) noteFootprint(rec *sessionRecord) {
 // accountSession records a pre-measured footprint for rec and reclaims the
 // budget back under its cap, never spilling rec itself.
 func (s *Server) accountSession(rec *sessionRecord, bytes int64) {
-	s.sessions.budget.Set(rec.id, bytes, rec)
+	s.budget.Set(rec.id, bytes, rec)
 	s.reclaimBudget(rec.id)
 }
 
@@ -63,11 +63,11 @@ func (s *Server) accountSession(rec *sessionRecord, bytes int64) {
 // a spurious 429. false means the budget is still over with nothing left to
 // spill; the reservation is dropped.
 func (s *Server) admitSession(rec *sessionRecord, need int64) bool {
-	s.sessions.budget.Set(rec.id, need, rec)
+	s.budget.Set(rec.id, need, rec)
 	if s.reclaimBudget(rec.id) {
 		return true
 	}
-	s.sessions.budget.Remove(rec.id)
+	s.budget.Remove(rec.id)
 	return false
 }
 
@@ -78,7 +78,7 @@ func (s *Server) admitSession(rec *sessionRecord, need int64) bool {
 // definition not cold, and waiting for it from under another session's
 // slot would be a lock-order inversion.
 func (s *Server) reclaimBudget(exclude string) bool {
-	b := s.sessions.budget
+	b := s.budget
 	if b.Cap() <= 0 {
 		return true
 	}
@@ -105,9 +105,8 @@ func (s *Server) reclaimBudget(exclude string) bool {
 			continue
 		}
 		// A cap is only ever set with durability on (ConfigureDurability),
-		// so spill is always there to write what the files lack.
-		s.sessions.spill(victim)
-		s.sessions.remove(victim)
+		// so evict always spills what the log lacks.
+		s.evict(victim)
 		<-victim.slot
 		s.metrics.sessionsSpilled.Inc()
 	}

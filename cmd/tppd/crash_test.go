@@ -36,8 +36,7 @@ func TestCrashRecoveryChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ConfigureDurability(store, 0)
-	if _, _, err := srv.Rehydrate(context.Background()); err != nil {
+	if _, _, err := srv.ConfigureDurability(context.Background(), store, 0); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

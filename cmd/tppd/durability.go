@@ -18,11 +18,16 @@ package main
 //     memory-only; its next delta or spill first rewrites the
 //     log whole from memory, and a delta that cannot be
 //     persisted that way is refused, not applied
-//   - shutdown    sessionStore.close spills every session the same way,
-//     in sorted-id order (bounded per-session wait)
+//   - shutdown    Close spills every session the same way, in sorted-id
+//     order (bounded per-session wait); reclaim, TTL eviction and
+//     shutdown all go through one evict
+//   - lazy load   a lookup that misses the table claims the id (a record
+//     whose slot is already held) and reads its log outside the
+//     table lock: concurrent requests for the id wait on the
+//     claim and read the log once, loads of other ids never wait
 //   - delete      removes the log with the session
-//   - boot        Rehydrate recovers every persisted session; those that
-//     fail recovery are quarantined (renamed aside) and the
+//   - boot        ConfigureDurability loads every persisted session; those
+//     that fail recovery are quarantined (renamed aside) and the
 //     server keeps serving without them
 //
 // Protect runs are deliberately not logged: a selection is a pure function
@@ -45,159 +50,104 @@ import (
 	"repro/internal/tpp"
 )
 
-// ConfigureDurability attaches the persistence layer: new sessions are
+// ConfigureDurability attaches the persistence layer and loads every
+// persisted session back into memory. From then on new sessions are
 // snapshotted at creation, committed deltas are logged before the ack,
-// LRU reclaim, TTL eviction and shutdown spill sessions to disk instead of
-// discarding state, and an unknown session id is looked up on
-// disk before it 404s. memBudget caps the resident session bytes (0 =
-// unlimited); it lives here because only a durable store can take a
-// spill. Call before Handler, before Rehydrate and before any session
-// exists.
-func (s *Server) ConfigureDurability(store *durable.Store, memBudget int64) {
+// LRU reclaim, TTL eviction and shutdown spill sessions to their logs
+// instead of discarding state, and a lookup that misses the table loads
+// the id's log before it 404s. memBudget caps the resident session bytes
+// (0 = unlimited); it lives here because only a durable store can take a
+// spill. Sessions that fail recovery (corrupt snapshot, corrupt log,
+// replay divergence) are quarantined and counted, never fatal: the server
+// boots with what it can prove correct. Call once, before Handler and
+// before any session exists.
+func (s *Server) ConfigureDurability(ctx context.Context, store *durable.Store, memBudget int64) (restored, quarantined int, err error) {
 	s.store = store
-	s.sessions.budget = shard.NewBudget(memBudget)
-	s.sessions.spill = s.spillSession
-	s.sessions.wedged = func(id string) {
-		s.serverLogger().Error("tppd: session wedged at shutdown; its last durable snapshot survives, its in-memory tail does not",
-			"session", id)
-	}
-}
-
-// Rehydrate loads every persisted session back into memory. Sessions that
-// fail recovery — corrupt snapshot, corrupt log, replay divergence — are
-// quarantined and counted, never fatal: the server boots with what it can
-// prove correct. Call once, after ConfigureDurability and before the
-// listener starts.
-func (s *Server) Rehydrate(ctx context.Context) (restored, quarantined int, err error) {
-	if s.store == nil {
-		return 0, 0, fmt.Errorf("tppd: Rehydrate before ConfigureDurability")
-	}
-	ids, err := s.store.IDs()
+	s.budget = shard.NewBudget(memBudget)
+	ids, err := store.IDs()
 	if err != nil {
 		return 0, 0, fmt.Errorf("tppd: scanning data dir: %w", err)
 	}
 	for _, id := range ids {
-		rec, lerr := s.loadSession(ctx, id)
-		if lerr != nil {
+		rec, _ := s.find(id) // a claim: the table is empty and ids are unique
+		// A load accounts its session, so boot refills the budget and may
+		// itself spill if the logs outgrew -mem-budget since the last run.
+		switch err := s.loadSession(ctx, rec); {
+		case err == nil:
+			restored++
+			<-rec.slot
+		case !errors.Is(err, fs.ErrNotExist):
 			quarantined++
-			continue
 		}
-		if rec == nil {
-			continue
-		}
-		// Measure before publish (the record is not yet reachable, so no
-		// slot is needed), account after — boot rehydration fills the
-		// budget back up and may itself trigger spills if the state on
-		// disk outgrew -mem-budget since the last run.
-		bytes := sessionFootprint(rec)
-		s.sessions.publish(rec)
-		s.accountSession(rec, bytes)
-		restored++
 	}
 	return restored, quarantined, nil
 }
 
-// getSession is the durability-aware replacement for sessionStore.acquire:
-// on a miss with a store configured, it checks the disk for a spilled
-// session and rehydrates it before answering. The same (nil, nil) = 404
-// contract as acquire. loadMu serialises concurrent misses for the same id
-// so a session is only ever rehydrated once. A rehydrated record is handed
-// back already locked: its slot is taken before publish, so no concurrent
-// reclaimer can spill it again before the caller gets to use it.
-func (s *Server) getSession(ctx context.Context, id string) (*sessionRecord, error) {
-	rec, err := s.sessions.acquire(ctx, id)
-	if rec != nil || err != nil || s.store == nil {
-		return rec, err
-	}
-	s.loadMu.Lock()
-	rec, err = s.sessions.acquire(ctx, id)
-	if rec != nil || err != nil {
-		s.loadMu.Unlock()
-		return rec, err
-	}
-	rec, lerr := s.loadSession(ctx, id)
-	if rec != nil {
-		// Accounted after publish, like boot rehydration: a lazy load can
-		// push the store over budget and spill a colder session to make
-		// room.
-		rec.slot <- struct{}{}
-		s.sessions.publish(rec)
-		s.accountSession(rec, sessionFootprint(rec))
-	}
-	s.loadMu.Unlock()
-	if lerr != nil || rec == nil {
-		// Never persisted, or damaged (and now quarantined): either way the
-		// id does not name a servable session.
-		return nil, nil
-	}
-	return rec, nil
-}
-
-// loadSession recovers one session from disk. (nil, nil) means the id has
-// no log; an error means recovery or replay failed and the session's log
-// was quarantined.
-func (s *Server) loadSession(ctx context.Context, id string) (*sessionRecord, error) {
-	snap, entries, h, err := s.store.Recover(id)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+// loadSession fills the claimed record rec (see find) from its log and
+// accounts its bytes, keeping its slot held. It runs outside the table
+// lock, so a slow log read delays only the requests for this id. On
+// failure it removes the claim, so requests waiting on its slot find it
+// gone: an error wrapping fs.ErrNotExist means the id has no log, any
+// other means recovery or replay failed and the log was quarantined.
+func (s *Server) loadSession(ctx context.Context, rec *sessionRecord) error {
+	snap, entries, h, err := s.store.Recover(rec.id)
+	if err == nil {
+		if err = s.rehydrateRecord(ctx, rec, snap, entries, h); err != nil {
+			h.Close()
+		}
 	}
 	if err != nil {
-		s.quarantineSession(id, err)
-		return nil, err
-	}
-	rec, err := s.rehydrateRecord(ctx, snap, entries, h)
-	if err != nil {
-		h.Close()
-		s.quarantineSession(id, err)
-		return nil, err
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.quarantineSession(rec.id, err)
+		}
+		s.remove(rec)
+		<-rec.slot
+		return err
 	}
 	s.metrics.sessionsRehydrated.Inc()
-	return rec, nil
+	// A load can push the table over budget and spill a colder session to
+	// make room; rec itself, its slot held, is never the victim.
+	s.accountSession(rec, sessionFootprint(rec))
+	return nil
 }
 
-// rehydrateRecord turns a recovered snapshot + delta tail into a live
-// session record: restore the Protector (which rebuilds and cross-checks
-// the motif index), replay the logged deltas through the same Apply path
-// the live handlers used, and fold each entry's labels into the label
-// table exactly as the delta handler did.
-func (s *Server) rehydrateRecord(ctx context.Context, snap *durable.SessionSnapshot, entries []durable.Entry, h *durable.Session) (*sessionRecord, error) {
+// rehydrateRecord fills rec in from a recovered snapshot + delta tail:
+// restore the Protector (which rebuilds and cross-checks the motif index),
+// replay the logged deltas through the same Apply path the live handlers
+// used, and fold each entry's labels into the label table exactly as the
+// delta handler did. It sets fields one by one and never rec.id or
+// rec.slot: waiters are blocked on that slot.
+func (s *Server) rehydrateRecord(ctx context.Context, rec *sessionRecord, snap *durable.SessionSnapshot, entries []durable.Entry, h *durable.Session) error {
 	session, err := tpp.Restore(snap.State)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lab := labelingFrom(snap.Labels, snap.State.Graph.NumNodes())
+	// The replay must not stop because the client that asked for the
+	// session left: a healthy log cut short is quarantined. The stage
+	// recorder rides along in the context's values.
+	ctx = context.WithoutCancel(ctx)
 	for _, ent := range entries {
 		if len(ent.Labels) != ent.Delta.AddNodes {
-			return nil, fmt.Errorf("%w: entry seq %d carries %d labels for %d added nodes",
+			return fmt.Errorf("%w: entry seq %d carries %d labels for %d added nodes",
 				durable.ErrCorruptWAL, ent.Seq, len(ent.Labels), ent.Delta.AddNodes)
 		}
 		rep, err := session.Apply(ctx, ent.Delta)
 		if err != nil {
-			return nil, fmt.Errorf("replaying log entry seq %d: %w", ent.Seq, err)
+			return fmt.Errorf("replaying log entry seq %d: %w", ent.Seq, err)
 		}
 		applyDeltaLabels(lab, ent.Labels, rep)
 	}
-	return &sessionRecord{
-		id:            snap.ID,
-		slot:          make(chan struct{}, 1),
-		session:       session,
-		lab:           lab,
-		pattern:       snap.State.Pattern.String(),
-		defaultBudget: snap.DefaultBudget,
-		created:       snap.Created,
-		lastUsed:      time.Now(),
-		runs:          snap.Runs,
-		// Every committed delta appended exactly one frame, so the handle's
-		// sequence number is the session's lifetime delta count.
-		deltas:  int64(h.Seq()),
-		durable: h,
-		// Seed the stat watermarks with the restored counters, or the next
-		// foldSelectionCounters would fold the session's whole pre-restart
-		// history into the aggregate metrics a second time.
-		statWarm:      int64(session.WarmRuns()),
-		statCold:      int64(session.ColdRuns()),
-		statFallbacks: int64(session.WarmFallbacks()),
-	}, nil
+	rec.session, rec.lab = session, lab
+	rec.pattern = snap.State.Pattern.String()
+	rec.defaultBudget = snap.DefaultBudget
+	rec.created, rec.lastUsed = snap.Created, time.Now()
+	rec.runs = snap.Runs
+	// Every committed delta appended exactly one frame, so the handle's
+	// sequence number is the session's lifetime delta count.
+	rec.deltas = int64(h.Seq())
+	rec.durable = h
+	return nil
 }
 
 // sessionSnapshot assembles the durable snapshot of a session: the
@@ -259,8 +209,8 @@ func (s *Server) degrade(rec *sessionRecord, what string, err error) {
 }
 
 // spillSession releases a session's persistence before it is dropped from
-// memory; the log stays behind for rehydration. Called (with the record
-// slot held) by LRU reclaim, TTL eviction and the shutdown drain. A clean
+// memory; the log stays behind for rehydration. Called by evict, with the
+// record slot held. A clean
 // session is already reproduced bit-identically by its log, so its spill
 // only closes the handle — a clean buffer is evicted without a write-back.
 // A dirty one (a protect ran since its last snapshot) appends a final

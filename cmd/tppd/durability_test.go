@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,8 +33,7 @@ func newDurableTestServer(t *testing.T, dir string, ttl time.Duration, opts dura
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ConfigureDurability(store, 0)
-	restored, quarantined, err := srv.Rehydrate(context.Background())
+	restored, quarantined, err := srv.ConfigureDurability(context.Background(), store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDurableLazyRehydrate(t *testing.T) {
 	// Wait for the janitor to spill + evict. Polling the map directly: a GET
 	// would itself rehydrate and reset the idle clock.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.sessions.open() != 0 {
+	for srv.open() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("session not evicted before deadline")
 		}
@@ -390,10 +390,11 @@ func TestShutdownWedgedSession(t *testing.T) {
 	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
 	wedgedID := createQuickstartSession(t, ts)
 	okID := createQuickstartSession(t, ts)
-	srv.sessions.closeTimeout = 100 * time.Millisecond
+	defer func(d time.Duration) { closeTimeout = d }(closeTimeout)
+	closeTimeout = 100 * time.Millisecond
 
 	// Wedge one session by holding its slot like a stuck handler would.
-	rec, err := srv.sessions.acquire(context.Background(), wedgedID)
+	rec, err := srv.lookup(context.Background(), wedgedID)
 	if err != nil || rec == nil {
 		t.Fatalf("acquire: rec=%v err=%v", rec, err)
 	}
@@ -410,13 +411,13 @@ func TestShutdownWedgedSession(t *testing.T) {
 	}
 	// The healthy session was spilled and removed; the wedged one was
 	// skipped and is still registered.
-	if srv.sessions.open() != 1 {
-		t.Fatalf("store holds %d sessions after close, want the 1 wedged", srv.sessions.open())
+	if srv.open() != 1 {
+		t.Fatalf("store holds %d sessions after close, want the 1 wedged", srv.open())
 	}
 	if _, err := os.Stat(sessionLogPath(dir, okID)); err != nil {
 		t.Fatalf("healthy session log missing after shutdown spill: %v", err)
 	}
-	srv.sessions.release(rec)
+	srv.release(rec)
 
 	// A later restart serves the healthy session from its shutdown spill and
 	// the wedged one from its last snapshot (creation-time here).
@@ -486,15 +487,14 @@ func (w *faultWAL) Write(p []byte) (int, error) {
 }
 
 // evictNow spills and drops one resident session exactly as LRU reclaim
-// and TTL eviction do: under its record slot, spill, then remove.
+// and TTL eviction do: evict under its record slot.
 func evictNow(t *testing.T, srv *Server, id string) {
 	t.Helper()
-	rec, err := srv.sessions.acquire(context.Background(), id)
+	rec, err := srv.lookup(context.Background(), id)
 	if err != nil || rec == nil {
-		t.Fatalf("acquire %s: rec=%v err=%v", id, rec, err)
+		t.Fatalf("lookup %s: rec=%v err=%v", id, rec, err)
 	}
-	srv.sessions.spill(rec)
-	srv.sessions.remove(rec)
+	srv.evict(rec)
 	<-rec.slot
 }
 
@@ -664,5 +664,157 @@ func TestCreateDirSyncFailureLeavesNoLog(t *testing.T) {
 	}
 	if _, _, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{}); restored != 0 || quarantined != 0 {
 		t.Fatalf("restart: %d restored, %d quarantined, want 0/0", restored, quarantined)
+	}
+}
+
+// holdFS is the os filesystem with the first ReadFile of one path held:
+// that read closes entered, then waits for release.
+type holdFS struct {
+	faultFS
+	hold    atomic.Value // string: the path whose first read is held
+	reads   atomic.Int32 // reads of that path
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *holdFS) ReadFile(name string) ([]byte, error) {
+	if name == f.hold.Load() && f.reads.Add(1) == 1 {
+		close(f.entered)
+		<-f.release
+	}
+	return os.ReadFile(name)
+}
+
+func newHoldFS() *holdFS {
+	return &holdFS{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// getStatus GETs a session with client and returns the status, or 0 when
+// the request failed.
+func getStatus(client *http.Client, ts *httptest.Server, id string) int {
+	resp, err := client.Get(ts.URL + "/v1/sessions/" + id)
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestLazyLoadsDoNotSerialise: a slow log read delays only the requests
+// for its own id. While spilled session A's read is held, a GET of spilled
+// session B answers 200 inside a 2 s client timeout, and A answers once
+// its read goes on.
+func TestLazyLoadsDoNotSerialise(t *testing.T) {
+	hfs := newHoldFS()
+	dir := t.TempDir()
+	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{FS: hfs})
+	a, b := createQuickstartSession(t, ts), createQuickstartSession(t, ts)
+	evictNow(t, srv, a)
+	evictNow(t, srv, b)
+	hfs.hold.Store(sessionLogPath(dir, a))
+	var release sync.Once
+	defer release.Do(func() { close(hfs.release) })
+
+	gotA := make(chan int, 1)
+	go func() { gotA <- getStatus(http.DefaultClient, ts, a) }()
+	select {
+	case <-hfs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("A's log read never started")
+	}
+	if code := getStatus(&http.Client{Timeout: 2 * time.Second}, ts, b); code != http.StatusOK {
+		t.Fatalf("GET of B while A's log read is held: status %d, want 200 (0 = timed out)", code)
+	}
+	release.Do(func() { close(hfs.release) })
+	if code := <-gotA; code != http.StatusOK {
+		t.Fatalf("GET of A after its read went on: status %d, want 200", code)
+	}
+}
+
+// TestConcurrentLazyLoadOnce: concurrent requests for one spilled id share
+// one load: all 16 answer 200, the log is read once and the session is
+// rehydrated once.
+func TestConcurrentLazyLoadOnce(t *testing.T) {
+	hfs := newHoldFS()
+	dir := t.TempDir()
+	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{FS: hfs})
+	id := createQuickstartSession(t, ts)
+	evictNow(t, srv, id)
+	hfs.hold.Store(sessionLogPath(dir, id))
+	before := srv.metrics.sessionsRehydrated.Load()
+
+	// Hold the first read until the other requests have had time to queue
+	// behind it.
+	codes := make([]int, 16)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = getStatus(http.DefaultClient, ts, id)
+		}()
+	}
+	select {
+	case <-hfs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the log read never started")
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(hfs.release)
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("GET %d: status %d, want 200", i, code)
+		}
+	}
+	if got := srv.metrics.sessionsRehydrated.Load() - before; got != 1 {
+		t.Errorf("sessions_rehydrated rose by %d, want 1", got)
+	}
+	if got := hfs.reads.Load(); got != 1 {
+		t.Errorf("log read %d times, want 1", got)
+	}
+}
+
+// TestCancelledLookupKeepsSession: a client that gives up while its lookup
+// rehydrates a spilled session must not destroy it. The log tail replays
+// under a context the client cannot cancel, so nothing is quarantined and
+// the next GET finds the session with its delta.
+func TestCancelledLookupKeepsSession(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	id := createQuickstartSession(t, ts)
+	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "7"}}}, "delta")
+	evictNow(t, srv, id)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rec, err := srv.lookup(ctx, id); err == nil && rec != nil {
+		srv.release(rec)
+	}
+	if info := getSessionInfo(t, ts, id); info.DeltasApplied != 1 {
+		t.Fatalf("session after a cancelled lookup: %+v, want deltas_applied 1", info)
+	}
+	if got := srv.metrics.sessionsQuarantined.Load(); got != 0 {
+		t.Fatalf("sessions_quarantined = %d, want 0", got)
+	}
+}
+
+// TestRehydratedProtectCountsOneSelection: a rehydrated session restores
+// its selection history, and its next protect adds exactly one selection
+// to warm_runs+cold_runs, never that history again.
+func TestRehydratedProtectCountsOneSelection(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	id := createQuickstartSession(t, ts)
+	mustProtect(t, ts, id, "first protect")
+	mustProtect(t, ts, id, "second protect")
+	evictNow(t, srv, id)
+	getSessionInfo(t, ts, id) // rehydrates from disk
+
+	before := getStats(t, ts)
+	mustProtect(t, ts, id, "protect after rehydrate")
+	after := getStats(t, ts)
+	if got := after.WarmRuns + after.ColdRuns - before.WarmRuns - before.ColdRuns; got != 1 {
+		t.Fatalf("one protect after rehydrate added %d to warm_runs+cold_runs, want 1", got)
 	}
 }

@@ -41,12 +41,15 @@
 // aside and the server keeps serving. A data dir in the older two-file
 // layout is converted on boot.
 //
-// All sessions live in one table: one map and lock, one pool of
-// -max-concurrent selection slots with a bounded queue, and one memory
-// budget. With -mem-budget set (needs -data-dir), the server spills its
-// coldest idle sessions to -data-dir the same way when admitting more
-// would exceed the budget; spilled sessions rehydrate lazily on next
-// touch, bit-identical.
+// All sessions live in one table owned by the Server: one map and lock,
+// one pool of -max-concurrent selection slots with a bounded queue, and
+// one memory budget. With -mem-budget set (needs -data-dir), the server
+// spills its coldest idle sessions to -data-dir the same way when
+// admitting more would exceed the budget; TTL eviction, budget reclaim
+// and shutdown share that one eviction path. Spilled sessions rehydrate
+// lazily on next touch, bit-identical: the lookup claims the id in the
+// table and reads its log outside the lock, so concurrent requests for
+// the id read it once and no other session's load waits.
 //
 // When every selection slot stays busy for -queue-wait, new work is
 // rejected with 429 + Retry-After instead of queueing until the request
@@ -145,8 +148,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("tppd: opening -data-dir: %v", err)
 		}
-		service.ConfigureDurability(store, budgetBytes)
-		restored, quarantined, err := service.Rehydrate(context.Background())
+		restored, quarantined, err := service.ConfigureDurability(context.Background(), store, budgetBytes)
 		if err != nil {
 			log.Fatalf("tppd: rehydrating sessions: %v", err)
 		}

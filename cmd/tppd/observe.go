@@ -150,7 +150,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.sessionsClosed = reg.Counter("tppd_sessions_closed_total", "Named sessions deleted by clients.")
 	m.sessionsEvicted = reg.Counter("tppd_sessions_evicted_total", "Named sessions evicted by the idle TTL.")
 	reg.GaugeFunc("tppd_sessions_open", "Named sessions currently live.",
-		func() float64 { return float64(s.sessions.open()) })
+		func() float64 { return float64(s.open()) })
 
 	m.deltasApplied = reg.Counter("tppd_deltas_applied_total",
 		"Graph deltas committed across all sessions.")
@@ -190,18 +190,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.busyRejections = reg.Counter("tppd_busy_rejections_total",
 		"Requests answered 429 because no selection slot freed within the queue-wait budget.")
 	m.sessionsSpilled = reg.Counter("tppd_sessions_spilled_total",
-		"Cold sessions spilled to their durable snapshots (or discarded) by the memory budget.")
+		"Cold sessions spilled to their logs by the memory budget.")
 	m.memRejections = reg.Counter("tppd_mem_rejections_total",
 		"Session creates answered 429 because the memory budget could not admit them.")
 
 	reg.GaugeFunc("tppd_concurrency_in_use", "Selection slots occupied.",
-		func() float64 { return float64(len(s.sessions.sem)) })
+		func() float64 { return float64(len(s.sem)) })
 	reg.GaugeFunc("tppd_concurrency_limit", "Configured selection-slot limit.",
-		func() float64 { return float64(cap(s.sessions.sem)) })
+		func() float64 { return float64(cap(s.sem)) })
 	reg.GaugeFunc("tpp_shard_queue_depth", "Requests queued for a selection slot.",
-		func() float64 { return float64(s.sessions.waiters.Load()) })
+		func() float64 { return float64(s.waiters.Load()) })
 	reg.GaugeFunc("tpp_shard_bytes", "Tracked resident session bytes.",
-		func() float64 { return float64(s.sessions.budget.Used()) })
+		func() float64 { return float64(s.budget.Used()) })
 	return m
 }
 

@@ -151,8 +151,8 @@ func (s *Server) holdingSlot(ctx context.Context, fn func(ctx context.Context) r
 	}
 	start := time.Now()
 	defer func() {
-		s.sessions.observeService(time.Since(start))
-		<-s.sessions.sem
+		s.observeService(time.Since(start))
+		<-s.sem
 	}()
 	return fn(ctx)
 }
@@ -172,15 +172,14 @@ const queueBound = 8
 // no queue-wait budget the queue is unbounded and waits for the deadline:
 // the operator opted out of fast-fail backpressure.
 func (s *Server) acquireSlot(ctx context.Context) error {
-	ss := s.sessions
 	select {
-	case ss.sem <- struct{}{}:
+	case s.sem <- struct{}{}:
 		return nil
 	default:
 	}
 	var expired <-chan time.Time // nil never fires: queue until the deadline
 	if s.queueWait > 0 {
-		if ss.waiters.Load() >= int64(queueBound*cap(ss.sem)) {
+		if s.waiters.Load() >= int64(queueBound*cap(s.sem)) {
 			s.metrics.busyRejections.Inc()
 			return errServerBusy
 		}
@@ -188,10 +187,10 @@ func (s *Server) acquireSlot(ctx context.Context) error {
 		defer t.Stop()
 		expired = t.C
 	}
-	ss.waiters.Add(1)
-	defer ss.waiters.Add(-1)
+	s.waiters.Add(1)
+	defer s.waiters.Add(-1)
 	select {
-	case ss.sem <- struct{}{}:
+	case s.sem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -215,8 +214,8 @@ type busyResponse struct {
 func (s *Server) busy(reason string) reply {
 	return reply{http.StatusTooManyRequests, busyResponse{
 		Error:             reason,
-		QueueDepth:        s.sessions.waiters.Load(),
-		RetryAfterSeconds: s.sessions.retryAfterSeconds(s.queueWait),
+		QueueDepth:        s.waiters.Load(),
+		RetryAfterSeconds: s.retryAfterSeconds(),
 	}}
 }
 
@@ -227,14 +226,14 @@ func (s *Server) busy(reason string) reply {
 // a deadline that ran out waiting for the record is 504/499.
 func (s *Server) withSession(ctx context.Context, r *http.Request, fn func(rec *sessionRecord) reply) reply {
 	id := r.PathValue("id")
-	rec, err := s.getSession(ctx, id)
+	rec, err := s.lookup(ctx, id)
 	if err != nil {
 		return failed(err)
 	}
 	if rec == nil {
 		return reply{http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown session %q (expired, deleted, or never created)", id)}}
 	}
-	defer s.sessions.release(rec)
+	defer s.release(rec)
 	annotateSession(ctx, rec.id)
 	return fn(rec)
 }
@@ -304,17 +303,23 @@ func (o runOptions) parse(ctx context.Context, defaults bool) ([]tpp.Option, err
 
 // protect is the one protect path, shared by session protect and the
 // one-shot protect's unpublished record: run the selection with the
-// per-run options, count the run, fold the selection counters and build
-// the response (budget nil echoes the session's default). The caller holds
+// per-run options, count the run and its selections and build the
+// response (budget nil echoes the session's default). The caller holds
 // rec's slot, or rec is unpublished. A run that starts dirties the session
 // even if it fails: its warm state may have moved.
 func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Option, budget *int, omitReleased bool) (resp protectResponse, err error) {
 	s.metrics.protectRequests.Inc()
 	s.metrics.inflightRuns.Add(1)
 	rec.dirty = true
-	res, err := rec.session.Run(ctx, opts...)
+	sess := rec.session
+	warm, cold, falls := sess.WarmRuns(), sess.ColdRuns(), sess.WarmFallbacks()
+	res, err := sess.Run(ctx, opts...)
 	s.metrics.inflightRuns.Add(-1)
-	s.foldSelectionCounters(rec)
+	// Count this run's selections by difference, so a rehydrated session's
+	// restored history is never counted again.
+	s.metrics.warmRuns.Add(int64(sess.WarmRuns() - warm))
+	s.metrics.coldRuns.Add(int64(sess.ColdRuns() - cold))
+	s.metrics.warmFallbacks.Add(int64(sess.WarmFallbacks() - falls))
 	if err != nil {
 		return resp, err
 	}
@@ -340,21 +345,6 @@ func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Opt
 		resp.ReleasedEdges = edgePairs(rec.session.Release(res).Edges(), rec.lab)
 	}
 	return resp, nil
-}
-
-// foldSelectionCounters folds rec's warm/cold/fallback counters into the
-// aggregate metrics, adding only what changed since rec's last fold: a
-// long-lived session counts each selection once, a fresh record adds its
-// totals. Enumeration and delta timings flow through the stage recorder
-// instead and need no folding.
-func (s *Server) foldSelectionCounters(rec *sessionRecord) {
-	warm := int64(rec.session.WarmRuns())
-	cold := int64(rec.session.ColdRuns())
-	falls := int64(rec.session.WarmFallbacks())
-	s.metrics.warmRuns.Add(warm - rec.statWarm)
-	s.metrics.coldRuns.Add(cold - rec.statCold)
-	s.metrics.warmFallbacks.Add(falls - rec.statFallbacks)
-	rec.statWarm, rec.statCold, rec.statFallbacks = warm, cold, falls
 }
 
 // maxPooledJSONBuf caps the response buffers writeJSON hands back to its

@@ -100,11 +100,11 @@ func TestNothingHeldDuringWrite(t *testing.T) {
 		case <-done:
 			t.Fatalf("%s: the handler returned without writing a response", route)
 		}
-		if n := len(srv.sessions.sem); n != 0 {
+		if n := len(srv.sem); n != 0 {
 			t.Errorf("%s: %d selection slots held while the response is written", route, n)
 		}
 		if rec == nil {
-			if recs := srv.sessions.records(); len(recs) == 1 {
+			if recs := srv.records(); len(recs) == 1 {
 				rec = recs[0]
 			}
 		}

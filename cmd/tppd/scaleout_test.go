@@ -27,8 +27,7 @@ func newBudgetedDurableServer(t *testing.T, dir string, memBudget int64) (*Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ConfigureDurability(store, memBudget)
-	if _, _, err := srv.Rehydrate(context.Background()); err != nil {
+	if _, _, err := srv.ConfigureDurability(context.Background(), store, memBudget); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -134,7 +133,7 @@ func TestSpillParity(t *testing.T) {
 // as if a create reserving the whole budget arrived.
 func spillAll(srv *Server) {
 	const placeholder = "spill-all"
-	b := srv.sessions.budget
+	b := srv.budget
 	b.Set(placeholder, b.Cap(), nil)
 	srv.reclaimBudget(placeholder)
 	b.Remove(placeholder)
@@ -154,7 +153,7 @@ func TestCreateAdmissionRace(t *testing.T) {
 		createQuickstartSession(t, ts) // cold, spillable
 	}
 	hot := createQuickstartSession(t, ts)
-	b := srv.sessions.budget
+	b := srv.budget
 	if b.Used() != b.Cap() {
 		t.Fatalf("setup: %d bytes resident, want the %d-byte budget exactly full", b.Used(), b.Cap())
 	}
@@ -179,12 +178,12 @@ func TestCreateAdmissionRace(t *testing.T) {
 	}
 	// A resident session grows by one session's worth before the create's
 	// admission check runs.
-	h, err := srv.sessions.acquire(context.Background(), hot)
+	h, err := srv.lookup(context.Background(), hot)
 	if err != nil || h == nil {
 		t.Fatalf("acquiring the hot session: rec=%v err=%v", h, err)
 	}
 	srv.accountSession(h, sessionFootprint(h)+f)
-	srv.sessions.release(h)
+	srv.release(h)
 	// The create's admission check: its reservation counted, the budget
 	// must fit without this record being spilled.
 	if !srv.reclaimBudget(c.id) || b.Used() > b.Cap() {
@@ -393,35 +392,35 @@ func TestSpillRaceSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkScaleoutStore measures the session-store hot path — lookup,
-// exclusive acquire, LRU touch, release — under full parallelism.
+// BenchmarkScaleoutStore measures the session-table hot path — lookup,
+// exclusive slot, LRU touch, release — under full parallelism.
 func BenchmarkScaleoutStore(b *testing.B) {
-	ss := newSessionStore(0, nil, 64)
-	defer ss.close()
+	srv := NewServer(64, 1<<20, time.Minute, 0, 0)
+	defer srv.Close()
 	const nrecs = 4096
 	ids := make([]string, nrecs)
 	for i := range ids {
 		id := fmt.Sprintf("s-%016x", i)
 		rec := &sessionRecord{id: id, slot: make(chan struct{}, 1), created: time.Now(), lastUsed: time.Now()}
-		if !ss.publish(rec) {
+		if !srv.publish(rec) {
 			b.Fatalf("duplicate id %s", id)
 		}
-		ss.budget.Set(id, 1024, nil)
+		srv.budget.Set(id, 1024, nil)
 		ids[i] = id
 	}
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		// Stride-offset walks keep goroutines off the same record (which
-		// would measure the per-record slot, not the store).
+		// would measure the per-record slot, not the table).
 		i := int(next.Add(7919))
 		for pb.Next() {
-			rec, err := ss.acquire(context.Background(), ids[i%nrecs])
+			rec, err := srv.lookup(context.Background(), ids[i%nrecs])
 			i++
 			if err != nil || rec == nil {
-				b.Fatalf("acquire: rec=%v err=%v", rec, err)
+				b.Fatalf("lookup: rec=%v err=%v", rec, err)
 			}
-			ss.release(rec)
+			srv.release(rec)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/graph"
 	"repro/internal/motif"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tpp"
 )
@@ -38,10 +40,28 @@ type Server struct {
 	maxTimeout time.Duration // server-side cap on per-request selection time
 	maxScale   int           // cap on dataset graph size a client may request
 	queueWait  time.Duration // 429 once no slot frees within this (0 = queue to deadline)
-	sessions   *sessionStore // long-lived named sessions (TTL-evicted)
 
-	store  *durable.Store // session persistence; nil = in-memory only
-	loadMu sync.Mutex     // serialises lazy on-miss rehydration from disk
+	// The session table: every named session, resident or being loaded
+	// from its log (sessions.go).
+	mu sync.Mutex
+	m  map[string]*sessionRecord // guarded by mu
+
+	// sem bounds the selections running at once; waiters counts the
+	// requests queued for a slot right now (the 429 queue_depth field).
+	sem     chan struct{}
+	waiters atomic.Int64
+	// ewmaNS is the smoothed per-request service time in nanoseconds,
+	// updated on every slot release; Retry-After derives from it.
+	ewmaNS atomic.Int64
+
+	// budget tracks the resident session bytes in LRU order. Always
+	// non-nil; a zero cap means accounting without enforcement.
+	budget *shard.Budget
+	ttl    time.Duration // idle sessions are evicted after this (0 = never)
+	stop   chan struct{} // closed by Close to stop the janitor
+	done   chan struct{} // closed once the janitor has stopped
+
+	store *durable.Store // session persistence; nil = in-memory only
 
 	mux      *http.ServeMux
 	registry *telemetry.Registry
@@ -70,15 +90,35 @@ func NewServer(maxConcurrent int, maxBody int64, maxTimeout time.Duration, maxSc
 	if maxScale <= 0 {
 		maxScale = defaultMaxScale
 	}
+	if maxConcurrent <= 0 {
+		maxConcurrent = 1
+	}
 	s := &Server{
 		maxBody:    maxBody,
 		maxTimeout: maxTimeout,
 		maxScale:   maxScale,
+		m:          make(map[string]*sessionRecord),
+		sem:        make(chan struct{}, maxConcurrent),
+		budget:     shard.NewBudget(0),
+		ttl:        sessionTTL,
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 		registry:   telemetry.NewRegistry(),
 		idPrefix:   newIDPrefix(),
 	}
 	s.metrics = newServerMetrics(s)
-	s.sessions = newSessionStore(sessionTTL, func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) }, maxConcurrent)
+	if sessionTTL > 0 {
+		interval := sessionTTL / 4
+		if interval < 10*time.Millisecond {
+			interval = 10 * time.Millisecond
+		}
+		if interval > 30*time.Second {
+			interval = 30 * time.Second
+		}
+		go s.janitor(interval)
+	} else {
+		close(s.done)
+	}
 	return s
 }
 
@@ -110,12 +150,42 @@ func (s *Server) BeginDrain() {
 	s.draining.Store(true)
 }
 
-// Close stops the session janitor and releases every named session. Call it
+// closeTimeout bounds how long Close waits for any one session's slot; a
+// wedged session is skipped, not waited on forever.
+var closeTimeout = 5 * time.Second
+
+// Close stops the session janitor and evicts every named session in
+// sorted-id order, spilling each to its log when durability is on. Call it
 // after the HTTP server has drained (http.Server.Shutdown), so no handler
-// is still using a session. Close implies BeginDrain.
+// is still using a session; a wedged one must still not hang shutdown, so
+// each wait is bounded by closeTimeout and a session that never frees is
+// skipped (its logged state, not its in-memory tail, survives). Close
+// implies BeginDrain.
 func (s *Server) Close() {
 	s.BeginDrain()
-	s.sessions.close()
+	select {
+	case <-s.stop:
+	default:
+		close(s.stop)
+	}
+	<-s.done
+	recs := s.records()
+	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
+	for _, rec := range recs {
+		t := time.NewTimer(closeTimeout)
+		select {
+		case rec.slot <- struct{}{}:
+			t.Stop()
+		case <-t.C:
+			s.serverLogger().Error("tppd: session wedged at shutdown; skipped without a spill",
+				"session", rec.id)
+			continue
+		}
+		if !rec.gone {
+			s.evict(rec)
+		}
+		<-rec.slot
+	}
 }
 
 // MetricsHandler serves the registry in Prometheus text exposition format —
@@ -353,7 +423,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		EnumerationTotalMS: float64(enum.Sum()) / 1e6,
 		EnumerationMeanMS:  enum.Mean() / 1e6,
 
-		SessionsOpen:      s.sessions.open(),
+		SessionsOpen:      s.open(),
 		SessionsCreated:   m.sessionsCreated.Load(),
 		SessionsClosed:    m.sessionsClosed.Load(),
 		SessionsEvicted:   m.sessionsEvicted.Load(),
@@ -379,15 +449,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 		BusyRejections: m.busyRejections.Load(),
 
-		ResidentBytes:   s.sessions.budget.Used(),
-		MemBudgetBytes:  s.sessions.budget.Cap(),
+		ResidentBytes:   s.budget.Used(),
+		MemBudgetBytes:  s.budget.Cap(),
 		SessionsSpilled: m.sessionsSpilled.Load(),
 		MemRejections:   m.memRejections.Load(),
-		QueueDepth:      s.sessions.waiters.Load(),
+		QueueDepth:      s.waiters.Load(),
 
 		MaxWorkers:          runtime.GOMAXPROCS(0),
-		MaxConcurrentInUse:  len(s.sessions.sem),
-		MaxConcurrentConfig: cap(s.sessions.sem),
+		MaxConcurrentInUse:  len(s.sem),
+		MaxConcurrentConfig: cap(s.sem),
 	})
 }
 

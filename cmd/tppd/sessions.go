@@ -6,15 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/durable"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/tpp"
 )
 
@@ -59,94 +55,22 @@ type sessionRecord struct {
 	// ack. Zero at create and rehydrate (the record matches its log),
 	// cleared by compaction. A clean session spills by closing its log.
 	dirty bool
-
-	// Last values folded into the aggregate selection counters, so repeated
-	// protect calls on the same session add only the increment. Enumeration
-	// and delta timing need no folding: the per-request stage recorder
-	// observes each span exactly once, when it happens.
-	statWarm      int64
-	statCold      int64
-	statFallbacks int64
-}
-
-// sessionStore owns the named sessions: one record map and its lock, one
-// pool of selection slots with a bounded queue and the service-time EWMA
-// feeding Retry-After, one memory budget in LRU order, idle-TTL eviction
-// and shutdown draining.
-type sessionStore struct {
-	mu sync.Mutex
-	m  map[string]*sessionRecord // guarded by mu
-
-	// sem bounds the selections running at once; waiters counts the
-	// requests queued for a slot right now (the 429 queue_depth field).
-	sem     chan struct{}
-	waiters atomic.Int64
-	// ewmaNS is the smoothed per-request service time in nanoseconds,
-	// updated on every slot release; Retry-After derives from it.
-	ewmaNS atomic.Int64
-
-	// budget tracks the resident session bytes in LRU order. Always
-	// non-nil; a zero cap means accounting without enforcement.
-	budget *shard.Budget
-	ttl    time.Duration
-
-	// spill, when set, persists whatever the log lacks of a session
-	// before eviction or shutdown removes it from memory; it is called with
-	// the record's slot held. Set by ConfigureDurability.
-	spill func(*sessionRecord)
-	// closeTimeout bounds how long close waits for any one session's slot
-	// (<=0 selects 5s); a wedged session is skipped, not waited on forever.
-	closeTimeout time.Duration
-	// wedged, when set, is told about sessions close gave up waiting for.
-	wedged func(id string)
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// newSessionStore builds a store with slots selection slots (at least one)
-// and an unlimited memory budget; ConfigureDurability sets the cap.
-func newSessionStore(ttl time.Duration, evicted func(int), slots int) *sessionStore {
-	if slots <= 0 {
-		slots = 1
-	}
-	ss := &sessionStore{
-		m:      make(map[string]*sessionRecord),
-		sem:    make(chan struct{}, slots),
-		budget: shard.NewBudget(0),
-		ttl:    ttl,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	if ttl > 0 {
-		interval := ttl / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		if interval > 30*time.Second {
-			interval = 30 * time.Second
-		}
-		go ss.janitor(interval, evicted)
-	} else {
-		close(ss.done)
-	}
-	return ss
 }
 
 // observeService folds one completed request's slot-hold time into the
 // service-time EWMA (alpha = 1/8).
-func (ss *sessionStore) observeService(d time.Duration) {
+func (s *Server) observeService(d time.Duration) {
 	ns := int64(d)
 	if ns <= 0 {
 		ns = 1
 	}
 	for {
-		old := ss.ewmaNS.Load()
+		old := s.ewmaNS.Load()
 		nw := ns
 		if old > 0 {
 			nw = old + (ns-old)/8
 		}
-		if ss.ewmaNS.CompareAndSwap(old, nw) {
+		if s.ewmaNS.CompareAndSwap(old, nw) {
 			return
 		}
 	}
@@ -155,18 +79,18 @@ func (ss *sessionStore) observeService(d time.Duration) {
 // retryAfterSeconds estimates how long a rejected client should back off:
 // the observed per-request service time times the queue ahead of it, spread
 // over the selection slots. Before the first completion (no EWMA yet) it
-// falls back to the configured queue-wait budget. Clamped to [1, 60].
-func (ss *sessionStore) retryAfterSeconds(fallback time.Duration) int {
-	ewma := ss.ewmaNS.Load()
+// falls back to the queue-wait budget. Clamped to [1, 60].
+func (s *Server) retryAfterSeconds() int {
+	ewma := s.ewmaNS.Load()
 	if ewma <= 0 {
-		secs := int(fallback / time.Second)
+		secs := int(s.queueWait / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
 		return secs
 	}
-	depth := ss.waiters.Load() + 1
-	wait := time.Duration(ewma) * time.Duration(depth) / time.Duration(cap(ss.sem))
+	depth := s.waiters.Load() + 1
+	wait := time.Duration(ewma) * time.Duration(depth) / time.Duration(cap(s.sem))
 	secs := int((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -177,53 +101,56 @@ func (ss *sessionStore) retryAfterSeconds(fallback time.Duration) int {
 	return secs
 }
 
-// records returns every live record, in map order.
-func (ss *sessionStore) records() []*sessionRecord {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	recs := make([]*sessionRecord, 0, len(ss.m))
+// records returns every record in the table, in map order.
+func (s *Server) records() []*sessionRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := make([]*sessionRecord, 0, len(s.m))
 	//lint:maporder-ok snapshot of every record; callers are order-independent or sort
-	for _, rec := range ss.m {
+	for _, rec := range s.m {
 		recs = append(recs, rec)
 	}
 	return recs
 }
 
 // janitor periodically evicts sessions idle past the TTL. Busy sessions
-// (slot held by a handler) are skipped and reconsidered next sweep.
-func (ss *sessionStore) janitor(interval time.Duration, evicted func(int)) {
-	defer close(ss.done)
+// (slot held by a handler or a load) are skipped and reconsidered next
+// sweep.
+func (s *Server) janitor(interval time.Duration) {
+	defer close(s.done)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-ss.stop:
+		case <-s.stop:
 			return
 		case now := <-ticker.C:
-			n := 0
-			for _, rec := range ss.records() {
+			for _, rec := range s.records() {
 				select {
 				case rec.slot <- struct{}{}: // try-lock: busy sessions wait for the next sweep
 				default:
 					continue
 				}
-				if !rec.gone && now.Sub(rec.lastUsed) > ss.ttl {
-					// With durability on, eviction spills the session to disk
-					// instead of discarding it; the files stay and an
-					// acquire-miss rehydrates it on demand.
-					if ss.spill != nil {
-						ss.spill(rec)
-					}
-					ss.remove(rec)
-					n++
+				if !rec.gone && now.Sub(rec.lastUsed) > s.ttl {
+					s.evict(rec)
+					s.metrics.sessionsEvicted.Inc()
 				}
 				<-rec.slot
 			}
-			if n > 0 && evicted != nil {
-				evicted(n)
-			}
 		}
 	}
+}
+
+// evict drops rec from memory, the one way TTL eviction, budget reclaim
+// and Close let a session go. With a store it spills first, so the log
+// holds what the record does and the next lookup rehydrates it; the spill
+// ends before the id leaves the table, so no claim for it can read a log
+// still being written. The caller holds rec's slot and rec is not gone.
+func (s *Server) evict(rec *sessionRecord) {
+	if s.store != nil {
+		s.spillSession(rec)
+	}
+	s.remove(rec)
 }
 
 // mintSessionID draws a fresh session id.
@@ -238,102 +165,94 @@ func mintSessionID() string {
 // publish registers rec — id and slot already set — and reports whether
 // the id was fresh (false = conflict, rec not registered). Minting and
 // publishing are split so the create path can persist the initial snapshot
-// (and a rehydration can replay the log) before the id is reachable by
-// concurrent requests.
-func (ss *sessionStore) publish(rec *sessionRecord) bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if _, exists := ss.m[rec.id]; exists {
+// before the id is reachable by concurrent requests.
+func (s *Server) publish(rec *sessionRecord) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, exists := s.m[rec.id]; exists {
 		return false
 	}
-	ss.m[rec.id] = rec
+	s.m[rec.id] = rec
 	return true
 }
 
-// acquire returns the session locked for exclusive use. A nil record with
-// nil error means the id is unknown (never existed, deleted, or
-// TTL-evicted); a non-nil error means ctx died while waiting for the slot.
-// Callers must release with ss.release (or rec.slot directly after remove).
-func (ss *sessionStore) acquire(ctx context.Context, id string) (*sessionRecord, error) {
-	ss.mu.Lock()
-	rec := ss.m[id]
-	ss.mu.Unlock()
-	if rec == nil {
-		return nil, nil
+// find returns id's record. A miss with a store configured claims the id
+// instead: it inserts a record whose slot is already held, for loadSession
+// to fill in or remove, and reports claimed. A claim is not in the budget
+// and its slot stays held until its load ends, so the janitor, the
+// reclaimer and Close never see it half-loaded.
+func (s *Server) find(id string) (rec *sessionRecord, claimed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec = s.m[id]; rec != nil || s.store == nil {
+		return rec, false
 	}
-	select {
-	case rec.slot <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if rec.gone {
+	rec = &sessionRecord{id: id, slot: make(chan struct{}, 1)}
+	rec.slot <- struct{}{}
+	s.m[id] = rec
+	return rec, true
+}
+
+// lookup returns the session id names, locked for exclusive use; the
+// caller frees it with release (or rec.slot directly after remove). A nil
+// record with nil error means the id names no session (never created,
+// deleted, expired without a store, or quarantined); an error means ctx
+// died waiting for the slot. A miss claims the id and loads its log, so
+// concurrent requests for one id wait on its slot and read the log once,
+// and no other load waits at all. A record that went while its waiter
+// waited was spilled, deleted or failed to load: with a store the waiter
+// looks the id up again, so a spill racing a request never answers 404.
+func (s *Server) lookup(ctx context.Context, id string) (*sessionRecord, error) {
+	for {
+		rec, claimed := s.find(id)
+		switch {
+		case claimed:
+			if s.loadSession(ctx, rec) != nil {
+				return nil, nil
+			}
+			return rec, nil
+		case rec == nil:
+			return nil, nil
+		}
+		select {
+		case rec.slot <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if !rec.gone {
+			return rec, nil
+		}
 		<-rec.slot
-		return nil, nil
+		if s.store == nil {
+			return nil, nil
+		}
 	}
-	return rec, nil
 }
 
 // release refreshes the idle clock and the LRU position, then frees the
 // slot.
-func (ss *sessionStore) release(rec *sessionRecord) {
+func (s *Server) release(rec *sessionRecord) {
 	rec.lastUsed = time.Now()
-	ss.budget.Touch(rec.id)
+	s.budget.Touch(rec.id)
 	<-rec.slot
 }
 
-// remove unregisters rec from the map and the budget. The caller must hold
-// rec's slot.
-func (ss *sessionStore) remove(rec *sessionRecord) {
+// remove unregisters rec from the table and the budget. The caller must
+// hold rec's slot.
+func (s *Server) remove(rec *sessionRecord) {
 	rec.gone = true
-	ss.mu.Lock()
-	delete(ss.m, rec.id)
-	ss.mu.Unlock()
-	ss.budget.Remove(rec.id)
+	s.mu.Lock()
+	delete(s.m, rec.id)
+	s.mu.Unlock()
+	s.budget.Remove(rec.id)
 }
 
-// open returns the number of live sessions.
-func (ss *sessionStore) open() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return len(ss.m)
-}
-
-// close stops the janitor and releases every session in deterministic
-// (sorted-id) order, spilling each to disk when durability is on. Called
-// after the HTTP server has drained, so no handler should still hold a
-// record slot — but a wedged one must not hang shutdown, so each wait is
-// bounded by closeTimeout and a session that never frees is skipped (its
-// logged state, not its in-memory tail, survives).
-func (ss *sessionStore) close() {
-	select {
-	case <-ss.stop:
-	default:
-		close(ss.stop)
-	}
-	<-ss.done
-	recs := ss.records()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
-	timeout := ss.closeTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	for _, rec := range recs {
-		t := time.NewTimer(timeout)
-		select {
-		case rec.slot <- struct{}{}:
-			t.Stop()
-		case <-t.C:
-			if ss.wedged != nil {
-				ss.wedged(rec.id)
-			}
-			continue
-		}
-		if !rec.gone && ss.spill != nil {
-			ss.spill(rec)
-		}
-		ss.remove(rec)
-		<-rec.slot
-	}
+// open returns the number of records in the table, loads in flight
+// included.
+func (s *Server) open() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +352,7 @@ func (s *Server) createSession(ctx context.Context, rec *sessionRecord) reply {
 	need := sessionFootprint(rec)
 	if !s.admitSession(rec, need) {
 		s.metrics.memRejections.Inc()
-		b := s.sessions.budget
+		b := s.budget
 		return s.busy(fmt.Sprintf("session needs ~%d bytes; memory budget %d has %d resident that cannot spill now",
 			need, b.Cap(), b.Used()))
 	}
@@ -446,19 +365,19 @@ func (s *Server) createSession(ctx context.Context, rec *sessionRecord) reply {
 			rec.durable, err = s.store.Create(snap)
 		}
 		if err != nil {
-			s.sessions.budget.Remove(rec.id)
+			s.budget.Remove(rec.id)
 			s.serverLogger().Error("tppd: persisting new session", "session", rec.id, "error", err)
 			return reply{http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()}}
 		}
 	}
 	info := rec.info()
-	if !s.sessions.publish(rec) {
+	if !s.publish(rec) {
 		// Only reachable if two creates minted the same random 64-bit id.
 		// The map keeps the record that won the publish, whose handle still
 		// owns the files on disk — close ours, never destroy. Dropping our
 		// reservation also drops the winner's entry; its next footprint
 		// change re-accounts it.
-		s.sessions.budget.Remove(rec.id)
+		s.budget.Remove(rec.id)
 		if rec.durable != nil {
 			rec.durable.Close()
 		}
@@ -508,7 +427,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		if derr != nil {
 			s.serverLogger().Error("tppd: destroying session log", "session", rec.id, "error", derr)
 		}
-		s.sessions.remove(rec)
+		s.remove(rec)
 		s.metrics.sessionsClosed.Inc()
 		return reply{http.StatusOK, map[string]string{"status": "deleted", "id": rec.id}}
 	}))
@@ -572,8 +491,10 @@ func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaR
 		// Compaction failure is not this delta's error: its frame is
 		// already logged. The log may now end in a torn snapshot frame, so
 		// the session degrades and its next delta or spill rewrites it.
+		// The delta is committed, so a client that leaves now must not
+		// cancel the snapshot and degrade the session for nothing.
 		if rec.durable.ShouldCompact() {
-			if err := s.snapshotSession(ctx, rec); err != nil {
+			if err := s.snapshotSession(context.WithoutCancel(ctx), rec); err != nil {
 				s.degrade(rec, "log compaction", err)
 			}
 		}

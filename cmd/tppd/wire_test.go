@@ -130,7 +130,7 @@ func TestWireShapeEveryRouteClass(t *testing.T) {
 	}
 	checkWireShape(t, "400", resp, body)
 
-	sem := srv.sessions.sem
+	sem := srv.sem
 	for i := 0; i < cap(sem); i++ {
 		sem <- struct{}{}
 	}
@@ -186,7 +186,7 @@ func TestSessionFootprintCounters(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		var sum int64
-		for _, rec := range srv.sessions.records() {
+		for _, rec := range srv.records() {
 			rec.slot <- struct{}{}
 			cached := sessionFootprint(rec)
 			fresh := rec.session.MemFootprint() + labelingFootprint(rec.lab)
@@ -196,7 +196,7 @@ func TestSessionFootprintCounters(t *testing.T) {
 			}
 			sum += fresh
 		}
-		if used := srv.sessions.budget.Used(); used != sum {
+		if used := srv.budget.Used(); used != sum {
 			t.Fatalf("%s: store tracks %d bytes, its sessions measure %d", step, used, sum)
 		}
 	}

@@ -122,7 +122,7 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 		// Keep the warm-start snapshot tracking the mutated session: rename
 		// it under the node remap, fold in this delta's touched edges, and
 		// re-resolve against the index's fresh interner.
-		pr.warm.absorb(st.TouchedEdges, remap, pr.ix)
+		pr.warm.absorb(st.TouchedEdges, remap, p.G, pr.ix)
 	} else {
 		// No index means no touched-edge accounting for this delta; a stale
 		// snapshot could not be re-verified, so drop it.

@@ -310,9 +310,9 @@ func TestWarmAbsorbRemapTruncates(t *testing.T) {
 		gains:      []int{3, 2, 1},
 		touched:    []graph.Edge{{U: 1, V: 2}, {U: 4, V: 6}},
 	}
-	// Remove node 4 (swap-with-last: 6 renames to 4).
+	// Remove node 4 (swap-with-last: 6 renames to 4, and has no edges).
 	remap := []graph.NodeID{0, 1, 2, 3, graph.NoNode, 5, 4}
-	ws.absorb([]graph.Edge{{U: 0, V: 2}}, remap, nil)
+	ws.absorb([]graph.Edge{{U: 0, V: 2}}, remap, graph.New(6), nil)
 
 	if len(ws.protectors) != 2 || len(ws.gains) != 2 {
 		t.Fatalf("truncated to %d protectors / %d gains, want 2/2", len(ws.protectors), len(ws.gains))
@@ -331,6 +331,27 @@ func TestWarmAbsorbRemapTruncates(t *testing.T) {
 		if ws.touched[i] != want[i] {
 			t.Fatalf("touched = %v, want %v", ws.touched, want)
 		}
+	}
+}
+
+// TestWarmAbsorbRemapTouchesRenamedEdges: a node renamed to a lower id
+// moves its edges earlier in id order, where an untouched one could win a
+// gain tie against a remembered protector, so absorb counts each of them
+// as touched, once.
+func TestWarmAbsorbRemapTouchesRenamedEdges(t *testing.T) {
+	ws := warmState{
+		valid:      true,
+		protectors: []graph.Edge{{U: 2, V: 3}},
+		gains:      []int{1},
+	}
+	// Remove nodes 1 and 2 of 6: 5 renames to 2, then 4 to 1. The renamed
+	// graph joins the two renamed nodes and gives each one more edge.
+	remap := []graph.NodeID{0, graph.NoNode, graph.NoNode, 3, 1, 2}
+	g := graph.FromEdges(4, []graph.Edge{{U: 1, V: 2}, {U: 0, V: 1}, {U: 2, V: 3}})
+	ws.absorb(nil, remap, g, nil)
+	want := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
+	if fmt.Sprint(ws.touched) != fmt.Sprint(want) {
+		t.Fatalf("touched = %v, want %v", ws.touched, want)
 	}
 }
 

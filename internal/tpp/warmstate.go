@@ -1,6 +1,7 @@
 package tpp
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -25,7 +26,8 @@ import (
 //     contract), so after deleting the same protector prefix its gain is
 //     exactly what it was in the remembered run — where the remembered
 //     protector p_i was the argmax. Untouched candidates therefore cannot
-//     beat the replay.
+//     beat the replay. A node remap moves a renamed node's edges earlier in
+//     id order, which can flip a gain tie, so those edges count as touched.
 //   - The replayed step is thus exact iff p_i's current gain still equals
 //     its recorded gain and no touched edge outranks it under the greedy
 //     order (gain descending, id ascending) — an O(1) + O(|touched|) check.
@@ -101,13 +103,14 @@ func (ws *warmState) remember(res *Result) {
 // absorb folds one committed delta into the snapshot: protectors and the
 // accumulated touched set are renamed through the delta's node remap (a
 // protector losing an endpoint truncates the remembered sequence there;
-// touched edges losing one are simply gone from the universe), then the
+// touched edges losing one are simply gone from the universe; the edges of
+// renamed nodes in g, the renamed graph, join the touched set), then the
 // delta's own touched set — already post-remap — is merged in. When the
 // maintained index is passed, the snapshot is re-resolved against its fresh
 // interner right here, charging the id translation to the apply (where it is
 // O(delta + selection), like everything else on that path) instead of to the
 // latency-sensitive replay.
-func (ws *warmState) absorb(touched []graph.Edge, remap []graph.NodeID, ix *motif.Index) {
+func (ws *warmState) absorb(touched []graph.Edge, remap []graph.NodeID, g *graph.Graph, ix *motif.Index) {
 	if !ws.valid {
 		return
 	}
@@ -126,9 +129,21 @@ func (ws *warmState) absorb(touched []graph.Edge, remap []graph.NodeID, ix *moti
 			}
 			kept = append(kept, graph.NewEdge(remap[e.U], remap[e.V]))
 		}
-		// Renaming can reorder spellings; the merge below needs sorted input.
+		// A renamed node moved to a lower id, so each of its edges moved
+		// earlier in id order: it keeps its gain but can now win a gain tie
+		// it lost in the remembered run. Count it as touched so the replay
+		// checks it.
+		for old, nw := range remap {
+			if nw != graph.NoNode && int(nw) != old {
+				for _, w := range g.Neighbors(nw) {
+					kept = append(kept, graph.NewEdge(nw, w))
+				}
+			}
+		}
+		// Renaming can reorder spellings; the merge below needs sorted,
+		// duplicate-free input.
 		graph.SortEdges(kept)
-		ws.touched = kept
+		ws.touched = slices.Compact(kept)
 	}
 	ws.mergeBuf = mergeTouched(ws.mergeBuf, ws.touched, touched)
 	ws.touched, ws.mergeBuf = ws.mergeBuf, ws.touched
@@ -302,30 +317,10 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 	}
 	res.WarmStart = !diverged
 
-	if diverged {
-		// Finish cold from the verified prefix: the index heap (rebuilt
-		// lazily on the first peek) yields the exact argmax under the same
-		// (gain desc, id asc) order the cold engines use.
-		for step < k {
-			if err := env.err(); err != nil {
-				return nil, false, err
-			}
-			best, bestGain, ok := ix.ArgmaxGainID()
-			if !ok || bestGain == 0 {
-				break
-			}
-			ix.DeleteEdgeID(best)
-			res.record(in.Edge(best), ix.TotalSimilarity(), time.Since(start))
-			env.onStep(res)
-			step++
-		}
-		res.PerTargetFinal = ix.Similarities()
-		res.Elapsed = time.Since(start)
-		return res, false, nil
-	}
-
-	if step == len(ws.ids) && step < k && ix.TotalSimilarity() > 0 {
-		if ws.exhausted {
+	// Without divergence the replay stopped at k or at the end of the
+	// remembered sequence, so any budget left is a tail to serve.
+	if step < k && ix.TotalSimilarity() > 0 {
+		if !diverged && ws.exhausted {
 			// The remembered run ended with every gain zero, so any edge
 			// with positive gain now was touched by a delta: the tail argmax
 			// only ever needs the touched set. Ascending touched ids make
@@ -349,9 +344,12 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 				step++
 			}
 		} else {
-			// The remembered run was budget-capped (or truncated by a node
-			// departure): the tail can involve any candidate, so peek the
-			// index heap — rebuilt lazily in one pass on the first peek.
+			// Finish cold from the verified prefix (diverged), or serve the
+			// tail of a run that was budget-capped (or truncated by a node
+			// departure) and so can involve any candidate: the index heap,
+			// rebuilt lazily in one pass on the first peek, yields the exact
+			// argmax under the same (gain desc, id asc) order the cold
+			// engines use.
 			for step < k {
 				if err := env.err(); err != nil {
 					return nil, false, err
@@ -370,7 +368,7 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 
 	res.PerTargetFinal = ix.Similarities()
 	res.Elapsed = time.Since(start)
-	return res, true, nil
+	return res, !diverged, nil
 }
 
 // WarmRuns reports how many SGB selections this session served from the
