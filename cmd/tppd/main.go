@@ -23,9 +23,10 @@
 // layer: decode exactly one JSON value from the body and check its options
 // (400 otherwise), take the deadline and a selection slot (429/504/499
 // otherwise), lock the session the path names (404 otherwise), do the
-// route's work, release the record slot and then the selection slot, and
-// only then encode the reply. The one-shot protect is an unpublished
-// session running the same protect path as a session protect.
+// route's work and encode its reply, release the record slot and then the
+// selection slot, and only then write the reply. The one-shot protect is
+// an unpublished session running the same protect path as a session
+// protect.
 //
 // Sessions keep their motif index warm across calls: deltas update it
 // incrementally (time proportional to the delta, not the graph) and idle

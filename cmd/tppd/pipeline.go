@@ -8,72 +8,54 @@ package main
 //	         else 429 / 504 / 499                             (work)
 //	session  the locked record the path names, rehydrated
 //	         from disk on a miss, else 404                    (withSession)
-//	work     the route's own step: create, delta, protect     (protect, ...)
+//	work     the route's own step: create, delta, protect,
+//	         and its reply, encoded while the record is held  (protect, ...)
 //	release  record slot, then selection slot, each once
-//	encode   the reply, written with nothing held             (respond)
+//	write    the encoded reply, written with nothing held     (respond)
 //
 // The lock order is always selection slot → record slot: a request queueing
 // for a selection slot holds no session lock, so cheap GET and DELETE calls
 // on a session never hang behind work that has not started.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/tpp"
 )
 
-// decode is the pipeline's one request decoder. It reads exactly one JSON
-// value into v: at most -max-body bytes, no unknown fields and nothing but
-// whitespace after the value. An empty body is accepted only when emptyOK
-// (a session protect with the session's defaults). Anything else is
-// answered 400 and decode reports false.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	switch {
-	case err == nil:
-		if _, err = dec.Token(); err == io.EOF {
-			return true
-		}
-		err = errors.New("unexpected data after the JSON value")
-	case emptyOK && errors.Is(err, io.EOF):
-		return true
-	}
-	writeRunError(w, badRequest{fmt.Errorf("decoding request: %w", err)})
-	return false
+// reply is a pipeline step's answer, already encoded: its status, its
+// body and, on a 429, the Retry-After seconds. Steps that read a session
+// encode while its record slot is held; respond writes the bytes once
+// every slot the request took is handed back.
+type reply struct {
+	status     int
+	body       *jsonBuf
+	retryAfter int // seconds; 0 sends no Retry-After
 }
 
-// reply is a pipeline step's answer: the status and body respond encodes
-// once every slot the request took is handed back.
-type reply struct {
-	status int
-	body   any
+// replyError is the error reply {"error": msg} with status.
+func replyError(status int, msg string) reply {
+	return reply{status: status, body: newJSONBuf().errorReply(msg)}
 }
 
 // failed is the reply for err, with the status runErrorStatus maps it to.
 func failed(err error) reply {
-	return reply{runErrorStatus(err), errorResponse{Error: err.Error()}}
+	return replyError(runErrorStatus(err), err.Error())
 }
 
-// respond encodes rp as the response. A 429 also carries its back-off
-// estimate as Retry-After.
+// respond writes rp as the response and hands its buffer back.
 func respond(w http.ResponseWriter, rp reply) {
-	if b, ok := rp.body.(busyResponse); ok {
-		w.Header().Set("Retry-After", strconv.Itoa(b.RetryAfterSeconds))
+	if rp.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(rp.retryAfter))
 	}
-	writeJSON(w, rp.status, rp.body)
+	writeBody(w, rp.status, rp.body.b)
+	rp.body.free()
 }
 
 func writeRunError(w http.ResponseWriter, err error) {
@@ -212,11 +194,12 @@ type busyResponse struct {
 // memory budget cannot admit alike: the reason, the queue depth and an
 // EWMA-derived back-off estimate.
 func (s *Server) busy(reason string) reply {
-	return reply{http.StatusTooManyRequests, busyResponse{
+	b := busyResponse{
 		Error:             reason,
 		QueueDepth:        s.waiters.Load(),
 		RetryAfterSeconds: s.retryAfterSeconds(),
-	}}
+	}
+	return reply{http.StatusTooManyRequests, newJSONBuf().busyReply(&b), b.RetryAfterSeconds}
 }
 
 // withSession is the pipeline's session step: it locks the record the
@@ -231,7 +214,7 @@ func (s *Server) withSession(ctx context.Context, r *http.Request, fn func(rec *
 		return failed(err)
 	}
 	if rec == nil {
-		return reply{http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown session %q (expired, deleted, or never created)", id)}}
+		return replyError(http.StatusNotFound, fmt.Sprintf("unknown session %q (expired, deleted, or never created)", id))
 	}
 	defer s.release(rec)
 	annotateSession(ctx, rec.id)
@@ -303,11 +286,11 @@ func (o runOptions) parse(ctx context.Context, defaults bool) ([]tpp.Option, err
 
 // protect is the one protect path, shared by session protect and the
 // one-shot protect's unpublished record: run the selection with the
-// per-run options, count the run and its selections and build the
-// response (budget nil echoes the session's default). The caller holds
-// rec's slot, or rec is unpublished. A run that starts dirties the session
-// even if it fails: its warm state may have moved.
-func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Option, budget *int, omitReleased bool) (resp protectResponse, err error) {
+// per-run options and count the run and its selections. The caller holds
+// rec's slot, or rec is unpublished, and encodes the reply (protectReply)
+// before letting go of it. A run that starts dirties the session even if
+// it fails: its warm state may have moved.
+func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Option) (*tpp.Result, error) {
 	s.metrics.protectRequests.Inc()
 	s.metrics.inflightRuns.Add(1)
 	rec.dirty = true
@@ -321,60 +304,20 @@ func (s *Server) protect(ctx context.Context, rec *sessionRecord, opts []tpp.Opt
 	s.metrics.coldRuns.Add(int64(sess.ColdRuns() - cold))
 	s.metrics.warmFallbacks.Add(int64(sess.WarmFallbacks() - falls))
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
 	rec.runs++
+	return res, nil
+}
+
+// protectReply encodes res as the 200 reply from rec's current state
+// (budget nil echoes the session's default); withTargets adds the target
+// echo of the one-shot protect. The caller holds rec's slot, or rec is
+// unpublished.
+func (rec *sessionRecord) protectReply(res *tpp.Result, budget *int, withTargets, omitReleased bool) reply {
 	if budget == nil {
 		budget = &rec.defaultBudget
 	}
-	p := rec.session.Problem()
-	resp = protectResponse{
-		Method:            res.Method,
-		Nodes:             p.G.NumNodes(),
-		Edges:             p.G.NumEdges() + len(p.Targets), // the original graph's
-		Budget:            *budget,
-		Protectors:        edgePairs(res.Protectors, rec.lab),
-		InitialSimilarity: res.SimilarityTrace[0],
-		FinalSimilarity:   res.FinalSimilarity(),
-		FullProtection:    res.FullProtection(),
-		WarmStart:         res.WarmStart,
-		SimilarityTrace:   res.SimilarityTrace,
-		ElapsedMS:         float64(res.Elapsed.Microseconds()) / 1000,
-	}
-	if !omitReleased {
-		resp.ReleasedEdges = edgePairs(rec.session.Release(res).Edges(), rec.lab)
-	}
-	return resp, nil
-}
-
-// maxPooledJSONBuf caps the response buffers writeJSON hands back to its
-// pool: a rare huge response (a large released graph) is left to the GC
-// rather than pinning its capacity in the pool.
-const maxPooledJSONBuf = 1 << 20
-
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeJSON encodes v as one line of compact JSON into a pooled buffer and
-// writes it with an exact Content-Length in a single call, so responses are
-// never chunked. Encoding completes before any header goes out: a value
-// that cannot be encoded becomes a logged 500, not a truncated 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledJSONBuf {
-			jsonBufPool.Put(buf)
-		}
-	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		slog.Error("tppd: encoding response", "request_id", w.Header().Get(requestIDHeader), "error", err)
-		buf.Reset()
-		status = http.StatusInternalServerError
-		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encoding response: " + err.Error()}) // a lone string field always encodes
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client left; nothing to answer
+	body := newJSONBuf().protectReply(res, rec.session.Problem(), rec.lab, *budget, withTargets, omitReleased)
+	return reply{status: http.StatusOK, body: body}
 }

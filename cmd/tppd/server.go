@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,6 +236,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // existing edges of that graph; alternatively SampleTargets asks the server
 // to draw that many random target links (seeded, for benchmarking).
 type protectRequest struct {
+	// Edges is the edge list as encoding/json decodes it; the canonical
+	// decoder and buildGraph move it into interned.
 	Edges   edgeList     `json:"edges,omitempty"`
 	Dataset *datasetSpec `json:"dataset,omitempty"`
 
@@ -260,6 +261,8 @@ type protectRequest struct {
 	// OmitReleased skips echoing the released edge list (it is as large as
 	// the input graph) when the caller only wants the selection report.
 	OmitReleased bool `json:"omit_released,omitempty"`
+
+	interned edgeInterner // the decoded edge list
 }
 
 type datasetSpec struct {
@@ -268,47 +271,17 @@ type datasetSpec struct {
 	Seed  int64  `json:"seed,omitempty"`  // generator seed; default 1
 }
 
-// protectResponse is the selection report plus the released edge list.
-// Targets is echoed only by the one-shot POST /v1/protect, where with
-// sample_targets it is the only way a client learns which targets were
-// drawn. A session protect leaves it out: the session's targets are already
-// the client's, and GET /v1/sessions/{id} returns them, so echoing them
-// would make every protect cost the whole target set on the wire.
-type protectResponse struct {
-	Method            string      `json:"method"`
-	Nodes             int         `json:"nodes"`
-	Edges             int         `json:"edges"`
-	Targets           [][2]string `json:"targets,omitempty"`
-	Budget            int         `json:"budget"` // as requested; 0 meant critical
-	Protectors        [][2]string `json:"protectors"`
-	InitialSimilarity int         `json:"initial_similarity"`
-	FinalSimilarity   int         `json:"final_similarity"`
-	FullProtection    bool        `json:"full_protection"`
-	// WarmStart reports whether the selection was served by warm-start
-	// replay from the session's previous run (identical result, less work).
-	// Always false on the one-shot path — there is no previous run.
-	WarmStart       bool        `json:"warm_start"`
-	SimilarityTrace []int       `json:"similarity_trace"`
-	ElapsedMS       float64     `json:"elapsed_ms"`
-	ReleasedEdges   [][2]string `json:"released_edges,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // handleProtect serves the one-shot POST /v1/protect: the request's graph
 // becomes an unpublished session record that runs the same protect path as
 // a session protect, and the response also echoes the targets, the only
 // way a client learns which ones sample_targets drew.
 func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 	s.withNewRecord(w, r, func(ctx context.Context, req *protectRequest, rec *sessionRecord) reply {
-		resp, err := s.protect(ctx, rec, nil, nil, req.OmitReleased)
+		res, err := s.protect(ctx, rec, nil)
 		if err != nil {
 			return failed(err)
 		}
-		resp.Targets = edgePairs(rec.session.Problem().Targets, rec.lab)
-		return reply{http.StatusOK, resp}
+		return rec.protectReply(res, nil, true, req.OmitReleased)
 	})
 }
 
@@ -522,54 +495,17 @@ func (r *protectRequest) newRecord(ctx context.Context, opts []tpp.Option) (*ses
 
 // buildGraph materialises the request's graph and its label mapping.
 func (r *protectRequest) buildGraph() (*graph.Graph, *graph.Labeling, error) {
+	r.internEdges()
 	switch {
-	case len(r.Edges) > 0 && r.Dataset != nil:
+	case r.interned.pairs > 0 && r.Dataset != nil:
 		return nil, nil, fmt.Errorf("request sets both edges and dataset; choose one")
-	case len(r.Edges) > 0:
-		return graphFromPairs(r.Edges)
+	case r.interned.pairs > 0:
+		return r.interned.graph()
 	case r.Dataset != nil:
 		return graphFromDataset(r.Dataset)
 	default:
 		return nil, nil, fmt.Errorf("request needs a graph: either edges or dataset")
 	}
-}
-
-// graphFromPairs interns the string-labelled edge list into a dense graph,
-// mirroring graph.ReadEdgeList's tolerance: self loops and duplicate edges
-// are dropped silently. Nodes are numbered by first appearance and the
-// graph is built in one graph.FromEdges pass. Each stored label is a clone,
-// so the session does not pin the request body its pairs were cut from.
-func graphFromPairs(pairs [][2]string) (*graph.Graph, *graph.Labeling, error) {
-	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID)}
-	intern := func(s string) (graph.NodeID, error) {
-		if s == "" {
-			return 0, fmt.Errorf("empty node label in edge list")
-		}
-		if id, ok := lab.ToID[s]; ok {
-			return id, nil
-		}
-		s = strings.Clone(s)
-		id := graph.NodeID(len(lab.ToName))
-		lab.ToID[s] = id
-		lab.ToName = append(lab.ToName, s)
-		return id, nil
-	}
-	edges := make([]graph.Edge, 0, len(pairs))
-	for _, p := range pairs {
-		u, err := intern(p[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		v, err := intern(p[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		if u == v {
-			continue
-		}
-		edges = append(edges, graph.Edge{U: u, V: v})
-	}
-	return graph.FromEdges(len(lab.ToName), edges), lab, nil
 }
 
 func graphFromDataset(spec *datasetSpec) (*graph.Graph, *graph.Labeling, error) {
@@ -630,12 +566,4 @@ func (r *protectRequest) resolveTargets(g *graph.Graph, lab *graph.Labeling) ([]
 		out = append(out, graph.NewEdge(u, v))
 	}
 	return out, nil
-}
-
-func edgePairs(edges []graph.Edge, lab *graph.Labeling) [][2]string {
-	out := make([][2]string, len(edges))
-	for i, e := range edges {
-		out[i] = [2]string{lab.Name(e.U), lab.Name(e.V)}
-	}
-	return out
 }

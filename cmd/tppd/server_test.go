@@ -210,6 +210,82 @@ func TestProtectMalformedJSON(t *testing.T) {
 	if info := getSessionInfo(t, ts, id); info.DeltasApplied != 0 {
 		t.Fatalf("deltas_applied = %d after only rejected deltas", info.DeltasApplied)
 	}
+
+	// Bodies near the canonical shape: each answers the status, and a 400
+	// the message, encoding/json gave them before the one-pass decoder
+	// existed. A case-folded key names the field it folds to and a repeated
+	// key's last value wins. The delta cases leave 0-9 absent, as the
+	// whitespace check below needs.
+	const maxBody = 1 << 20 // newSessionTestServer's -max-body
+	type edgeCase struct {
+		name, body string
+		status     int
+		msg        string // the 400's message; "" for a 2xx
+	}
+	unknown := func(field string) string { return `decoding request: json: unknown field "` + field + `"` }
+	mistyped := func(num, typ string) string {
+		return "decoding request: json: cannot unmarshal number " + num + " into Go struct field " + typ + ".budget of type int"
+	}
+	over := func(valid string) []edgeCase {
+		pad := strings.Repeat(" ", maxBody+1-len(valid))
+		return []edgeCase{
+			{"over -max-body, value complete", valid + pad, 400, "decoding request: unexpected data after the JSON value"},
+			{"over -max-body, value cut", pad + valid, 400, "decoding request: http: request body too large"},
+		}
+	}
+	createCases := func(created int) []edgeCase {
+		return append([]edgeCase{
+			{"unknown field", `{"bogus":1,` + oneShot[1:], 400, unknown("bogus")},
+			{"case-variant key", strings.Replace(oneShot, `"edges"`, `"EDGES"`, 1), created, ""},
+			{"duplicate key", `{"targets":[["b","c"]],` + oneShot[1:], created, ""},
+			{"null edges", `{"edges":null,"targets":[["a","b"]]}`, 400, "request needs a graph: either edges or dataset"},
+			{"float budget", `{"budget":1.0,` + oneShot[1:], 400, mistyped("1.0", "protectRequest")},
+			{"exponent budget", `{"budget":1e2,` + oneShot[1:], 400, mistyped("1e2", "protectRequest")},
+			{"empty body", "", 400, "decoding request: EOF"},
+		}, over(oneShot)...)
+	}
+	cases := map[string][]edgeCase{
+		"/v1/protect":  createCases(http.StatusOK),
+		"/v1/sessions": createCases(http.StatusCreated),
+		"/v1/sessions/" + id + "/delta": append([]edgeCase{
+			{"unknown field", `{"bogus":1,"insert":[["0","9"]]}`, 400, unknown("bogus")},
+			{"case-variant key", `{"INSERT":[["0","9"]]}`, 200, ""},
+			{"duplicate key", `{"remove":[["1","2"]],"remove":[["0","9"]]}`, 200, ""},
+			{"null edges", `{"edges":null,"insert":[["0","9"]]}`, 400, unknown("edges")},
+			{"float budget", `{"budget":1.0,"insert":[["0","9"]]}`, 400, unknown("budget")},
+			{"exponent budget", `{"budget":1e2,"insert":[["0","9"]]}`, 400, unknown("budget")},
+			{"empty body", "", 400, "decoding request: EOF"},
+		}, over(`{"insert":[["0","9"]]}`)...),
+		"/v1/sessions/" + id + "/protect": append([]edgeCase{
+			{"unknown field", `{"bogus":1,"omit_released":true}`, 400, unknown("bogus")},
+			{"case-variant key", `{"OMIT_RELEASED":true}`, 200, ""},
+			{"duplicate key", `{"omit_released":false,"omit_released":true}`, 200, ""},
+			{"null edges", `{"edges":null,"omit_released":true}`, 400, unknown("edges")},
+			{"float budget", `{"budget":1.0}`, 400, mistyped("1.0", "sessionProtectRequest")},
+			{"exponent budget", `{"budget":1e2}`, 400, mistyped("1e2", "sessionProtectRequest")},
+			{"empty body", "", 200, ""},
+		}, over(`{"omit_released":true}`)...),
+	}
+	for _, rt := range routes {
+		for _, c := range cases[rt.path] {
+			status, out := post(rt.path, c.body)
+			if status != c.status {
+				t.Errorf("POST %s %s: status %d, want %d: %s", rt.path, c.name, status, c.status, out)
+				continue
+			}
+			var er errorResponse
+			if c.msg != "" && (json.Unmarshal([]byte(out), &er) != nil || er.Error != c.msg) {
+				t.Errorf("POST %s %s: body %s, want error %q", rt.path, c.name, out, c.msg)
+			}
+			if c.name == "case-variant key" && rt.path == "/v1/protect" && !strings.Contains(out, `"nodes":3,"edges":3,`) {
+				t.Errorf("POST %s %s: the folded key did not set edges: %s", rt.path, c.name, out)
+			}
+			if c.name == "duplicate key" && rt.path == "/v1/protect" && !strings.Contains(out, `"targets":[["a","b"]]`) {
+				t.Errorf("POST %s %s: the repeated key's last value did not win: %s", rt.path, c.name, out)
+			}
+		}
+	}
+
 	for _, rt := range routes {
 		if status, out := post(rt.path, rt.valid+" \n\t"); status/100 != 2 {
 			t.Errorf("POST %s with trailing whitespace: status %d, want 2xx: %s", rt.path, status, out)

@@ -258,19 +258,6 @@ func (s *Server) open() int {
 // ---------------------------------------------------------------------------
 // HTTP wire types
 
-// sessionResponse describes a session to the client.
-type sessionResponse struct {
-	ID            string      `json:"id"`
-	Nodes         int         `json:"nodes"`
-	Edges         int         `json:"edges"`
-	Targets       [][2]string `json:"targets"`
-	Pattern       string      `json:"pattern"`
-	Created       time.Time   `json:"created"`
-	Runs          int64       `json:"runs"`
-	DeltasApplied int64       `json:"deltas_applied"`
-	IndexBuilds   int         `json:"index_builds"`
-}
-
 // deltaRequest is one batch of session mutations against a session, in the
 // session's node labels (delta schema v2: edge churn plus node churn and
 // target-set edits). add_nodes labels must be new and may be referenced by
@@ -367,10 +354,9 @@ func (s *Server) createSession(ctx context.Context, rec *sessionRecord) reply {
 		if err != nil {
 			s.budget.Remove(rec.id)
 			s.serverLogger().Error("tppd: persisting new session", "session", rec.id, "error", err)
-			return reply{http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()}}
+			return replyError(http.StatusInternalServerError, "persisting session: "+err.Error())
 		}
 	}
-	info := rec.info()
 	if !s.publish(rec) {
 		// Only reachable if two creates minted the same random 64-bit id.
 		// The map keeps the record that won the publish, whose handle still
@@ -381,32 +367,22 @@ func (s *Server) createSession(ctx context.Context, rec *sessionRecord) reply {
 		if rec.durable != nil {
 			rec.durable.Close()
 		}
-		return reply{http.StatusConflict, errorResponse{Error: fmt.Sprintf("session %q already exists", rec.id)}}
+		return replyError(http.StatusConflict, fmt.Sprintf("session %q already exists", rec.id))
 	}
 	s.metrics.sessionsCreated.Inc()
 	annotateSession(ctx, rec.id)
-	return reply{http.StatusCreated, info}
+	return rec.infoReply(http.StatusCreated)
 }
 
-// info describes the session to the client. The caller holds rec's slot.
-func (rec *sessionRecord) info() sessionResponse {
-	p := rec.session.Problem()
-	return sessionResponse{
-		ID:            rec.id,
-		Nodes:         p.G.NumNodes(),
-		Edges:         p.G.NumEdges() + len(p.Targets), // the original graph's
-		Targets:       edgePairs(p.Targets, rec.lab),
-		Pattern:       rec.pattern,
-		Created:       rec.created,
-		Runs:          rec.runs,
-		DeltasApplied: rec.deltas,
-		IndexBuilds:   rec.session.IndexBuilds(),
-	}
+// infoReply describes the session to the client. The caller holds rec's
+// slot.
+func (rec *sessionRecord) infoReply(status int) reply {
+	return reply{status: status, body: newJSONBuf().sessionReply(rec)}
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	respond(w, s.withSession(r.Context(), r, func(rec *sessionRecord) reply {
-		return reply{http.StatusOK, rec.info()}
+		return rec.infoReply(http.StatusOK)
 	}))
 }
 
@@ -429,7 +405,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		}
 		s.remove(rec)
 		s.metrics.sessionsClosed.Inc()
-		return reply{http.StatusOK, map[string]string{"status": "deleted", "id": rec.id}}
+		return reply{status: http.StatusOK, body: newJSONBuf().deletedReply(rec.id)}
 	}))
 }
 
@@ -461,8 +437,7 @@ func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaR
 	if s.store != nil && rec.durable == nil {
 		if err := s.repersist(ctx, rec); err != nil {
 			s.serverLogger().Error("tppd: re-persisting degraded session", "session", rec.id, "error", err)
-			return reply{http.StatusInternalServerError,
-				errorResponse{Error: "delta not applied: session cannot be persisted: " + err.Error()}}
+			return replyError(http.StatusInternalServerError, "delta not applied: session cannot be persisted: "+err.Error())
 		}
 	}
 	rep, err := rec.session.Apply(ctx, d)
@@ -485,8 +460,7 @@ func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaR
 	if rec.durable != nil {
 		if err := rec.durable.AppendDelta(d, req.AddNodes); err != nil {
 			s.degrade(rec, "log append", err)
-			return reply{http.StatusInternalServerError,
-				errorResponse{Error: "delta applied but not durably logged: " + err.Error()}}
+			return replyError(http.StatusInternalServerError, "delta applied but not durably logged: "+err.Error())
 		}
 		// Compaction failure is not this delta's error: its frame is
 		// already logged. The log may now end in a torn snapshot frame, so
@@ -509,7 +483,7 @@ func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaR
 	// spill colder sessions if the budget ran over) while the slot is
 	// still held.
 	s.noteFootprint(rec)
-	return reply{http.StatusOK, deltaResponse{
+	resp := deltaResponse{
 		Inserted:         rep.Inserted,
 		Removed:          rep.Removed,
 		NodesAdded:       rep.NodesAdded,
@@ -525,7 +499,8 @@ func (s *Server) applyDelta(ctx context.Context, rec *sessionRecord, req *deltaR
 		DroppedInstances: rep.IndexStats.DroppedInstances,
 		Instances:        rep.IndexStats.Instances,
 		ElapsedMS:        float64(rep.Elapsed.Microseconds()) / 1000,
-	}}
+	}
+	return reply{status: http.StatusOK, body: newJSONBuf().deltaReply(&resp)}
 }
 
 // resolveDelta maps the request's labelled mutation batch into a Delta.
@@ -644,7 +619,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 	}
 	s.work(w, r, req.TimeoutMS, func(ctx context.Context) reply {
 		return s.withSession(ctx, r, func(rec *sessionRecord) reply {
-			resp, err := s.protect(ctx, rec, opts, req.Budget, req.OmitReleased)
+			res, err := s.protect(ctx, rec, opts)
 			// The first run built the motif index — easily the biggest jump
 			// a session's footprint ever takes — so re-account before
 			// handing back.
@@ -652,7 +627,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return failed(err)
 			}
-			return reply{http.StatusOK, resp}
+			return rec.protectReply(res, req.Budget, false, req.OmitReleased)
 		})
 	})
 }

@@ -190,19 +190,23 @@ func (c *MutationChurn) Targets() []graph.Edge { return slices.Clone(c.targets) 
 // departures rename edges (swap-with-last), which would otherwise require
 // re-keying pool entries against the remap — O(graph) per batch is the
 // simple, rename-proof choice for a generator that only runs in untimed
-// test and benchmark setup.
+// test and benchmark setup. The sweep merges the graph's canonical edge
+// order with the sorted target keys rather than hashing every edge, so the
+// O(graph) is one pass of comparisons.
 func (c *MutationChurn) rebuildPool() {
-	tset := make(map[graph.Edge]struct{}, len(c.targets))
-	for _, t := range c.targets {
-		tset[t] = struct{}{}
+	keys := make([]uint64, len(c.targets))
+	for i, t := range c.targets {
+		keys[i] = graph.PackEdge(t)
 	}
-	c.rebuildPoolWith(tset)
-}
-
-func (c *MutationChurn) rebuildPoolWith(tset map[graph.Edge]struct{}) {
+	slices.Sort(keys)
 	c.pool = c.pool[:0]
+	k := 0
 	c.g.EachEdge(func(e graph.Edge) bool {
-		if _, ok := tset[e]; !ok {
+		key := graph.PackEdge(e)
+		for k < len(keys) && keys[k] < key {
+			k++
+		}
+		if k == len(keys) || keys[k] != key {
 			c.pool = append(c.pool, e)
 		}
 		return true
@@ -397,10 +401,6 @@ func (c *MutationChurn) Next(k int) Mutation {
 		newTargets = append(newTargets, rename(t))
 	}
 	c.targets = newTargets
-	if len(m.AddTargets) == 0 && len(m.DropTargets) == 0 && remap == nil {
-		c.rebuildPoolWith(tset) // target set and spelling unchanged: reuse the batch's map
-	} else {
-		c.rebuildPool()
-	}
+	c.rebuildPool()
 	return m
 }
