@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -249,5 +250,48 @@ func TestApplyTargetsNoChangeReturnsSameSlice(t *testing.T) {
 	d := Delta{Insert: []graph.Edge{{U: 0, V: 3}}}
 	if got := d.ApplyTargets(targets, nil); &got[0] != &targets[0] {
 		t.Fatal("edge-only delta should return the target slice unchanged")
+	}
+}
+
+// TestTargetSetApplyTracksTargets drives a session-shaped target set
+// through random mutation batches — target adds and drops, and node
+// departures whose swap-with-last renaming re-spells targets — and
+// requires it to equal the set of the list ApplyTargets returns after
+// every batch. The graph is small and the target list dense, so renames
+// often land on a target endpoint.
+func TestTargetSetApplyTracksTargets(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := gen.BarabasiAlbertTriad(30, 3, 0.4, rng)
+	targets := g.Edges()[:12]
+	phase1 := g.Clone()
+	phase1.RemoveEdges(targets)
+	churn := gen.NewMutationChurn(g, targets, gen.ChurnRates{
+		EdgeInsert: 1, EdgeRemove: 1, NodeArrive: 1, NodeDepart: 2, TargetAdd: 2, TargetDrop: 2,
+	}, rng)
+	set := NewTargetSet(targets)
+	renamed := 0
+	for step := 0; step < 300; step++ {
+		d, err := Delta(churn.Next(4)).Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ValidateTargets(phase1, set); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		remap := d.ApplyToGraph(phase1)
+		for _, tgt := range targets {
+			c := graph.NewEdge(tgt.U, tgt.V)
+			if remap != nil && !slices.Contains(d.DropTargets, c) && graph.NewEdge(remap[c.U], remap[c.V]) != c {
+				renamed++
+			}
+		}
+		targets = d.ApplyTargets(targets, remap)
+		set.Apply(d, remap)
+		if want := NewTargetSet(targets); !slices.Equal(set.packed, want.packed) {
+			t.Fatalf("step %d: set %v, want %v", step, set.packed, want.packed)
+		}
+	}
+	if renamed == 0 {
+		t.Fatal("no batch renamed a surviving target; the rename path went untested")
 	}
 }

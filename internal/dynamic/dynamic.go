@@ -30,6 +30,7 @@
 package dynamic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -207,6 +208,79 @@ func canonEdges(es []graph.Edge, kind string) ([]graph.Edge, error) {
 	return slices.Compact(out), nil
 }
 
+// TargetSet is a target list as a sorted set of packed canonical links, the
+// form Validate looks targets up in: each of its few dozen membership
+// queries per delta is one binary search. A session keeps one next to its
+// target list and moves it along with each delta (Apply), so validating a
+// delta never re-sorts the targets.
+type TargetSet struct {
+	packed []uint64 // PackEdge of each canonical target, ascending
+}
+
+// NewTargetSet returns the set of the given target links.
+func NewTargetSet(targets []graph.Edge) TargetSet {
+	s := TargetSet{packed: make([]uint64, 0, len(targets))}
+	for _, t := range targets {
+		if !t.Canonical() {
+			t = graph.Edge{U: t.V, V: t.U}
+		}
+		s.packed = append(s.packed, graph.PackEdge(t))
+	}
+	slices.Sort(s.packed)
+	return s
+}
+
+// Apply moves s, the set of a validated delta's pre-delta targets, to the
+// set of the list d.ApplyTargets(targets, remap) returns: dropped targets
+// leave, survivors are renamed through remap, added targets join. Only
+// the keys the delta touches move; nothing is re-sorted unless a rename
+// changed some survivor's spelling.
+func (s *TargetSet) Apply(d Delta, remap []graph.NodeID) {
+	if len(d.DropTargets) > 0 {
+		s.packed = slices.DeleteFunc(s.packed, func(k uint64) bool {
+			_, ok := slices.BinarySearchFunc(d.DropTargets, k, func(t graph.Edge, k uint64) int {
+				return cmp.Compare(graph.PackEdge(t), k)
+			})
+			return ok
+		})
+	}
+	rename := func(e graph.Edge) graph.Edge { return graph.NewEdge(remap[e.U], remap[e.V]) }
+	if remap != nil {
+		moved := false
+		for i, k := range s.packed {
+			if r := graph.PackEdge(rename(graph.UnpackEdge(k))); r != k {
+				s.packed[i], moved = r, true
+			}
+		}
+		if moved {
+			slices.Sort(s.packed)
+		}
+	}
+	for _, t := range d.AddTargets {
+		if remap != nil {
+			t = rename(t)
+		}
+		k := graph.PackEdge(t)
+		i, _ := slices.BinarySearch(s.packed, k)
+		s.packed = slices.Insert(s.packed, i, k)
+	}
+}
+
+// Len returns the number of targets.
+func (s TargetSet) Len() int { return len(s.packed) }
+
+// MemFootprint returns the bytes the set holds.
+func (s TargetSet) MemFootprint() int64 { return int64(cap(s.packed)) * 8 }
+
+// Has reports whether e, in either orientation, is a target link.
+func (s TargetSet) Has(e graph.Edge) bool {
+	if !e.Canonical() {
+		e = graph.Edge{U: e.V, V: e.U}
+	}
+	_, ok := slices.BinarySearch(s.packed, graph.PackEdge(e))
+	return ok
+}
+
 // Validate checks a canonical delta against the graph it is about to mutate
 // and the protected target links. Insertions must be absent edges over
 // existing (or same-delta added) nodes; removals must be present; neither
@@ -218,35 +292,16 @@ func canonEdges(es []graph.Edge, kind string) ([]graph.Edge, error) {
 // any surviving target. g is the phase-1 graph (targets removed), the one
 // graph a session keeps; every check is arranged to give the same answer
 // on the original graph (targets present), so either may be passed.
+//
+// Validate builds the target set on every call; a caller validating a
+// stream of deltas against one evolving target list keeps a TargetSet and
+// calls ValidateTargets instead.
 func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
-	// Target membership is queried a few dozen times per delta. For
-	// session-sized target lists a direct linear scan (two comparisons per
-	// target, no allocation, no sort) beats building any index; only large
-	// lists amortise a sorted packed copy.
-	var isTarget func(e graph.Edge) bool
-	if len(targets) < 256 {
-		isTarget = func(e graph.Edge) bool {
-			for _, t := range targets {
-				if t == e || (t.U == e.V && t.V == e.U) {
-					return true
-				}
-			}
-			return false
-		}
-	} else {
-		tpk := make([]uint64, len(targets))
-		for i, t := range targets {
-			if !t.Canonical() {
-				t = graph.Edge{U: t.V, V: t.U}
-			}
-			tpk[i] = graph.PackEdge(t)
-		}
-		slices.Sort(tpk)
-		isTarget = func(e graph.Edge) bool {
-			_, ok := slices.BinarySearch(tpk, graph.PackEdge(e))
-			return ok
-		}
-	}
+	return d.ValidateTargets(g, NewTargetSet(targets))
+}
+
+// ValidateTargets is Validate against a target set kept by the caller.
+func (d Delta) ValidateTargets(g *graph.Graph, targets TargetSet) error {
 	isDropped := func(e graph.Edge) bool { // DropTargets is canonical: sorted, deduped
 		_, ok := slices.BinarySearchFunc(d.DropTargets, e, func(a, b graph.Edge) int {
 			if a == b {
@@ -271,11 +326,11 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 		return ok
 	}
 	for _, t := range d.DropTargets {
-		if !isTarget(t) {
+		if !targets.Has(t) {
 			return invalidf("dropped target %v is not a current target", t)
 		}
 	}
-	if len(targets) > 0 && len(targets)-len(d.DropTargets)+len(d.AddTargets) == 0 {
+	if targets.Len() > 0 && targets.Len()-len(d.DropTargets)+len(d.AddTargets) == 0 {
 		return invalidf("delta drops every target; a session must keep at least one")
 	}
 	touchesRemoved := func(e graph.Edge) (graph.NodeID, bool) {
@@ -291,7 +346,7 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 		if e.U < 0 || e.V >= nAfter {
 			return invalidf("insertion %v references a node outside [0,%d)", e, nAfter)
 		}
-		if isTarget(e) {
+		if targets.Has(e) {
 			return invalidf("insertion %v is a protected target link", e)
 		}
 		if x, ok := touchesRemoved(e); ok {
@@ -305,7 +360,7 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 		if e.U < 0 || e.V >= n {
 			return invalidf("removal %v references a node outside [0,%d)", e, n)
 		}
-		if isTarget(e) {
+		if targets.Has(e) {
 			return invalidf("removal %v is a protected target link", e)
 		}
 		if !g.HasEdgeE(e) {
@@ -316,7 +371,7 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 		if e.U < 0 || e.V >= nAfter {
 			return invalidf("added target %v references a node outside [0,%d)", e, nAfter)
 		}
-		if isTarget(e) {
+		if targets.Has(e) {
 			return invalidf("added target %v is already a target", e)
 		}
 		if x, ok := touchesRemoved(e); ok {
@@ -327,11 +382,8 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 		}
 	}
 	for _, x := range d.RemoveNodes {
-		for _, t := range targets {
-			if !t.Canonical() {
-				t = graph.Edge{U: t.V, V: t.U}
-			}
-			if t.Has(x) && !isDropped(t) {
+		for _, p := range targets.packed {
+			if t := graph.UnpackEdge(p); t.Has(x) && !isDropped(t) {
 				return invalidf("removed node %d is an endpoint of target %v", x, t)
 			}
 		}

@@ -305,8 +305,7 @@ func FuzzApplyParity(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		patterns := []motif.Pattern{motif.Triangle, motif.Rectangle, motif.RecTri}
-		pattern := patterns[int(data[0])%len(patterns)]
+		pattern := motif.AllPatterns[int(data[0])%len(motif.AllPatterns)]
 		workers := 1 + int(data[0]/16)%3
 		rng := rand.New(rand.NewSource(3))
 		g := gen.BarabasiAlbertTriad(48, 3, 0.5, rng)

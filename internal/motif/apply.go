@@ -109,11 +109,11 @@ func (m *Mutation) rename(e graph.Edge) graph.Edge {
 // added target is enumerated exactly once; all other targets provably keep
 // their instance sets. A node renaming re-spells the surviving instances'
 // edges (their endpoints necessarily survive) without enumerating
-// anything. The flat state is then rebuilt from the stitched per-target
-// buffers by the same builder NewIndex uses, so the resulting index —
-// similarities, gains, candidate universe, heap order and therefore every
-// selection made from it — is bit-identical to a fresh NewIndex on the
-// mutated graph and mutated target list.
+// anything. The flat state is then rewired from the survivors and the
+// enumeration arenas, so the resulting index — similarities, gains,
+// candidate universe, heap order and therefore every selection made from
+// it — is bit-identical to a fresh NewIndex on the mutated graph and
+// mutated target list.
 //
 // Any protector deletions recorded on the index (DeleteEdgeID since the
 // last Reset) are discarded, exactly as a fresh build would: an applied
@@ -121,6 +121,13 @@ func (m *Mutation) rename(e graph.Edge) graph.Edge {
 // survivors keep their relative order, added targets append in the order
 // given.
 func (ix *Index) ApplyMutation(g *graph.Graph, m Mutation) (ApplyStats, error) {
+	bs := getBuildScratch()
+	defer putBuildScratch(bs)
+	return ix.applyMutation(g, m, bs)
+}
+
+// applyMutation is ApplyMutation over caller-owned build scratch.
+func (ix *Index) applyMutation(g *graph.Graph, m Mutation, bs *buildScratch) (ApplyStats, error) {
 	start := time.Now()
 
 	// Resolve the target-list edit first: drop flags on the old list, the
@@ -193,7 +200,7 @@ func (ix *Index) ApplyMutation(g *graph.Graph, m Mutation) (ApplyStats, error) {
 	// flat state is compacted in place, linear in the universe and instance
 	// table.
 	if len(m.Inserted) == 0 && len(m.AddTargets) == 0 && len(m.DropTargets) == 0 && m.Remap == nil {
-		killed, touched := ix.applyRemovals(m.Removed)
+		killed, touched := ix.applyRemovals(m.Removed, bs)
 		return ApplyStats{
 			Removed:         len(m.Removed),
 			KilledInstances: killed,
@@ -282,24 +289,19 @@ func (ix *Index) ApplyMutation(g *graph.Graph, m Mutation) (ApplyStats, error) {
 	// Enumerated targets go through the same worker-sharded kernel the full
 	// build uses, so a broad mutation (hub insertions flagging many
 	// targets) is never slower than its share of a parallel rebuild.
-	byTarget := scratchSlice(ix.sc.byTarget, len(newTargets))
-	ix.sc.byTarget = byTarget
-	clear(byTarget)
-	if nTouched > 0 || addedFrom < len(newTargets) {
-		enumIdx := make([]int, 0, nTouched+len(newTargets)-addedFrom)
-		for nt := range newTargets {
-			if enum[nt] {
-				enumIdx = append(enumIdx, nt)
-			}
+	bs.idx = bs.idx[:0]
+	for nt := range newTargets {
+		if enum[nt] {
+			bs.idx = append(bs.idx, nt)
 		}
-		enumerateInto(g, ix.pattern, newTargets, enumIdx, runtime.GOMAXPROCS(0), byTarget)
 	}
+	enumerateInto(g, ix.pattern, newTargets, runtime.GOMAXPROCS(0), bs)
 
 	// Touched-edge collection must read the old instance table, so it runs
 	// before wireIncremental compacts it in place.
-	touched := ix.collectTouched(newIdx, enum, killed, &m, byTarget)
+	touched := ix.collectTouched(newIdx, enum, killed, &m, bs)
 
-	ix.wireIncremental(newTargets, newIdx, enum, killed, &m, byTarget)
+	ix.wireIncremental(newTargets, newIdx, enum, killed, &m, bs)
 	return ApplyStats{
 		Inserted:         len(m.Inserted),
 		Removed:          len(m.Removed),
@@ -321,7 +323,7 @@ func (ix *Index) ApplyMutation(g *graph.Graph, m Mutation) (ApplyStats, error) {
 // to the remap are skipped — they leave the universe and have zero gain
 // forever. The result is deduplicated in canonical order via the packed
 // encoding; only the handed-out slice is freshly allocated.
-func (ix *Index) collectTouched(newIdx []int, enum, killed []bool, m *Mutation, byTarget [][]rawInstance) []graph.Edge {
+func (ix *Index) collectTouched(newIdx []int, enum, killed []bool, m *Mutation, bs *buildScratch) []graph.Edge {
 	buf := ix.sc.touched[:0]
 	for i := range ix.inst {
 		in0 := &ix.inst[i]
@@ -339,11 +341,9 @@ func (ix *Index) collectTouched(newIdx []int, enum, killed []bool, m *Mutation, 
 			buf = append(buf, graph.PackEdge(e))
 		}
 	}
-	for nt := range byTarget {
-		for _, r := range byTarget[nt] {
-			for _, e := range r.edges[:r.ne] {
-				buf = append(buf, graph.PackEdge(e))
-			}
+	for i := range bs.idx {
+		for _, r := range bs.instances(i) {
+			buf = append(buf, r.keys[:r.ne]...)
 		}
 	}
 	slices.Sort(buf)
@@ -363,7 +363,7 @@ const respelledEdge graph.EdgeID = -2
 
 // wireIncremental rewires the index's whole flat state — interned
 // universe, instance table, gains, CSR incidences, heap — around the
-// surviving instances and the freshly enumerated buffers, without the full
+// surviving instances and the freshly enumerated arenas, without the full
 // builder's re-sort of every incidence and per-incidence re-interning.
 //
 // The old universe already ascends in canonical packed order, and PackEdge
@@ -379,7 +379,7 @@ const respelledEdge graph.EdgeID = -2
 //
 // Like every apply, recorded protector deletions are discarded: the rebuilt
 // state starts fully alive.
-func (ix *Index) wireIncremental(newTargets []graph.Edge, newIdx []int, enum, killed []bool, m *Mutation, byTarget [][]rawInstance) {
+func (ix *Index) wireIncremental(newTargets []graph.Edge, newIdx []int, enum, killed []bool, m *Mutation, bs *buildScratch) {
 	oldIn := ix.in
 	oldNE := oldIn.NumEdges()
 
@@ -423,11 +423,9 @@ func (ix *Index) wireIncremental(newTargets []graph.Edge, newIdx []int, enum, ki
 		remapID[id] = graph.EdgeID(len(kept)) // provisional: index into kept
 		kept = append(kept, graph.PackEdge(e))
 	}
-	for nt := range byTarget {
-		for _, r := range byTarget[nt] {
-			for _, e := range r.edges[:r.ne] {
-				extras = append(extras, graph.PackEdge(e))
-			}
+	for i := range bs.idx {
+		for _, r := range bs.instances(i) {
+			extras = append(extras, r.keys[:r.ne]...)
 		}
 	}
 	slices.Sort(extras)
@@ -486,11 +484,11 @@ func (ix *Index) wireIncremental(newTargets []graph.Edge, newIdx []int, enum, ki
 		}
 		out = append(out, in0)
 	}
-	for nt := range byTarget {
-		for _, r := range byTarget[nt] {
+	for i, nt := range bs.idx {
+		for _, r := range bs.instances(i) {
 			inst := indexedInstance{target: int32(nt), ne: r.ne}
-			for j, e := range r.edges[:r.ne] {
-				inst.edges[j] = in.ID(e)
+			for j, k := range r.keys[:r.ne] {
+				inst.edges[j] = in.ID(graph.UnpackEdge(k))
 			}
 			out = append(out, inst)
 		}
@@ -499,8 +497,10 @@ func (ix *Index) wireIncremental(newTargets []graph.Edge, newIdx []int, enum, ki
 	ix.in = in
 	ix.targets = newTargets
 
-	ix.gain = make([]int32, len(packed))
-	ix.perTarget = make([]int, len(newTargets))
+	ix.gain = scratchSlice(ix.gain, len(packed))
+	clear(ix.gain)
+	ix.perTarget = scratchSlice(ix.perTarget, len(newTargets))
+	clear(ix.perTarget)
 	for idx := range ix.inst {
 		in0 := &ix.inst[idx]
 		ix.perTarget[in0.target]++
@@ -509,7 +509,7 @@ func (ix *Index) wireIncremental(newTargets []graph.Edge, newIdx []int, enum, ki
 		}
 	}
 	ix.alive = len(ix.inst)
-	ix.wireFlat()
+	ix.wireFlat(bs)
 }
 
 // canonEdge returns e in canonical (U < V) form.
@@ -545,8 +545,10 @@ func CanCreateInstances(g *graph.Graph, pattern Pattern, t, e graph.Edge) bool {
 // per-instance ID() lookups, and crucially no target re-enumeration. It
 // returns the number of instances killed plus the touched-edge set (the
 // deduplicated edges of the killed instances — see ApplyStats.TouchedEdges).
-func (ix *Index) applyRemovals(removed []graph.Edge) (int, []graph.Edge) {
-	kill := make([]bool, len(ix.inst))
+func (ix *Index) applyRemovals(removed []graph.Edge, bs *buildScratch) (int, []graph.Edge) {
+	kill := scratchSlice(ix.sc.killed, len(ix.inst))
+	ix.sc.killed = kill
+	clear(kill)
 	nKilled := 0
 	for _, e := range removed {
 		id := ix.in.ID(e)
@@ -586,7 +588,9 @@ func (ix *Index) applyRemovals(removed []graph.Edge) (int, []graph.Edge) {
 
 	// Surviving per-edge incidence counts over the fully-alive state.
 	oldNE := ix.in.NumEdges()
-	oldGain := make([]int32, oldNE)
+	oldGain := scratchSlice(ix.sc.oldGain, oldNE)
+	ix.sc.oldGain = oldGain
+	clear(oldGain)
 	for i := range ix.inst {
 		if kill[i] {
 			continue
@@ -598,8 +602,9 @@ func (ix *Index) applyRemovals(removed []graph.Edge) (int, []graph.Edge) {
 	}
 
 	// Compact the universe, preserving canonical order.
-	remap := make([]graph.EdgeID, oldNE)
-	packed := make([]uint64, 0, oldNE)
+	remap := scratchSlice(ix.sc.remapID, oldNE)
+	ix.sc.remapID = remap
+	packed := make([]uint64, 0, oldNE) // retained by the interner
 	for id := 0; id < oldNE; id++ {
 		if oldGain[id] > 0 {
 			remap[id] = graph.EdgeID(len(packed))
@@ -608,15 +613,14 @@ func (ix *Index) applyRemovals(removed []graph.Edge) (int, []graph.Edge) {
 			remap[id] = graph.NoEdge
 		}
 	}
-	ne := len(packed)
-	gain := make([]int32, ne)
+	// Every new id is some surviving old id's image, so each gain is set.
+	ix.gain = scratchSlice(ix.gain, len(packed))
 	for id, nw := range remap {
 		if nw != graph.NoEdge {
-			gain[nw] = oldGain[id]
+			ix.gain[nw] = oldGain[id]
 		}
 	}
 	ix.in = graph.NewInternerFromPacked(packed)
-	ix.gain = gain
 
 	// Compact the instance table in place, resolving edges to the new ids
 	// and reviving any protector-dead survivors.
@@ -642,7 +646,7 @@ func (ix *Index) applyRemovals(removed []graph.Edge) (int, []graph.Edge) {
 	}
 	ix.alive = len(ix.inst)
 
-	ix.wireFlat()
+	ix.wireFlat(bs)
 	return nKilled, touched
 }
 

@@ -36,6 +36,12 @@ import (
 // hashing, no sorting and no allocation. The Edge-keyed methods remain as
 // thin wrappers that resolve the id first (a binary search over the
 // interner's packed keys, not a map lookup).
+//
+// A build or apply enumerates into a flat per-worker instance arena and
+// interns through an open-addressed table; that throwaway scratch belongs
+// to the process, not to any Index: a package-level sync.Pool holds at most
+// one per concurrently running build or apply, each at most
+// maxPooledScratch bytes, and no Index's MemFootprint counts it.
 type Index struct {
 	pattern Pattern
 	targets []graph.Edge
@@ -44,9 +50,10 @@ type Index struct {
 	inst []indexedInstance
 
 	// CSR incidence table: instIDs[instStart[id]:instStart[id+1]] are the
-	// instances containing edge id. Built once; never mutated. The interned
-	// universe is exactly the touched edges (the paper's W-edge set), so
-	// every id has at least one incidence.
+	// instances containing edge id. Only a rewire (build or apply) writes
+	// it; selection never mutates it. The interned universe is exactly the
+	// touched edges (the paper's W-edge set), so every id has at least one
+	// incidence.
 	instStart []int32
 	instIDs   []int32
 
@@ -86,7 +93,6 @@ type applyScratch struct {
 	enum        []bool
 	killed      []bool
 	insertedNew []graph.Edge
-	byTarget    [][]rawInstance
 	oldGain     []int32
 	remapID     []graph.EdgeID
 	kept        []uint64
@@ -132,20 +138,30 @@ func NewIndex(g *graph.Graph, pattern Pattern, targets []graph.Edge) (*Index, er
 	return NewIndexWorkers(g, pattern, targets, 0)
 }
 
-// rawInstance is a worker-local enumeration record, merged into the index
-// deterministically by target order. It stores edges, not ids: the edge
-// universe is only known once every instance has been enumerated.
+// rawInstance is a worker-arena enumeration record, merged into the index
+// deterministically by target order. It stores packed edge keys
+// (graph.PackEdge), not ids: the edge universe is only known once every
+// instance has been enumerated. A full build's dedup pass (fill) then
+// overwrites each key with its dedup-table slot, which the merge resolves
+// to the edge's id.
 type rawInstance struct {
-	edges [4]graph.Edge
-	ne    uint8
+	keys [4]uint64
+	ne   uint8
 }
 
 // NewIndexWorkers is NewIndex with an explicit enumeration worker count
 // (<= 0 selects GOMAXPROCS). Targets are sharded across the workers with
-// per-worker instance buffers merged in target order, so the resulting
+// per-worker instance arenas merged in target order, so the resulting
 // index — and every selection made from it — is identical for any worker
 // count.
 func NewIndexWorkers(g *graph.Graph, pattern Pattern, targets []graph.Edge, workers int) (*Index, error) {
+	bs := getBuildScratch()
+	defer putBuildScratch(bs)
+	return newIndexScratch(g, pattern, targets, workers, bs)
+}
+
+// newIndexScratch is NewIndexWorkers over caller-owned build scratch.
+func newIndexScratch(g *graph.Graph, pattern Pattern, targets []graph.Edge, workers int, bs *buildScratch) (*Index, error) {
 	start := time.Now()
 	for _, t := range targets {
 		if g.HasEdgeE(t) {
@@ -155,74 +171,67 @@ func NewIndexWorkers(g *graph.Graph, pattern Pattern, targets []graph.Edge, work
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(targets)))
 
 	ix := &Index{
 		pattern: pattern,
 		targets: append([]graph.Edge(nil), targets...),
 	}
 
-	byTarget := make([][]rawInstance, len(targets))
-	all := make([]int, len(targets))
-	for ti := range all {
-		all[ti] = ti
+	bs.idx = scratchSlice(bs.idx, len(targets))
+	for ti := range bs.idx {
+		bs.idx[ti] = ti
 	}
-	enumerateInto(g, pattern, targets, all, workers, byTarget)
+	enumerateInto(g, pattern, targets, workers, bs)
 
-	ix.build(byTarget, g.NumEdges())
+	ix.build(bs, g.NumEdges())
 	ix.stats = BuildStats{Workers: workers, Instances: len(ix.inst), Elapsed: time.Since(start)}
 	return ix, nil
 }
 
-// enumerateInto enumerates the targets named by indices into their
-// byTarget slots, sharding them across workers claiming indices off an
-// atomic cursor (reads of g are concurrency-safe). Worker count never
-// changes the per-target instance sets, only who finds them, so any
-// downstream merge is deterministic. Both the full build and the
-// incremental apply (touched targets only) enumerate through here.
-func enumerateInto(g *graph.Graph, pattern Pattern, targets []graph.Edge, indices []int, workers int, byTarget [][]rawInstance) {
-	// Each worker owns one Scratch for its whole shard: the merge-join
-	// buffers warm up once and every subsequent target enumerates without
-	// per-visit allocations.
-	enumerate := func(ti int, sc *Scratch) {
-		var buf []rawInstance
-		EnumerateTargetScratch(g, pattern, targets[ti], sc, func(edges []graph.Edge) {
-			var r rawInstance
-			r.ne = uint8(len(edges))
-			copy(r.edges[:], edges)
-			buf = append(buf, r)
-		})
-		byTarget[ti] = buf
+// enumerateInto enumerates the targets named by bs.idx (ascending) into
+// the workers' instance arenas, recording in bs.spans[i] where the
+// instances of target bs.idx[i] landed. The targets are sharded across
+// workers claiming positions off an atomic cursor (reads of g are
+// concurrency-safe). Worker count never changes the per-target instance
+// sets, only who finds them, so a merge reading the spans in order is
+// deterministic; with one worker the arena is already in target order.
+// Both the full build and the incremental apply (touched targets only)
+// enumerate through here.
+func enumerateInto(g *graph.Graph, pattern Pattern, targets []graph.Edge, workers int, bs *buildScratch) {
+	workers = max(1, min(workers, len(bs.idx)))
+	bs.spans = scratchSlice(bs.spans, len(bs.idx))
+	if len(bs.workers) < workers {
+		bs.workers = append(bs.workers, make([]enumWorker, workers-len(bs.workers))...)
 	}
-	if workers > len(indices) {
-		workers = len(indices)
+	for w := range bs.workers {
+		bs.workers[w].arena = bs.workers[w].arena[:0]
 	}
-	if workers <= 1 {
-		var sc Scratch
-		for _, ti := range indices {
-			enumerate(ti, &sc)
+	// Each worker owns one arena and one kernel Scratch for its whole
+	// shard, warm from earlier builds when bs came from the pool, so the
+	// enumeration allocates nothing per target or per instance.
+	run := func(w int, next func() int) {
+		wk := &bs.workers[w]
+		visit := wk.add
+		for i := next(); i < len(bs.idx); i = next() {
+			lo := len(wk.arena)
+			EnumerateTargetScratch(g, pattern, targets[bs.idx[i]], &wk.sc, visit)
+			bs.spans[i] = instSpan{w: int32(w), lo: int32(lo), hi: int32(len(wk.arena))}
 		}
+	}
+	if workers == 1 {
+		i := -1
+		run(0, func() int { i++; return i })
 		return
 	}
 	var cursor atomic.Int64
+	claim := func() int { return int(cursor.Add(1)) - 1 }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc Scratch
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(indices) {
-					return
-				}
-				enumerate(indices[i], &sc)
-			}
+			run(w, claim)
 		}()
 	}
 	wg.Wait()
@@ -230,86 +239,98 @@ func enumerateInto(g *graph.Graph, pattern Pattern, targets []graph.Edge, indice
 
 // build wires the index's entire flat state — interned edge universe,
 // merged instance table, CSR incidences, gains, deletion bitset and gain
-// heap — from per-target raw instance buffers fresh from a full enumeration
-// of a graph with graphEdges edges. Only NewIndexWorkers calls it;
-// ApplyMutation reaches the same state through wireIncremental, and the
-// parity suites pin the two against each other. The built state starts
-// fully alive.
-func (ix *Index) build(byTarget [][]rawInstance, graphEdges int) {
+// heap — from the instance arenas of a full enumeration of a graph with
+// graphEdges edges. Only newIndexScratch calls it; ApplyMutation reaches the
+// same state through wireIncremental, and the parity suites pin the two
+// against each other. The built state starts fully alive.
+func (ix *Index) build(bs *buildScratch, graphEdges int) {
 	// Intern the touched edge universe: exactly the edges appearing in some
 	// instance (the paper's W-edge set). One pass dedups the incidences in
-	// an open-addressed table of packed keys, remembering each incidence's
-	// slot and counting each edge's gain there; only the W distinct keys
+	// an open-addressed table of packed keys, replacing each incidence's key
+	// by its slot and counting each edge's gain there; only the W distinct keys
 	// are then sorted, so ids keep canonical order. The graph's adjacency
 	// is never iterated wholesale, which keeps index construction cheap on
 	// large sparse graphs.
 	total := 0
 	incidences := 0
-	for _, buf := range byTarget {
-		total += len(buf)
-		for _, r := range buf {
+	for i := range bs.spans {
+		for _, r := range bs.instances(i) {
 			incidences += int(r.ne)
 		}
+		total += bs.spans[i].len()
 	}
-	// W <= min(incidences, graphEdges), so the table is at most half full
-	// and a probe always ends at an empty slot.
+	// W <= min(incidences, graphEdges), so the table is at most three
+	// quarters full and a probe always ends at an empty slot.
 	size := 2
-	for size < 2*min(incidences, graphEdges) {
+	for 3*size < 4*min(incidences, graphEdges) {
 		size <<= 1
 	}
 	shift := 64 - bits.TrailingZeros(uint(size))
-	keys := make([]uint64, size) // 0 = empty: PackEdge never yields it
-	count := make([]int32, size) // per slot: the edge's gain, then its id
-	slot := make([]int32, 0, incidences)
-	packed := make([]uint64, 0, min(incidences, graphEdges))
-	for _, buf := range byTarget {
-		for _, r := range buf {
-			for _, e := range r.edges[:r.ne] {
-				k := graph.PackEdge(e)
-				s := probe(keys, k, shift)
-				if keys[s] == 0 {
-					if 2*len(packed) >= size {
-						panic("motif: instance edges outnumber the graph's edges")
-					}
-					keys[s] = k
-					packed = append(packed, k)
-				}
-				count[s]++
-				slot = append(slot, int32(s))
-			}
-		}
-	}
+	bs.keys = scratchSlice(bs.keys, size) // 0 = empty: PackEdge never yields it
+	clear(bs.keys)
+	bs.count = scratchSlice(bs.count, size) // per slot: the edge's gain, then its id
+	clear(bs.count)
+	// The interner retains packed, so it is the index's, not scratch.
+	packed := bs.fill(make([]uint64, 0, min(incidences, graphEdges)), shift)
 	slices.Sort(packed)
-	in := graph.NewInternerFromPacked(packed)
-	ix.in = in
+	ix.in = graph.NewInternerFromPacked(packed)
 	ix.gain = make([]int32, len(packed))
+	count := bs.count
 	for id, k := range packed {
-		s := probe(keys, k, shift)
+		s := probe(bs.keys, k, shift)
 		ix.gain[id] = count[s]
 		count[s] = int32(id)
 	}
 
 	// Deterministic merge: instances land in target order regardless of
 	// which worker enumerated them, each edge resolved to its id by one
-	// read of the slot recorded above.
+	// read of the slot fill left in its place.
 	ix.inst = make([]indexedInstance, 0, total)
-	ix.perTarget = make([]int, len(byTarget))
-	ix.alive = 0
-	k := 0
-	for ti, buf := range byTarget {
+	ix.perTarget = make([]int, len(ix.targets))
+	ix.alive = total
+	for i, ti := range bs.idx {
+		buf := bs.instances(i)
 		for _, r := range buf {
 			inst := indexedInstance{target: int32(ti), ne: r.ne}
-			for j := range r.ne {
-				inst.edges[j] = graph.EdgeID(count[slot[k]])
-				k++
+			for j, s := range r.keys[:r.ne] {
+				inst.edges[j] = graph.EdgeID(count[s])
 			}
 			ix.inst = append(ix.inst, inst)
 		}
 		ix.perTarget[ti] = len(buf)
-		ix.alive += len(buf)
 	}
 
-	ix.wireFlat()
+	ix.wireFlat(bs)
+}
+
+// fill is the dedup pass of build: every incidence of every enumerated
+// instance is probed into bs.keys (cleared, len a power of two, indexed by
+// the top bits of a Fibonacci hash with the given shift) and counted in
+// bs.count, and its key in the arena is replaced by its table slot; each
+// first-seen key is appended to packed, which is returned.
+//
+//tpp:hotpath
+func (bs *buildScratch) fill(packed []uint64, shift int) []uint64 {
+	keys, count := bs.keys, bs.count
+	for i := range bs.spans {
+		arena := bs.instances(i)
+		for x := range arena {
+			r := &arena[x]
+			for j, k := range r.keys[:r.ne] {
+				s := probe(keys, k, shift)
+				if keys[s] == 0 {
+					if 4*len(packed) >= 3*len(keys) {
+						panic("motif: instance edges outnumber the graph's edges")
+					}
+					keys[s] = k
+					packed = append(packed, k)
+				}
+				count[s]++
+				r.keys[j] = uint64(s)
+			}
+		}
+	}
+	return packed
 }
 
 // probe returns the slot of key k in the open-addressed table keys (a
@@ -328,18 +349,22 @@ func probe(keys []uint64, k uint64, shift int) int {
 // edge→instance incidence table, gain heap — from ix.in, ix.inst and
 // ix.gain, which must already hold the interned universe, the resolved
 // instance table and the per-edge alive counts (the build-time gains double
-// as CSR row lengths). Shared by the full builder and the pure-removal
-// fast path of ApplyMutation.
-func (ix *Index) wireFlat() {
+// as CSR row lengths). Shared by the full builder and both apply paths; a
+// rewire reuses the capacity of the arrays it replaces, and the CSR fill
+// cursor is build scratch.
+func (ix *Index) wireFlat(bs *buildScratch) {
 	ne := ix.in.NumEdges()
-	ix.deleted = make([]uint64, (ne+63)/64)
+	ix.deleted = scratchSlice(ix.deleted, (ne+63)/64)
+	clear(ix.deleted)
 	ix.nDeleted = 0
-	ix.instStart = make([]int32, ne+1)
+	ix.instStart = scratchSlice(ix.instStart, ne+1)
+	ix.instStart[0] = 0
 	for id := 0; id < ne; id++ {
 		ix.instStart[id+1] = ix.instStart[id] + ix.gain[id]
 	}
-	ix.instIDs = make([]int32, ix.instStart[ne])
-	cursor := make([]int32, ne)
+	ix.instIDs = scratchSlice(ix.instIDs, int(ix.instStart[ne]))
+	cursor := scratchSlice(bs.cursor, ne)
+	bs.cursor = cursor
 	copy(cursor, ix.instStart[:ne])
 	for i := range ix.inst {
 		inst := &ix.inst[i]
@@ -349,7 +374,7 @@ func (ix *Index) wireFlat() {
 		}
 	}
 
-	ix.heapPos = make([]int32, ne)
+	ix.heapPos = scratchSlice(ix.heapPos, ne)
 	ix.heapDirty = true // restored lazily by the next ArgmaxGainID
 }
 
@@ -694,7 +719,8 @@ func (ix *Index) heapSiftDown(i int) {
 // index: the instance table, the CSR incidence arrays, the gain/heap/bitset
 // state and the interned edge table, apply-path scratch included (a churny
 // session holds that capacity between deltas). The estimate feeds the
-// session tier's memory budget.
+// session tier's memory budget. Build scratch is not counted: it belongs to
+// the process (see Index).
 func (ix *Index) MemFootprint() int64 {
 	const instBytes = 24 // indexedInstance: int32 + [4]EdgeID + uint8 + bool, padded
 	b := int64(cap(ix.targets)) * 8
@@ -710,9 +736,5 @@ func (ix *Index) MemFootprint() int64 {
 	b += int64(cap(sc.insertedNew)) * 8
 	b += int64(cap(sc.oldGain))*4 + int64(cap(sc.remapID))*4 + int64(cap(sc.fin))*4
 	b += (int64(cap(sc.kept)) + int64(cap(sc.extras)) + int64(cap(sc.touched))) * 8
-	for _, bt := range sc.byTarget {
-		b += 24 + int64(cap(bt))*24 // rawInstance ≈ indexedInstance
-	}
-	b += int64(cap(sc.byTarget)) * 24
 	return b
 }

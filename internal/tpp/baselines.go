@@ -53,7 +53,7 @@ func randomBaseline(p *Problem, k int, rng *rand.Rand, env runEnv, name string,
 	if k > len(edges) {
 		k = len(edges)
 	}
-	res := newResult(name, ix.TotalSimilarity())
+	res := newResult(name, ix.TotalSimilarity(), k)
 	for _, e := range edges[:k] {
 		if err := env.err(); err != nil {
 			return nil, err

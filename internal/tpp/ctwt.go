@@ -36,6 +36,18 @@ func validateBudgets(p *Problem, budgets []int) error {
 	return nil
 }
 
+// budgetSum totals the sub budgets, saturating at maxBudget.
+func budgetSum(budgets []int) int {
+	sum := 0
+	for _, b := range budgets {
+		if b > maxBudget-sum {
+			return maxBudget
+		}
+		sum += b
+	}
+	return sum
+}
+
 // CTGreedy solves the Multi-Local-Budget TPP problem with cross-target
 // protector picking (paper Algorithm 2): at every step consider every
 // (target, protector) pair where the target still has budget, and commit
@@ -55,7 +67,7 @@ func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 		return nil, err
 	}
 	start := time.Now()
-	res := newResult(opt.VariantName("CT-Greedy"), ev.totalSimilarity())
+	res := newResult(opt.VariantName("CT-Greedy"), ev.totalSimilarity(), env.steps(budgetSum(budgets), ev.interner().NumEdges()))
 	used := make([]int, len(budgets))
 	var cands []graph.EdgeID
 	gvBuf := make([]int, len(p.Targets))
@@ -129,7 +141,7 @@ func wtGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 		return nil, err
 	}
 	start := time.Now()
-	res := newResult(opt.VariantName("WT-Greedy"), ev.totalSimilarity())
+	res := newResult(opt.VariantName("WT-Greedy"), ev.totalSimilarity(), env.steps(budgetSum(budgets), ev.interner().NumEdges()))
 	finish := func() (*Result, error) {
 		res.PerTargetFinal = append([]int(nil), ev.similarities()...)
 		res.Elapsed = time.Since(start)

@@ -84,11 +84,17 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 	if err != nil {
 		return nil, err
 	}
-	if err := d.Validate(p.G, p.Targets); err != nil {
+	if pr.targets.Len() == 0 {
+		// A session keeps at least one target, so an empty set is one not
+		// built yet: sessions that never take a delta never pay for it.
+		pr.targets = dynamic.NewTargetSet(p.Targets)
+	}
+	if err := d.ValidateTargets(p.G, pr.targets); err != nil {
 		return nil, err
 	}
 	remap := d.ApplyToGraph(p.G)
 	p.Targets = d.ApplyTargets(p.Targets, remap)
+	pr.targets.Apply(d, remap)
 	rep := &DeltaReport{
 		Inserted:       len(d.Insert),
 		Removed:        len(d.Remove),

@@ -212,10 +212,20 @@ func TestSessionApplyFullMutationParity(t *testing.T) {
 						t.Fatalf("step %d: target %v is a link of the session graph", step, tgt)
 					}
 				}
-				wantBytes := sessionBaseBytes + p.G.MemFootprint() + int64(cap(p.Targets))*8 +
+				wantBytes := sessionBaseBytes + p.G.MemFootprint() + int64(cap(p.Targets))*8 + session.targets.MemFootprint() +
 					session.ix.MemFootprint() + session.warm.memFootprint()
 				if got := session.MemFootprint(); got != wantBytes {
-					t.Fatalf("step %d: footprint %d, want %d = base + graph + targets + index + warm", step, got, wantBytes)
+					t.Fatalf("step %d: footprint %d, want %d = base + graph + targets (list and set) + index + warm", step, got, wantBytes)
+				}
+				// The session's target set must track the list it validates
+				// deltas against.
+				if session.targets.Len() != len(p.Targets) {
+					t.Fatalf("step %d: target set holds %d targets, list %d", step, session.targets.Len(), len(p.Targets))
+				}
+				for _, tgt := range p.Targets {
+					if !session.targets.Has(tgt) {
+						t.Fatalf("step %d: target %v missing from the session's target set", step, tgt)
+					}
 				}
 
 				got, err := session.Run(ctx)

@@ -180,8 +180,17 @@ func (r *Result) SimilarityAt(k int) int {
 	return r.SimilarityTrace[k]
 }
 
-func newResult(method string, initial int) *Result {
-	return &Result{Method: method, SimilarityTrace: []int{initial}}
+// newResult starts a run's Result with room for steps protectors, so
+// record never regrows its slices on a run of the expected length.
+func newResult(method string, initial, steps int) *Result {
+	r := &Result{
+		Method:          method,
+		Protectors:      make([]graph.Edge, 0, steps),
+		SimilarityTrace: make([]int, 1, steps+1),
+		StepElapsed:     make([]time.Duration, 0, steps),
+	}
+	r.SimilarityTrace[0] = initial
+	return r
 }
 
 func (r *Result) record(p graph.Edge, similarity int, elapsed time.Duration) {

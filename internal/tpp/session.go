@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/motif"
 	"repro/internal/telemetry"
@@ -66,16 +67,17 @@ type Protector struct {
 	problem *Problem
 	base    settings
 
-	runSlot        chan struct{} // capacity 1: serialises runs and deltas, ctx-aware
-	ix             *motif.Index  // built on problem.G on first indexed run, then reused
-	warm           warmState     // warm-start snapshot; serialised on runSlot like ix
-	indexBuilds    atomic.Int64  // number of motif.NewIndex calls (observability)
-	indexBuildTime atomic.Int64  // total nanoseconds spent enumerating indexes
-	deltasApplied  atomic.Int64  // number of Apply calls that committed a delta
-	deltaTime      atomic.Int64  // total nanoseconds spent applying deltas
-	warmRuns       atomic.Int64  // SGB selections served by warm-start replay
-	coldRuns       atomic.Int64  // SGB selections run cold (incl. fallbacks)
-	warmFallbacks  atomic.Int64  // warm attempts abandoned (threshold/divergence)
+	runSlot        chan struct{}     // capacity 1: serialises runs and deltas, ctx-aware
+	ix             *motif.Index      // built on problem.G on first indexed run, then reused
+	targets        dynamic.TargetSet // problem.Targets as a set, built by the first Apply
+	warm           warmState         // warm-start snapshot; serialised on runSlot like ix
+	indexBuilds    atomic.Int64      // number of motif.NewIndex calls (observability)
+	indexBuildTime atomic.Int64      // total nanoseconds spent enumerating indexes
+	deltasApplied  atomic.Int64      // number of Apply calls that committed a delta
+	deltaTime      atomic.Int64      // total nanoseconds spent applying deltas
+	warmRuns       atomic.Int64      // SGB selections served by warm-start replay
+	coldRuns       atomic.Int64      // SGB selections run cold (incl. fallbacks)
+	warmFallbacks  atomic.Int64      // warm attempts abandoned (threshold/divergence)
 }
 
 // settings is the resolved option set for a session or a single run.

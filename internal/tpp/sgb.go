@@ -26,7 +26,7 @@ func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy"), ev.totalSimilarity())
+	res := newResult(opt.VariantName("SGB-Greedy"), ev.totalSimilarity(), env.steps(k, ev.interner().NumEdges()))
 	am, hasHeap := ev.(argmaxEvaluator)
 	var cands []graph.EdgeID
 	for len(res.Protectors) < k {

@@ -30,7 +30,7 @@ const MinSessionBytes = sessionBaseBytes
 func (pr *Protector) MemFootprint() int64 {
 	b := int64(sessionBaseBytes)
 	b += pr.problem.G.MemFootprint()
-	b += int64(cap(pr.problem.Targets)) * 8
+	b += int64(cap(pr.problem.Targets))*8 + pr.targets.MemFootprint()
 	if pr.ix != nil {
 		b += pr.ix.MemFootprint()
 	}

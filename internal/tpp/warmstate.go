@@ -238,6 +238,9 @@ func (pr *Protector) sgbSession(s *settings, opt Options, env runEnv, k int) (*R
 		return res, err
 	}
 	warmable := !s.warmOff
+	if pr.warm.valid {
+		env.remembered = len(pr.warm.protectors)
+	}
 	if warmable && pr.warm.valid {
 		if pr.warm.withinThreshold(env.ix) {
 			res, hit, err := pr.sgbWarm(opt, env, k)
@@ -289,7 +292,7 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 	}
 
 	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy"), ix.TotalSimilarity())
+	res := newResult(opt.VariantName("SGB-Greedy"), ix.TotalSimilarity(), env.steps(k, in.NumEdges()))
 
 	step, diverged := 0, false
 	for step < k && step < len(ws.ids) {
