@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/tpp"
 )
 
 // writeTestGraph writes a small labelled graph with two triangles around
@@ -82,37 +80,29 @@ func TestRunMethodsAndDivisions(t *testing.T) {
 	}
 }
 
-// TestRunEnginesAndWorkers drives the engine × workers matrix through the
-// CLI: every combination must succeed and report the same protection
-// outcome (selections are engine- and worker-independent).
-func TestRunEnginesAndWorkers(t *testing.T) {
+// TestRunWorkers drives the workers setting through the CLI: every worker
+// count must succeed and release the same graph (selections are
+// worker-independent).
+func TestRunWorkers(t *testing.T) {
 	in := writeTestGraph(t)
 	var want string
-	for _, engine := range []string{"indexed", "recount"} {
-		for _, workers := range []string{"1", "4"} {
-			out := filepath.Join(t.TempDir(), "rel.txt")
-			var errw bytes.Buffer
-			err := run([]string{"-in", in, "-targets", "a-b", "-engine", engine,
-				"-workers", workers, "-out", out, "-report=false"}, &errw)
-			if err != nil {
-				t.Fatalf("engine %s workers %s: %v (stderr: %s)", engine, workers, err, errw.String())
-			}
-			raw, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == "" {
-				want = string(raw)
-			} else if string(raw) != want {
-				t.Fatalf("engine %s workers %s released a different graph", engine, workers)
-			}
+	for _, workers := range []string{"1", "4"} {
+		out := filepath.Join(t.TempDir(), "rel.txt")
+		var errw bytes.Buffer
+		err := run([]string{"-in", in, "-targets", "a-b",
+			"-workers", workers, "-out", out, "-report=false"}, &errw)
+		if err != nil {
+			t.Fatalf("workers %s: %v (stderr: %s)", workers, err, errw.String())
 		}
-	}
-	// "lazy" names a retired engine: the CLI refuses it like any unknown one.
-	var errw bytes.Buffer
-	err := run([]string{"-in", in, "-targets", "a-b", "-engine", "lazy", "-report=false"}, &errw)
-	if !errors.Is(err, tpp.ErrUnknownEngine) {
-		t.Fatalf("-engine lazy: err = %v, want tpp.ErrUnknownEngine", err)
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == "" {
+			want = string(raw)
+		} else if string(raw) != want {
+			t.Fatalf("workers %s released a different graph", workers)
+		}
 	}
 }
 
@@ -127,8 +117,8 @@ func TestRunErrors(t *testing.T) {
 		{"-in", in, "-targets", "a-b", "-pattern", "Hexagon"},
 		{"-in", in, "-targets", "a-b", "-method", "bogus"},
 		{"-in", in, "-targets", "a-b", "-method", "ct", "-division", "bogus"},
-		{"-in", in, "-targets", "a-b", "-engine", "warp"}, // unknown engine
-		{"-in", in, "-targets", "c-f"},                    // not an edge
+		{"-in", in, "-targets", "a-b", "-engine", "recount"}, // the removed -engine flag
+		{"-in", in, "-targets", "c-f"},                       // not an edge
 	}
 	for _, args := range cases {
 		var errw bytes.Buffer

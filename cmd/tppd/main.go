@@ -59,8 +59,8 @@
 // queue_depth; Retry-After derives from the service-time EWMA.
 //
 // Every request is logged through log/slog with a request id, the matched
-// route, the session and engine in play, status, latency and a per-stage
-// timing breakdown (enumerate / score / warm_replay / cold_select /
+// route, the session, method and pattern in play, status, latency and a
+// per-stage timing breakdown (enumerate / warm_replay / cold_select /
 // delta_apply). Routine requests log at debug; -log-level=debug shows
 // them, and requests slower than -slow-request are promoted to warnings.
 //

@@ -227,12 +227,11 @@ func (m *serverMetrics) route(pattern string) *routeInstruments {
 }
 
 // reqScope carries per-request annotations from the handlers back to the
-// request logger: the handler fills in what it learns (session id, engine,
+// request logger: the handler fills in what it learns (session id, method,
 // pattern) and the middleware logs it after the response is written.
 type reqScope struct {
 	id      string // request id, set by the middleware
 	session string
-	engine  string
 	pattern string
 	method  string
 }
@@ -359,9 +358,6 @@ func (s *Server) logRequest(r *http.Request, pattern string, sc *reqScope, sw *s
 	}
 	if sc.method != "" {
 		attrs = append(attrs, slog.String("tpp_method", sc.method))
-	}
-	if sc.engine != "" {
-		attrs = append(attrs, slog.String("engine", sc.engine))
 	}
 	if sc.pattern != "" {
 		attrs = append(attrs, slog.String("pattern", sc.pattern))

@@ -129,8 +129,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestRequestLogFields runs traffic with a debug-level JSON logger installed
 // and checks the structured request log carries the documented fields,
-// including the session id, the engine (resolved when the request omits
-// it) and the per-stage timing breakdown.
+// including the session id, the method (resolved when a one-shot request
+// omits it) and the per-stage timing breakdown. It carries no engine: a
+// session has one.
 func TestRequestLogFields(t *testing.T) {
 	srv, ts := newSessionTestServer(t, 0)
 	var buf bytes.Buffer
@@ -156,7 +157,8 @@ func TestRequestLogFields(t *testing.T) {
 		Status    int     `json:"status"`
 		Duration  float64 `json:"duration_ms"`
 		Session   string  `json:"session"`
-		Engine    string  `json:"engine"`
+		Method    string  `json:"tpp_method"`
+		Engine    *string `json:"engine"`
 		Stages    struct {
 			Enumerate  float64 `json:"enumerate_ms"`
 			ColdSelect float64 `json:"cold_select_ms"`
@@ -196,12 +198,14 @@ func TestRequestLogFields(t *testing.T) {
 	if protect.Session != id {
 		t.Errorf("protect line session = %q, want %q", protect.Session, id)
 	}
-	if protect.Engine != "indexed" {
-		t.Errorf("protect line engine = %q, want indexed", protect.Engine)
+	if oneShot.Route != "POST /v1/protect" || oneShot.Method != "sgb" {
+		t.Errorf("one-shot line = route %q method %q, want POST /v1/protect with the default method sgb",
+			oneShot.Route, oneShot.Method)
 	}
-	if oneShot.Route != "POST /v1/protect" || oneShot.Engine != "indexed" {
-		t.Errorf("one-shot line = route %q engine %q, want POST /v1/protect with the default engine indexed",
-			oneShot.Route, oneShot.Engine)
+	for _, ll := range lines {
+		if ll.Engine != nil {
+			t.Errorf("%s line carries engine %q, want no engine attribute", ll.Route, *ll.Engine)
+		}
 	}
 	if protect.Duration <= 0 {
 		t.Errorf("protect line duration_ms = %v, want > 0", protect.Duration)

@@ -236,10 +236,12 @@ type runOptions struct {
 // takes a slot or leaves a trace on a session, and returns what the block
 // sets as tpp options. With defaults set, as for a new session, an unset
 // spelling resolves to the library default; otherwise it is left to the
-// session. The request log records the method and engine resolved.
+// session. The engine is checked, not set: a session has one engine
+// ("indexed"), and any other spelling, "recount" included, is a 400. The
+// request log records the method resolved.
 func (o runOptions) parse(ctx context.Context, defaults bool) ([]tpp.Option, error) {
 	var opts []tpp.Option
-	var method, engine string
+	var method string
 	if o.method != "" || defaults {
 		m, err := tpp.ParseMethod(o.method)
 		if err != nil {
@@ -255,13 +257,8 @@ func (o runOptions) parse(ctx context.Context, defaults bool) ([]tpp.Option, err
 		}
 		opts = append(opts, tpp.WithDivision(d))
 	}
-	if o.engine != "" || defaults {
-		e, err := tpp.ParseEngine(o.engine)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, tpp.WithEngine(e))
-		engine = e.String()
+	if _, err := tpp.ParseEngine(o.engine); err != nil {
+		return nil, err
 	}
 	if o.budget != nil {
 		if *o.budget < 0 {
@@ -279,7 +276,7 @@ func (o runOptions) parse(ctx context.Context, defaults bool) ([]tpp.Option, err
 		opts = append(opts, tpp.WithSeed(*o.seed))
 	}
 	if sc := scopeFrom(ctx); sc != nil {
-		sc.method, sc.engine = method, engine
+		sc.method = method
 	}
 	return opts, nil
 }

@@ -23,6 +23,7 @@ func TestSessionProtectValidationLeavesNoTrace(t *testing.T) {
 		{Method: "bogus"},
 		{Division: "bogus"},
 		{Engine: "warp"},
+		{Engine: "recount"},
 	} {
 		resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", req)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -162,8 +162,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 
 	g, w := got.State, snap.State
 	if g.Pattern != w.Pattern || g.Method != w.Method || g.Division != w.Division ||
-		g.Budget != w.Budget || g.Engine != w.Engine || g.Scope != w.Scope ||
-		g.Workers != w.Workers || g.Seed != w.Seed || g.WarmOff != w.WarmOff {
+		g.Budget != w.Budget || g.Workers != w.Workers || g.Seed != w.Seed || g.WarmOff != w.WarmOff {
 		t.Errorf("options diverge: got %+v, want %+v", g, w)
 	}
 	if !graphsEqual(g.Graph, w.Graph) {
@@ -213,9 +212,13 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 // its engine byte is 2. Every default tppd session stored that byte.
 const lazyEngineFixture = "testdata/engine-lazy-v1.snap"
 
-// TestSnapshotRetiredLazyEngine pins snapshot compatibility across the CELF
-// engine's removal: engine byte 2 decodes as EngineIndexed, the state
-// restores, and its next Run is bit-identical to a fresh session's on the
+// TestSnapshotRetiredLazyEngine pins snapshot compatibility across the
+// engines and scopes a session no longer has. Three images must decode:
+// the fixture, whose engine byte is the retired CELF engine's 2, and the
+// fixture with its engine byte patched to recount (0) or its scope byte
+// patched to all-edges (0), CRC recomputed. Each restores; its re-encoding
+// changes only that byte, to the one session engine or scope; and the
+// restored session's next Run is bit-identical to a fresh session's on the
 // same graph.
 func TestSnapshotRetiredLazyEngine(t *testing.T) {
 	raw, err := os.ReadFile(lazyEngineFixture)
@@ -226,23 +229,30 @@ func TestSnapshotRetiredLazyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.State.Engine != tpp.EngineIndexed {
-		t.Fatalf("engine = %v, want %v", snap.State.Engine, tpp.EngineIndexed)
-	}
-	// Re-encoding must change exactly one body byte, the engine byte, from
-	// 2 to EngineIndexed; only the trailing CRC may differ besides.
-	re := EncodeSnapshot(nil, snap)
-	if len(re) != len(raw) {
-		t.Fatalf("re-encoded length %d, want %d", len(re), len(raw))
-	}
-	var diff []int
-	for i := range raw[:len(raw)-4] {
-		if raw[i] != re[i] {
-			diff = append(diff, i)
+	// The engine byte is the one body byte the fixture's re-encoding
+	// changes; the scope byte follows it.
+	body := EncodeSnapshot(nil, snap)
+	body = body[:len(body)-4]
+	engineAt := -1
+	for i := range body {
+		if raw[i] != body[i] {
+			if engineAt >= 0 {
+				t.Fatalf("re-encoding the fixture changes body offsets %d and %d, want only the engine byte", engineAt, i)
+			}
+			engineAt = i
 		}
 	}
-	if len(diff) != 1 || raw[diff[0]] != lazyEngineByte || re[diff[0]] != byte(tpp.EngineIndexed) {
-		t.Fatalf("re-encoding differs at body offsets %v, want only the engine byte 2 -> %d", diff, tpp.EngineIndexed)
+	if engineAt < 0 {
+		t.Fatal("re-encoding the fixture changes no body byte, want the engine byte 2")
+	}
+	scopeAt := engineAt + 1
+	if body[scopeAt] != byte(tpp.ScopeTargetSubgraphs) {
+		t.Fatalf("scope byte %d, want %d", body[scopeAt], tpp.ScopeTargetSubgraphs)
+	}
+	patched := func(at int, b byte) []byte {
+		img := slices.Clone(body)
+		img[at] = b
+		return sealSnapshot(img)
 	}
 
 	ctx := context.Background()
@@ -254,23 +264,60 @@ func TestSnapshotRetiredLazyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := tpp.Restore(snap.State)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
+
+	for _, tc := range []struct {
+		name     string
+		img      []byte
+		at       int
+		from, to byte
+	}{
+		{"lazy engine", raw, engineAt, lazyEngineByte, byte(tpp.EngineIndexed)},
+		{"recount engine", patched(engineAt, byte(tpp.EngineRecount)), engineAt, byte(tpp.EngineRecount), byte(tpp.EngineIndexed)},
+		{"all-edges scope", patched(scopeAt, byte(tpp.ScopeAllEdges)), scopeAt, byte(tpp.ScopeAllEdges), byte(tpp.ScopeTargetSubgraphs)},
+	} {
+		snap, err := DecodeSnapshot(tc.img)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		re := EncodeSnapshot(nil, snap)
+		if len(re) != len(tc.img) {
+			t.Fatalf("%s: re-encoded length %d, want %d", tc.name, len(re), len(tc.img))
+		}
+		var diff []int
+		for i := range tc.img[:len(tc.img)-4] {
+			if tc.img[i] != re[i] {
+				diff = append(diff, i)
+			}
+		}
+		if len(diff) != 1 || diff[0] != tc.at || tc.img[tc.at] != tc.from || re[tc.at] != tc.to {
+			t.Fatalf("%s: re-encoding differs at body offsets %v, want only offset %d, %d -> %d",
+				tc.name, diff, tc.at, tc.from, tc.to)
+		}
+
+		restored, err := tpp.Restore(snap.State)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", tc.name, err)
+		}
+		got, err := restored.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !got.WarmStart {
+			t.Errorf("%s: restored run did not replay the stored selection", tc.name)
+		}
+		if got.Method != want.Method || !edgesEqual(got.Protectors, want.Protectors) ||
+			!slices.Equal(got.SimilarityTrace, want.SimilarityTrace) ||
+			!slices.Equal(got.PerTargetFinal, want.PerTargetFinal) {
+			t.Fatalf("%s: restored run %s %v %v, fresh run %s %v %v", tc.name,
+				got.Method, got.Protectors, got.SimilarityTrace,
+				want.Method, want.Protectors, want.SimilarityTrace)
+		}
 	}
-	got, err := restored.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.WarmStart {
-		t.Error("restored run did not replay the stored selection")
-	}
-	if got.Method != want.Method || !edgesEqual(got.Protectors, want.Protectors) ||
-		!slices.Equal(got.SimilarityTrace, want.SimilarityTrace) ||
-		!slices.Equal(got.PerTargetFinal, want.PerTargetFinal) {
-		t.Fatalf("restored run %s %v %v, fresh run %s %v %v",
-			got.Method, got.Protectors, got.SimilarityTrace,
-			want.Method, want.Protectors, want.SimilarityTrace)
+	// A byte no encoder ever wrote is still corruption.
+	for _, img := range [][]byte{patched(engineAt, lazyEngineByte+1), patched(scopeAt, byte(tpp.ScopeTargetSubgraphs)+1)} {
+		if _, err := DecodeSnapshot(img); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("unknown engine or scope byte: err = %v, want ErrCorruptSnapshot", err)
+		}
 	}
 }
 

@@ -33,8 +33,7 @@ const snapVersion = 1
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // lazyEngineByte is the engine byte of the retired CELF engine, which every
-// default session stored. It selected identically to tpp.EngineIndexed,
-// so it decodes as that.
+// default session stored: the largest engine byte a snapshot can hold.
 const lazyEngineByte = 2
 
 func corruptSnapf(format string, args ...any) error {
@@ -85,7 +84,8 @@ func EncodeSnapshot(buf []byte, snap *SessionSnapshot) []byte {
 	buf = appendString(buf, string(st.Method))
 	buf = appendString(buf, string(st.Division))
 	buf = binary.AppendUvarint(buf, uint64(st.Budget))
-	buf = append(buf, byte(st.Engine), byte(st.Scope))
+	// A session has one engine and one scope; the bytes stay in the format.
+	buf = append(buf, byte(tpp.EngineIndexed), byte(tpp.ScopeTargetSubgraphs))
 	buf = binary.AppendUvarint(buf, uint64(st.Workers))
 	buf = binary.AppendVarint(buf, st.Seed)
 	buf = appendBool(buf, st.WarmOff)
@@ -158,16 +158,15 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	st.Method = tpp.Method(r.str("method"))
 	st.Division = tpp.Division(r.str("division"))
 	st.Budget = r.smallInt("budget")
-	switch engine := r.byte(); engine {
-	case byte(tpp.EngineRecount), byte(tpp.EngineIndexed):
-		st.Engine = tpp.Engine(engine)
-	case lazyEngineByte:
-		st.Engine = tpp.EngineIndexed
-	default:
+	// Every engine a session could store (recount, indexed, the retired
+	// lazy) and either scope (all-edges, restricted) selected identically,
+	// so all restore as the one session engine and scope. A byte outside
+	// them is corruption.
+	if engine := r.byte(); engine > lazyEngineByte {
 		r.fail("unknown engine %d", engine)
 	}
-	if st.Scope = tpp.Scope(r.byte()); st.Scope < tpp.ScopeAllEdges || st.Scope > tpp.ScopeTargetSubgraphs {
-		r.fail("unknown scope %d", st.Scope)
+	if scope := r.byte(); scope > byte(tpp.ScopeTargetSubgraphs) {
+		r.fail("unknown scope %d", scope)
 	}
 	st.Workers = r.smallInt("workers")
 	st.Seed = r.varint()

@@ -7,18 +7,22 @@ import (
 )
 
 // Stage identifies one phase of the protect pipeline. The taxonomy mirrors
-// the paper's serving loop: motif enumeration (index build), candidate
-// recount/scoring, warm-start replay, cold greedy selection, and
-// incremental delta application. Stages are a fixed enum, not strings, so
-// recording is an array index away from an atomic add.
+// the paper's serving loop: motif enumeration (index build), warm-start
+// replay, cold greedy selection, and incremental delta application, plus
+// the score stage nothing records any more (see StageScore). Stages are a
+// fixed enum, not strings, so recording is an array index away from an
+// atomic add.
 type Stage uint8
 
 const (
 	// StageEnumerate is motif enumeration: building or rebuilding the
 	// motif instance index over the current graph.
 	StageEnumerate Stage = iota
-	// StageScore is candidate recounting and scoring (the recount engine
-	// runs inside selection; sessions attribute its runs here).
+	// StageScore was the span of a session's recount-engine selection.
+	// Sessions no longer run the recount engine, so nothing records it
+	// now: /metrics still exports its (empty) series, and the value keeps
+	// its place because the benchmark module names it in a keyed
+	// [NumStages] array. The stage set is due to be redrawn.
 	StageScore
 	// StageWarmReplay is warm-start selection replay against the previous
 	// run's prefix.

@@ -19,8 +19,9 @@ var (
 	// and pattern at construction, because its cached motif index is only
 	// valid for that triple. Build a new session for a different pattern.
 	ErrPatternFixed = errors.New("tpp: pattern is fixed at session construction")
-	// ErrUnknownEngine reports an engine spelling outside indexed/recount
-	// (the retired engine name lazy included) at a protocol boundary
-	// (ParseEngine).
+	// ErrUnknownEngine reports an engine a session cannot run: any spelling
+	// but indexed at a protocol boundary (ParseEngine), the retired names
+	// lazy and recount included, and any engine but EngineIndexed passed to
+	// WithEngine. Recount runs through the free functions (Options).
 	ErrUnknownEngine = errors.New("tpp: unknown engine")
 )

@@ -16,11 +16,11 @@ import (
 type ProgressFunc func(step int, protector graph.Edge, similarity int)
 
 // runEnv carries the session-level plumbing into the greedy selection
-// loops: the cancellation context, an optional prebuilt motif index to
-// reuse instead of enumerating afresh, an optional progress callback, and
-// the worker count for index enumeration.
-// The zero value (no context, no index, no progress, auto workers)
-// reproduces the plain free-function behaviour.
+// loops: the cancellation context, the session's motif index to select
+// through instead of enumerating afresh, an optional progress callback,
+// and the worker count for index enumeration.
+// The zero value (no context, no index, no progress, auto workers) is the
+// free functions': they build the evaluator their Options name.
 type runEnv struct {
 	ctx      context.Context
 	ix       *motif.Index
@@ -70,11 +70,10 @@ func (e *runEnv) onStep(res *Result) {
 	e.progress(n, res.Protectors[n-1], res.SimilarityTrace[n])
 }
 
-// evaluator returns the gain oracle for the run: the prebuilt index when
-// one is installed and the engine can use it, otherwise a fresh one from
-// newEvaluator.
+// evaluator returns the gain oracle for the run: the session's index when
+// one is installed, otherwise a fresh one from newEvaluator under opt.
 func (e *runEnv) evaluator(p *Problem, opt Options) (evaluator, error) {
-	if e.ix != nil && opt.Engine != EngineRecount {
+	if e.ix != nil {
 		return &indexedEvaluator{ix: e.ix}, nil
 	}
 	return newEvaluator(p, opt, e.workers)

@@ -68,7 +68,7 @@ type Protector struct {
 	base    settings
 
 	runSlot        chan struct{}     // capacity 1: serialises runs and deltas, ctx-aware
-	ix             *motif.Index      // built on problem.G on first indexed run, then reused
+	ix             *motif.Index      // built on problem.G by the first Run, then reused
 	targets        dynamic.TargetSet // problem.Targets as a set, built by the first Apply
 	warm           warmState         // warm-start snapshot; serialised on runSlot like ix
 	indexBuilds    atomic.Int64      // number of motif.NewIndex calls (observability)
@@ -86,13 +86,19 @@ type settings struct {
 	method   Method
 	division Division
 	budget   int
-	engine   Engine
-	scope    Scope
 	workers  int
 	seed     int64
 	progress ProgressFunc
 	warmOff  bool
+	// engineErr is WithEngine's verdict: non-nil when it asked for an
+	// engine a session cannot run. validate reports it.
+	engineErr error
 }
+
+// sessionOptions is the one engine and scope every session selects with:
+// the motif index, over the paper's Lemma 5 candidate scope. The recount
+// engine and the all-edges scope are the free functions' (Options).
+var sessionOptions = Options{Engine: EngineIndexed, Scope: ScopeTargetSubgraphs}
 
 func defaultSettings() settings {
 	return settings{
@@ -100,13 +106,14 @@ func defaultSettings() settings {
 		method:   MethodSGB,
 		division: DivisionTBD,
 		budget:   0, // critical budget k*
-		engine:   EngineIndexed,
-		scope:    ScopeTargetSubgraphs,
 		seed:     1,
 	}
 }
 
 func (s *settings) validate() error {
+	if s.engineErr != nil {
+		return s.engineErr
+	}
 	switch s.method {
 	case MethodSGB, MethodCT, MethodWT, MethodRD, MethodRDT:
 	default:
@@ -156,20 +163,30 @@ func WithDivision(d Division) Option {
 // protection. Negative budgets fail validation with ErrNegativeBudget.
 func WithBudget(k int) Option { return func(s *settings) { s.budget = k } }
 
-// WithEngine selects the gain-evaluation engine (default EngineIndexed, the
-// fast one). Both engines produce identical selections; EngineRecount exists
-// to reproduce the paper's naive running-time baseline and bypasses the
-// session's index cache.
-func WithEngine(e Engine) Option { return func(s *settings) { s.engine = e } }
+// WithEngine names the gain-evaluation engine. A session has one,
+// EngineIndexed, so this option only accepts it: New and Run reject any
+// other engine with ErrUnknownEngine. The paper's recount engine runs
+// through the free functions (SGBGreedy, CTGreedy, WTGreedy, CriticalBudget)
+// with Options{Engine: EngineRecount}. The option goes once the benchmark
+// (perfbench) stops calling it.
+func WithEngine(e Engine) Option {
+	return func(s *settings) {
+		s.engineErr = nil
+		if e != EngineIndexed {
+			s.engineErr = errSessionEngine(e)
+		}
+	}
+}
 
-// WithScope selects the candidate protector universe (default
-// ScopeTargetSubgraphs, the paper's -R restriction — exact and faster).
-func WithScope(sc Scope) Option { return func(s *settings) { s.scope = sc } }
+// errSessionEngine is the error for an engine a session cannot run.
+func errSessionEngine(e Engine) error {
+	return fmt.Errorf("%w: %q (a session selects only through the motif index; "+
+		"run %s through the free functions with tpp.Options{Engine: tpp.EngineRecount})", ErrUnknownEngine, e, e)
+}
 
 // WithWorkers sets the number of workers that enumerate target subgraphs
 // when the session builds its motif index (default 0 = auto, GOMAXPROCS).
-// Greedy selection itself always runs on one goroutine, so the recount
-// engine keeps the paper's single-threaded cost model. Selections are
+// Greedy selection itself always runs on one goroutine. Selections are
 // identical for every worker count; values above GOMAXPROCS are clamped
 // to it.
 func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
@@ -221,7 +238,7 @@ func New(g *graph.Graph, targets []graph.Edge, opts ...Option) (*Protector, erro
 func (pr *Protector) Problem() *Problem { return pr.problem }
 
 // IndexBuilds reports how many times the session has built a motif index —
-// 1 after any number of indexed runs is the reuse working as intended.
+// 1 after any number of runs is the reuse working as intended.
 func (pr *Protector) IndexBuilds() int { return int(pr.indexBuilds.Load()) }
 
 // IndexBuildTime reports the total wall-clock time this session has spent
@@ -236,7 +253,7 @@ func (pr *Protector) IndexBuildTime() time.Duration {
 // throughout — an already-cancelled context returns ctx.Err() before any
 // work, and cancellation mid-selection aborts between greedy steps.
 //
-// Reusing the session is the fast path: the first indexed run enumerates
+// Reusing the session is the fast path: the first run enumerates
 // the target subgraphs once (motif.NewIndex), and every later run resets
 // and reuses that index instead of re-enumerating.
 func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
@@ -265,23 +282,19 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	}
 
 	env := runEnv{ctx: ctx, progress: s.progress, workers: normalizeWorkers(s.workers), stages: telemetry.FromContext(ctx)}
-	if s.engine != EngineRecount || s.method == MethodRD || s.method == MethodRDT {
-		// Baselines always need the index for their similarity trace.
-		if pr.ix == nil {
-			ix, err := motif.NewIndexWorkers(pr.problem.G, pr.problem.Pattern, pr.problem.Targets, env.workers)
-			if err != nil {
-				return nil, err
-			}
-			pr.ix = ix
-			pr.indexBuilds.Add(1)
-			pr.indexBuildTime.Add(int64(ix.BuildStats().Elapsed))
-			ix.BuildStats().Record(env.stages)
-		} else {
-			pr.ix.Reset()
+	if pr.ix == nil {
+		ix, err := motif.NewIndexWorkers(pr.problem.G, pr.problem.Pattern, pr.problem.Targets, env.workers)
+		if err != nil {
+			return nil, err
 		}
-		env.ix = pr.ix
+		pr.ix = ix
+		pr.indexBuilds.Add(1)
+		pr.indexBuildTime.Add(int64(ix.BuildStats().Elapsed))
+		ix.BuildStats().Record(env.stages)
+	} else {
+		pr.ix.Reset()
 	}
-	opt := Options{Engine: s.engine, Scope: s.scope}
+	env.ix = pr.ix
 
 	if s.method == MethodSGB {
 		// Budget 0 = critical budget k*: the unbounded SGB run is itself the
@@ -291,7 +304,7 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		if budget <= 0 {
 			budget = maxBudget
 		}
-		return pr.sgbSession(&s, opt, env, budget)
+		return pr.sgbSession(&s, env, budget)
 	}
 
 	budget := s.budget
@@ -302,27 +315,25 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		// warm-starts like one.
 		probeEnv := env
 		probeEnv.progress = nil
-		probe, err := pr.sgbSession(&s, opt, probeEnv, maxBudget)
+		probe, err := pr.sgbSession(&s, probeEnv, maxBudget)
 		if err != nil {
 			return nil, err
 		}
 		budget = len(probe.Protectors)
-		if env.ix != nil {
-			env.ix.Reset()
-		}
+		env.ix.Reset()
 	}
 
 	switch s.method {
 	case MethodCT, MethodWT:
-		budgets, err := pr.divide(s.division, budget, env)
+		budgets, err := pr.divide(s.division, budget, env.ix)
 		if err != nil {
 			return nil, err
 		}
 		var res *Result
 		if s.method == MethodCT {
-			res, err = ctGreedy(pr.problem, budgets, opt, env)
+			res, err = ctGreedy(pr.problem, budgets, sessionOptions, env)
 		} else {
-			res, err = wtGreedy(pr.problem, budgets, opt, env)
+			res, err = wtGreedy(pr.problem, budgets, sessionOptions, env)
 		}
 		return recordSelection(res, err, env.stages)
 	case MethodRD:
@@ -345,16 +356,12 @@ func recordSelection(res *Result, err error, sp *telemetry.Stages) (*Result, err
 	return res, err
 }
 
-// divide computes the per-target sub budgets. With a live index the TBD
-// weights (initial per-target similarities) are read off it for free;
-// otherwise they are counted from the phase-1 graph.
-func (pr *Protector) divide(d Division, k int, env runEnv) ([]int, error) {
+// divide computes the per-target sub budgets. The TBD weights (initial
+// per-target similarities) are read off the session's freshly reset index.
+func (pr *Protector) divide(d Division, k int, ix *motif.Index) ([]int, error) {
 	switch d {
 	case DivisionTBD:
-		if env.ix != nil {
-			return TBD(k, env.ix.Similarities())
-		}
-		return TBDForProblem(pr.problem, k)
+		return TBD(k, ix.Similarities())
 	case DivisionDBD:
 		return DBDForProblem(pr.problem, k)
 	}
@@ -382,18 +389,19 @@ func ParseMethod(s string) (Method, error) {
 	}
 }
 
-// ParseEngine maps the wire/CLI spelling of a gain engine ("indexed",
-// "recount"; empty selects the default EngineIndexed) to its Engine, or
-// fails with ErrUnknownEngine. Both engines produce identical selections —
-// the spelling picks a cost model, not an algorithm.
+// ParseEngine maps the wire spelling of a session's engine ("indexed";
+// empty selects it too) to EngineIndexed, or fails with ErrUnknownEngine.
+// "recount" fails as well: a session has no recount engine, and the error
+// says where recount runs. Like WithEngine, it goes once the benchmark
+// (perfbench) stops calling it.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "indexed":
 		return EngineIndexed, nil
 	case "recount":
-		return EngineRecount, nil
+		return 0, errSessionEngine(EngineRecount)
 	default:
-		return 0, fmt.Errorf("%w: %q (want indexed or recount)", ErrUnknownEngine, s)
+		return 0, fmt.Errorf("%w: %q (want indexed)", ErrUnknownEngine, s)
 	}
 }
 

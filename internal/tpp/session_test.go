@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,6 +308,15 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := New(g, nil); err == nil {
 		t.Fatal("empty target set accepted")
 	}
+	// A session has one engine; recount runs through the free functions,
+	// and the error says so.
+	if _, err := New(g, targets, WithEngine(EngineRecount)); !errors.Is(err, ErrUnknownEngine) ||
+		!strings.Contains(err.Error(), "free functions") {
+		t.Fatalf("recount engine: err = %v, want ErrUnknownEngine naming the free functions", err)
+	}
+	if _, err := New(g, targets, WithEngine(EngineIndexed)); err != nil {
+		t.Fatalf("indexed engine: %v", err)
+	}
 
 	session, err := New(g, targets)
 	if err != nil {
@@ -317,6 +327,12 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := session.Run(context.Background(), WithPattern(motif.Rectangle)); !errors.Is(err, ErrPatternFixed) {
 		t.Fatalf("per-run pattern change: err = %v, want ErrPatternFixed", err)
+	}
+	if _, err := session.Run(context.Background(), WithEngine(EngineRecount)); !errors.Is(err, ErrUnknownEngine) {
+		t.Fatalf("per-run recount engine: err = %v, want ErrUnknownEngine", err)
+	}
+	if _, err := session.Run(context.Background(), WithEngine(EngineIndexed)); err != nil {
+		t.Fatalf("per-run indexed engine: %v", err)
 	}
 }
 
@@ -341,14 +357,15 @@ func TestParseMethodAndDivision(t *testing.T) {
 	if _, err := ParseDivision("bogus"); !errors.Is(err, ErrUnknownDivision) {
 		t.Fatalf("ParseDivision(bogus): err = %v", err)
 	}
-	for in, want := range map[string]Engine{"": EngineIndexed, "indexed": EngineIndexed, "recount": EngineRecount} {
+	for _, in := range []string{"", "indexed"} {
 		got, err := ParseEngine(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", in, got, err, want)
+		if err != nil || got != EngineIndexed {
+			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", in, got, err, EngineIndexed)
 		}
 	}
-	// "lazy" names a retired engine and is no longer a spelling of indexed.
-	for _, in := range []string{"celf", "lazy"} {
+	// "lazy" names a retired engine and is no longer a spelling of indexed;
+	// a session has no recount engine.
+	for _, in := range []string{"celf", "lazy", "recount"} {
 		if _, err := ParseEngine(in); !errors.Is(err, ErrUnknownEngine) {
 			t.Fatalf("ParseEngine(%q): err = %v, want ErrUnknownEngine", in, err)
 		}
@@ -402,33 +419,57 @@ func TestGuardAddEdgeCtxPartialRepair(t *testing.T) {
 // with ctx.Err() on a dead context. Protector.Run refuses an already
 // cancelled context before selecting, so the greedy loops are reached by
 // cancelling from the progress callback after the first committed step:
-// the loop's next cancellation check must stop the run there.
+// the loop's next cancellation check must stop the run there. Sessions
+// select through the index; the recount engine's loops are reached through
+// the free functions' bodies, in both scopes.
 func TestFreeFunctionCtxVariants(t *testing.T) {
 	g, targets := sessionTestInstance(t)
-	for _, engine := range []Engine{EngineIndexed, EngineRecount} {
-		for _, m := range []Method{MethodSGB, MethodCT, MethodWT} {
-			pr, err := New(g, targets, WithEngine(engine), WithMethod(m), WithBudget(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			steps := 0
-			_, err = pr.Run(ctx, WithProgress(func(int, graph.Edge, int) { steps++; cancel() }))
-			cancel()
-			if !errors.Is(err, context.Canceled) || steps != 1 {
-				t.Fatalf("%v/%s: err = %v after %d steps, want context.Canceled after 1", engine, m, err, steps)
-			}
+	for _, m := range []Method{MethodSGB, MethodCT, MethodWT} {
+		pr, err := New(g, targets, WithMethod(m), WithBudget(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		steps := 0
+		_, err = pr.Run(ctx, WithProgress(func(int, graph.Edge, int) { steps++; cancel() }))
+		cancel()
+		if !errors.Is(err, context.Canceled) || steps != 1 {
+			t.Fatalf("session %s: err = %v after %d steps, want context.Canceled after 1", m, err, steps)
 		}
 	}
 	p, err := NewProblem(g, motif.Triangle, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	budgets, err := TBDForProblem(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{{Engine: EngineRecount, Scope: ScopeAllEdges}, {Engine: EngineRecount, Scope: ScopeTargetSubgraphs}} {
+		for _, m := range []Method{MethodSGB, MethodCT, MethodWT} {
+			ctx, cancel := context.WithCancel(context.Background())
+			steps := 0
+			env := runEnv{ctx: ctx, progress: func(int, graph.Edge, int) { steps++; cancel() }}
+			switch m {
+			case MethodSGB:
+				_, err = sgbGreedy(p, 4, opt, env)
+			case MethodCT:
+				_, err = ctGreedy(p, budgets, opt, env)
+			case MethodWT:
+				_, err = wtGreedy(p, budgets, opt, env)
+			}
+			cancel()
+			if !errors.Is(err, context.Canceled) || steps != 1 {
+				t.Fatalf("recount/%v %s: err = %v after %d steps, want context.Canceled after 1", opt.Scope, m, err, steps)
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Engine: EngineIndexed}
-	if _, _, err := CriticalBudgetCtx(ctx, p, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CriticalBudgetCtx: %v", err)
+	for _, opt := range []Options{{Engine: EngineIndexed}, {Engine: EngineRecount}} {
+		if _, _, err := CriticalBudgetCtx(ctx, p, opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("CriticalBudgetCtx %v: %v", opt.Engine, err)
+		}
 	}
 	if _, err := NewGuardCtx(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("NewGuardCtx: %v", err)

@@ -40,13 +40,12 @@ var ErrStateMismatch = errors.New("tpp: restored index contradicts snapshot inva
 // warm-selection slices (see Snapshot); Restore copies what it keeps.
 type SessionState struct {
 	// Resolved session options (the settings New applied). Progress
-	// callbacks are per-process and do not persist.
+	// callbacks are per-process and do not persist. Engine and scope are
+	// not options of a session (see sessionOptions).
 	Pattern  motif.Pattern
 	Method   Method
 	Division Division
 	Budget   int
-	Engine   Engine
-	Scope    Scope
 	Workers  int
 	Seed     int64
 	WarmOff  bool
@@ -147,8 +146,6 @@ func (pr *Protector) Snapshot(ctx context.Context) (*SessionState, error) {
 		Method:   pr.base.method,
 		Division: pr.base.division,
 		Budget:   pr.base.budget,
-		Engine:   pr.base.engine,
-		Scope:    pr.base.scope,
 		Workers:  pr.base.workers,
 		Seed:     pr.base.seed,
 		WarmOff:  pr.base.warmOff,
@@ -197,8 +194,6 @@ func Restore(st *SessionState) (*Protector, error) {
 		method:   st.Method,
 		division: st.Division,
 		budget:   st.Budget,
-		engine:   st.Engine,
-		scope:    st.Scope,
 		workers:  st.Workers,
 		seed:     st.Seed,
 		warmOff:  st.WarmOff,

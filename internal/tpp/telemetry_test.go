@@ -67,29 +67,6 @@ func TestSessionStagesRecorded(t *testing.T) {
 	}
 }
 
-// TestRecountRunRecordsScoreStage pins the recount engine's attribution:
-// its per-step candidate recounting is the paper's naive scoring baseline,
-// so the whole selection lands in the score stage.
-func TestRecountRunRecordsScoreStage(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := gen.BarabasiAlbertTriad(80, 3, 0.4, rng)
-	targets := datasets.SampleTargets(g, 4, rng)
-	session, err := New(g, targets, WithEngine(EngineRecount))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := telemetry.NewStages(nil)
-	if _, err := session.Run(telemetry.NewContext(context.Background(), sp)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.Calls(telemetry.StageScore); got != 1 {
-		t.Errorf("score calls = %d, want 1", got)
-	}
-	if got := sp.Calls(telemetry.StageEnumerate); got != 0 {
-		t.Errorf("enumerate calls = %d, want 0 (recount builds no index)", got)
-	}
-}
-
 // TestBaselineMethodsRecordColdSelect checks the non-SGB methods attribute
 // their selection to the cold stage (they have no warm path).
 func TestBaselineMethodsRecordColdSelect(t *testing.T) {

@@ -45,8 +45,7 @@ import (
 // contract either way; only the threshold check refuses to replay at all.
 //
 // The state survives every session operation: CT/WT/RD runs reset the index
-// before and after, recount runs never touch it, and deltas maintain it
-// through absorb. It is dropped only when a delta removes a protector's
+// before and after, and deltas maintain it through absorb. It is dropped only when a delta removes a protector's
 // endpoint mid-sequence (the tail is truncated), when the index is lost to
 // an apply error, or when WithWarmStart(false) disables the engine.
 
@@ -225,25 +224,14 @@ func (ws *warmState) resolve(in *graph.Interner) {
 // the session's warm state from whatever result it produced. Critical-budget
 // probes for the other methods run through here too (budget = maxBudget) —
 // they are SGB selections and warm-start like any other.
-func (pr *Protector) sgbSession(s *settings, opt Options, env runEnv, k int) (*Result, error) {
-	if env.ix == nil {
-		// Recount engine: no index to maintain a snapshot against. Its wall
-		// time is dominated by per-step candidate recounting, so the span is
-		// attributed to the scoring stage.
-		res, err := sgbGreedy(pr.problem, k, opt, env)
-		if err == nil {
-			pr.coldRuns.Add(1)
-			env.stages.Add(telemetry.StageScore, res.Elapsed)
-		}
-		return res, err
-	}
+func (pr *Protector) sgbSession(s *settings, env runEnv, k int) (*Result, error) {
 	warmable := !s.warmOff
 	if pr.warm.valid {
 		env.remembered = len(pr.warm.protectors)
 	}
 	if warmable && pr.warm.valid {
 		if pr.warm.withinThreshold(env.ix) {
-			res, hit, err := pr.sgbWarm(opt, env, k)
+			res, hit, err := pr.sgbWarm(env, k)
 			if err != nil {
 				return nil, err
 			}
@@ -263,7 +251,7 @@ func (pr *Protector) sgbSession(s *settings, opt Options, env runEnv, k int) (*R
 		}
 		pr.warmFallbacks.Add(1)
 	}
-	res, err := sgbGreedy(pr.problem, k, opt, env)
+	res, err := sgbGreedy(pr.problem, k, sessionOptions, env)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +271,7 @@ func (pr *Protector) sgbSession(s *settings, opt Options, env runEnv, k int) (*R
 // the same order, a cold run would make. hit reports whether the whole
 // remembered sequence verified (the counted warm-start case); either way the
 // result is bit-identical to a cold run's.
-func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, error) {
+func (pr *Protector) sgbWarm(env runEnv, k int) (*Result, bool, error) {
 	ix := env.ix
 	in := ix.Interner()
 	ws := &pr.warm
@@ -292,7 +280,7 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 	}
 
 	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy"), ix.TotalSimilarity(), env.steps(k, in.NumEdges()))
+	res := newResult(sessionOptions.VariantName("SGB-Greedy"), ix.TotalSimilarity(), env.steps(k, in.NumEdges()))
 
 	step, diverged := 0, false
 	for step < k && step < len(ws.ids) {
@@ -379,7 +367,7 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 func (pr *Protector) WarmRuns() int { return int(pr.warmRuns.Load()) }
 
 // ColdRuns reports how many SGB selections ran cold — first runs, runs with
-// warm-start disabled, recount runs, and every fallback (threshold-refused
+// warm-start disabled, and every fallback (threshold-refused
 // replays and replays that diverged and finished through the index heap).
 // WarmRuns+ColdRuns is the session's total SGB selection count
 // (critical-budget probes for CT/WT/RD included).
