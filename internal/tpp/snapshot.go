@@ -40,8 +40,9 @@ var ErrStateMismatch = errors.New("tpp: restored index contradicts snapshot inva
 // warm-selection slices (see Snapshot); Restore copies what it keeps.
 type SessionState struct {
 	// Resolved session options (the settings New applied). Progress
-	// callbacks are per-process and do not persist. Engine and scope are
-	// not options of a session (see sessionOptions).
+	// callbacks are per-process and do not persist. A session has no engine
+	// or scope option: it always selects through the motif index over the
+	// Lemma 5 scope.
 	Pattern  motif.Pattern
 	Method   Method
 	Division Division

@@ -45,9 +45,10 @@ import (
 // contract either way; only the threshold check refuses to replay at all.
 //
 // The state survives every session operation: CT/WT/RD runs reset the index
-// before and after, and deltas maintain it through absorb. It is dropped only when a delta removes a protector's
-// endpoint mid-sequence (the tail is truncated), when the index is lost to
-// an apply error, or when WithWarmStart(false) disables the engine.
+// before and after, and deltas maintain it through absorb. It is dropped
+// only when a delta removes a protector's endpoint mid-sequence (the tail is
+// truncated), when the index is lost to an apply error, or when
+// WithWarmStart(false) disables the engine.
 
 // maxBudget is the unbounded selection budget used for critical-budget runs.
 const maxBudget = int(^uint(0) >> 1)
