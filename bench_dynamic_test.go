@@ -87,10 +87,10 @@ func BenchmarkDynamicApplyIncremental(b *testing.B) {
 }
 
 // BenchmarkDynamicApplyPureRemoval measures the removal-only regime: a
-// delta with no insertions never creates instances, so ApplyMutation can skip
-// target re-enumeration entirely and only kill removal-incident instances
-// (the pure-removal fast path). The churn stream is built with pInsert = 0
-// so every batch is removals.
+// delta with no insertions never creates instances, so ApplyMutation's one
+// path re-enumerates no target, builds no union adjacency, and only kills
+// removal-incident instances before rewiring. The churn stream is built
+// with pInsert = 0 so every batch is removals.
 func BenchmarkDynamicApplyPureRemoval(b *testing.B) {
 	for _, c := range dynamicBenchCases() {
 		b.Run(fmt.Sprintf("%s/scale=%d/delta=%d", c.name, c.scale, c.deltaK), func(b *testing.B) {

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
@@ -60,6 +61,7 @@ func checkIndexParity(t *testing.T, got, want *motif.Index) {
 	if len(gotEdges) != len(wantEdges) {
 		t.Fatalf("universe size: got %d, want %d", len(gotEdges), len(wantEdges))
 	}
+	gbuf, wbuf := make([]int, len(ws)), make([]int, len(ws))
 	for i, e := range wantEdges {
 		if gotEdges[i] != e {
 			t.Fatalf("universe edge %d: got %v, want %v", i, gotEdges[i], e)
@@ -67,12 +69,10 @@ func checkIndexParity(t *testing.T, got, want *motif.Index) {
 		if g, w := got.Gain(e), want.Gain(e); g != w {
 			t.Fatalf("gain(%v): got %d, want %d", e, g, w)
 		}
-		for ti := range ws {
-			gw, gt := got.GainForTarget(e, ti)
-			ww, wt := want.GainForTarget(e, ti)
-			if gw != ww || gt != wt {
-				t.Fatalf("gainForTarget(%v, %d): got (%d,%d), want (%d,%d)", e, ti, gw, gt, ww, wt)
-			}
+		gv, gt := got.GainVectorIDInto(got.Interner().ID(e), gbuf)
+		wv, wt := want.GainVectorIDInto(want.Interner().ID(e), wbuf)
+		if gt != wt || !slices.Equal(gv, wv) {
+			t.Fatalf("per-target gains of %v: got %v (total %d), want %v (total %d)", e, gv, gt, wv, wt)
 		}
 	}
 	// Greedy drain: the argmax sequences must match step for step.
@@ -143,13 +143,15 @@ func TestApplyParityRandomStreams(t *testing.T) {
 	}
 }
 
-// TestApplyParityPureRemoval pins the removal-only fast path: a delta with
-// no insertions takes the enumeration-free kernel (applyRemovals), and the
-// result must still be indistinguishable from a fresh build on the
-// shrunken graph — including the compacted edge universe. Runs across all
-// patterns, with protector deletions burnt in between batches so the
-// discard-deletions contract is exercised on the fast path too.
-func TestApplyParityPureRemoval(t *testing.T) {
+// TestApplyParityEdgeBatchShapes pins the edge-only batch shapes that
+// need no re-enumeration: removal-only batches, removals of edges outside
+// the interned universe, and insertions that touch no target. Each must
+// leave the index indistinguishable from a fresh build on the mutated
+// graph — including the compacted edge universe — and the last two must
+// report that they killed, re-enumerated and touched nothing. Runs across
+// all patterns, with protector deletions burnt in before every batch so
+// the discard-deletions contract is exercised on each shape.
+func TestApplyParityEdgeBatchShapes(t *testing.T) {
 	for _, pattern := range motif.AllPatterns {
 		pattern := pattern
 		t.Run(pattern.String(), func(t *testing.T) {
@@ -157,40 +159,97 @@ func TestApplyParityPureRemoval(t *testing.T) {
 			rng := rand.New(rand.NewSource(17 * int64(pattern+1)))
 			g := gen.BarabasiAlbertTriad(120, 3, 0.4, rng)
 			targets := datasets.SampleTargets(g, 6, rng)
-			phase1 := g.Clone()
-			phase1.RemoveEdges(targets)
-			churn := gen.NewChurn(phase1, targets, 0, rng) // removals only
+			g.RemoveEdges(targets)
 
-			ix, err := motif.NewIndex(churn.Graph(), pattern, targets)
+			ix, err := motif.NewIndex(g, pattern, targets)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for step := 0; step < 12; step++ {
-				// Burn protector deletions so the fast path must discard them.
-				for i := 0; i < step%3; i++ {
+			var applied [3]int // non-empty batches per shape
+			for step := 0; step < 18; step++ {
+				for i := 0; i < step%4; i++ {
 					if e, _, ok := ix.ArgmaxGain(); ok {
 						ix.DeleteEdge(e)
 					}
 				}
-				ins, rem := churn.Next(1 + rng.Intn(5))
-				if len(ins) != 0 {
-					t.Fatalf("step %d: removal-only churn inserted %v", step, ins)
+				shape, k := step%3, 1+rng.Intn(5)
+				var m motif.Mutation
+				switch shape {
+				case 0: // any removals
+					edges := g.Edges()
+					rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+					m.Removed = edges[:k]
+				case 1: // removals outside the interned universe
+					universe := make(map[graph.Edge]bool)
+					for _, e := range ix.AllTouchedEdges() {
+						universe[e] = true
+					}
+					for _, e := range g.Edges() {
+						if !universe[e] && len(m.Removed) < k {
+							m.Removed = append(m.Removed, e)
+						}
+					}
+				case 2: // insertions that touch no target
+					m.Inserted = untouchingInsertions(g, pattern, targets, k, rng)
 				}
-				st, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem})
+				g.RemoveEdges(m.Removed)
+				if len(m.Removed)+len(m.Inserted) > 0 {
+					applied[shape]++
+				}
+				st, err := ix.ApplyMutation(g, m)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				if st.TouchedTargets != 0 {
-					t.Fatalf("step %d: pure removal re-enumerated %d targets", step, st.TouchedTargets)
+					t.Fatalf("step %d: edge batch %+v re-enumerated %d targets", step, m, st.TouchedTargets)
 				}
-				fresh, err := motif.NewIndex(churn.Graph(), pattern, targets)
+				if shape > 0 && (st.KilledInstances != 0 || len(st.TouchedEdges) != 0) {
+					t.Fatalf("step %d: batch %+v killed %d instances and touched %v, want none",
+						step, m, st.KilledInstances, st.TouchedEdges)
+				}
+				fresh, err := motif.NewIndex(g, pattern, targets)
 				if err != nil {
 					t.Fatalf("step %d: fresh: %v", step, err)
 				}
 				checkIndexParity(t, ix, fresh)
 			}
+			for shape, n := range applied {
+				if n == 0 {
+					t.Fatalf("shape %d never produced a non-empty batch", shape)
+				}
+			}
 		})
 	}
+}
+
+// untouchingInsertions inserts into g up to k random absent non-target
+// edges through which no instance of pattern can form for any target, and
+// returns them. An edge incident to a target endpoint always counts as
+// touching, so later insertions cannot make an earlier one touch.
+func untouchingInsertions(g *graph.Graph, pattern motif.Pattern, targets []graph.Edge, k int, rng *rand.Rand) []graph.Edge {
+	var out []graph.Edge
+	n := g.NumNodes()
+	for tries := 0; tries < 50*k && len(out) < k; tries++ {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		e := graph.NewEdge(u, v)
+		if g.HasEdgeE(e) || slices.Contains(targets, e) {
+			continue
+		}
+		g.AddEdgeE(e)
+		touches := false
+		for _, t := range targets {
+			touches = touches || motif.CanCreateInstances(g, pattern, t, e)
+		}
+		if touches {
+			g.RemoveEdgeE(e)
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // TestApplyParityMidSelection pins down that ApplyMutation discards recorded
@@ -301,6 +360,14 @@ func FuzzApplyParity(f *testing.F) {
 	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab})
 	f.Add([]byte{0xff, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60})
 	f.Add([]byte{0x02, 0x11, 0x11, 0x33, 0x33, 0x05, 0x05, 0x22, 0x44})
+	// A protector burn (5,5), then a batch that kills, enumerates and
+	// touches nothing: removals of edges outside the interned universe
+	// (Pentagon, Rectangle), and insertions that touch no target
+	// (Pentagon, Rectangle on two workers).
+	f.Add([]byte{0x03, 5, 5, 9, 11, 11, 13})
+	f.Add([]byte{0x01, 5, 5, 0, 22, 1, 5})
+	f.Add([]byte{0x03, 5, 5, 11, 14, 11, 17})
+	f.Add([]byte{0x11, 5, 5, 1, 11, 1, 13})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

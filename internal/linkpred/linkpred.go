@@ -158,24 +158,40 @@ const (
 // products from u. Length-1 paths (the direct edge) are excluded because
 // the adversary scores *missing* links.
 func KatzScore(g *graph.Graph, u, v graph.NodeID, beta float64, maxLen int) float64 {
+	return NewKatzWalks(g.NumNodes()).Score(g, u, v, beta, maxLen)
+}
+
+// KatzWalks holds the two walk-count vectors one truncated-Katz evaluation
+// needs. A caller scoring many pairs on one node universe keeps one and
+// reuses it, so no evaluation allocates.
+type KatzWalks struct {
+	cur, next []float64
+}
+
+// NewKatzWalks returns walk vectors for a graph of n nodes.
+func NewKatzWalks(n int) *KatzWalks {
+	return &KatzWalks{cur: make([]float64, n), next: make([]float64, n)}
+}
+
+// Score is KatzScore evaluated on w, which must have been made for g's
+// node count.
+func (w *KatzWalks) Score(g *graph.Graph, u, v graph.NodeID, beta float64, maxLen int) float64 {
 	n := g.NumNodes()
-	cur := make([]float64, n)
-	next := make([]float64, n)
+	cur, next := w.cur, w.next
+	clear(cur)
 	cur[u] = 1
 	score := 0.0
 	bl := 1.0
 	for l := 1; l <= maxLen; l++ {
 		bl *= beta
-		for i := range next {
-			next[i] = 0
-		}
+		clear(next)
 		for i := 0; i < n; i++ {
 			if cur[i] == 0 {
 				continue
 			}
 			c := cur[i]
-			for _, w := range g.NeighborsView(graph.NodeID(i)) {
-				next[w] += c
+			for _, x := range g.NeighborsView(graph.NodeID(i)) {
+				next[x] += c
 			}
 		}
 		cur, next = next, cur
@@ -183,5 +199,6 @@ func KatzScore(g *graph.Graph, u, v graph.NodeID, beta float64, maxLen int) floa
 			score += bl * cur[v]
 		}
 	}
+	w.cur, w.next = cur, next
 	return score
 }

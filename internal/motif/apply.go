@@ -115,6 +115,13 @@ func (m *Mutation) rename(e graph.Edge) graph.Edge {
 // it — is bit-identical to a fresh NewIndex on the mutated graph and
 // mutated target list.
 //
+// Every mutation takes this one path; only what the mutation contains
+// trims it. The union adjacency of the touched test is built only when
+// edges are inserted, and a mutation that kills, enumerates, drops, adds
+// and renames nothing (removals outside the interned universe, insertions
+// that touch no target) leaves the instance set as it was, so it ends in
+// Reset instead of a rewire.
+//
 // Any protector deletions recorded on the index (DeleteEdgeID since the
 // last Reset) are discarded, exactly as a fresh build would: an applied
 // index starts fully alive. Targets() reflects the new list afterwards:
@@ -194,35 +201,23 @@ func (ix *Index) applyMutation(g *graph.Graph, m Mutation, bs *buildScratch) (Ap
 		}
 	}
 
-	// Pure edge-removal fast path: nothing can gain an instance and nothing
-	// is renamed, so enumeration, sorting and interning are all skipped —
-	// removal-incident instances are killed through the CSR table and the
-	// flat state is compacted in place, linear in the universe and instance
-	// table.
-	if len(m.Inserted) == 0 && len(m.AddTargets) == 0 && len(m.DropTargets) == 0 && m.Remap == nil {
-		killed, touched := ix.applyRemovals(m.Removed, bs)
-		return ApplyStats{
-			Removed:         len(m.Removed),
-			KilledInstances: killed,
-			Instances:       len(ix.inst),
-			TouchedEdges:    touched,
-			Elapsed:         time.Since(start),
-		}, nil
-	}
-
 	// Adjacency in the union graph (old ∪ new edge sets), post-remap names:
 	// g already reflects the mutation, so union adjacency is g plus the
 	// removed edges whose endpoints survived (an edge with a removed
 	// endpoint cannot answer a query about surviving nodes). The touched
 	// test runs in the union so it soundly covers instances of both the old
-	// and the new graph.
-	removedSet := make(map[graph.Edge]struct{}, len(m.Removed))
-	for _, e := range m.Removed {
-		e = canonEdge(e)
-		if m.Remap != nil && (m.Remap[e.U] == graph.NoNode || m.Remap[e.V] == graph.NoNode) {
-			continue
+	// and the new graph. Only inserted edges are tested, so the removed set
+	// is built only when there are some.
+	var removedSet map[graph.Edge]struct{}
+	if len(insertedNew) > 0 {
+		removedSet = make(map[graph.Edge]struct{}, len(m.Removed))
+		for _, e := range m.Removed {
+			e = canonEdge(e)
+			if m.Remap != nil && (m.Remap[e.U] == graph.NoNode || m.Remap[e.V] == graph.NoNode) {
+				continue
+			}
+			removedSet[m.rename(e)] = struct{}{}
 		}
-		removedSet[m.rename(e)] = struct{}{}
 	}
 	hasUnion := func(x, y graph.NodeID) bool {
 		if x == y {
@@ -286,23 +281,7 @@ func (ix *Index) applyMutation(g *graph.Graph, m Mutation, bs *buildScratch) (Ap
 		}
 	}
 
-	// Enumerated targets go through the same worker-sharded kernel the full
-	// build uses, so a broad mutation (hub insertions flagging many
-	// targets) is never slower than its share of a parallel rebuild.
-	bs.idx = bs.idx[:0]
-	for nt := range newTargets {
-		if enum[nt] {
-			bs.idx = append(bs.idx, nt)
-		}
-	}
-	enumerateInto(g, ix.pattern, newTargets, runtime.GOMAXPROCS(0), bs)
-
-	// Touched-edge collection must read the old instance table, so it runs
-	// before wireIncremental compacts it in place.
-	touched := ix.collectTouched(newIdx, enum, killed, &m, bs)
-
-	ix.wireIncremental(newTargets, newIdx, enum, killed, &m, bs)
-	return ApplyStats{
+	st := ApplyStats{
 		Inserted:         len(m.Inserted),
 		Removed:          len(m.Removed),
 		TargetsAdded:     len(m.AddTargets),
@@ -310,13 +289,35 @@ func (ix *Index) applyMutation(g *graph.Graph, m Mutation, bs *buildScratch) (Ap
 		TouchedTargets:   nTouched,
 		KilledInstances:  nKilled,
 		DroppedInstances: nDropped,
-		Instances:        len(ix.inst),
-		TouchedEdges:     touched,
-		Elapsed:          time.Since(start),
-	}, nil
+	}
+	if nKilled == 0 && nTouched == 0 && len(m.DropTargets) == 0 && len(m.AddTargets) == 0 && m.Remap == nil {
+		// Nothing was killed, enumerated, dropped, added or renamed: the
+		// instance set and its universe are unchanged, and the state a fresh
+		// build reaches is the build-time state with deletions discarded.
+		ix.Reset()
+	} else {
+		// Enumerated targets go through the same worker-sharded kernel the
+		// full build uses, so a broad mutation (hub insertions flagging many
+		// targets) is never slower than its share of a parallel rebuild.
+		bs.idx = bs.idx[:0]
+		for nt := range newTargets {
+			if enum[nt] {
+				bs.idx = append(bs.idx, nt)
+			}
+		}
+		enumerateInto(g, ix.pattern, newTargets, runtime.GOMAXPROCS(0), bs)
+
+		// Touched-edge collection must read the old instance table, so it
+		// runs before wireIncremental compacts it in place.
+		st.TouchedEdges = ix.collectTouched(newIdx, enum, killed, &m, bs)
+		ix.wireIncremental(newTargets, newIdx, enum, killed, &m, bs)
+	}
+	st.Instances = len(ix.inst)
+	st.Elapsed = time.Since(start)
+	return st, nil
 }
 
-// collectTouched gathers ApplyStats.TouchedEdges for the full apply path:
+// collectTouched gathers ApplyStats.TouchedEdges for a rewiring apply:
 // the edges of every old instance that does not survive verbatim (killed by
 // a removal, dropped with its target, or replaced by a re-enumeration) plus
 // the edges of every freshly enumerated instance. Edges losing an endpoint
@@ -529,125 +530,6 @@ func canonEdge(e graph.Edge) graph.Edge {
 // without enumerating anything.
 func CanCreateInstances(g *graph.Graph, pattern Pattern, t, e graph.Edge) bool {
 	return insertTouches(pattern, t, e, func(x, y graph.NodeID) bool { return g.HasEdge(x, y) })
-}
-
-// applyRemovals is the removal-only maintenance kernel behind ApplyMutation's
-// fast path. It kills every instance containing a removed edge (named
-// exactly by the CSR rows of the removed ids), then rewrites the index to
-// the state a fresh build on the shrunken graph would produce: edges left
-// with no incidence drop out of the interned universe, surviving instances
-// keep their relative order, recorded protector deletions are discarded
-// (an applied index starts fully alive), and the flat state is rewired.
-//
-// Because the old universe already ascends in canonical edge order, the
-// surviving universe is a monotone filter of it: the rebuild is linear
-// passes over the instance table and universe — no packed-edge sort, no
-// per-instance ID() lookups, and crucially no target re-enumeration. It
-// returns the number of instances killed plus the touched-edge set (the
-// deduplicated edges of the killed instances — see ApplyStats.TouchedEdges).
-func (ix *Index) applyRemovals(removed []graph.Edge, bs *buildScratch) (int, []graph.Edge) {
-	kill := scratchSlice(ix.sc.killed, len(ix.inst))
-	ix.sc.killed = kill
-	clear(kill)
-	nKilled := 0
-	for _, e := range removed {
-		id := ix.in.ID(e)
-		if id == graph.NoEdge {
-			continue // outside the universe: participated in no instance
-		}
-		for _, instID := range ix.instIDs[ix.instStart[id]:ix.instStart[id+1]] {
-			if !kill[instID] {
-				kill[instID] = true
-				nKilled++
-			}
-		}
-	}
-	if nKilled == 0 {
-		// Nothing interned was removed; the rebuilt state is exactly the
-		// build-time state with protector deletions discarded.
-		ix.Reset()
-		return 0, nil
-	}
-	tbuf := ix.sc.touched[:0]
-	for i := range ix.inst {
-		if !kill[i] {
-			continue
-		}
-		in := &ix.inst[i]
-		for _, id := range in.edges[:in.ne] {
-			tbuf = append(tbuf, graph.PackEdge(ix.in.Edge(id)))
-		}
-	}
-	slices.Sort(tbuf)
-	tbuf = slices.Compact(tbuf)
-	ix.sc.touched = tbuf
-	touched := make([]graph.Edge, len(tbuf))
-	for i, p := range tbuf {
-		touched[i] = graph.UnpackEdge(p)
-	}
-
-	// Surviving per-edge incidence counts over the fully-alive state.
-	oldNE := ix.in.NumEdges()
-	oldGain := scratchSlice(ix.sc.oldGain, oldNE)
-	ix.sc.oldGain = oldGain
-	clear(oldGain)
-	for i := range ix.inst {
-		if kill[i] {
-			continue
-		}
-		in := &ix.inst[i]
-		for _, id := range in.edges[:in.ne] {
-			oldGain[id]++
-		}
-	}
-
-	// Compact the universe, preserving canonical order.
-	remap := scratchSlice(ix.sc.remapID, oldNE)
-	ix.sc.remapID = remap
-	packed := make([]uint64, 0, oldNE) // retained by the interner
-	for id := 0; id < oldNE; id++ {
-		if oldGain[id] > 0 {
-			remap[id] = graph.EdgeID(len(packed))
-			packed = append(packed, graph.PackEdge(ix.in.Edge(graph.EdgeID(id))))
-		} else {
-			remap[id] = graph.NoEdge
-		}
-	}
-	// Every new id is some surviving old id's image, so each gain is set.
-	ix.gain = scratchSlice(ix.gain, len(packed))
-	for id, nw := range remap {
-		if nw != graph.NoEdge {
-			ix.gain[nw] = oldGain[id]
-		}
-	}
-	ix.in = graph.NewInternerFromPacked(packed)
-
-	// Compact the instance table in place, resolving edges to the new ids
-	// and reviving any protector-dead survivors.
-	out := ix.inst[:0]
-	for i := range ix.inst {
-		if kill[i] {
-			continue
-		}
-		in := ix.inst[i]
-		in.dead = false
-		for j := range in.edges[:in.ne] {
-			in.edges[j] = remap[in.edges[j]]
-		}
-		out = append(out, in)
-	}
-	ix.inst = out
-
-	for ti := range ix.perTarget {
-		ix.perTarget[ti] = 0
-	}
-	for i := range ix.inst {
-		ix.perTarget[ix.inst[i].target]++
-	}
-	ix.alive = len(ix.inst)
-
-	ix.wireFlat(bs)
-	return nKilled, touched
 }
 
 // insertTouches reports whether inserting the edge e could create an

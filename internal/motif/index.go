@@ -349,7 +349,7 @@ func probe(keys []uint64, k uint64, shift int) int {
 // edge→instance incidence table, gain heap — from ix.in, ix.inst and
 // ix.gain, which must already hold the interned universe, the resolved
 // instance table and the per-edge alive counts (the build-time gains double
-// as CSR row lengths). Shared by the full builder and both apply paths; a
+// as CSR row lengths). Shared by the full builder and ApplyMutation; a
 // rewire reuses the capacity of the arrays it replaces, and the CSR fill
 // cursor is build scratch.
 func (ix *Index) wireFlat(bs *buildScratch) {
@@ -434,36 +434,6 @@ func (ix *Index) Gain(p graph.Edge) int {
 	return int(ix.gain[id])
 }
 
-// GainForTargetID splits Δ_p^t for CT/WT greedy: within = alive instances
-// of target ti containing the edge; total = alive instances of any target
-// containing it. The paper's Δ_p^t = within + (total − within)/C; with C
-// large this is a lexicographic (within, total) ordering, which is how we
-// compare.
-//
-//tpp:hotpath
-func (ix *Index) GainForTargetID(id graph.EdgeID, ti int) (within, total int) {
-	for _, instID := range ix.instIDs[ix.instStart[id]:ix.instStart[id+1]] {
-		in := &ix.inst[instID]
-		if in.dead {
-			continue
-		}
-		total++
-		if int(in.target) == ti {
-			within++
-		}
-	}
-	return within, total
-}
-
-// GainForTarget is GainForTargetID keyed by edge.
-func (ix *Index) GainForTarget(p graph.Edge, ti int) (within, total int) {
-	id := ix.in.ID(p)
-	if id == graph.NoEdge {
-		return 0, 0
-	}
-	return ix.GainForTargetID(id, ti)
-}
-
 // GainVectorIDInto writes the per-target marginal gains of deleting the
 // edge into buf (len(buf) must be the target count) and returns (buf,
 // total), or (nil, 0) when the edge touches no alive instance — without
@@ -489,12 +459,6 @@ func (ix *Index) GainVectorIDInto(id graph.EdgeID, buf []int) (perTarget []int, 
 		return nil, 0
 	}
 	return buf, total
-}
-
-// Deleted reports whether p was already deleted through the index.
-func (ix *Index) Deleted(p graph.Edge) bool {
-	id := ix.in.ID(p)
-	return id != graph.NoEdge && ix.isDeleted(id)
 }
 
 // DeleteEdgeID records the deletion of the protector with the given id,

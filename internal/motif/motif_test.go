@@ -206,13 +206,24 @@ func TestIndexGainForTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, tot := ix.GainForTarget(graph.NewEdge(0, 2), 0)
-	if w != 1 || tot != 2 {
-		t.Fatalf("GainForTarget(0-2, t0) = (%d,%d), want (1,2)", w, tot)
+	buf := make([]int, len(targets))
+	for _, c := range []struct {
+		e    graph.Edge
+		want []int
+	}{
+		{graph.NewEdge(0, 2), []int{1, 1}},
+		{graph.NewEdge(1, 2), []int{1, 0}},
+		{graph.NewEdge(2, 4), []int{0, 1}},
+	} {
+		got, tot := ix.GainVectorIDInto(ix.Interner().ID(c.e), buf)
+		if !reflect.DeepEqual(got, c.want) || tot != c.want[0]+c.want[1] {
+			t.Fatalf("GainVectorIDInto(%v) = (%v,%d), want (%v,%d)", c.e, got, tot, c.want, c.want[0]+c.want[1])
+		}
 	}
-	w, tot = ix.GainForTarget(graph.NewEdge(1, 2), 0)
-	if w != 1 || tot != 1 {
-		t.Fatalf("GainForTarget(1-2, t0) = (%d,%d), want (1,1)", w, tot)
+	// A deleted edge's instances are dead: it no longer splits any gain.
+	ix.DeleteEdge(graph.NewEdge(0, 2))
+	if got, tot := ix.GainVectorIDInto(ix.Interner().ID(graph.NewEdge(1, 2)), buf); got != nil || tot != 0 {
+		t.Fatalf("GainVectorIDInto(1-2) after deleting 0-2 = (%v,%d), want (nil,0)", got, tot)
 	}
 }
 

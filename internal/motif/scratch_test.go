@@ -97,8 +97,8 @@ func TestIndexBuildScratchReuse(t *testing.T) {
 			}
 
 			// Mutate the twins in lockstep: edge churn (including
-			// removal-only batches, the fast path), target drops and
-			// re-adds, and protector deletions the next apply discards.
+			// removal-only batches), target drops and re-adds, and
+			// protector deletions the next apply discards.
 			churn := gen.NewChurn(phase1, targets, 0.5, rng)
 			var dropped []graph.Edge
 			for step := 0; step < 8; step++ {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/linkpred"
 	"repro/internal/motif"
 )
 
@@ -174,10 +175,10 @@ func TestPropertyKatzMonotoneUnderDeletion(t *testing.T) {
 			work.RemoveEdgeE(tg)
 		}
 		opt := DefaultKatzOptions()
-		before := katzTotal(work, targets, opt, newKatzScratch(work.NumNodes()))
+		before := katzTotal(work, targets, opt, linkpred.NewKatzWalks(work.NumNodes()))
 		edges := work.Edges()
 		work.RemoveEdgeE(edges[rng.Intn(len(edges))])
-		after := katzTotal(work, targets, opt, newKatzScratch(work.NumNodes()))
+		after := katzTotal(work, targets, opt, linkpred.NewKatzWalks(work.NumNodes()))
 		return after <= before+1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -202,14 +203,14 @@ func TestPropertyKatzCandidateRestrictionExact(t *testing.T) {
 		for _, e := range cands {
 			inCand[e] = true
 		}
-		before := katzTotal(work, targets, opt, newKatzScratch(work.NumNodes()))
+		before := katzTotal(work, targets, opt, linkpred.NewKatzWalks(work.NumNodes()))
 		ok := true
 		work.EachEdge(func(e graph.Edge) bool {
 			if inCand[e] {
 				return true
 			}
 			work.RemoveEdgeE(e)
-			after := katzTotal(work, targets, opt, newKatzScratch(work.NumNodes()))
+			after := katzTotal(work, targets, opt, linkpred.NewKatzWalks(work.NumNodes()))
 			work.AddEdgeE(e)
 			if math.Abs(after-before) > 1e-15 {
 				ok = false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/linkpred"
 )
 
 // Katz-based TPP — the paper's first open problem ("more TPP mechanisms
@@ -30,8 +31,10 @@ type KatzOptions struct {
 	MaxLen int
 }
 
-// DefaultKatzOptions mirrors linkpred's adversary defaults.
-func DefaultKatzOptions() KatzOptions { return KatzOptions{Beta: 0.005, MaxLen: 4} }
+// DefaultKatzOptions are linkpred's adversary defaults.
+func DefaultKatzOptions() KatzOptions {
+	return KatzOptions{Beta: linkpred.DefaultKatzBeta, MaxLen: linkpred.DefaultKatzMaxLen}
+}
 
 // KatzResult records a Katz-defense run.
 type KatzResult struct {
@@ -63,7 +66,7 @@ func KatzGreedy(p *Problem, k int, opt KatzOptions) (*KatzResult, error) {
 	// One walk-vector scratch serves every Katz evaluation of the run: the
 	// greedy scan below scores |candidates| · |targets| truncated walks per
 	// step, so per-score allocation would dominate.
-	sc := newKatzScratch(g.NumNodes())
+	sc := linkpred.NewKatzWalks(g.NumNodes())
 	res := &KatzResult{ScoreTrace: []float64{katzTotal(g, p.Targets, opt, sc)}}
 	for len(res.Protectors) < k {
 		cands := katzCandidates(g, p.Targets, opt.MaxLen)
@@ -92,54 +95,13 @@ func KatzGreedy(p *Problem, k int, opt KatzOptions) (*KatzResult, error) {
 	return res, nil
 }
 
-// katzScratch holds the two walk-count vectors one truncated-Katz
-// evaluation needs, reused across evaluations.
-type katzScratch struct {
-	cur, next []float64
-}
-
-func newKatzScratch(n int) *katzScratch {
-	return &katzScratch{cur: make([]float64, n), next: make([]float64, n)}
-}
-
 // katzTotal sums the truncated Katz scores of all targets on g.
-func katzTotal(g *graph.Graph, targets []graph.Edge, opt KatzOptions, sc *katzScratch) float64 {
+func katzTotal(g *graph.Graph, targets []graph.Edge, opt KatzOptions, sc *linkpred.KatzWalks) float64 {
 	total := 0.0
 	for _, t := range targets {
-		total += katzScore(g, t.U, t.V, opt, sc)
+		total += sc.Score(g, t.U, t.V, opt.Beta, opt.MaxLen)
 	}
 	return total
-}
-
-// katzScore mirrors linkpred.KatzScore (duplicated to avoid a dependency
-// from the core algorithm package on the adversary package), evaluated on
-// caller-owned walk vectors.
-func katzScore(g *graph.Graph, u, v graph.NodeID, opt KatzOptions, sc *katzScratch) float64 {
-	n := g.NumNodes()
-	cur, next := sc.cur, sc.next
-	clear(cur)
-	cur[u] = 1
-	score := 0.0
-	bl := 1.0
-	for l := 1; l <= opt.MaxLen; l++ {
-		bl *= opt.Beta
-		clear(next)
-		for i := 0; i < n; i++ {
-			if cur[i] == 0 {
-				continue
-			}
-			c := cur[i]
-			for _, w := range g.NeighborsView(graph.NodeID(i)) {
-				next[w] += c
-			}
-		}
-		cur, next = next, cur
-		if l >= 2 {
-			score += bl * cur[v]
-		}
-	}
-	sc.cur, sc.next = cur, next
-	return score
 }
 
 // katzCandidates returns edges with both endpoints within ⌈MaxLen/2⌉ hops

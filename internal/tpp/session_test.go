@@ -507,9 +507,12 @@ func TestIndexResetRestoresBuildState(t *testing.T) {
 	if got := ix.CandidateEdges(); !reflect.DeepEqual(got, wantCands) {
 		t.Fatalf("candidates after Reset differ")
 	}
+	// Reset must clear the deletion marks too: deleting any candidate
+	// again breaks instances instead of being refused as a repeat.
 	for _, e := range wantCands {
-		if ix.Deleted(e) {
+		if ix.DeleteEdge(e) == 0 {
 			t.Fatalf("edge %v still marked deleted after Reset", e)
 		}
+		ix.Reset()
 	}
 }

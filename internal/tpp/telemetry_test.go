@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
@@ -89,12 +90,13 @@ func TestBaselineMethodsRecordColdSelect(t *testing.T) {
 }
 
 // steadyStateMallocs runs rounds of the delta→protect loop on a fresh
-// deterministic session and returns the heap allocation count of the loop
-// body alone (fixture, priming and delta generation excluded). Both the
-// instrumented and the uninstrumented caller perform bit-identical work —
-// same seed, same deltas, same selections — so any allocation difference is
-// attributable to the telemetry recording itself.
-func steadyStateMallocs(t *testing.T, rounds int, sp *telemetry.Stages) uint64 {
+// deterministic session and returns the heap allocation count of each
+// counted round's body (fixture, priming and delta generation excluded).
+// Both the instrumented and the uninstrumented caller perform bit-identical
+// work — same seed, same deltas, same selections — so round i of one does
+// the same selection work as round i of the other, and any allocation
+// difference is attributable to the telemetry recording itself.
+func steadyStateMallocs(t *testing.T, rounds int, sp *telemetry.Stages) []int64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	g := gen.BarabasiAlbertTriad(200, 3, 0.4, rng)
@@ -126,38 +128,46 @@ func steadyStateMallocs(t *testing.T, rounds int, sp *telemetry.Stages) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	perRound := make([]int64, 0, rounds-4)
 	for i := 4; i < rounds; i++ {
+		runtime.ReadMemStats(&before)
 		if _, err := session.Apply(ctx, deltas[i]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := session.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		perRound = append(perRound, int64(after.Mallocs-before.Mallocs))
 	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return perRound
 }
 
 // TestObservedProtectLoopAllocParity is the zero-alloc regression test for
 // stage recording on the steady-state protect loop: an instrumented loop
 // may not allocate measurably more than the identical uninstrumented one.
 // A single stray allocation per recorded span would show up as at least two
-// extra allocations per round (one selection span + one delta span), far
-// above the tolerance.
+// extra allocations in every round (one selection span + one delta span).
+//
+// The loops are compared round by round, by the median of the per-round
+// differences, not by their totals: a round that regrows a build scratch
+// the runtime dropped from its pool (the race detector drops pooled items
+// at random) allocates more on either side, and such rounds are outliers
+// the median ignores while a per-span allocation moves every round.
 func TestObservedProtectLoopAllocParity(t *testing.T) {
 	const rounds = 36
 	base := steadyStateMallocs(t, rounds, nil)
 	instr := steadyStateMallocs(t, rounds, telemetry.NewStages(nil))
-	var extra uint64
-	if instr > base {
-		extra = instr - base
+	extra := make([]int64, len(base))
+	for i := range base {
+		extra[i] = instr[i] - base[i]
 	}
-	// The loops do identical selection work; allow a little scheduler noise,
-	// well under one allocation per recorded span.
-	const tolerance = (rounds - 4) / 2
-	if extra > tolerance {
-		t.Errorf("instrumented loop allocated %d more times than uninstrumented (%d vs %d, tolerance %d)",
-			extra, instr, base, tolerance)
+	slices.Sort(extra)
+	// Half an allocation per round: the median of the differences, the mean
+	// of the two middle ones, may not exceed it.
+	n := len(extra)
+	if twiceMedian := extra[(n-1)/2] + extra[n/2]; twiceMedian > 1 {
+		t.Errorf("instrumented loop allocated a median %.1f more times per round than uninstrumented (per-round extras %v, tolerance 0.5)",
+			float64(twiceMedian)/2, extra)
 	}
 }
