@@ -1,13 +1,12 @@
 // Package repro's top-level benchmarks time the library's layers one at a
-// time: the Katz and insertion-guard defences, link prediction,
-// anonymisation and utility metrics, the EdgeID selection loop and the
-// graph core. A BENCH_*.json record cites the benchmarks its claims rest
-// on. The paper's figures and tables are regenerated by cmd/tppbench
-// (`go run ./cmd/tppbench -exp all`; add -full for paper scale).
+// time: the Katz defence, link prediction, anonymisation and utility
+// metrics, the EdgeID selection loop and the graph core. A BENCH_*.json
+// record cites the benchmarks its claims rest on. The paper's figures and
+// tables are regenerated by cmd/tppbench (`go run ./cmd/tppbench -exp
+// all`; add -full for paper scale).
 package repro
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -32,32 +31,6 @@ func BenchmarkKatzGreedy(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := tpp.KatzGreedy(p, 3, tpp.DefaultKatzOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGuardInsertionStream(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	g := datasets.DBLPSim(400, 10).Graph
-	targets := datasets.SampleTargets(g, 4, rng)
-	p, err := tpp.NewProblem(g, motif.Triangle, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
-	guard, err := tpp.NewGuardCtx(context.Background(), p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := guard.Graph().NumNodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := graph.NodeID(rng.Intn(n))
-		v := graph.NodeID(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		if _, _, err := guard.AddEdge(u, v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,6 +50,9 @@ func main() {
 	// each land in their own bucket, at no allocation cost on the hot path.
 	sp := telemetry.NewStages(nil)
 	ctx := telemetry.NewContext(context.Background(), sp)
+	stageTime := func(st telemetry.Stage) time.Duration {
+		return time.Duration(sp.Nanos(st)).Round(time.Microsecond)
+	}
 
 	// First protection pays the one-time subgraph enumeration.
 	start := time.Now()
@@ -59,7 +62,7 @@ func main() {
 	}
 	fmt.Printf("round 0: k* = %d protectors in %v (index enumeration %v)\n",
 		len(res.Protectors), time.Since(start).Round(time.Microsecond),
-		session.IndexBuildTime().Round(time.Microsecond))
+		stageTime(telemetry.StageEnumerate))
 
 	// The network now evolves: 40 mutations per round — mostly edge churn,
 	// plus members joining and leaving and sensitive links being promoted
@@ -108,9 +111,8 @@ func main() {
 
 	fmt.Printf("\nafter %d deltas: index enumerations %d (the incremental path never rebuilt)\n",
 		session.DeltasApplied(), session.IndexBuilds())
-	fmt.Printf("total delta-apply time %v vs %v of enumeration a rebuild-per-delta design would have re-paid %d times\n",
-		session.DeltaApplyTime().Round(time.Microsecond),
-		session.IndexBuildTime().Round(time.Microsecond), session.DeltasApplied())
+	fmt.Printf("total index-maintenance time %v vs %v of enumeration a rebuild-per-delta design would have re-paid %d times\n",
+		stageTime(telemetry.StageDeltaApply), stageTime(telemetry.StageEnumerate), session.DeltasApplied())
 
 	// Where the session's time actually went, stage by stage — the same
 	// breakdown tppd exports per request and at /metrics.
@@ -121,7 +123,6 @@ func main() {
 			continue
 		}
 		fmt.Printf("  %-12s %3d spans  %10v  (%4.1f%%)\n", st, sp.Calls(st),
-			time.Duration(sp.Nanos(st)).Round(time.Microsecond),
-			float64(sp.Nanos(st))/float64(sp.Total())*100)
+			stageTime(st), float64(sp.Nanos(st))/float64(sp.Total())*100)
 	}
 }

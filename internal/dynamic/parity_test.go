@@ -241,7 +241,7 @@ func untouchingInsertions(g *graph.Graph, pattern motif.Pattern, targets []graph
 		g.AddEdgeE(e)
 		touches := false
 		for _, t := range targets {
-			touches = touches || motif.CanCreateInstances(g, pattern, t, e)
+			touches = touches || mayTouch(g, pattern, t, e)
 		}
 		if touches {
 			g.RemoveEdgeE(e)
@@ -250,6 +250,31 @@ func untouchingInsertions(g *graph.Graph, pattern motif.Pattern, targets []graph
 		out = append(out, e)
 	}
 	return out
+}
+
+// mayTouch reports whether an instance of pattern for target t = (u, v)
+// can contain the edge e = (x, y) of g, from where each pattern's edges
+// sit relative to the target: every triangle edge is incident to u or v;
+// a rectangle's middle edge joins a neighbour of u to a neighbour of v; a
+// RecTri edge away from u and v leaves a common neighbour of both; and
+// every pentagon edge has an endpoint adjacent to u or v. It may flag an
+// edge no instance contains, never the reverse.
+func mayTouch(g *graph.Graph, pattern motif.Pattern, t, e graph.Edge) bool {
+	u, v, x, y := t.U, t.V, e.U, e.V
+	if e.Has(u) || e.Has(v) {
+		return true
+	}
+	switch pattern {
+	case motif.Triangle:
+		return false
+	case motif.Rectangle:
+		return (g.HasEdge(x, u) && g.HasEdge(y, v)) || (g.HasEdge(y, u) && g.HasEdge(x, v))
+	case motif.RecTri:
+		return (g.HasEdge(x, u) && g.HasEdge(x, v)) || (g.HasEdge(y, u) && g.HasEdge(y, v))
+	case motif.Pentagon:
+		return g.HasEdge(x, u) || g.HasEdge(x, v) || g.HasEdge(y, u) || g.HasEdge(y, v)
+	}
+	panic("invalid pattern")
 }
 
 // TestApplyParityMidSelection pins down that ApplyMutation discards recorded

@@ -521,17 +521,6 @@ func canonEdge(e graph.Edge) graph.Edge {
 	return e
 }
 
-// CanCreateInstances reports whether inserting the edge e — already present
-// in g — could have created any instance of pattern for target t. It is the
-// same conservative-but-sound structural test ApplyMutation uses to restrict
-// re-enumeration (see insertTouches): a false answer proves t's instance
-// set cannot contain e, so callers maintaining an invariant over a stream
-// of insertions (tpp.Guard) can skip targets — usually all of them —
-// without enumerating anything.
-func CanCreateInstances(g *graph.Graph, pattern Pattern, t, e graph.Edge) bool {
-	return insertTouches(pattern, t, e, func(x, y graph.NodeID) bool { return g.HasEdge(x, y) })
-}
-
 // insertTouches reports whether inserting the edge e could create an
 // instance of pattern for target t, judged in the union graph via hasUnion.
 // The test is conservative (it may flag a target that gains nothing) but

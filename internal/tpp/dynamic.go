@@ -136,7 +136,6 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 	}
 	rep.Elapsed = time.Since(start)
 	pr.deltasApplied.Add(1)
-	pr.deltaTime.Add(int64(rep.Elapsed))
 	if stages := telemetry.FromContext(ctx); stages != nil {
 		if rep.Incremental {
 			// Attribute the measured index-maintenance cost; validation and
@@ -151,10 +150,3 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 
 // DeltasApplied reports how many deltas the session has committed.
 func (pr *Protector) DeltasApplied() int { return int(pr.deltasApplied.Load()) }
-
-// DeltaApplyTime reports the total wall-clock time the session has spent
-// applying deltas — the incremental-maintenance cost to compare against
-// IndexBuildTime, the full-enumeration cost it avoids.
-func (pr *Protector) DeltaApplyTime() time.Duration {
-	return time.Duration(pr.deltaTime.Load())
-}

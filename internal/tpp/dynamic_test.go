@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
@@ -355,5 +356,96 @@ func TestSessionApplyTargetChurnCold(t *testing.T) {
 		if res.Protectors[i] != want.Protectors[i] {
 			t.Fatalf("protector %d = %v, fresh selected %v", i, res.Protectors[i], want.Protectors[i])
 		}
+	}
+}
+
+// TestPropertySessionKeepsReleaseProtected drives the loop that keeps a
+// published release protected as it grows (examples/trustsystem): the
+// session's phase-1 graph is the release, each critical-budget run's
+// protectors are removed from it with a delta, and every admitted
+// insertion or node arrival is applied and followed by a re-protection.
+// After each step the long-lived session's protectors must equal, in
+// order, those of a fresh session on the same graph and targets; the
+// release must then have similarity zero, and a target link must not be
+// insertable.
+func TestPropertySessionKeepsReleaseProtected(t *testing.T) {
+	ctx := context.Background()
+	for _, pattern := range motif.AllPatterns {
+		t.Run(pattern.String(), func(t *testing.T) {
+			t.Parallel()
+			interventions := 0
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				g := gen.BarabasiAlbertTriad(40, 3, 0.5, rng)
+				targets := datasets.SampleTargets(g, 3, rng)
+				session, err := New(g, targets, WithPattern(pattern))
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := session.Problem()
+				protect := func(step int) {
+					fresh, err := New(p.original(), p.Targets, WithPattern(pattern))
+					if err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+					want, err := fresh.Run(ctx)
+					if err != nil {
+						t.Fatalf("seed %d step %d: fresh: %v", seed, step, err)
+					}
+					res, err := session.Run(ctx)
+					if err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+					if !slices.Equal(res.Protectors, want.Protectors) {
+						t.Fatalf("seed %d step %d: session protectors %v, fresh session %v",
+							seed, step, res.Protectors, want.Protectors)
+					}
+					if len(res.Protectors) > 0 {
+						interventions++
+						if _, err := session.Apply(ctx, dynamic.Delta{Remove: res.Protectors}); err != nil {
+							t.Fatalf("seed %d step %d: removing protectors: %v", seed, step, err)
+						}
+					}
+					if s := p.InitialSimilarity(); s != 0 {
+						t.Fatalf("seed %d step %d: release similarity %d after re-protection", seed, step, s)
+					}
+					tgt := p.Targets[rng.Intn(len(p.Targets))]
+					if _, err := session.Apply(ctx, dynamic.Delta{Insert: []graph.Edge{tgt}}); !errors.Is(err, dynamic.ErrInvalid) {
+						t.Fatalf("seed %d step %d: inserting target %v: err = %v, want dynamic.ErrInvalid", seed, step, tgt, err)
+					}
+				}
+				protect(-1)
+				for step := 0; step < 40; step++ {
+					n := p.G.NumNodes()
+					u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+					switch {
+					case step%10 == 0: // a member joins and makes a friend
+						if _, err := session.Apply(ctx, dynamic.Delta{AddNodes: 1}); err != nil {
+							t.Fatal(err)
+						}
+						v = graph.NodeID(n)
+					case step%3 == 0: // triadic closure next to a target
+						tgt := p.Targets[rng.Intn(len(p.Targets))]
+						if nbrs := p.G.Neighbors(tgt.U); len(nbrs) > 0 {
+							u, v = nbrs[rng.Intn(len(nbrs))], tgt.V
+						}
+					}
+					if u == v {
+						continue
+					}
+					e := graph.NewEdge(u, v)
+					if p.TargetIndex(e) >= 0 || p.G.HasEdgeE(e) {
+						continue
+					}
+					if _, err := session.Apply(ctx, dynamic.Delta{Insert: []graph.Edge{e}}); err != nil {
+						t.Fatalf("seed %d step %d: inserting %v: %v", seed, step, e, err)
+					}
+					protect(step)
+				}
+			}
+			if interventions <= 6 {
+				t.Fatalf("only %d runs deleted protectors (6 are initial protections): no insertion re-exposed a target", interventions)
+			}
+		})
 	}
 }

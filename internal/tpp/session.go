@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -67,17 +66,15 @@ type Protector struct {
 	problem *Problem
 	base    settings
 
-	runSlot        chan struct{}     // capacity 1: serialises runs and deltas, ctx-aware
-	ix             *motif.Index      // built on problem.G by the first Run, then reused
-	targets        dynamic.TargetSet // problem.Targets as a set, built by the first Apply
-	warm           warmState         // warm-start snapshot; serialised on runSlot like ix
-	indexBuilds    atomic.Int64      // number of motif.NewIndex calls (observability)
-	indexBuildTime atomic.Int64      // total nanoseconds spent enumerating indexes
-	deltasApplied  atomic.Int64      // number of Apply calls that committed a delta
-	deltaTime      atomic.Int64      // total nanoseconds spent applying deltas
-	warmRuns       atomic.Int64      // SGB selections served by warm-start replay
-	coldRuns       atomic.Int64      // SGB selections run cold (incl. fallbacks)
-	warmFallbacks  atomic.Int64      // warm attempts abandoned (threshold/divergence)
+	runSlot       chan struct{}     // capacity 1: serialises runs and deltas, ctx-aware
+	ix            *motif.Index      // built on problem.G by the first Run, then reused
+	targets       dynamic.TargetSet // problem.Targets as a set, built by the first Apply
+	warm          warmState         // warm-start snapshot; serialised on runSlot like ix
+	indexBuilds   atomic.Int64      // number of motif.NewIndex calls (observability)
+	deltasApplied atomic.Int64      // number of Apply calls that committed a delta
+	warmRuns      atomic.Int64      // SGB selections served by warm-start replay
+	coldRuns      atomic.Int64      // SGB selections run cold (incl. fallbacks)
+	warmFallbacks atomic.Int64      // warm attempts abandoned (threshold/divergence)
 }
 
 // settings is the resolved option set for a session or a single run.
@@ -241,13 +238,6 @@ func (pr *Protector) Problem() *Problem { return pr.problem }
 // 1 after any number of runs is the reuse working as intended.
 func (pr *Protector) IndexBuilds() int { return int(pr.indexBuilds.Load()) }
 
-// IndexBuildTime reports the total wall-clock time this session has spent
-// enumerating motif indexes — the dominant cost of a protection request,
-// paid once per session and amortised across runs.
-func (pr *Protector) IndexBuildTime() time.Duration {
-	return time.Duration(pr.indexBuildTime.Load())
-}
-
 // Run executes one protection request: phase-2 protector selection under
 // the session's options merged with the per-run overrides. It honours ctx
 // throughout — an already-cancelled context returns ctx.Err() before any
@@ -289,7 +279,6 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		}
 		pr.ix = ix
 		pr.indexBuilds.Add(1)
-		pr.indexBuildTime.Add(int64(ix.BuildStats().Elapsed))
 		ix.BuildStats().Record(env.stages)
 	} else {
 		pr.ix.Reset()

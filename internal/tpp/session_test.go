@@ -372,49 +372,6 @@ func TestParseMethodAndDivision(t *testing.T) {
 	}
 }
 
-// TestGuardAddEdgeCtxPartialRepair pins AddEdgeCtx's cancellation
-// contract: the new edge is admitted before the repair loop runs, so a
-// dead context must report admitted=true with the (possibly empty) partial
-// deletions, not pretend the insertion never happened.
-func TestGuardAddEdgeCtxPartialRepair(t *testing.T) {
-	// Triangle a(0)-b(1)-c(2) with target 0-1: initial protection deletes
-	// one of the two wedge edges; re-adding it re-exposes the target.
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 1)
-	p, err := NewProblem(g, motif.Triangle, []graph.Edge{graph.NewEdge(0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd, err := NewGuardCtx(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed := graph.NewEdge(0, 2)
-	if gd.Graph().HasEdgeE(removed) {
-		removed = graph.NewEdge(1, 2)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	admitted, deleted, err := gd.AddEdgeCtx(ctx, removed.U, removed.V)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !admitted {
-		t.Fatal("admitted = false although the edge was inserted")
-	}
-	if !gd.Graph().HasEdgeE(removed) {
-		t.Fatal("edge reported admitted but absent from the graph")
-	}
-	if len(deleted) != 0 {
-		t.Fatalf("no repair step ran, yet deletions %v reported", deleted)
-	}
-	if gd.Similarity() == 0 {
-		t.Fatal("test instance too weak: cancellation left nothing to repair")
-	}
-}
-
 // TestFreeFunctionCtxVariants checks every context-aware entry point aborts
 // with ctx.Err() on a dead context. Protector.Run refuses an already
 // cancelled context before selecting, so the greedy loops are reached by
@@ -463,16 +420,6 @@ func TestFreeFunctionCtxVariants(t *testing.T) {
 				t.Fatalf("recount/%v %s: err = %v after %d steps, want context.Canceled after 1", opt.Scope, m, err, steps)
 			}
 		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, opt := range []Options{{Engine: EngineIndexed}, {Engine: EngineRecount}} {
-		if _, _, err := CriticalBudgetCtx(ctx, p, opt); !errors.Is(err, context.Canceled) {
-			t.Fatalf("CriticalBudgetCtx %v: %v", opt.Engine, err)
-		}
-	}
-	if _, err := NewGuardCtx(ctx, p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NewGuardCtx: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package tpp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -71,19 +70,7 @@ func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 // budget. The greedy stops exactly when every remaining gain is zero,
 // which for this objective coincides with total similarity zero.
 func CriticalBudget(p *Problem, opt Options) (int, *Result, error) {
-	return criticalBudget(p, opt, runEnv{})
-}
-
-// CriticalBudgetCtx is CriticalBudget with cooperative cancellation: the
-// selection loop checks ctx between steps (and periodically inside
-// candidate scans) and aborts with ctx.Err() when it is cancelled or past
-// its deadline.
-func CriticalBudgetCtx(ctx context.Context, p *Problem, opt Options) (int, *Result, error) {
-	return criticalBudget(p, opt, runEnv{ctx: ctx})
-}
-
-func criticalBudget(p *Problem, opt Options, env runEnv) (int, *Result, error) {
-	res, err := sgbGreedy(p, int(^uint(0)>>1), opt, env)
+	res, err := sgbGreedy(p, maxBudget, opt, runEnv{})
 	if err != nil {
 		return 0, nil, err
 	}

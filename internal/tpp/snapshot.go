@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/motif"
@@ -219,14 +218,12 @@ func Restore(st *SessionState) (*Protector, error) {
 		// Rebuild eagerly along Run's exact build path, then hold it against
 		// the recorded invariants: a snapshot whose graph or targets drifted
 		// from the index it described must not serve.
-		start := time.Now()
 		ix, err := motif.NewIndexWorkers(problem.G, problem.Pattern, problem.Targets, normalizeWorkers(s.workers))
 		if err != nil {
 			return nil, err
 		}
 		pr.ix = ix
 		pr.indexBuilds.Add(1)
-		pr.indexBuildTime.Add(int64(time.Since(start)))
 		if got := invariantsOf(ix); *got != *st.Index {
 			return nil, fmt.Errorf("%w: rebuilt (universe=%d instances=%d similarity=%d gaincrc=%08x), recorded (universe=%d instances=%d similarity=%d gaincrc=%08x)",
 				ErrStateMismatch,
