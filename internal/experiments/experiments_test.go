@@ -105,28 +105,40 @@ func TestFig3SGBDominatesBaselines(t *testing.T) {
 
 func TestFig5TimingShape(t *testing.T) {
 	cfg, _ := quickCfg(t)
-	frs, err := cfg.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fr := range frs {
-		byName := map[string]Series{}
-		for _, s := range fr.Series {
-			byName[s.Method] = s
+	// The curves are wall-clock times of runs lasting well under a
+	// millisecond, so one preemption of the restricted run can outlast the
+	// whole naive run. Each method's cost is the fastest of a few
+	// measurements, as in benchmarking.
+	const measurements = 3
+	fastest := map[string]map[string]float64{} // pattern → method → seconds at k max
+	for m := 0; m < measurements; m++ {
+		frs, err := cfg.Fig5()
+		if err != nil {
+			t.Fatal(err)
 		}
-		last := len(byName["SGB-Greedy"].Value) - 1
-		naive := byName["SGB-Greedy"].Value[last]
-		restricted := byName["SGB-Greedy-R"].Value[last]
-		if naive < restricted {
-			t.Fatalf("%v: naive SGB (%vs) faster than restricted (%vs)?", fr.Pattern, naive, restricted)
-		}
-		// Cumulative time is non-decreasing in k.
-		for _, s := range fr.Series {
-			for i := 1; i < len(s.Value); i++ {
-				if s.Value[i] < s.Value[i-1] {
-					t.Fatalf("%v %s: time decreased along k", fr.Pattern, s.Method)
+		for _, fr := range frs {
+			pattern := fr.Pattern.String()
+			if fastest[pattern] == nil {
+				fastest[pattern] = map[string]float64{}
+			}
+			for _, s := range fr.Series {
+				// Cumulative time is non-decreasing in k.
+				for i := 1; i < len(s.Value); i++ {
+					if s.Value[i] < s.Value[i-1] {
+						t.Fatalf("%v %s: time decreased along k", fr.Pattern, s.Method)
+					}
+				}
+				v := s.Value[len(s.Value)-1]
+				if prev, ok := fastest[pattern][s.Method]; !ok || v < prev {
+					fastest[pattern][s.Method] = v
 				}
 			}
+		}
+	}
+	for pattern, byMethod := range fastest {
+		naive, restricted := byMethod["SGB-Greedy"], byMethod["SGB-Greedy-R"]
+		if naive < restricted {
+			t.Fatalf("%v: naive SGB (%vs) faster than restricted (%vs)?", pattern, naive, restricted)
 		}
 	}
 }

@@ -359,8 +359,8 @@ func TestSessionApplyTargetChurnCold(t *testing.T) {
 	}
 }
 
-// TestPropertySessionKeepsReleaseProtected drives the loop that keeps a
-// published release protected as it grows (examples/trustsystem): the
+// TestPropertyGuardInvariant drives the loop that guards a published
+// release as it grows (examples/trustsystem): the
 // session's phase-1 graph is the release, each critical-budget run's
 // protectors are removed from it with a delta, and every admitted
 // insertion or node arrival is applied and followed by a re-protection.
@@ -368,7 +368,7 @@ func TestSessionApplyTargetChurnCold(t *testing.T) {
 // order, those of a fresh session on the same graph and targets; the
 // release must then have similarity zero, and a target link must not be
 // insertable.
-func TestPropertySessionKeepsReleaseProtected(t *testing.T) {
+func TestPropertyGuardInvariant(t *testing.T) {
 	ctx := context.Background()
 	for _, pattern := range motif.AllPatterns {
 		t.Run(pattern.String(), func(t *testing.T) {
@@ -447,5 +447,130 @@ func TestPropertySessionKeepsReleaseProtected(t *testing.T) {
 				t.Fatalf("only %d runs deleted protectors (6 are initial protections): no insertion re-exposed a target", interventions)
 			}
 		})
+	}
+}
+
+// newTestGuard builds a session whose phase-1 graph is a published release
+// and protects it, returning the session and the initial deletions.
+func newTestGuard(t *testing.T, seed int64, pattern motif.Pattern) (*Protector, []graph.Edge) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := gen.BarabasiAlbertTriad(60, 3, 0.5, rng)
+	targets := datasets.SampleTargets(g, 4, rng)
+	session, err := New(g, targets, WithPattern(pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return session, protectRelease(t, session)
+}
+
+// protectRelease runs the session at the critical budget and removes the
+// protectors it selected from the release, returning them.
+func protectRelease(t *testing.T, session *Protector) []graph.Edge {
+	t.Helper()
+	ctx := context.Background()
+	res, err := session.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Protectors) > 0 {
+		if _, err := session.Apply(ctx, dynamic.Delta{Remove: res.Protectors}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res.Protectors
+}
+
+// insertAndProtect applies one new link to the release and re-protects,
+// returning the protectors the re-protection deleted.
+func insertAndProtect(t *testing.T, session *Protector, u, v graph.NodeID) []graph.Edge {
+	t.Helper()
+	e := graph.NewEdge(u, v)
+	if _, err := session.Apply(context.Background(), dynamic.Delta{Insert: []graph.Edge{e}}); err != nil {
+		t.Fatalf("inserting %v: %v", e, err)
+	}
+	return protectRelease(t, session)
+}
+
+func TestGuardStartsFullyProtected(t *testing.T) {
+	session, deleted := newTestGuard(t, 1, motif.Triangle)
+	if s := session.Problem().InitialSimilarity(); s != 0 {
+		t.Fatalf("initial similarity = %d, want 0", s)
+	}
+	if len(deleted) == 0 {
+		t.Fatal("initial protection deleted nothing on a clustered graph")
+	}
+	for _, e := range deleted {
+		if session.Problem().G.HasEdgeE(e) {
+			t.Fatalf("protector %v still in the release", e)
+		}
+	}
+}
+
+func TestGuardRejectsTargets(t *testing.T) {
+	session, _ := newTestGuard(t, 2, motif.Triangle)
+	p := session.Problem()
+	tgt := p.Targets[0]
+	edges := p.G.NumEdges()
+	_, err := session.Apply(context.Background(), dynamic.Delta{Insert: []graph.Edge{tgt}})
+	if !errors.Is(err, dynamic.ErrInvalid) {
+		t.Fatalf("inserting target %v: err = %v, want dynamic.ErrInvalid", tgt, err)
+	}
+	if p.G.HasEdgeE(tgt) {
+		t.Fatal("target present after rejection")
+	}
+	if p.G.NumEdges() != edges {
+		t.Fatalf("rejected delta changed the release: %d edges, want %d", p.G.NumEdges(), edges)
+	}
+}
+
+func TestGuardRestoresProtectionAfterDangerousInsertion(t *testing.T) {
+	session, _ := newTestGuard(t, 3, motif.Triangle)
+	p := session.Problem()
+	tgt := p.Targets[0]
+	// Find a node x such that adding x-U and x-V would complete a triangle
+	// for the target; insert both and require a re-protection to intervene.
+	var x graph.NodeID = -1
+	for v := 0; v < p.G.NumNodes(); v++ {
+		nv := graph.NodeID(v)
+		if nv != tgt.U && nv != tgt.V && !p.G.HasEdge(nv, tgt.U) && !p.G.HasEdge(nv, tgt.V) {
+			x = nv
+			break
+		}
+	}
+	if x < 0 {
+		t.Skip("no suitable node found")
+	}
+	insertAndProtect(t, session, x, tgt.U)
+	if !p.G.HasEdge(x, tgt.U) {
+		// The re-protection may remove the first link itself; put it back
+		// so the second one completes a triangle.
+		insertAndProtect(t, session, x, tgt.U)
+	}
+	deleted := insertAndProtect(t, session, x, tgt.V)
+	if len(deleted) == 0 {
+		t.Fatal("no intervention against a completing insertion")
+	}
+	if s := p.InitialSimilarity(); s != 0 {
+		t.Fatalf("similarity after intervention = %d, want 0", s)
+	}
+}
+
+func TestGuardAddNode(t *testing.T) {
+	session, _ := newTestGuard(t, 6, motif.Triangle)
+	p := session.Problem()
+	n := p.G.NumNodes()
+	rep, err := session.Apply(context.Background(), dynamic.Delta{AddNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := graph.NodeID(rep.Nodes - 1)
+	if int(id) != n || p.G.NumNodes() != n+1 {
+		t.Fatalf("added node id=%d nodes=%d", id, p.G.NumNodes())
+	}
+	// Wiring the new node in is guarded like any other insertion.
+	insertAndProtect(t, session, id, 0)
+	if p.InitialSimilarity() != 0 {
+		t.Fatal("invariant broken after wiring a new node")
 	}
 }
