@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -189,21 +190,22 @@ func TestArgmaxGainStepSubLinear(t *testing.T) {
 	}
 }
 
-// BenchmarkEdgeIDGreedyEndToEnd measures a whole SGB selection (index build
-// plus selection) through the public tpp entry point.
+// BenchmarkEdgeIDGreedyEndToEnd measures a whole SGB selection (session
+// construction, index build plus selection) through the public tpp entry
+// point: every iteration opens a fresh session, so it builds its index.
 func BenchmarkEdgeIDGreedyEndToEnd(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	g := datasets.DBLPSim(1500, 12).Graph
 	targets := datasets.SampleTargets(g, 16, rng)
-	p, err := tpp.NewProblem(g, motif.Rectangle, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}
+	ctx := context.Background()
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := tpp.SGBGreedy(p, 25, opt); err != nil {
+			pr, err := tpp.New(g, targets, tpp.WithPattern(motif.Rectangle))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pr.Run(ctx, tpp.WithBudget(25)); err != nil {
 				b.Fatal(err)
 			}
 		}

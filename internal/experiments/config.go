@@ -5,11 +5,12 @@
 // paper reports and optionally dumps CSV for plotting.
 //
 // The paper's two datasets are replaced by seeded synthetic stand-ins
-// (see repro/internal/datasets); EXPERIMENTS.md records paper-versus-
-// measured values for every artefact.
+// (see repro/internal/datasets). The quick-scale quality artefacts are
+// pinned in testdata/golden/tables.txt (TestGoldenTables).
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -118,60 +119,57 @@ type FigureResult struct {
 	Series  []Series
 }
 
-// methodSpec describes one curve of Figs. 3–6. run must perform protector
-// selection with total budget k and return the result.
+// methodSpec describes one curve of Figs. 3–4 or one column of Tables
+// III–V: a greedy method (with its budget division, for CT/WT) selected
+// through the sampled problem's session, or an RD/RDT baseline.
 type methodSpec struct {
-	name string
-	// perK is true when the method must be re-run for every budget value
-	// (CT/WT: the budget division depends on k). Methods with perK=false
-	// produce their whole curve from one run's trace.
-	perK bool
-	run  func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error)
+	name     string
+	method   tpp.Method
+	division tpp.Division
 }
 
-// qualityMethods are the seven curves of Figs. 3–4. All greedy methods use
-// the indexed engine: selections are provably identical to the recount
-// engine (see tpp tests) and the figures measure similarity, not time.
+// perK reports whether the method must be re-run for every budget value
+// (CT/WT: the budget division depends on k). The others produce their
+// whole curve from one run's trace.
+func (m methodSpec) perK() bool { return m.method == tpp.MethodCT || m.method == tpp.MethodWT }
+
+// run selects protectors with total budget k. A greedy method runs through
+// the session at WithBudget(k); a budget of 0 asks a session for k*, which
+// every caller's k of 0 equals (nothing to protect). RD and RDT run as free functions on the session's problem with the
+// experiment's own rng, whose stream a session's seed would change.
+func (m methodSpec) run(pr *tpp.Protector, k int, rng *rand.Rand) (*tpp.Result, error) {
+	switch m.method {
+	case tpp.MethodRD:
+		return tpp.RandomDeletion(pr.Problem(), k, rng)
+	case tpp.MethodRDT:
+		return tpp.RandomDeletionFromTargets(pr.Problem(), k, rng)
+	}
+	return pr.Run(context.Background(), tpp.WithMethod(m.method), tpp.WithDivision(m.division), tpp.WithBudget(k))
+}
+
+// qualityMethods are the seven curves of Figs. 3–4. The greedy methods
+// select through the session's motif index: its selections are the recount
+// engine's, bit for bit (see tpp tests), and the figures measure
+// similarity, not time.
 func qualityMethods() []methodSpec {
 	return []methodSpec{
-		{name: "SGB-Greedy(-R)", perK: false, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			return tpp.SGBGreedy(p, k, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "CT-Greedy(-R):TBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "WT-Greedy(-R):TBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "CT-Greedy(-R):DBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "WT-Greedy(-R):DBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "RD", perK: false, run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletion(p, k, rng)
-		}},
-		{name: "RDT", perK: false, run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletionFromTargets(p, k, rng)
-		}},
+		{"SGB-Greedy(-R)", tpp.MethodSGB, ""},
+		{"CT-Greedy(-R):TBD", tpp.MethodCT, tpp.DivisionTBD},
+		{"WT-Greedy(-R):TBD", tpp.MethodWT, tpp.DivisionTBD},
+		{"CT-Greedy(-R):DBD", tpp.MethodCT, tpp.DivisionDBD},
+		{"WT-Greedy(-R):DBD", tpp.MethodWT, tpp.DivisionDBD},
+		{"RD", tpp.MethodRD, ""},
+		{"RDT", tpp.MethodRDT, ""},
 	}
+}
+
+// criticalBudget is the session's k*: its budget-0 SGB run.
+func criticalBudget(pr *tpp.Protector) (int, *tpp.Result, error) {
+	res, err := pr.Run(context.Background(), tpp.WithMethod(tpp.MethodSGB), tpp.WithBudget(0))
+	if err != nil {
+		return 0, nil, err
+	}
+	return len(res.Protectors), res, nil
 }
 
 // kGrid returns n budget samples spanning [1, kMax], always including kMax.

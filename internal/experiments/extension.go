@@ -50,11 +50,11 @@ func (c Config) Ext1StructuralComparison() ([]Ext1Result, error) {
 	for _, pattern := range motif.Patterns {
 		rng := c.rng(hashID("ext1", pattern))
 		targets := datasets.SampleTargets(g, c.ArenasTargets, rng)
-		problem, err := tpp.NewProblem(g, pattern, targets)
+		pr, err := tpp.New(g, targets, tpp.WithPattern(pattern))
 		if err != nil {
 			return nil, err
 		}
-		kstar, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineIndexed})
+		kstar, res, err := criticalBudget(pr)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,7 @@ func (c Config) Ext1StructuralComparison() ([]Ext1Result, error) {
 		er := Ext1Result{Pattern: pattern}
 
 		// TPP row.
-		released := problem.ProtectedGraph(res.Protectors)
+		released := pr.Release(res)
 		relVals := metrics.Compute(released, metrics.LargeGraphMetrics, c.rng(hashID("ext1m", pattern)))
 		_, loss := metrics.AverageUtilityLoss(origVals, relVals)
 		residual, _ := motif.CountAll(released, pattern, targets)
@@ -151,11 +151,11 @@ func (c Config) Ext4DPComparison(eps float64) ([]Ext1Row, error) {
 	g := c.arenasGraph()
 	rng := c.rng(hashID("ext4", 0))
 	targets := datasets.SampleTargets(g, c.ArenasTargets, rng)
-	problem, err := tpp.NewProblem(g, motif.Triangle, targets)
+	pr, err := tpp.New(g, targets, tpp.WithPattern(motif.Triangle))
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineIndexed})
+	_, res, err := criticalBudget(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ func (c Config) Ext4DPComparison(eps float64) ([]Ext1Row, error) {
 
 	var rows []Ext1Row
 	// TPP row.
-	released := problem.ProtectedGraph(res.Protectors)
+	released := pr.Release(res)
 	relVals := metrics.Compute(released, metrics.LargeGraphMetrics, c.rng(hashID("ext4m", 0)))
 	_, loss := metrics.AverageUtilityLoss(origVals, relVals)
 	rows = append(rows, Ext1Row{

@@ -48,51 +48,43 @@ func (c Config) qualityFigure(id string, g *graph.Graph, numTargets int) ([]Figu
 func (c Config) qualityPanel(id string, g *graph.Graph, pattern motif.Pattern, numTargets int) (FigureResult, error) {
 	specs := qualityMethods()
 
-	// Pass 1: per repetition, sample targets and find k* via SGB so every
+	// Pass 1: per repetition, sample targets, open the session every greedy
+	// run on that problem selects through, and find k* via SGB so every
 	// method is evaluated on the same grid (paper: k from 1 to the budget
 	// achieving s(P,T)=0).
-	type repetition struct {
-		problem *tpp.Problem
-		kstar   int
-	}
-	reps := make([]repetition, 0, c.Repetitions)
+	reps := make([]*tpp.Protector, 0, c.Repetitions)
 	kMax := 1
 	for r := 0; r < c.Repetitions; r++ {
 		rng := c.rng(int64(r) + hashID(id, pattern))
 		targets := datasets.SampleTargets(g, numTargets, rng)
-		p, err := tpp.NewProblem(g, pattern, targets)
+		pr, err := tpp.New(g, targets, tpp.WithPattern(pattern))
 		if err != nil {
 			return FigureResult{}, err
 		}
-		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineIndexed})
+		kstar, _, err := criticalBudget(pr)
 		if err != nil {
 			return FigureResult{}, err
 		}
-		if kstar < 1 {
-			kstar = 1
-		}
-		if kstar > kMax {
-			kMax = kstar
-		}
-		reps = append(reps, repetition{problem: p, kstar: kstar})
+		kMax = max(kMax, kstar)
+		reps = append(reps, pr)
 	}
 	grid := kGrid(kMax, c.QualityPoints)
 
 	fr := FigureResult{ID: id, Pattern: pattern}
 	for mi, spec := range specs {
 		sums := make([]float64, len(grid))
-		for r, rep := range reps {
+		for r, pr := range reps {
 			rng := c.rng(int64(1000*r+mi) + hashID(id, pattern))
-			if spec.perK {
+			if spec.perK() {
 				for gi, k := range grid {
-					res, err := spec.run(rep.problem, k, rng)
+					res, err := spec.run(pr, k, rng)
 					if err != nil {
 						return FigureResult{}, err
 					}
 					sums[gi] += float64(res.FinalSimilarity())
 				}
 			} else {
-				res, err := spec.run(rep.problem, kMax, rng)
+				res, err := spec.run(pr, kMax, rng)
 				if err != nil {
 					return FigureResult{}, err
 				}

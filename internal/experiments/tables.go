@@ -36,46 +36,13 @@ type TableResult struct {
 }
 
 // tableMethods are the five method columns of Tables III–V.
-func tableMethods() []struct {
-	name string
-	run  func(p *tpp.Problem, full int) (*tpp.Result, error)
-} {
-	opt := tpp.Options{Engine: tpp.EngineIndexed}
-	return []struct {
-		name string
-		run  func(p *tpp.Problem, full int) (*tpp.Result, error)
-	}{
-		{"SGB-Greedy(-R)", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			return tpp.SGBGreedy(p, full, opt)
-		}},
-		{"CT-Greedy(-R):DBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, opt)
-		}},
-		{"CT-Greedy(-R):TBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, opt)
-		}},
-		{"WT-Greedy(-R):DBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, opt)
-		}},
-		{"WT-Greedy(-R):TBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, opt)
-		}},
+func tableMethods() []methodSpec {
+	return []methodSpec{
+		{"SGB-Greedy(-R)", tpp.MethodSGB, ""},
+		{"CT-Greedy(-R):DBD", tpp.MethodCT, tpp.DivisionDBD},
+		{"CT-Greedy(-R):TBD", tpp.MethodCT, tpp.DivisionTBD},
+		{"WT-Greedy(-R):DBD", tpp.MethodWT, tpp.DivisionDBD},
+		{"WT-Greedy(-R):TBD", tpp.MethodWT, tpp.DivisionTBD},
 	}
 }
 
@@ -113,20 +80,20 @@ func (c Config) utilityTable(id string, g *graph.Graph, dataset string, numTarge
 	for _, pattern := range motif.Patterns {
 		rng := c.rng(hashID(id, pattern))
 		targets := datasets.SampleTargets(g, numTargets, rng)
-		p, err := tpp.NewProblem(g, pattern, targets)
+		pr, err := tpp.New(g, targets, tpp.WithPattern(pattern))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %v: %w", id, pattern, err)
 		}
-		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineIndexed})
+		kstar, _, err := criticalBudget(pr)
 		if err != nil {
 			return nil, err
 		}
 		// A budget of Σ|W_t| guarantees every method can reach full
 		// protection (one deletion per instance always suffices).
-		full := p.InitialSimilarity()
+		full := pr.Problem().InitialSimilarity()
 		row := TableRow{Pattern: pattern, Loss: make(map[string]float64), KStar: kstar}
 		for _, m := range tableMethods() {
-			res, err := m.run(p, full)
+			res, err := m.run(pr, full, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %v %s: %w", id, pattern, m.name, err)
 			}
@@ -134,7 +101,7 @@ func (c Config) utilityTable(id string, g *graph.Graph, dataset string, numTarge
 				return nil, fmt.Errorf("experiments: %s %v %s: expected full protection, similarity %d remains",
 					id, pattern, m.name, res.FinalSimilarity())
 			}
-			released := p.ProtectedGraph(res.Protectors)
+			released := pr.Release(res)
 			relVals := metrics.Compute(released, kinds, c.rng(hashID(id, 0)))
 			_, mean := metrics.AverageUtilityLoss(origVals, relVals)
 			row.Loss[m.name] = mean

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -16,72 +17,81 @@ import (
 // "running time with budget k" (greedy selection is incremental). For
 // CT/WT the budget division is computed at the maximum budget — the
 // division affects which protectors are charged where, not the per-step
-// scan cost that the figure measures (see EXPERIMENTS.md).
+// scan cost that the figure measures (see README, "Paper artefacts").
 
-// timingSpec is one running-time curve.
+// timingSpec is one running-time curve: run selects with budget k on the
+// panel's problem p, sampled from graph g.
 type timingSpec struct {
 	name string
-	run  func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error)
+	run  func(g *graph.Graph, p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error)
 }
 
-func ctwtTimed(opt tpp.Options, wt bool) func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-	return func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
+// recountTimed times a recount free function in the given scope: SGB, or
+// CT/WT under the TBD division.
+func recountTimed(m tpp.Method, scope tpp.Scope) func(*graph.Graph, *tpp.Problem, int, *rand.Rand) (*tpp.Result, error) {
+	return func(_ *graph.Graph, p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
+		if m == tpp.MethodSGB {
+			return tpp.SGBGreedy(p, k, scope)
+		}
 		budgets, err := tpp.TBDForProblem(p, k)
 		if err != nil {
 			return nil, err
 		}
-		if wt {
-			return tpp.WTGreedy(p, budgets, opt)
+		if m == tpp.MethodWT {
+			return tpp.WTGreedy(p, budgets, scope)
 		}
-		return tpp.CTGreedy(p, budgets, opt)
+		return tpp.CTGreedy(p, budgets, scope)
 	}
 }
 
-func sgbTimed(opt tpp.Options) func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-	return func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-		return tpp.SGBGreedy(p, k, opt)
+// sessionTimed times a greedy method (CT/WT under the TBD division) on a
+// fresh session, so every curve is a cold selection: the session builds its
+// motif index before the selection clock starts.
+func sessionTimed(m tpp.Method) func(*graph.Graph, *tpp.Problem, int, *rand.Rand) (*tpp.Result, error) {
+	return func(g *graph.Graph, p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
+		pr, err := tpp.New(g, p.Targets, tpp.WithPattern(p.Pattern))
+		if err != nil {
+			return nil, err
+		}
+		return pr.Run(context.Background(), tpp.WithMethod(m), tpp.WithDivision(tpp.DivisionTBD), tpp.WithBudget(k))
 	}
+}
+
+// randomTimed are the RD and RDT curves, free functions on the problem.
+var randomTimed = []timingSpec{
+	{name: "RD", run: func(_ *graph.Graph, p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
+		return tpp.RandomDeletion(p, k, rng)
+	}},
+	{name: "RDT", run: func(_ *graph.Graph, p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
+		return tpp.RandomDeletionFromTargets(p, k, rng)
+	}},
 }
 
 // timingMethodsFig5 lists the eight curves of paper Fig. 5: every plain
-// greedy (recount engine, all-edges scan) against its Lemma 5 restricted
-// variant (recount engine, target-subgraph candidates), plus RD and RDT.
+// greedy (recount, all-edges scan) against its Lemma 5 restricted variant
+// (recount, target-subgraph candidates), plus RD and RDT.
 func timingMethodsFig5() []timingSpec {
-	naive := tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeAllEdges}
-	restr := tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeTargetSubgraphs}
-	return []timingSpec{
-		{name: "SGB-Greedy-R", run: sgbTimed(restr)},
-		{name: "SGB-Greedy", run: sgbTimed(naive)},
-		{name: "CT-Greedy-R", run: ctwtTimed(restr, false)},
-		{name: "CT-Greedy", run: ctwtTimed(naive, false)},
-		{name: "WT-Greedy-R", run: ctwtTimed(restr, true)},
-		{name: "WT-Greedy", run: ctwtTimed(naive, true)},
-		{name: "RD", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletion(p, k, rng)
-		}},
-		{name: "RDT", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletionFromTargets(p, k, rng)
-		}},
-	}
+	naive, restr := tpp.ScopeAllEdges, tpp.ScopeTargetSubgraphs
+	return append([]timingSpec{
+		{name: "SGB-Greedy-R", run: recountTimed(tpp.MethodSGB, restr)},
+		{name: "SGB-Greedy", run: recountTimed(tpp.MethodSGB, naive)},
+		{name: "CT-Greedy-R", run: recountTimed(tpp.MethodCT, restr)},
+		{name: "CT-Greedy", run: recountTimed(tpp.MethodCT, naive)},
+		{name: "WT-Greedy-R", run: recountTimed(tpp.MethodWT, restr)},
+		{name: "WT-Greedy", run: recountTimed(tpp.MethodWT, naive)},
+	}, randomTimed...)
 }
 
 // timingMethodsFig6 lists the five curves of paper Fig. 6 (DBLP): only the
 // scalable variants run at this scale, exactly as in the paper. Our
-// scalable implementation is the inverted-index engine (strictly stronger
+// scalable implementation is a session's motif index (strictly stronger
 // than the paper's restricted recount, which Fig. 5 times).
 func timingMethodsFig6() []timingSpec {
-	fast := tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}
-	return []timingSpec{
-		{name: "SGB-Greedy-R", run: sgbTimed(fast)},
-		{name: "CT-Greedy-R", run: ctwtTimed(fast, false)},
-		{name: "WT-Greedy-R", run: ctwtTimed(fast, true)},
-		{name: "RD", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletion(p, k, rng)
-		}},
-		{name: "RDT", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletionFromTargets(p, k, rng)
-		}},
-	}
+	return append([]timingSpec{
+		{name: "SGB-Greedy-R", run: sessionTimed(tpp.MethodSGB)},
+		{name: "CT-Greedy-R", run: sessionTimed(tpp.MethodCT)},
+		{name: "WT-Greedy-R", run: sessionTimed(tpp.MethodWT)},
+	}, randomTimed...)
 }
 
 // Fig5 reproduces paper Fig. 5: running time versus budget k on the
@@ -108,7 +118,7 @@ func (c Config) timingFigure(id string, g *graph.Graph, numTargets int, specs []
 		grid := kGrid(c.TimeBudget, 6)
 		fr := FigureResult{ID: id, Pattern: pattern}
 		for _, spec := range specs {
-			res, err := spec.run(p, c.TimeBudget, rng)
+			res, err := spec.run(g, p, c.TimeBudget, rng)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %v %s: %w", id, pattern, spec.name, err)
 			}

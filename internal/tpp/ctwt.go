@@ -53,21 +53,19 @@ func budgetSum(budgets []int) int {
 // (target, protector) pair where the target still has budget, and commit
 // the pair with the largest Δ_p^t, charging that target's sub budget.
 // This is greedy submodular maximisation over a partition matroid and
-// achieves a 1/2-approximation (Theorem 4).
-func CTGreedy(p *Problem, budgets []int, opt Options) (*Result, error) {
-	return ctGreedy(p, budgets, opt, runEnv{})
+// achieves a 1/2-approximation (Theorem 4). Like SGBGreedy it recounts
+// over the given scope.
+func CTGreedy(p *Problem, budgets []int, scope Scope) (*Result, error) {
+	return ctGreedy(p, budgets, scope, runEnv{})
 }
 
-func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, error) {
+func ctGreedy(p *Problem, budgets []int, scope Scope, env runEnv) (*Result, error) {
 	if err := validateBudgets(p, budgets); err != nil {
 		return nil, err
 	}
-	ev, err := env.evaluator(p, opt)
-	if err != nil {
-		return nil, err
-	}
+	ev := env.evaluator(p, scope)
 	start := time.Now()
-	res := newResult(opt.VariantName("CT-Greedy"), ev.totalSimilarity(), env.steps(budgetSum(budgets), ev.interner().NumEdges()))
+	res := newResult(scope.VariantName("CT-Greedy"), ev.totalSimilarity(), env.steps(budgetSum(budgets), ev.interner().NumEdges()))
 	used := make([]int, len(budgets))
 	var cands []graph.EdgeID
 	gvBuf := make([]int, len(p.Targets))
@@ -127,21 +125,19 @@ func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 // protector picking (paper Algorithm 3): satisfy targets one at a time in
 // order, spending each target's sub budget on the protectors with the
 // largest Δ_p^t for that target. Achieves a 1 − e^{−(1−1/e)} ≈ 0.46
-// approximation (Theorem 5).
-func WTGreedy(p *Problem, budgets []int, opt Options) (*Result, error) {
-	return wtGreedy(p, budgets, opt, runEnv{})
+// approximation (Theorem 5). Like SGBGreedy it recounts over the given
+// scope.
+func WTGreedy(p *Problem, budgets []int, scope Scope) (*Result, error) {
+	return wtGreedy(p, budgets, scope, runEnv{})
 }
 
-func wtGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, error) {
+func wtGreedy(p *Problem, budgets []int, scope Scope, env runEnv) (*Result, error) {
 	if err := validateBudgets(p, budgets); err != nil {
 		return nil, err
 	}
-	ev, err := env.evaluator(p, opt)
-	if err != nil {
-		return nil, err
-	}
+	ev := env.evaluator(p, scope)
 	start := time.Now()
-	res := newResult(opt.VariantName("WT-Greedy"), ev.totalSimilarity(), env.steps(budgetSum(budgets), ev.interner().NumEdges()))
+	res := newResult(scope.VariantName("WT-Greedy"), ev.totalSimilarity(), env.steps(budgetSum(budgets), ev.interner().NumEdges()))
 	finish := func() (*Result, error) {
 		res.PerTargetFinal = append([]int(nil), ev.similarities()...)
 		res.Elapsed = time.Since(start)

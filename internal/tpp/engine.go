@@ -7,18 +7,22 @@ import (
 	"repro/internal/motif"
 )
 
-// Engine selects how marginal gains Δ_p are evaluated.
+// Engine names how marginal gains Δ_p are evaluated. The choice is not a
+// knob: the free functions (SGBGreedy, CTGreedy, WTGreedy, CriticalBudget)
+// always recount, and a Protector session always selects through its motif
+// index. The type remains for the session's wire spelling (ParseEngine,
+// WithEngine) and the snapshot's engine byte.
 type Engine int
 
 const (
 	// EngineRecount re-enumerates target subgraphs from the graph for every
 	// candidate at every step — the paper's plain algorithms, whose running
-	// time Figs. 5–6 measure.
+	// time Fig. 5 measures. The free functions run it.
 	EngineRecount Engine = iota
 	// EngineIndexed uses the inverted edge→instance index (motif.Index),
 	// which keeps every exact gain in an indexed max-heap, so each greedy
-	// step's argmax is one heap read. Selections are identical to
-	// EngineRecount; only the cost differs.
+	// step's argmax is one heap read. A session runs it; selections are
+	// identical to EngineRecount, only the cost differs.
 	EngineIndexed
 )
 
@@ -56,17 +60,10 @@ func (s Scope) String() string {
 	return fmt.Sprintf("Scope(%d)", int(s))
 }
 
-// Options configures a greedy run. The zero value is the paper's plain
-// algorithm (recount engine, all-edges scope).
-type Options struct {
-	Engine Engine
-	Scope  Scope
-}
-
 // VariantName renders the conventional paper name for an algorithm base
-// name under these options, e.g. "SGB-Greedy-R".
-func (o Options) VariantName(base string) string {
-	if o.Scope == ScopeTargetSubgraphs {
+// name in this scope, e.g. "SGB-Greedy-R".
+func (s Scope) VariantName(base string) string {
+	if s == ScopeTargetSubgraphs {
 		return base + "-R"
 	}
 	return base
@@ -107,23 +104,6 @@ type evaluator interface {
 // the scan's tie-break, so selections are bit-identical either way.
 type argmaxEvaluator interface {
 	argmax() (best graph.EdgeID, bestGain int, ok bool)
-}
-
-// newEvaluator builds the gain oracle for a problem under the options.
-// The returned evaluator owns its working graph/index; workers bounds the
-// index enumeration parallelism (<= 0 selects GOMAXPROCS).
-func newEvaluator(p *Problem, opt Options, workers int) (evaluator, error) {
-	switch opt.Engine {
-	case EngineRecount:
-		return newRecountEvaluator(p, opt.Scope), nil
-	case EngineIndexed:
-		ix, err := motif.NewIndexWorkers(p.G, p.Pattern, p.Targets, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &indexedEvaluator{ix: ix}, nil
-	}
-	return nil, fmt.Errorf("tpp: unknown engine %v", opt.Engine)
 }
 
 // ---------------------------------------------------------------------------

@@ -23,18 +23,11 @@ func TestEngineAndScopeStrings(t *testing.T) {
 }
 
 func TestVariantName(t *testing.T) {
-	if got := (Options{}).VariantName("SGB-Greedy"); got != "SGB-Greedy" {
+	if got := ScopeAllEdges.VariantName("SGB-Greedy"); got != "SGB-Greedy" {
 		t.Fatalf("plain variant = %q", got)
 	}
-	if got := (Options{Scope: ScopeTargetSubgraphs}).VariantName("CT-Greedy"); got != "CT-Greedy-R" {
+	if got := ScopeTargetSubgraphs.VariantName("CT-Greedy"); got != "CT-Greedy-R" {
 		t.Fatalf("restricted variant = %q", got)
-	}
-}
-
-func TestNewEvaluatorUnknownEngine(t *testing.T) {
-	p, _ := fig2Problem(t)
-	if _, err := newEvaluator(p, Options{Engine: Engine(99)}, 0); err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 
@@ -83,10 +76,11 @@ func TestRecountCandidatesShrinkAfterDeletion(t *testing.T) {
 
 func TestIndexedEvaluatorDeletedEdgeGains(t *testing.T) {
 	p, _ := fig2Problem(t)
-	ev, err := newEvaluator(p, Options{Engine: EngineIndexed}, 0)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := &indexedEvaluator{ix}
 	cands := ev.candidates(nil)
 	first := cands[0]
 	ev.delete(first)
@@ -106,10 +100,11 @@ func TestIndexedEvaluatorDeletedEdgeGains(t *testing.T) {
 func TestEvaluatorCandidateEdgesAgree(t *testing.T) {
 	p, _ := fig2Problem(t)
 	rec := newRecountEvaluator(p, ScopeTargetSubgraphs)
-	idx, err := newEvaluator(p, Options{Engine: EngineIndexed}, 0)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := &indexedEvaluator{ix}
 	toEdges := func(ev evaluator) []graph.Edge {
 		ids := ev.candidates(nil)
 		out := make([]graph.Edge, len(ids))
@@ -135,12 +130,14 @@ func TestPatternAgnosticProblem(t *testing.T) {
 	p, _ := fig2Problem(t)
 	for _, pattern := range motif.AllPatterns {
 		q := &Problem{G: p.G, Pattern: pattern, Targets: p.Targets}
-		_, res, err := CriticalBudget(q, Options{Engine: EngineIndexed})
-		if err != nil {
-			t.Fatalf("%v: %v", pattern, err)
-		}
-		if !res.FullProtection() {
-			t.Fatalf("%v: not fully protected", pattern)
+		for _, eng := range allEngines() {
+			_, res, err := eng.critical(q)
+			if err != nil {
+				t.Fatalf("%v %v: %v", pattern, eng, err)
+			}
+			if !res.FullProtection() {
+				t.Fatalf("%v %v: not fully protected", pattern, eng)
+			}
 		}
 	}
 }

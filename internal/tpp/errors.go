@@ -22,6 +22,6 @@ var (
 	// ErrUnknownEngine reports an engine a session cannot run: any spelling
 	// but indexed at a protocol boundary (ParseEngine), the retired names
 	// lazy and recount included, and any engine but EngineIndexed passed to
-	// WithEngine. Recount runs through the free functions (Options).
+	// WithEngine. Recount runs only through the free functions.
 	ErrUnknownEngine = errors.New("tpp: unknown engine")
 )

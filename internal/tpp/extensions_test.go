@@ -38,11 +38,11 @@ func TestPropertyMLBTApproximationBounds(t *testing.T) {
 			return true
 		}
 		checked++
-		ct, err := CTGreedy(p, budgets, Options{Engine: EngineIndexed})
+		ct, err := indexedEngine.ct(p, budgets)
 		if err != nil {
 			return false
 		}
-		wt, err := WTGreedy(p, budgets, Options{Engine: EngineIndexed})
+		wt, err := indexedEngine.wt(p, budgets)
 		if err != nil {
 			return false
 		}
@@ -82,7 +82,7 @@ func TestOptimalMLBTOnFig2(t *testing.T) {
 	if opt != 5 {
 		t.Fatalf("MLBT optimum = %d, want 5", opt)
 	}
-	ct, err := CTGreedy(p, budgets, Options{Engine: EngineIndexed})
+	ct, err := indexedEngine.ct(p, budgets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestNodeProtectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := CriticalBudget(p, Options{Engine: EngineIndexed})
+	_, res, err := indexedEngine.critical(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,12 +120,12 @@ func (sp goldenSpec) options(pattern motif.Pattern) []Option {
 		WithBudget(sp.budget), WithSeed(goldenSeed)}
 }
 
-// freeRun answers sp through the free functions under opt: the paper's
-// algorithms with no session, no index reuse and no warm start.
-func (sp goldenSpec) freeRun(p *Problem, opt Options) (*Result, error) {
+// freeRun answers sp through the recount free functions in scope: the
+// paper's algorithms with no session, no index and no warm start.
+func (sp goldenSpec) freeRun(p *Problem, scope Scope) (*Result, error) {
 	k := sp.budget
 	if k == 0 {
-		kStar, res, err := CriticalBudget(p, opt)
+		kStar, res, err := CriticalBudget(p, scope)
 		if err != nil || sp.method == MethodSGB {
 			return res, err
 		}
@@ -133,7 +133,7 @@ func (sp goldenSpec) freeRun(p *Problem, opt Options) (*Result, error) {
 	}
 	switch sp.method {
 	case MethodSGB:
-		return SGBGreedy(p, k, opt)
+		return SGBGreedy(p, k, scope)
 	case MethodRD:
 		return RandomDeletion(p, k, rand.New(rand.NewSource(goldenSeed)))
 	}
@@ -148,9 +148,9 @@ func (sp goldenSpec) freeRun(p *Problem, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if sp.method == MethodCT {
-		return CTGreedy(p, budgets, opt)
+		return CTGreedy(p, budgets, scope)
 	}
-	return WTGreedy(p, budgets, opt)
+	return WTGreedy(p, budgets, scope)
 }
 
 // goldenChurn is a session that takes a protect after each of its
@@ -231,8 +231,8 @@ func computeGolden(t *testing.T) []goldenCase {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				for _, scope := range []Scope{ScopeAllEdges, ScopeTargetSubgraphs} {
-					free, err := sp.freeRun(p, Options{Engine: EngineRecount, Scope: scope})
+				for _, scope := range recountScopes {
+					free, err := sp.freeRun(p, scope)
 					if err != nil {
 						t.Fatalf("%s recount/%v: %v", name, scope, err)
 					}

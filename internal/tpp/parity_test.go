@@ -11,13 +11,10 @@ import (
 	"repro/internal/motif"
 )
 
-// recountOptions are the paper's reference configurations: the recount
-// engine over both candidate scopes. A session selects through the motif
-// index only, so these free-function runs are its parity oracle.
-var recountOptions = []Options{
-	{Engine: EngineRecount, Scope: ScopeAllEdges},
-	{Engine: EngineRecount, Scope: ScopeTargetSubgraphs},
-}
+// recountScopes are the free functions' two candidate scopes. The free
+// functions recount and a session selects through the motif index only, so
+// these free-function runs are its parity oracle.
+var recountScopes = []Scope{ScopeAllEdges, ScopeTargetSubgraphs}
 
 // TestPropertyEngineWorkerParity is the EdgeID refactor's safety net: on
 // random graphs with random target sets, a session at every worker count
@@ -37,10 +34,10 @@ func TestPropertyEngineWorkerParity(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var wants []*Result
-		for _, opt := range recountOptions {
-			want, err := SGBGreedy(p, 6, opt)
+		for _, scope := range recountScopes {
+			want, err := SGBGreedy(p, 6, scope)
 			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, opt.Scope, err)
+				t.Fatalf("seed %d %v: %v", seed, scope, err)
 			}
 			wants = append(wants, want)
 		}
@@ -57,11 +54,11 @@ func TestPropertyEngineWorkerParity(t *testing.T) {
 			for i, want := range wants {
 				if !reflect.DeepEqual(res.Protectors, want.Protectors) {
 					t.Fatalf("seed %d workers %d: protectors %v, recount/%v free function %v",
-						seed, workers, res.Protectors, recountOptions[i].Scope, want.Protectors)
+						seed, workers, res.Protectors, recountScopes[i], want.Protectors)
 				}
 				if !reflect.DeepEqual(res.SimilarityTrace, want.SimilarityTrace) {
 					t.Fatalf("seed %d workers %d: trace %v, recount/%v free function %v",
-						seed, workers, res.SimilarityTrace, recountOptions[i].Scope, want.SimilarityTrace)
+						seed, workers, res.SimilarityTrace, recountScopes[i], want.SimilarityTrace)
 				}
 			}
 		}
@@ -99,19 +96,19 @@ func TestPropertyCTWTEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, method, err)
 			}
-			for _, opt := range recountOptions {
+			for _, scope := range recountScopes {
 				var want *Result
 				if method == MethodCT {
-					want, err = CTGreedy(p, budgets, opt)
+					want, err = CTGreedy(p, budgets, scope)
 				} else {
-					want, err = WTGreedy(p, budgets, opt)
+					want, err = WTGreedy(p, budgets, scope)
 				}
 				if err != nil {
-					t.Fatalf("seed %d %s recount/%v: %v", seed, method, opt.Scope, err)
+					t.Fatalf("seed %d %s recount/%v: %v", seed, method, scope, err)
 				}
 				if !reflect.DeepEqual(res.Protectors, want.Protectors) {
 					t.Fatalf("seed %d %s: protectors %v, recount/%v free function %v",
-						seed, method, res.Protectors, opt.Scope, want.Protectors)
+						seed, method, res.Protectors, scope, want.Protectors)
 				}
 			}
 		}

@@ -22,9 +22,11 @@
 // Underneath, the package provides the paper's three greedy
 // protector-selection algorithms (SGB-Greedy, CT-Greedy, WT-Greedy), their
 // scalable -R variants (Lemma 5 candidate restriction), the TBD and DBD
-// budget division strategies and the RD/RDT baselines. These remain
-// exported for the paper's experiments; cmd/tpp, cmd/tppd and the examples
-// all dispatch through the session.
+// budget division strategies and the RD/RDT baselines. The greedy free
+// functions recount target subgraphs for every gain, in the Scope given:
+// the paper's cost model, which Fig. 5 times and the session is checked
+// against. cmd/tpp, cmd/tppd, the examples and the experiments select
+// through the session.
 package tpp
 
 import (

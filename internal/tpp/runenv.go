@@ -17,15 +17,13 @@ type ProgressFunc func(step int, protector graph.Edge, similarity int)
 
 // runEnv carries the session-level plumbing into the greedy selection
 // loops: the cancellation context, the session's motif index to select
-// through instead of enumerating afresh, an optional progress callback,
-// and the worker count for index enumeration.
-// The zero value (no context, no index, no progress, auto workers) is the
-// free functions': they build the evaluator their Options name.
+// through, an optional progress callback and the stage recorder.
+// The zero value (no context, no index, no progress) is the free
+// functions': they recount over the scope they are given.
 type runEnv struct {
 	ctx      context.Context
 	ix       *motif.Index
 	progress ProgressFunc
-	workers  int // index enumeration workers; <= 0: auto (GOMAXPROCS)
 	// stages receives per-stage timing spans (enumeration, scoring, warm
 	// replay, cold selection). nil — the common free-function case — records
 	// nothing; telemetry.Stages is nil-safe by contract.
@@ -71,20 +69,21 @@ func (e *runEnv) onStep(res *Result) {
 }
 
 // evaluator returns the gain oracle for the run: the session's index when
-// one is installed, otherwise a fresh one from newEvaluator under opt.
-func (e *runEnv) evaluator(p *Problem, opt Options) (evaluator, error) {
+// one is installed, else a recount evaluator over scope.
+func (e *runEnv) evaluator(p *Problem, scope Scope) evaluator {
 	if e.ix != nil {
-		return &indexedEvaluator{ix: e.ix}, nil
+		return &indexedEvaluator{ix: e.ix}
 	}
-	return newEvaluator(p, opt, e.workers)
+	return newRecountEvaluator(p, scope)
 }
 
-// index returns the prebuilt index or builds one for the problem.
+// index returns the session's index, or builds one for the problem: the
+// RD/RDT free functions' similarity trace.
 func (e *runEnv) index(p *Problem) (*motif.Index, error) {
 	if e.ix != nil {
 		return e.ix, nil
 	}
-	return motif.NewIndexWorkers(p.G, p.Pattern, p.Targets, e.workers)
+	return motif.NewIndex(p.G, p.Pattern, p.Targets)
 }
 
 // checkEvery is how many candidate evaluations a scan performs between

@@ -92,10 +92,11 @@ type settings struct {
 	engineErr error
 }
 
-// sessionOptions is the one engine and scope every session selects with:
-// the motif index, over the paper's Lemma 5 candidate scope. The recount
-// engine and the all-edges scope are the free functions' (Options).
-var sessionOptions = Options{Engine: EngineIndexed, Scope: ScopeTargetSubgraphs}
+// sessionScope is the candidate scope every session selects in: its motif
+// index holds exactly the paper's Lemma 5 universe, so session results carry
+// the -R names. The all-edges scope and the recount engine are the free
+// functions'.
+const sessionScope = ScopeTargetSubgraphs
 
 func defaultSettings() settings {
 	return settings{
@@ -162,10 +163,10 @@ func WithBudget(k int) Option { return func(s *settings) { s.budget = k } }
 
 // WithEngine names the gain-evaluation engine. A session has one,
 // EngineIndexed, so this option only accepts it: New and Run reject any
-// other engine with ErrUnknownEngine. The paper's recount engine runs
-// through the free functions (SGBGreedy, CTGreedy, WTGreedy, CriticalBudget)
-// with Options{Engine: EngineRecount}. The option goes once the benchmark
-// (perfbench) stops calling it.
+// other engine with ErrUnknownEngine. The paper's recount engine is the
+// free functions' (SGBGreedy, CTGreedy, WTGreedy, CriticalBudget), which
+// take only a Scope. The option goes once the benchmark (perfbench) stops
+// calling it.
 func WithEngine(e Engine) Option {
 	return func(s *settings) {
 		s.engineErr = nil
@@ -178,7 +179,7 @@ func WithEngine(e Engine) Option {
 // errSessionEngine is the error for an engine a session cannot run.
 func errSessionEngine(e Engine) error {
 	return fmt.Errorf("%w: %q (a session selects only through the motif index; "+
-		"run %s through the free functions with tpp.Options{Engine: tpp.EngineRecount})", ErrUnknownEngine, e, e)
+		"%s runs only through the free functions)", ErrUnknownEngine, e, e)
 }
 
 // WithWorkers sets the number of workers that enumerate target subgraphs
@@ -271,9 +272,9 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		return nil, ctx.Err()
 	}
 
-	env := runEnv{ctx: ctx, progress: s.progress, workers: normalizeWorkers(s.workers), stages: telemetry.FromContext(ctx)}
+	env := runEnv{ctx: ctx, progress: s.progress, stages: telemetry.FromContext(ctx)}
 	if pr.ix == nil {
-		ix, err := motif.NewIndexWorkers(pr.problem.G, pr.problem.Pattern, pr.problem.Targets, env.workers)
+		ix, err := motif.NewIndexWorkers(pr.problem.G, pr.problem.Pattern, pr.problem.Targets, normalizeWorkers(s.workers))
 		if err != nil {
 			return nil, err
 		}
@@ -320,9 +321,9 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		}
 		var res *Result
 		if s.method == MethodCT {
-			res, err = ctGreedy(pr.problem, budgets, sessionOptions, env)
+			res, err = ctGreedy(pr.problem, budgets, sessionScope, env)
 		} else {
-			res, err = wtGreedy(pr.problem, budgets, sessionOptions, env)
+			res, err = wtGreedy(pr.problem, budgets, sessionScope, env)
 		}
 		return recordSelection(res, err, env.stages)
 	case MethodRD:

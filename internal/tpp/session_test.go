@@ -26,7 +26,7 @@ func sessionTestInstance(t *testing.T) (*graph.Graph, []graph.Edge) {
 
 // legacyDispatch runs the method through the free functions, with fresh
 // state per call, as the golden reference for the session's default
-// behaviour.
+// behaviour: the greedy methods recount in the session's Lemma 5 scope.
 func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	method Method, division Division, budget int, seed int64) *Result {
 	t.Helper()
@@ -34,9 +34,8 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := Options{Engine: EngineIndexed, Scope: ScopeTargetSubgraphs}
 	if budget <= 0 {
-		kstar, res, err := CriticalBudget(problem, fast)
+		kstar, res, err := CriticalBudget(problem, sessionScope)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +47,7 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	var res *Result
 	switch method {
 	case MethodSGB:
-		res, err = SGBGreedy(problem, budget, fast)
+		res, err = SGBGreedy(problem, budget, sessionScope)
 	case MethodCT, MethodWT:
 		var budgets []int
 		if division == DivisionTBD {
@@ -60,9 +59,9 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 			t.Fatal(err)
 		}
 		if method == MethodCT {
-			res, err = CTGreedy(problem, budgets, Options{Engine: EngineIndexed})
+			res, err = CTGreedy(problem, budgets, sessionScope)
 		} else {
-			res, err = WTGreedy(problem, budgets, Options{Engine: EngineIndexed})
+			res, err = WTGreedy(problem, budgets, sessionScope)
 		}
 	case MethodRD:
 		res, err = RandomDeletion(problem, budget, rand.New(rand.NewSource(seed)))
@@ -402,22 +401,22 @@ func TestFreeFunctionCtxVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []Options{{Engine: EngineRecount, Scope: ScopeAllEdges}, {Engine: EngineRecount, Scope: ScopeTargetSubgraphs}} {
+	for _, scope := range recountScopes {
 		for _, m := range []Method{MethodSGB, MethodCT, MethodWT} {
 			ctx, cancel := context.WithCancel(context.Background())
 			steps := 0
 			env := runEnv{ctx: ctx, progress: func(int, graph.Edge, int) { steps++; cancel() }}
 			switch m {
 			case MethodSGB:
-				_, err = sgbGreedy(p, 4, opt, env)
+				_, err = sgbGreedy(p, 4, scope, env)
 			case MethodCT:
-				_, err = ctGreedy(p, budgets, opt, env)
+				_, err = ctGreedy(p, budgets, scope, env)
 			case MethodWT:
-				_, err = wtGreedy(p, budgets, opt, env)
+				_, err = wtGreedy(p, budgets, scope, env)
 			}
 			cancel()
 			if !errors.Is(err, context.Canceled) || steps != 1 {
-				t.Fatalf("recount/%v %s: err = %v after %d steps, want context.Canceled after 1", opt.Scope, m, err, steps)
+				t.Fatalf("recount/%v %s: err = %v after %d steps, want context.Canceled after 1", scope, m, err, steps)
 			}
 		}
 	}

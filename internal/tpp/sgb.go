@@ -12,20 +12,20 @@ import (
 // dissimilarity gain until the budget k is spent or no deletion helps.
 // Because f(P, T) is monotone and submodular (Lemmas 1–2), the output is a
 // (1 − 1/e)-approximation of the optimal protector set (Theorem 3).
-func SGBGreedy(p *Problem, k int, opt Options) (*Result, error) {
-	return sgbGreedy(p, k, opt, runEnv{})
+// It recounts target subgraphs for every gain, over the candidate scope
+// given: the paper's cost model, which a session's motif index answers
+// bit-identically.
+func SGBGreedy(p *Problem, k int, scope Scope) (*Result, error) {
+	return sgbGreedy(p, k, scope, runEnv{})
 }
 
-func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
+func sgbGreedy(p *Problem, k int, scope Scope, env runEnv) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
 	}
-	ev, err := env.evaluator(p, opt)
-	if err != nil {
-		return nil, err
-	}
+	ev := env.evaluator(p, scope)
 	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy"), ev.totalSimilarity(), env.steps(k, ev.interner().NumEdges()))
+	res := newResult(scope.VariantName("SGB-Greedy"), ev.totalSimilarity(), env.steps(k, ev.interner().NumEdges()))
 	am, hasHeap := ev.(argmaxEvaluator)
 	var cands []graph.EdgeID
 	for len(res.Protectors) < k {
@@ -68,9 +68,10 @@ func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 // CriticalBudget computes k* — the smallest budget achieving full
 // protection (s(P, T) = 0) — by running SGB-Greedy with an unbounded
 // budget. The greedy stops exactly when every remaining gain is zero,
-// which for this objective coincides with total similarity zero.
-func CriticalBudget(p *Problem, opt Options) (int, *Result, error) {
-	res, err := sgbGreedy(p, maxBudget, opt, runEnv{})
+// which for this objective coincides with total similarity zero. Like
+// SGBGreedy it recounts; a session's budget-0 Run is the indexed k*.
+func CriticalBudget(p *Problem, scope Scope) (int, *Result, error) {
+	res, err := sgbGreedy(p, maxBudget, scope, runEnv{})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -76,21 +76,21 @@ func TestFig2InitialSimilarity(t *testing.T) {
 
 func TestFig2WorkedExampleSGB(t *testing.T) {
 	p, edges := fig2Problem(t)
-	for _, opt := range allOptions() {
-		res, err := SGBGreedy(p, 2, opt)
+	for _, eng := range allEngines() {
+		res, err := eng.sgb(p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Paper Fig. 2(b)-(c): P={p2} gives Δf=3, then P={p2,p3} gives Δf=5.
 		if res.Dissimilarity() != 5 {
-			t.Fatalf("%v: SGB Δf = %d, want 5", opt, res.Dissimilarity())
+			t.Fatalf("%v: SGB Δf = %d, want 5", eng, res.Dissimilarity())
 		}
 		want := []graph.Edge{edges["p2"], edges["p3"]}
 		if !reflect.DeepEqual(res.Protectors, want) {
-			t.Fatalf("%v: SGB picked %v, want %v", opt, res.Protectors, want)
+			t.Fatalf("%v: SGB picked %v, want %v", eng, res.Protectors, want)
 		}
 		if !reflect.DeepEqual(res.SimilarityTrace, []int{7, 4, 2}) {
-			t.Fatalf("%v: trace = %v, want [7 4 2]", opt, res.SimilarityTrace)
+			t.Fatalf("%v: trace = %v, want [7 4 2]", eng, res.SimilarityTrace)
 		}
 	}
 }
@@ -98,17 +98,17 @@ func TestFig2WorkedExampleSGB(t *testing.T) {
 func TestFig2WorkedExampleCT(t *testing.T) {
 	p, edges := fig2Problem(t)
 	budgets := fig2Budgets(p, edges)
-	for _, opt := range allOptions() {
-		res, err := CTGreedy(p, budgets, opt)
+	for _, eng := range allEngines() {
+		res, err := eng.ct(p, budgets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Paper Fig. 2(d)-(e): Δf = 3 then 4.
 		if res.Dissimilarity() != 4 {
-			t.Fatalf("%v: CT Δf = %d, want 4", opt, res.Dissimilarity())
+			t.Fatalf("%v: CT Δf = %d, want 4", eng, res.Dissimilarity())
 		}
 		if res.Protectors[0] != edges["p2"] {
-			t.Fatalf("%v: CT first pick %v, want p2", opt, res.Protectors[0])
+			t.Fatalf("%v: CT first pick %v, want p2", eng, res.Protectors[0])
 		}
 	}
 }
@@ -116,20 +116,20 @@ func TestFig2WorkedExampleCT(t *testing.T) {
 func TestFig2WorkedExampleWT(t *testing.T) {
 	p, edges := fig2Problem(t)
 	budgets := fig2Budgets(p, edges)
-	for _, opt := range allOptions() {
-		res, err := WTGreedy(p, budgets, opt)
+	for _, eng := range allEngines() {
+		res, err := eng.wt(p, budgets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Paper Fig. 2(f)-(g): Δf = 2 then 3.
 		if res.Dissimilarity() != 3 {
-			t.Fatalf("%v: WT Δf = %d, want 3", opt, res.Dissimilarity())
+			t.Fatalf("%v: WT Δf = %d, want 3", eng, res.Dissimilarity())
 		}
 		if res.Protectors[0] != edges["p1"] {
-			t.Fatalf("%v: WT first pick %v, want p1", opt, res.Protectors[0])
+			t.Fatalf("%v: WT first pick %v, want p1", eng, res.Protectors[0])
 		}
 		if len(res.Protectors) != 2 {
-			t.Fatalf("%v: WT picked %d protectors, want 2", opt, len(res.Protectors))
+			t.Fatalf("%v: WT picked %d protectors, want 2", eng, len(res.Protectors))
 		}
 	}
 }
@@ -138,22 +138,89 @@ func TestFig2WorkedExampleWT(t *testing.T) {
 func TestFig2MethodOrdering(t *testing.T) {
 	p, edges := fig2Problem(t)
 	budgets := fig2Budgets(p, edges)
-	opt := Options{Engine: EngineIndexed}
-	sgb, _ := SGBGreedy(p, 2, opt)
-	ct, _ := CTGreedy(p, budgets, opt)
-	wt, _ := WTGreedy(p, budgets, opt)
+	sgb, _ := indexedEngine.sgb(p, 2)
+	ct, _ := indexedEngine.ct(p, budgets)
+	wt, _ := indexedEngine.wt(p, budgets)
 	if !(sgb.Dissimilarity() >= ct.Dissimilarity() && ct.Dissimilarity() >= wt.Dissimilarity()) {
 		t.Fatalf("ordering violated: SGB=%d CT=%d WT=%d",
 			sgb.Dissimilarity(), ct.Dissimilarity(), wt.Dissimilarity())
 	}
 }
 
-func allOptions() []Options {
-	return []Options{
-		{Engine: EngineRecount, Scope: ScopeAllEdges},
-		{Engine: EngineRecount, Scope: ScopeTargetSubgraphs},
-		{Engine: EngineIndexed},
+// engineCase is one way the greedy algorithms run: the recount free
+// functions in one of their two scopes, or the motif index a session
+// selects through (a fresh motif.NewIndex in the session's scope, as
+// Protector.Run builds it). Every case selects identically.
+type engineCase struct {
+	name    string
+	scope   Scope // the free functions' scope; unused when indexed
+	indexed bool
+}
+
+func (c engineCase) String() string { return c.name }
+
+// indexedEngine is the session's case.
+var indexedEngine = engineCase{name: "indexed", indexed: true}
+
+// allEngines are the two recount scopes plus the session's index.
+func allEngines() []engineCase {
+	return []engineCase{
+		{name: "recount/" + ScopeAllEdges.String(), scope: ScopeAllEdges},
+		{name: "recount/" + ScopeTargetSubgraphs.String(), scope: ScopeTargetSubgraphs},
+		indexedEngine,
 	}
+}
+
+// indexEnv is a session selection's run environment: a fresh index over
+// the problem.
+func indexEnv(p *Problem) (runEnv, error) {
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
+	return runEnv{ix: ix}, err
+}
+
+func (c engineCase) sgb(p *Problem, k int) (*Result, error) {
+	if !c.indexed {
+		return SGBGreedy(p, k, c.scope)
+	}
+	env, err := indexEnv(p)
+	if err != nil {
+		return nil, err
+	}
+	return sgbGreedy(p, k, sessionScope, env)
+}
+
+func (c engineCase) ct(p *Problem, budgets []int) (*Result, error) {
+	if !c.indexed {
+		return CTGreedy(p, budgets, c.scope)
+	}
+	env, err := indexEnv(p)
+	if err != nil {
+		return nil, err
+	}
+	return ctGreedy(p, budgets, sessionScope, env)
+}
+
+func (c engineCase) wt(p *Problem, budgets []int) (*Result, error) {
+	if !c.indexed {
+		return WTGreedy(p, budgets, c.scope)
+	}
+	env, err := indexEnv(p)
+	if err != nil {
+		return nil, err
+	}
+	return wtGreedy(p, budgets, sessionScope, env)
+}
+
+// critical is CriticalBudget on this engine.
+func (c engineCase) critical(p *Problem) (int, *Result, error) {
+	if !c.indexed {
+		return CriticalBudget(p, c.scope)
+	}
+	res, err := c.sgb(p, maxBudget)
+	if err != nil {
+		return 0, nil, err
+	}
+	return len(res.Protectors), res, nil
 }
 
 func TestNewProblemValidation(t *testing.T) {
@@ -206,14 +273,14 @@ func TestNewProblemStoresPhase1(t *testing.T) {
 
 func TestSGBNegativeBudget(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := SGBGreedy(p, -1, Options{}); err == nil {
+	if _, err := SGBGreedy(p, -1, ScopeAllEdges); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }
 
 func TestSGBZeroBudget(t *testing.T) {
 	p, _ := fig2Problem(t)
-	res, err := SGBGreedy(p, 0, Options{Engine: EngineIndexed})
+	res, err := indexedEngine.sgb(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,50 +299,53 @@ func TestSGBStopsWhenNoGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range allOptions() {
-		res, err := SGBGreedy(p, 5, opt)
+	for _, eng := range allEngines() {
+		res, err := eng.sgb(p, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Protectors) != 0 {
-			t.Fatalf("%v: picked %v for an already-safe target", opt, res.Protectors)
+			t.Fatalf("%v: picked %v for an already-safe target", eng, res.Protectors)
 		}
 	}
 }
 
 func TestCriticalBudgetFullProtection(t *testing.T) {
 	p, _ := fig2Problem(t)
-	kstar, res, err := CriticalBudget(p, Options{Engine: EngineIndexed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FullProtection() {
-		t.Fatalf("critical budget run left similarity %d", res.FinalSimilarity())
-	}
-	if kstar != len(res.Protectors) {
-		t.Fatalf("k* = %d but %d protectors", kstar, len(res.Protectors))
-	}
-	// Sanity: k* can't exceed the number of instances (deleting one edge
-	// per instance always suffices).
-	if kstar > 7 {
-		t.Fatalf("k* = %d too large", kstar)
+	for _, eng := range allEngines() {
+		kstar, res, err := eng.critical(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.FullProtection() {
+			t.Fatalf("%v: critical budget run left similarity %d", eng, res.FinalSimilarity())
+		}
+		if kstar != len(res.Protectors) {
+			t.Fatalf("%v: k* = %d but %d protectors", eng, kstar, len(res.Protectors))
+		}
+		// Sanity: k* can't exceed the number of instances (deleting one edge
+		// per instance always suffices).
+		if kstar > 7 {
+			t.Fatalf("%v: k* = %d too large", eng, kstar)
+		}
 	}
 }
 
 func TestValidateBudgets(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := CTGreedy(p, []int{1, 2}, Options{Engine: EngineIndexed}); err == nil {
+	if _, err := CTGreedy(p, []int{1, 2}, ScopeAllEdges); err == nil {
 		t.Fatal("budget length mismatch accepted")
 	}
 	bad := make([]int, len(p.Targets))
 	bad[0] = -1
-	if _, err := WTGreedy(p, bad, Options{Engine: EngineIndexed}); err == nil {
+	if _, err := WTGreedy(p, bad, ScopeAllEdges); err == nil {
 		t.Fatal("negative sub budget accepted")
 	}
 }
 
-// All four engine/scope combinations must make identical selections —
-// they implement the same mathematical greedy with identical tie-breaking.
+// Every engine case (both recount scopes and the index) must make
+// identical selections — they implement the same mathematical greedy with
+// identical tie-breaking.
 func TestPropertyEngineEquivalence(t *testing.T) {
 	for _, pattern := range motif.Patterns {
 		pattern := pattern
@@ -288,8 +358,8 @@ func TestPropertyEngineEquivalence(t *testing.T) {
 				return false
 			}
 			var base *Result
-			for _, opt := range allOptions() {
-				res, err := SGBGreedy(p, 4, opt)
+			for _, eng := range allEngines() {
+				res, err := eng.sgb(p, 4)
 				if err != nil {
 					return false
 				}
@@ -312,7 +382,7 @@ func TestPropertyEngineEquivalence(t *testing.T) {
 	}
 }
 
-// CT and WT must also agree across all engine/scope combinations.
+// CT and WT must also agree across every engine case.
 func TestPropertyEngineEquivalenceCTWT(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -327,12 +397,12 @@ func TestPropertyEngineEquivalenceCTWT(t *testing.T) {
 			return false
 		}
 		var ctBase, wtBase *Result
-		for _, opt := range allOptions() {
-			ct, err := CTGreedy(p, budgets, opt)
+		for _, eng := range allEngines() {
+			ct, err := eng.ct(p, budgets)
 			if err != nil {
 				return false
 			}
-			wt, err := WTGreedy(p, budgets, opt)
+			wt, err := eng.wt(p, budgets)
 			if err != nil {
 				return false
 			}
@@ -458,7 +528,7 @@ func TestPropertyGreedyApproximationBound(t *testing.T) {
 			return true // candidate set too large for brute force: skip
 		}
 		_ = opt
-		res, err := SGBGreedy(p, k, Options{Engine: EngineIndexed})
+		res, err := indexedEngine.sgb(p, k)
 		if err != nil {
 			return false
 		}
@@ -484,7 +554,7 @@ func TestPropertyGreedyStrictProgress(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := SGBGreedy(p, 6, Options{Engine: EngineIndexed})
+		res, err := indexedEngine.sgb(p, 6)
 		if err != nil {
 			return false
 		}
@@ -682,7 +752,7 @@ func TestMethodOrderingOnAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 10
-		sgb, err := SGBGreedy(p, k, Options{Engine: EngineIndexed})
+		sgb, err := indexedEngine.sgb(p, k)
 		if err != nil {
 			t.Fatal(err)
 		}

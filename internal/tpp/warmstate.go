@@ -252,7 +252,7 @@ func (pr *Protector) sgbSession(s *settings, env runEnv, k int) (*Result, error)
 		}
 		pr.warmFallbacks.Add(1)
 	}
-	res, err := sgbGreedy(pr.problem, k, sessionOptions, env)
+	res, err := sgbGreedy(pr.problem, k, sessionScope, env)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func (pr *Protector) sgbWarm(env runEnv, k int) (*Result, bool, error) {
 	}
 
 	start := time.Now()
-	res := newResult(sessionOptions.VariantName("SGB-Greedy"), ix.TotalSimilarity(), env.steps(k, in.NumEdges()))
+	res := newResult(sessionScope.VariantName("SGB-Greedy"), ix.TotalSimilarity(), env.steps(k, in.NumEdges()))
 
 	step, diverged := 0, false
 	for step < k && step < len(ws.ids) {
