@@ -115,11 +115,11 @@ func BenchmarkEdgeIDSelectionSteps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ix.Reset()
 		for k := 0; k < 25; k++ {
-			best, _, ok := ix.ArgmaxGain()
+			best, _, ok := ix.ArgmaxGainID()
 			if !ok {
 				break
 			}
-			ix.DeleteEdge(best)
+			ix.DeleteEdgeID(best)
 		}
 	}
 }
@@ -134,7 +134,7 @@ func BenchmarkEdgeIDArgmaxGain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := ix.ArgmaxGain(); !ok {
+		if _, _, ok := ix.ArgmaxGainID(); !ok {
 			b.Fatal("no candidates")
 		}
 	}
@@ -142,7 +142,7 @@ func BenchmarkEdgeIDArgmaxGain(b *testing.B) {
 
 // TestArgmaxGainStepSubLinear is the regression guard for the EdgeID
 // refactor: a greedy selection step must not scan or sort the candidate
-// set. It asserts (a) ArgmaxGain is allocation-free and (b) its cost grows
+// set. It asserts (a) ArgmaxGainID is allocation-free and (b) its cost grows
 // sub-linearly in the candidate count — the pre-refactor implementation
 // rebuilt and sorted the full candidate slice per step, which fails both.
 func TestArgmaxGainStepSubLinear(t *testing.T) {
@@ -162,18 +162,18 @@ func TestArgmaxGainStepSubLinear(t *testing.T) {
 	}
 	small, big := build(8), build(64)
 
-	if allocs := testing.AllocsPerRun(100, func() { small.ArgmaxGain() }); allocs != 0 {
-		t.Fatalf("ArgmaxGain allocates %v objects/call; the heap-backed argmax must be allocation-free", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { small.ArgmaxGainID() }); allocs != 0 {
+		t.Fatalf("ArgmaxGainID allocates %v objects/call; the heap-backed argmax must be allocation-free", allocs)
 	}
 
-	factor := float64(len(big.CandidateEdges())) / float64(len(small.CandidateEdges()))
+	factor := float64(len(big.AppendCandidateIDs(nil))) / float64(len(small.AppendCandidateIDs(nil)))
 	if factor < 2 {
 		t.Skipf("candidate universe grew only %.1fx; instance too weak to discriminate", factor)
 	}
 	measure := func(ix *motif.Index) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := ix.ArgmaxGain(); !ok {
+				if _, _, ok := ix.ArgmaxGainID(); !ok {
 					b.Fatal("no candidates")
 				}
 			}

@@ -86,7 +86,8 @@ func TestDeltaValidate(t *testing.T) {
 }
 
 func TestDeltaApplyToGraph(t *testing.T) {
-	g := gen.Cycle(5)
+	g := gen.Path(5)
+	g.AddEdge(0, 4) // close the cycle C_5
 	d, err := (Delta{
 		Insert: []graph.Edge{{U: 0, V: 2}},
 		Remove: []graph.Edge{{U: 3, V: 4}},

@@ -66,7 +66,7 @@ func checkIndexParity(t *testing.T, got, want *motif.Index) {
 		if gotEdges[i] != e {
 			t.Fatalf("universe edge %d: got %v, want %v", i, gotEdges[i], e)
 		}
-		if g, w := got.Gain(e), want.Gain(e); g != w {
+		if g, w := got.GainID(got.Interner().ID(e)), want.GainID(want.Interner().ID(e)); g != w {
 			t.Fatalf("gain(%v): got %d, want %d", e, g, w)
 		}
 		gv, gt := got.GainVectorIDInto(got.Interner().ID(e), gbuf)
@@ -78,15 +78,15 @@ func checkIndexParity(t *testing.T, got, want *motif.Index) {
 	// Greedy drain: the argmax sequences must match step for step.
 	steps := 0
 	for {
-		ge, gg, gok := got.ArgmaxGain()
-		we, wg, wok := want.ArgmaxGain()
-		if gok != wok || ge != we || gg != wg {
-			t.Fatalf("drain step %d: got (%v,%d,%v), want (%v,%d,%v)", steps, ge, gg, gok, we, wg, wok)
+		gid, gg, gok := got.ArgmaxGainID()
+		wid, wg, wok := want.ArgmaxGainID()
+		if gok != wok || gg != wg || (gok && got.Interner().Edge(gid) != want.Interner().Edge(wid)) {
+			t.Fatalf("drain step %d: got (id %d,%d,%v), want (id %d,%d,%v)", steps, gid, gg, gok, wid, wg, wok)
 		}
 		if !gok {
 			break
 		}
-		if gb, wb := got.DeleteEdge(ge), want.DeleteEdge(we); gb != wb {
+		if gb, wb := got.DeleteEdgeID(gid), want.DeleteEdgeID(wid); gb != wb {
 			t.Fatalf("drain step %d: broke %d instances, want %d", steps, gb, wb)
 		}
 		steps++
@@ -168,8 +168,8 @@ func TestApplyParityEdgeBatchShapes(t *testing.T) {
 			var applied [3]int // non-empty batches per shape
 			for step := 0; step < 18; step++ {
 				for i := 0; i < step%4; i++ {
-					if e, _, ok := ix.ArgmaxGain(); ok {
-						ix.DeleteEdge(e)
+					if id, _, ok := ix.ArgmaxGainID(); ok {
+						ix.DeleteEdgeID(id)
 					}
 				}
 				shape, k := step%3, 1+rng.Intn(5)
@@ -295,8 +295,8 @@ func TestApplyParityMidSelection(t *testing.T) {
 	}
 	// Burn a few greedy deletions, then apply a delta on top.
 	for i := 0; i < 3; i++ {
-		if e, _, ok := ix.ArgmaxGain(); ok {
-			ix.DeleteEdge(e)
+		if id, _, ok := ix.ArgmaxGainID(); ok {
+			ix.DeleteEdgeID(id)
 		}
 	}
 	ins, rem := churn.Next(6)
@@ -495,8 +495,8 @@ func FuzzApplyParity(f *testing.F) {
 					}
 				case 5:
 					// Mid-selection burn: the next Apply must discard these.
-					if e, _, ok := ix.ArgmaxGain(); ok {
-						ix.DeleteEdge(e)
+					if id, _, ok := ix.ArgmaxGainID(); ok {
+						ix.DeleteEdgeID(id)
 					}
 				}
 				continue

@@ -34,34 +34,6 @@ func ErdosRenyiGNM(n, m int, rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-// ErdosRenyiGNP samples G(n, p): every node pair is an edge independently
-// with probability p. Uses the geometric skipping method, O(n + m).
-func ErdosRenyiGNP(n int, p float64, rng *rand.Rand) *graph.Graph {
-	g := graph.New(n)
-	if p <= 0 {
-		return g
-	}
-	if p >= 1 {
-		return Complete(n)
-	}
-	// Iterate pairs (u,v), u<v, skipping geometrically.
-	// See Batagelj & Brandes, "Efficient generation of large random networks".
-	v, w := 1, -1
-	lp := math.Log(1 - p)
-	for v < n {
-		lr := math.Log(1 - rng.Float64())
-		w = w + 1 + int(lr/lp)
-		for w >= v && v < n {
-			w -= v
-			v++
-		}
-		if v < n {
-			g.AddEdge(graph.NodeID(w), graph.NodeID(v))
-		}
-	}
-	return g
-}
-
 // BarabasiAlbert grows a scale-free graph by preferential attachment: start
 // from a clique on m0 = m+1 nodes, then attach each new node to m distinct
 // existing nodes chosen proportionally to degree.
@@ -269,15 +241,5 @@ func Path(n int) *graph.Graph {
 	for v := 1; v < n; v++ {
 		g.AddEdge(graph.NodeID(v-1), graph.NodeID(v))
 	}
-	return g
-}
-
-// Cycle returns the cycle graph C_n (n >= 3).
-func Cycle(n int) *graph.Graph {
-	if n < 3 {
-		panic("gen: Cycle requires n >= 3")
-	}
-	g := Path(n)
-	g.AddEdge(0, graph.NodeID(n-1))
 	return g
 }

@@ -26,27 +26,6 @@ func TestErdosRenyiGNMTooManyEdgesPanics(t *testing.T) {
 	ErdosRenyiGNM(4, 10, rand.New(rand.NewSource(1)))
 }
 
-func TestErdosRenyiGNPDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n, p := 200, 0.1
-	g := ErdosRenyiGNP(n, p, rng)
-	want := p * float64(n*(n-1)/2)
-	got := float64(g.NumEdges())
-	if got < want*0.8 || got > want*1.2 {
-		t.Fatalf("G(n,p) edges = %v, want ≈ %v", got, want)
-	}
-}
-
-func TestErdosRenyiGNPExtremes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if g := ErdosRenyiGNP(10, 0, rng); g.NumEdges() != 0 {
-		t.Fatal("p=0 should yield no edges")
-	}
-	if g := ErdosRenyiGNP(10, 1, rng); g.NumEdges() != 45 {
-		t.Fatalf("p=1 should yield complete graph, got %d edges", g.NumEdges())
-	}
-}
-
 func TestBarabasiAlbert(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, m := 500, 3
@@ -173,9 +152,6 @@ func TestDeterministicFamilies(t *testing.T) {
 	}
 	if g := Path(5); g.NumEdges() != 4 || g.Degree(0) != 1 || g.Degree(2) != 2 {
 		t.Fatalf("path wrong: %v", g)
-	}
-	if g := Cycle(5); g.NumEdges() != 5 || g.Degree(0) != 2 {
-		t.Fatalf("cycle wrong: %v", g)
 	}
 }
 

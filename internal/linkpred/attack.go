@@ -22,17 +22,6 @@ func TargetScores(released *graph.Graph, kind IndexKind, targets []graph.Edge) [
 	return out
 }
 
-// AllZero reports whether every score is exactly zero — the paper's "full
-// protection defends all triangle-based predictions" condition.
-func AllZero(scores []float64) bool {
-	for _, s := range scores {
-		if s != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // SampleNonEdges draws count node pairs uniformly from the non-edges of g,
 // excluding the given pairs (the hidden targets, which are non-edges of the
 // released graph but must not be drawn as negatives).

@@ -73,24 +73,3 @@ func TopPredictions(g *graph.Graph, kind IndexKind, limit int) []Prediction {
 	}
 	return preds
 }
-
-// PrecisionAtK returns the fraction of the adversary's top-k predictions
-// that are true hidden links — the standard link-prediction precision
-// metric, here measuring re-identification risk of a release.
-func PrecisionAtK(g *graph.Graph, kind IndexKind, hidden []graph.Edge, k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	isHidden := make(map[graph.Edge]bool, len(hidden))
-	for _, e := range hidden {
-		isHidden[e] = true
-	}
-	top := TopPredictions(g, kind, k)
-	hits := 0
-	for _, p := range top {
-		if isHidden[p.Pair] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}

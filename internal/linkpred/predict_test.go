@@ -9,6 +9,28 @@ import (
 	"repro/internal/graph"
 )
 
+// PrecisionAtK returns the fraction of the adversary's top-k predictions
+// that are true hidden links — the standard link-prediction precision
+// metric, here measuring re-identification risk of a release. Only tests
+// measure it (protect_test.go, through the export-for-test idiom).
+func PrecisionAtK(g *graph.Graph, kind IndexKind, hidden []graph.Edge, k int) float64 {
+	if k <= 0 {
+		return 0
+	}
+	isHidden := make(map[graph.Edge]bool, len(hidden))
+	for _, e := range hidden {
+		isHidden[e] = true
+	}
+	top := TopPredictions(g, kind, k)
+	hits := 0
+	for _, p := range top {
+		if isHidden[p.Pair] {
+			hits++
+		}
+	}
+	return float64(hits) / float64(k)
+}
+
 func TestCandidatePairs(t *testing.T) {
 	// Path 0-1-2: the only 2-hop non-adjacent pair is (0,2).
 	g := gen.Path(3)

@@ -12,6 +12,13 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) < tol }
 
+// cycle returns the cycle graph C_n (n >= 3).
+func cycle(n int) *graph.Graph {
+	g := gen.Path(n)
+	g.AddEdge(0, graph.NodeID(n-1))
+	return g
+}
+
 func TestAveragePathLengthPath(t *testing.T) {
 	// Path 0-1-2-3: distances 1,2,3,1,2,1 → mean 10/6.
 	g := gen.Path(4)
@@ -46,7 +53,7 @@ func TestClusteringCoefficientKnown(t *testing.T) {
 	if got := ClusteringCoefficient(gen.Star(6)); got != 0 {
 		t.Fatalf("clust(star) = %v, want 0", got)
 	}
-	if got := ClusteringCoefficient(gen.Cycle(6)); got != 0 {
+	if got := ClusteringCoefficient(cycle(6)); got != 0 {
 		t.Fatalf("clust(C6) = %v, want 0", got)
 	}
 	// Triangle with one pendant: nodes 0,1,2 clique + 3 hanging off 0.
@@ -69,7 +76,7 @@ func TestAssortativityStarNegative(t *testing.T) {
 
 func TestAssortativityRegularZero(t *testing.T) {
 	// Degree-regular graphs have zero degree variance at edge ends.
-	if got := Assortativity(gen.Cycle(10)); got != 0 {
+	if got := Assortativity(cycle(10)); got != 0 {
 		t.Fatalf("r(C10) = %v, want 0", got)
 	}
 	if got := Assortativity(gen.Complete(5)); got != 0 {
@@ -142,7 +149,7 @@ func TestLaplacianEigenvaluesCycle(t *testing.T) {
 	// L(C_n) has eigenvalues 2 − 2cos(2πk/n). For C6: largest 4 (k=3),
 	// second largest 3 (k=2,4).
 	rng := rand.New(rand.NewSource(11))
-	vals := LaplacianTopEigenvalues(gen.Cycle(6), 2, rng)
+	vals := LaplacianTopEigenvalues(cycle(6), 2, rng)
 	if !almostEqual(vals[0], 4, 1e-6) || !almostEqual(vals[1], 3, 1e-5) {
 		t.Fatalf("C6 Laplacian top eigenvalues = %v, want [4 3]", vals)
 	}

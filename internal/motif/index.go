@@ -66,7 +66,7 @@ type Index struct {
 	// Indexed max-heap over the whole interned universe ordered by
 	// (gain desc, id asc). Gains only decrease under deletion, so
 	// maintenance is sift-down only; entries are never removed — spent
-	// edges sink with gain 0 and ArgmaxGain stops at a zero top.
+	// edges sink with gain 0 and ArgmaxGainID stops at a zero top.
 	//
 	// The heap is maintained lazily: wireFlat, Reset and DeleteEdgeIDNoHeap
 	// mark it dirty instead of (re)heapifying, and the first ArgmaxGainID
@@ -385,9 +385,6 @@ func (ix *Index) Targets() []graph.Edge {
 	return append([]graph.Edge(nil), ix.targets...)
 }
 
-// NumTargets returns the current target count without copying the list.
-func (ix *Index) NumTargets() int { return len(ix.targets) }
-
 // Interner returns the edge table the index was built over: the dense
 // EdgeID universe of the phase-1 graph. Callers use it to translate between
 // EdgeIDs and edges at API boundaries.
@@ -402,9 +399,6 @@ func (ix *Index) NumInstances() int { return len(ix.inst) }
 
 // TotalSimilarity returns Σ_t s(P, t) for the current deletion state.
 func (ix *Index) TotalSimilarity() int { return ix.alive }
-
-// Similarity returns s(P, t) for target index ti.
-func (ix *Index) Similarity(ti int) int { return ix.perTarget[ti] }
 
 // Similarities returns a copy of all per-target similarities.
 func (ix *Index) Similarities() []int {
@@ -424,15 +418,6 @@ func (ix *Index) isDeleted(id graph.EdgeID) bool {
 //
 //tpp:hotpath
 func (ix *Index) GainID(id graph.EdgeID) int { return int(ix.gain[id]) }
-
-// Gain is GainID keyed by edge; unknown edges have zero gain.
-func (ix *Index) Gain(p graph.Edge) int {
-	id := ix.in.ID(p)
-	if id == graph.NoEdge {
-		return 0
-	}
-	return int(ix.gain[id])
-}
 
 // GainVectorIDInto writes the per-target marginal gains of deleting the
 // edge into buf (len(buf) must be the target count) and returns (buf,
@@ -564,14 +549,6 @@ func (ix *Index) AppendCandidateIDs(buf []graph.EdgeID) []graph.EdgeID {
 	return buf
 }
 
-// CandidateEdges returns the Lemma 5 restricted protector set as edges, in
-// canonical order. Edges outside this set have zero marginal gain forever
-// (monotone decrease), so greedy never needs to inspect them.
-func (ix *Index) CandidateEdges() []graph.Edge {
-	ids := ix.AppendCandidateIDs(make([]graph.EdgeID, 0, ix.in.NumEdges()))
-	return ix.in.Edges(ids)
-}
-
 // AllTouchedEdges returns every edge that participated in any instance at
 // build time (alive or not), in canonical order. This is the paper's W-edge
 // universe used by the RDT baseline — exactly the interned universe.
@@ -601,15 +578,6 @@ func (ix *Index) ArgmaxGainID() (best graph.EdgeID, bestGain int, ok bool) {
 		return top, int(g), true
 	}
 	return 0, 0, false
-}
-
-// ArgmaxGain is ArgmaxGainID keyed by edge.
-func (ix *Index) ArgmaxGain() (best graph.Edge, bestGain int, ok bool) {
-	id, g, ok := ix.ArgmaxGainID()
-	if !ok {
-		return graph.Edge{}, 0, false
-	}
-	return ix.in.Edge(id), g, true
 }
 
 // ---------------------------------------------------------------------------

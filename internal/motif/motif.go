@@ -74,20 +74,6 @@ func ParsePattern(s string) (Pattern, error) {
 	return 0, fmt.Errorf("motif: unknown pattern %q (want Triangle, Rectangle, RecTri or Pentagon)", s)
 }
 
-// MaxEdges returns the number of graph edges in one instance of the
-// pattern, excluding the (removed) target link itself.
-func (p Pattern) MaxEdges() int {
-	switch p {
-	case Triangle:
-		return 2
-	case Rectangle:
-		return 3
-	case RecTri, Pentagon:
-		return 4
-	}
-	panic("motif: invalid pattern")
-}
-
 // Instance is one target subgraph: the concrete edges that, together with
 // the (already deleted) target link, form the motif. Deleting any one of
 // these edges breaks the instance.
@@ -302,19 +288,10 @@ func enumerate(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit
 // is the kernel's (see enumerate): O(d_u · d_v)-ish for the paper's
 // motifs, exactly the complexity the paper analyses, and the bucketed
 // path join for Pentagon. It allocates a fresh Scratch; hot loops use
-// CountScratch.
+// CountAllScratch or CountTotalScratch.
 func Count(g *graph.Graph, pattern Pattern, t graph.Edge) int {
 	var sc Scratch
 	return enumerate(g, pattern, t, &sc, nil)
-}
-
-// CountScratch is Count with caller-owned scratch buffers — allocation-free
-// once the scratch is warm. This is what the recount greedy loops pay per
-// candidate per step.
-//
-//tpp:hotpath
-func CountScratch(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch) int {
-	return enumerate(g, pattern, t, sc, nil)
 }
 
 // CountAll returns Σ_t s(·, t) over all targets plus the per-target counts.

@@ -10,6 +10,28 @@ import (
 	"repro/internal/graph"
 )
 
+// gainOf reads e's gain through the id-keyed API; an edge outside the
+// interned universe has zero gain.
+func gainOf(ix *Index, e graph.Edge) int {
+	if id := ix.Interner().ID(e); id != graph.NoEdge {
+		return ix.GainID(id)
+	}
+	return 0
+}
+
+// candidateEdges is the index's Lemma 5 candidate set as edges, in
+// canonical order.
+func candidateEdges(ix *Index) []graph.Edge {
+	return ix.Interner().Edges(ix.AppendCandidateIDs(nil))
+}
+
+// cycle returns the cycle graph C_n (n >= 3).
+func cycle(n int) *graph.Graph {
+	g := gen.Path(n)
+	g.AddEdge(0, graph.NodeID(n-1))
+	return g
+}
+
 // triangleFixture builds the simplest Triangle scenario: target (0,1) with
 // common neighbors 2 and 3 (phase-1 graph, target already absent).
 func triangleFixture() (*graph.Graph, graph.Edge) {
@@ -130,12 +152,9 @@ func TestParsePattern(t *testing.T) {
 	}
 }
 
-func TestPatternStringAndMaxEdges(t *testing.T) {
+func TestPatternString(t *testing.T) {
 	if Triangle.String() != "Triangle" || Rectangle.String() != "Rectangle" || RecTri.String() != "RecTri" {
 		t.Fatal("pattern names wrong")
-	}
-	if Triangle.MaxEdges() != 2 || Rectangle.MaxEdges() != 3 || RecTri.MaxEdges() != 4 {
-		t.Fatal("MaxEdges wrong")
 	}
 }
 
@@ -154,11 +173,11 @@ func TestIndexInitialStateMatchesCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.TotalSimilarity() != 2 || ix.Similarity(0) != 2 || ix.NumInstances() != 2 {
+	if ix.TotalSimilarity() != 2 || ix.Similarities()[0] != 2 || ix.NumInstances() != 2 {
 		t.Fatalf("index initial state wrong: total=%d", ix.TotalSimilarity())
 	}
-	if ix.Gain(graph.NewEdge(0, 2)) != 1 {
-		t.Fatalf("gain of 0-2 = %d, want 1", ix.Gain(graph.NewEdge(0, 2)))
+	if gainOf(ix, graph.NewEdge(0, 2)) != 1 {
+		t.Fatalf("gain of 0-2 = %d, want 1", gainOf(ix, graph.NewEdge(0, 2)))
 	}
 }
 
@@ -172,8 +191,8 @@ func TestIndexDeleteEdge(t *testing.T) {
 		t.Fatalf("similarity after delete = %d, want 1", ix.TotalSimilarity())
 	}
 	// The partner edge of the dead instance now has zero gain.
-	if ix.Gain(graph.NewEdge(1, 2)) != 0 {
-		t.Fatalf("partner gain = %d, want 0", ix.Gain(graph.NewEdge(1, 2)))
+	if gainOf(ix, graph.NewEdge(1, 2)) != 0 {
+		t.Fatalf("partner gain = %d, want 0", gainOf(ix, graph.NewEdge(1, 2)))
 	}
 	// Deleting the same edge twice is a no-op.
 	if broken := ix.DeleteEdge(graph.NewEdge(0, 2)); broken != 0 {
@@ -187,7 +206,7 @@ func TestIndexCandidateEdges(t *testing.T) {
 	g.AddEdge(3, 4)
 	// edge 3-4 participates in no target subgraph: excluded by Lemma 5.
 	ix, _ := NewIndex(g, Triangle, []graph.Edge{target})
-	cands := ix.CandidateEdges()
+	cands := candidateEdges(ix)
 	want := []graph.Edge{{U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}}
 	if !reflect.DeepEqual(cands, want) {
 		t.Fatalf("candidates = %v, want %v", cands, want)
@@ -230,13 +249,13 @@ func TestIndexGainForTarget(t *testing.T) {
 func TestArgmaxGainDeterministic(t *testing.T) {
 	g, target := triangleFixture()
 	ix, _ := NewIndex(g, Triangle, []graph.Edge{target})
-	best, gain, ok := ix.ArgmaxGain()
+	best, gain, ok := ix.ArgmaxGainID()
 	if !ok || gain != 1 {
-		t.Fatalf("ArgmaxGain = %v,%d,%v", best, gain, ok)
+		t.Fatalf("ArgmaxGainID = %v,%d,%v", best, gain, ok)
 	}
 	// All gains tie at 1; the canonical-smallest edge must win.
-	if best != (graph.Edge{U: 0, V: 2}) {
-		t.Fatalf("tie-break picked %v, want 0-2", best)
+	if e := ix.Interner().Edge(best); e != (graph.Edge{U: 0, V: 2}) {
+		t.Fatalf("tie-break picked %v, want 0-2", e)
 	}
 }
 
@@ -272,7 +291,7 @@ func TestPropertyIndexMatchesRecount(t *testing.T) {
 				return false
 			}
 			// Delete up to 5 random protector edges, checking after each.
-			cands := ix.CandidateEdges()
+			cands := candidateEdges(ix)
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 			if len(cands) > 5 {
 				cands = cands[:5]
@@ -285,7 +304,7 @@ func TestPropertyIndexMatchesRecount(t *testing.T) {
 					return false
 				}
 				for i := range targets {
-					if ix.Similarity(i) != wantPer[i] {
+					if ix.Similarities()[i] != wantPer[i] {
 						return false
 					}
 				}
@@ -314,11 +333,11 @@ func TestPropertyGainMatchesRecountDelta(t *testing.T) {
 				return false
 			}
 			before := ix.TotalSimilarity()
-			for _, p := range ix.CandidateEdges() {
+			for _, p := range candidateEdges(ix) {
 				work.RemoveEdgeE(p)
 				after, _ := CountAll(work, pattern, []graph.Edge{target})
 				work.AddEdgeE(p)
-				if ix.Gain(p) != before-after {
+				if gainOf(ix, p) != before-after {
 					return false
 				}
 			}

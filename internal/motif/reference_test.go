@@ -184,7 +184,7 @@ func TestEnumerateMatchesMapReference(t *testing.T) {
 						t.Fatalf("seed %d target %v: kernel found %d instances, reference %d:\n got %v\nwant %v",
 							seed, tgt, len(gi), len(wi), gi, wi)
 					}
-					if c := CountScratch(g, pattern, tgt, &sc); c != len(want) {
+					if c := CountTotalScratch(g, pattern, []graph.Edge{tgt}, &sc); c != len(want) {
 						t.Fatalf("seed %d target %v: Count = %d, reference %d", seed, tgt, c, len(want))
 					}
 					if removed {
@@ -227,7 +227,7 @@ func mergeJoinPentagon(g *graph.Graph, t graph.Edge) [][4]graph.Edge {
 }
 
 // checkPentagonOrder asserts that the production kernel emits exactly the
-// merge-join reference's sequence for tgt, and that CountScratch agrees.
+// merge-join reference's sequence for tgt, and that CountTotalScratch agrees.
 func checkPentagonOrder(t *testing.T, g *graph.Graph, tgt graph.Edge, sc *Scratch) {
 	t.Helper()
 	want := mergeJoinPentagon(g, tgt)
@@ -243,8 +243,8 @@ func checkPentagonOrder(t *testing.T, g *graph.Graph, tgt graph.Edge, sc *Scratc
 		t.Fatalf("target %v on %d nodes: kernel emitted %d instances, reference %d:\n got %v\nwant %v",
 			tgt, g.NumNodes(), len(got), len(want), got, want)
 	}
-	if c := CountScratch(g, Pentagon, tgt, sc); c != len(want) {
-		t.Fatalf("target %v: CountScratch = %d, reference %d", tgt, c, len(want))
+	if c := CountTotalScratch(g, Pentagon, []graph.Edge{tgt}, sc); c != len(want) {
+		t.Fatalf("target %v: CountTotalScratch = %d, reference %d", tgt, c, len(want))
 	}
 }
 
@@ -334,7 +334,7 @@ func TestPentagonKernelMatchesMergeJoinOrder(t *testing.T) {
 		targets := datasets.SampleTargets(g, 2, rng)
 		g.RemoveEdges(targets)
 		var sc Scratch
-		CountScratch(g, Pentagon, targets[0], &sc) // stamps epoch 1
+		CountTotalScratch(g, Pentagon, targets[:1], &sc) // stamps epoch 1
 		sc.epoch = math.MaxUint32
 		checkPentagonOrder(t, g, targets[1], &sc) // wraps back to epoch 1
 		if sc.epoch != 2 {

@@ -104,7 +104,7 @@ func TestIndexBuildScratchReuse(t *testing.T) {
 			for step := 0; step < 8; step++ {
 				var m Mutation
 				switch {
-				case step%4 == 1 && reused.NumTargets() > 1:
+				case step%4 == 1 && len(reused.Targets()) > 1:
 					cur := reused.Targets()
 					m.DropTargets = []graph.Edge{cur[rng.Intn(len(cur))]}
 					dropped = append(dropped, m.DropTargets[0])

@@ -32,7 +32,7 @@ func TestGlobalCountDoesNotMutate(t *testing.T) {
 
 func TestGlobalCountRectangleOnCycle(t *testing.T) {
 	// C4: every edge closes exactly one 3-path → GlobalCount = 4.
-	if got := GlobalCount(gen.Cycle(4), Rectangle); got != 4 {
+	if got := GlobalCount(cycle(4), Rectangle); got != 4 {
 		t.Fatalf("GlobalCount(C4, Rectangle) = %d, want 4", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestSwitchRandomizePreservesDegrees(t *testing.T) {
 
 func TestProfileMinimumSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	g := gen.Cycle(8)
+	g := cycle(8)
 	// samples < 2 is clamped, not an error.
 	profile := Profile(g, []Pattern{Rectangle}, 1, rng)
 	if len(profile) != 1 {

@@ -79,7 +79,8 @@ func TestSessionApplyParity(t *testing.T) {
 // TestSessionApplyDetachesGraph verifies the first Apply clones: the graph
 // handed to New stays untouched.
 func TestSessionApplyDetachesGraph(t *testing.T) {
-	g := gen.Cycle(8)
+	g := gen.Path(8)
+	g.AddEdge(0, 7) // close the cycle C_8
 	g.AddEdge(0, 2) // triangle completion for target (1,2)... target below
 	targets := []graph.Edge{{U: 0, V: 1}}
 	session, err := New(g, targets)

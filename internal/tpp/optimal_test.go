@@ -20,7 +20,7 @@ func OptimalSGB(p *Problem, k int) (best []graph.Edge, bestBroken int, err error
 	if err != nil {
 		return nil, 0, err
 	}
-	cands := ix.CandidateEdges()
+	cands := ix.Interner().Edges(ix.AppendCandidateIDs(nil))
 	insts := motif.Instances(p.G, p.Pattern, p.Targets)
 	if len(cands) > 24 {
 		return nil, 0, fmt.Errorf("tpp: OptimalSGB: %d candidate edges is too many for exhaustive search", len(cands))
@@ -81,7 +81,7 @@ func OptimalMLBT(p *Problem, budgets []int) (bestBroken int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	cands := ix.CandidateEdges()
+	cands := ix.Interner().Edges(ix.AppendCandidateIDs(nil))
 	if len(cands) > 10 {
 		return 0, fmt.Errorf("tpp: OptimalMLBT: %d candidate edges is too many for exhaustive search", len(cands))
 	}

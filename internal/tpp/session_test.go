@@ -436,7 +436,7 @@ func TestIndexResetRestoresBuildState(t *testing.T) {
 	}
 	wantTotal := ix.TotalSimilarity()
 	wantSims := ix.Similarities()
-	wantCands := ix.CandidateEdges()
+	wantCands := ix.Interner().Edges(ix.AppendCandidateIDs(nil))
 	for _, e := range wantCands[:min(4, len(wantCands))] {
 		ix.DeleteEdge(e)
 	}
@@ -450,7 +450,7 @@ func TestIndexResetRestoresBuildState(t *testing.T) {
 	if got := ix.Similarities(); !reflect.DeepEqual(got, wantSims) {
 		t.Fatalf("similarities after Reset = %v, want %v", got, wantSims)
 	}
-	if got := ix.CandidateEdges(); !reflect.DeepEqual(got, wantCands) {
+	if got := ix.Interner().Edges(ix.AppendCandidateIDs(nil)); !reflect.DeepEqual(got, wantCands) {
 		t.Fatalf("candidates after Reset differ")
 	}
 	// Reset must clear the deletion marks too: deleting any candidate
