@@ -133,9 +133,10 @@ type methodSpec struct {
 // whole curve from one run's trace.
 func (m methodSpec) perK() bool { return m.method == tpp.MethodCT || m.method == tpp.MethodWT }
 
-// run selects protectors with total budget k. A greedy method runs through
-// the session at WithBudget(k); a budget of 0 asks a session for k*, which
-// every caller's k of 0 equals (nothing to protect). RD and RDT run as free functions on the session's problem with the
+// run selects protectors with total budget k. A greedy method runs
+// through the session at WithBudget(k). A session reads budget 0 as k*;
+// callers pass 0 only when nothing is left to protect, where k* is 0 too.
+// RD and RDT run as free functions on the session's problem with the
 // experiment's own rng, whose stream a session's seed would change.
 func (m methodSpec) run(pr *tpp.Protector, k int, rng *rand.Rand) (*tpp.Result, error) {
 	switch m.method {

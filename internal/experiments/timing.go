@@ -44,9 +44,9 @@ func recountTimed(m tpp.Method, scope tpp.Scope) func(*graph.Graph, *tpp.Problem
 	}
 }
 
-// sessionTimed times a greedy method (CT/WT under the TBD division) on a
-// fresh session, so every curve is a cold selection: the session builds its
-// motif index before the selection clock starts.
+// sessionTimed times a greedy method (SGB, or CT/WT under the TBD
+// division) on a fresh session, so every curve is a cold selection: the
+// session builds its motif index before the selection clock starts.
 func sessionTimed(m tpp.Method) func(*graph.Graph, *tpp.Problem, int, *rand.Rand) (*tpp.Result, error) {
 	return func(g *graph.Graph, p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
 		pr, err := tpp.New(g, p.Targets, tpp.WithPattern(p.Pattern))
