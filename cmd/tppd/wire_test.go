@@ -144,6 +144,44 @@ func TestWireShapeEveryRouteClass(t *testing.T) {
 	checkWireShape(t, "429", resp, body)
 }
 
+// TestColdRouteBytes pins the exact status, headers and body bytes of the
+// health probes, serving and draining, and of the dataset list.
+func TestColdRouteBytes(t *testing.T) {
+	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
+	t.Cleanup(srv.Close)
+	srv.ConfigureLogging(slog.New(slog.DiscardHandler), 0)
+	h := srv.Handler()
+	const (
+		ok       = `{"status":"ok"}` + "\n"
+		draining = `{"status":"draining"}` + "\n"
+		datasets = `{"datasets":[` +
+			`{"description":"Arenas-email stand-in: 1133 nodes, ~5451 edges","name":"arenas-email"},` +
+			`{"description":"DBLP co-authorship stand-in; set scale for node count (default 2000)","name":"dblp"}]}` + "\n"
+	)
+	seq := 0
+	check := func(path string, wantStatus int, wantBody string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		seq++
+		wantHeader := http.Header{
+			"Content-Type":   {"application/json"},
+			"Content-Length": {strconv.Itoa(len(wantBody))},
+			"X-Request-Id":   {fmt.Sprintf("%s-%06d", srv.idPrefix, seq)},
+		}
+		if rec.Code != wantStatus || rec.Body.String() != wantBody || !maps.EqualFunc(rec.Header(), wantHeader, slices.Equal) {
+			t.Errorf("GET %s:\n got  %d %v %q\n want %d %v %q", path,
+				rec.Code, rec.Header(), rec.Body.String(), wantStatus, wantHeader, wantBody)
+		}
+	}
+	check("/healthz", http.StatusOK, ok)
+	check("/v1/healthz", http.StatusOK, ok)
+	check("/v1/datasets", http.StatusOK, datasets)
+	srv.BeginDrain()
+	check("/v1/healthz", http.StatusServiceUnavailable, draining)
+	check("/healthz", http.StatusOK, ok)
+}
+
 // TestWriteJSONEncodeErrorIs500 pins that a value the encoder rejects is
 // answered with a logged 500 error payload, not a truncated 200.
 func TestWriteJSONEncodeErrorIs500(t *testing.T) {
