@@ -63,15 +63,8 @@ func TestBackpressure429(t *testing.T) {
 	if got := srv.metrics.busyRejections.Load(); got != 2 {
 		t.Fatalf("busy rejection counter = %d, want 2", got)
 	}
-	st := struct {
-		BusyRejections int64 `json:"busy_rejections"`
-	}{}
-	_, body = doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.BusyRejections != 2 {
-		t.Fatalf("stats busy_rejections = %d, want 2", st.BusyRejections)
+	if got := getStats(t, ts).n("tppd_busy_rejections_total"); got != 2 {
+		t.Fatalf("stats tppd_busy_rejections_total = %d, want 2", got)
 	}
 
 	// A freed slot restores normal service immediately.

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
+	"slices"
 	"strconv"
 	"time"
 
@@ -247,20 +248,20 @@ func (s *Server) quarantineSession(id string, cause error) {
 	}
 }
 
-// labelingFrom rebuilds a session's label mapping from the snapshot's
-// label table (node-ID order). An absent table synthesises numeric labels,
-// matching the server-side dataset convention.
+// labelingFrom builds a session's label mapping from a label table in
+// node-ID order. A table that does not name every node (a snapshot
+// without one, a server-side dataset) gives the numeric labels "0"…"n-1".
 func labelingFrom(names []string, n int) *graph.Labeling {
-	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID, n)}
-	if len(names) == n && n > 0 {
-		lab.ToName = append([]string(nil), names...)
+	if len(names) == n {
+		names = slices.Clone(names)
 	} else {
-		lab.ToName = make([]string, n)
-		for i := range lab.ToName {
-			lab.ToName[i] = strconv.Itoa(i)
+		names = make([]string, n)
+		for i := range names {
+			names[i] = strconv.Itoa(i)
 		}
 	}
-	for i, name := range lab.ToName {
+	lab := &graph.Labeling{ToName: names, ToID: make(map[string]graph.NodeID, n)}
+	for i, name := range names {
 		lab.ToID[name] = graph.NodeID(i)
 	}
 	return lab

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -42,18 +43,38 @@ func newDurableTestServer(t *testing.T, dir string, ttl time.Duration, opts dura
 	return srv, ts, restored, quarantined
 }
 
-func getStats(t *testing.T, ts *httptest.Server) statsResponse {
+// stats is a GET /v1/stats reply: each member's /metrics sample name,
+// label block included, to its value.
+type stats map[string]float64
+
+func getStats(t *testing.T, ts *httptest.Server) stats {
 	t.Helper()
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d: %s", resp.StatusCode, body)
 	}
-	var st statsResponse
+	var st stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
+
+// n returns the member for sample name as an integer. A name the reply
+// lacks is a mistake in the test, not a zero, so it panics.
+func (st stats) n(name string) int64 {
+	v, ok := st[name]
+	if !ok {
+		panic(fmt.Sprintf("GET /v1/stats has no member %q", name))
+	}
+	return int64(v)
+}
+
+// Sample names the tests read from GET /v1/stats.
+const (
+	warmRunsSeries = `tppd_selection_runs_total{mode="warm"}`
+	coldRunsSeries = `tppd_selection_runs_total{mode="cold"}`
+)
 
 func getSessionInfo(t *testing.T, ts *httptest.Server, id string) sessionResponse {
 	t.Helper()
@@ -232,8 +253,8 @@ func TestDurableLazyRehydrate(t *testing.T) {
 		FinalSimilarity:   first.FinalSimilarity,
 	})
 	st := getStats(t, ts)
-	if st.SessionsRehydrated < 1 {
-		t.Fatalf("stats sessions_rehydrated = %d, want >= 1", st.SessionsRehydrated)
+	if got := st.n("tpp_sessions_rehydrated_total"); got < 1 {
+		t.Fatalf("stats tpp_sessions_rehydrated_total = %d, want >= 1", got)
 	}
 }
 
@@ -303,8 +324,8 @@ func TestDurableQuarantineOnCorrupt(t *testing.T) {
 	if _, err := os.Stat(sessionLogPath(filepath.Join(dir, "quarantine"), sick)); err != nil {
 		t.Fatalf("quarantine copy missing: %v", err)
 	}
-	if st := getStats(t, tsB); st.SessionsQuarantined != 1 {
-		t.Fatalf("stats sessions_quarantined = %d, want 1", st.SessionsQuarantined)
+	if got := getStats(t, tsB).n("tpp_sessions_quarantined_total"); got != 1 {
+		t.Fatalf("stats tpp_sessions_quarantined_total = %d, want 1", got)
 	}
 }
 
@@ -321,15 +342,15 @@ func TestDurableCompactionThreshold(t *testing.T) {
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"3", "5"}}}, "delta 2") // triggers compaction
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "9"}}}, "delta 3")
 	st := getStats(t, ts)
-	if st.WALAppends != 3 {
-		t.Fatalf("wal_appends = %d, want 3", st.WALAppends)
+	if got := st.n("tpp_wal_appends_total"); got != 3 {
+		t.Fatalf("tpp_wal_appends_total = %d, want 3", got)
 	}
 	// Create snapshot + compaction snapshot at least.
-	if st.SnapshotsWritten < 2 {
-		t.Fatalf("snapshots_written = %d, want >= 2", st.SnapshotsWritten)
+	if got := st.n("tpp_snapshot_bytes_count"); got < 2 {
+		t.Fatalf("tpp_snapshot_bytes_count = %d, want >= 2", got)
 	}
-	if st.SnapshotBytesTotal <= 0 {
-		t.Fatalf("snapshot_bytes_total = %d, want > 0", st.SnapshotBytesTotal)
+	if got := st.n("tpp_snapshot_bytes_sum"); got <= 0 {
+		t.Fatalf("tpp_snapshot_bytes_sum = %d, want > 0", got)
 	}
 	ts.Close()
 	srv.Close()
@@ -377,8 +398,8 @@ func TestDurableWALFsyncStats(t *testing.T) {
 		t.Fatalf("wal fsync count = %d, want 1", got)
 	}
 	st := getStats(t, ts)
-	if st.WALAppends != 1 || st.WALFsyncTotalMS < 0 {
-		t.Fatalf("stats wal_appends=%d wal_fsync_total_ms=%f", st.WALAppends, st.WALFsyncTotalMS)
+	if st.n("tpp_wal_appends_total") != 1 || st.n("tpp_wal_fsync_seconds_count") != 1 || st["tpp_wal_fsync_seconds_sum"] < 0 {
+		t.Fatalf("stats %v, want one WAL append with one fsync", st)
 	}
 }
 
@@ -814,7 +835,7 @@ func TestRehydratedProtectCountsOneSelection(t *testing.T) {
 	before := getStats(t, ts)
 	mustProtect(t, ts, id, "protect after rehydrate")
 	after := getStats(t, ts)
-	if got := after.WarmRuns + after.ColdRuns - before.WarmRuns - before.ColdRuns; got != 1 {
+	if got := after.n(warmRunsSeries) + after.n(coldRunsSeries) - before.n(warmRunsSeries) - before.n(coldRunsSeries); got != 1 {
 		t.Fatalf("one protect after rehydrate added %d to warm_runs+cold_runs, want 1", got)
 	}
 }

@@ -8,14 +8,14 @@ package main
 // released edges are written from the session graph's sorted rows and its
 // label table, so no [][2]string and no released graph is built; the reply
 // is therefore encoded while the record slot is held, and only the socket
-// write happens with nothing held. Cold routes (stats, datasets, health)
-// still go through encoding/json, in writeJSON.
+// write happens with nothing held. The cold routes (stats, datasets,
+// health) are encoded the same way, so encoding/json is never on the reply
+// path.
 
 import (
-	"encoding/json"
-	"log/slog"
 	"math"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -23,6 +23,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/graph"
+	"repro/internal/telemetry"
 	"repro/internal/tpp"
 )
 
@@ -32,12 +33,6 @@ type jsonBuf struct {
 	// keys is the protect encoder's scratch: the protectors' packed edges,
 	// sorted, to skip them while sweeping the graph's rows.
 	keys []uint64
-}
-
-// Write implements io.Writer, for the encoding/json path.
-func (e *jsonBuf) Write(p []byte) (int, error) {
-	e.b = append(e.b, p...)
-	return len(p), nil
 }
 
 // maxPooledJSONBuf caps the reply buffers handed back to the pool: a rare
@@ -71,20 +66,6 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body) // a failed write means the client left; nothing to answer
 }
 
-// writeJSON encodes v with encoding/json, for the cold routes. Encoding
-// completes before any header goes out: a value that cannot be encoded
-// becomes a logged 500, not a truncated 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	e := newJSONBuf()
-	defer e.free()
-	if err := json.NewEncoder(e).Encode(v); err != nil {
-		slog.Error("tppd: encoding response", "request_id", w.Header().Get(requestIDHeader), "error", err)
-		status = http.StatusInternalServerError
-		e.errorReply("encoding response: " + err.Error())
-	}
-	writeBody(w, status, e.b)
-}
-
 // errorReply encodes the error reply {"error": msg} into e.
 //
 //tpp:hotpath
@@ -115,6 +96,34 @@ func (e *jsonBuf) deletedReply(id string) *jsonBuf {
 	b := append(e.b[:0], `{"id":`...)
 	b = appendJSONString(b, id)
 	e.b = append(b, `,"status":"deleted"}`+"\n"...)
+	return e
+}
+
+// statusReply encodes the health probes' reply, {"status": status}.
+func (e *jsonBuf) statusReply(status string) *jsonBuf {
+	b := append(e.b[:0], `{"status":`...)
+	b = appendJSONString(b, status)
+	e.b = append(b, "}\n"...)
+	return e
+}
+
+// datasetsReply encodes the GET /v1/datasets reply: the datasets
+// graphFromDataset builds, each as {"description","name"}.
+func (e *jsonBuf) datasetsReply() *jsonBuf {
+	e.b = append(e.b[:0], `{"datasets":[`+
+		`{"description":"Arenas-email stand-in: 1133 nodes, ~5451 edges","name":"arenas-email"},`+
+		`{"description":"DBLP co-authorship stand-in; set scale for node count (default 2000)","name":"dblp"}]}`+"\n"...)
+	return e
+}
+
+// statsReply encodes the GET /v1/stats reply: the registry as one JSON
+// object, a member per GET /metrics sample line but the histogram buckets
+// (see telemetry.Registry.AppendJSONMembers), led by max_workers, the
+// GOMAXPROCS the daemon runs under, which has no series.
+func (e *jsonBuf) statsReply(reg *telemetry.Registry) *jsonBuf {
+	b := appendKeyInt(e.b[:0], `{"max_workers":`, int64(runtime.GOMAXPROCS(0)))
+	b = reg.AppendJSONMembers(b)
+	e.b = append(b, "}\n"...)
 	return e
 }
 

@@ -72,7 +72,7 @@ func edgePairs(edges []graph.Edge, lab *graph.Labeling) [][2]string {
 	return out
 }
 
-// reflectJSON is encoding/json's encoding of v, as writeJSON writes it.
+// reflectJSON is encoding/json's encoding of v, as json.Encoder writes it.
 func reflectJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -14,7 +14,7 @@
 //	POST   /v1/sessions/{id}/protect protect on the session's current graph
 //	DELETE /v1/sessions/{id}         delete a session
 //	GET    /v1/datasets              list the server-side datasets
-//	GET    /v1/stats                 service counters and timings (JSON)
+//	GET    /v1/stats                 the /metrics samples as one JSON object
 //	GET    /metrics                  Prometheus text exposition
 //	GET    /v1/healthz               readiness probe (503 while draining)
 //	GET    /healthz                  liveness probe (always 200)

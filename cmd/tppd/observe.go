@@ -30,23 +30,6 @@ import (
 // takes the registry lock.
 const routeOther = "other"
 
-// routePatterns lists every route the per-route instruments are
-// pre-registered for. Keep in sync with Server.Handler's route table.
-var routePatterns = []string{
-	"POST /v1/protect",
-	"POST /v1/sessions",
-	"GET /v1/sessions/{id}",
-	"POST /v1/sessions/{id}/delta",
-	"POST /v1/sessions/{id}/protect",
-	"DELETE /v1/sessions/{id}",
-	"GET /v1/datasets",
-	"GET /v1/stats",
-	"GET /v1/healthz",
-	"GET /healthz",
-	"GET /metrics",
-	routeOther,
-}
-
 // statusClasses are the status-class label values, indexed by status/100-1.
 var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
@@ -119,8 +102,12 @@ type serverMetrics struct {
 // occupancy, queue depth, resident bytes) at scrape time.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := s.registry
-	m := &serverMetrics{routes: make(map[string]*routeInstruments, len(routePatterns))}
-	for _, route := range routePatterns {
+	patterns := []string{routeOther}
+	for _, rt := range s.routes() {
+		patterns = append(patterns, rt.pattern)
+	}
+	m := &serverMetrics{routes: make(map[string]*routeInstruments, len(patterns))}
+	for _, route := range patterns {
 		ri := &routeInstruments{
 			latency: reg.Histogram("tppd_request_duration_seconds",
 				"HTTP request latency by route.",
@@ -202,12 +189,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.waiters.Load()) })
 	reg.GaugeFunc("tpp_shard_bytes", "Tracked resident session bytes.",
 		func() float64 { return float64(s.budget.Used()) })
+	reg.GaugeFunc("tppd_mem_budget_bytes", "Resident session memory budget (-mem-budget; 0 = unlimited).",
+		func() float64 { return float64(s.budget.Cap()) })
 	return m
 }
 
 // durableMetrics exposes the persistence instruments in the form
-// durable.Open wants, so /metrics and /v1/stats read the same counters the
-// store feeds.
+// durable.Open wants, so the registry both /metrics and /v1/stats render
+// holds the counters the store feeds.
 func (s *Server) durableMetrics() durable.Metrics {
 	return durable.Metrics{
 		WALAppends:    s.metrics.walAppends,
@@ -300,17 +289,17 @@ const requestIDHeader = "X-Request-Id"
 // outside the mux, so the matched pattern is resolved with mux.Handler —
 // the pattern the mux stamps on the request lands on the mux's own shallow
 // copy, never on this r.
-func (s *Server) instrument(next http.Handler) http.Handler {
+func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		_, pattern := s.mux.Handler(r)
+		_, pattern := mux.Handler(r)
 		sc := &reqScope{id: s.nextRequestID()}
 		sp := telemetry.NewStages(s.metrics.stages)
 		ctx := telemetry.NewContext(r.Context(), sp)
 		ctx = context.WithValue(ctx, scopeKey{}, sc)
 		w.Header().Set(requestIDHeader, sc.id)
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		mux.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
 
 		ri := s.metrics.route(pattern)

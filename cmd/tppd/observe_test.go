@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // TestHealthzDrainFlip pins the readiness contract: /v1/healthz answers 200
@@ -325,52 +331,113 @@ func TestUnmatchedRouteCountsAsOther(t *testing.T) {
 	}
 }
 
-// TestStatsMatchesMetrics cross-checks the two views of the same registry:
-// every counter /v1/stats reports must agree with what /metrics exports.
+// TestStatsMatchesMetrics cross-checks the two views of the one registry
+// on a server that has run a create, a protect, a delta, a spill and a
+// 429: every GET /v1/stats member but max_workers is a GET /metrics sample
+// with the same value (null for a non-finite one), and every sample but
+// the histogram buckets is a member. Both views are read in process, back
+// to back, so no request moves a counter between them.
 func TestStatsMatchesMetrics(t *testing.T) {
-	srv, ts := newSessionTestServer(t, 0)
-
-	id := createQuickstartSession(t, ts)
-	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{OmitReleased: true}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("protect: status %d: %s", resp.StatusCode, body)
-	}
-	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", deltaRequest{
-		Insert: [][2]string{{"0", "9"}},
-	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("delta: status %d: %s", resp.StatusCode, body)
-	}
-
-	var stats statsResponse
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &stats); err != nil {
+	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
+	t.Cleanup(srv.Close)
+	srv.ConfigureBackpressure(20 * time.Millisecond)
+	store, err := durable.Open(t.TempDir(), durable.Options{Metrics: srv.durableMetrics()})
+	if err != nil {
 		t.Fatal(err)
 	}
+	const budget = 1 << 30
+	if _, _, err := srv.ConfigureDurability(context.Background(), store, budget); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 
-	m := srv.metrics
-	if stats.TotalRequests != m.protectRequests.Load() {
-		t.Errorf("total_requests = %d, metrics say %d", stats.TotalRequests, m.protectRequests.Load())
+	id := createQuickstartSession(t, ts)
+	mustProtect(t, ts, id, "protect")
+	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"0", "9"}}}, "delta")
+	spillAll(srv)
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
 	}
-	if stats.DeltasApplied != 1 || m.deltasApplied.Load() != 1 {
-		t.Errorf("deltas_applied = %d / %d, want 1", stats.DeltasApplied, m.deltasApplied.Load())
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{})
+	for i := 0; i < cap(srv.sem); i++ {
+		<-srv.sem
 	}
-	if stats.IndexBuilds != 1 {
-		t.Errorf("index_builds = %d, want 1 (one enumeration on the first protect)", stats.IndexBuilds)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated protect: status %d, want 429: %s", resp.StatusCode, body)
 	}
-	if stats.EnumerationTotalMS <= 0 || stats.EnumerationMeanMS <= 0 {
-		t.Errorf("enumeration timings = %v total / %v mean, want > 0", stats.EnumerationTotalMS, stats.EnumerationMeanMS)
+
+	rec := httptest.NewRecorder()
+	srv.handleStats(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	text := string(srv.registry.RenderText())
+
+	dec := json.NewDecoder(rec.Body)
+	dec.UseNumber()
+	var members map[string]any
+	if err := dec.Decode(&members); err != nil {
+		t.Fatalf("stats body is not a JSON object: %v", err)
 	}
-	if stats.EnumerationMeanMS > stats.EnumerationTotalMS {
-		t.Errorf("enumeration mean %v exceeds total %v", stats.EnumerationMeanMS, stats.EnumerationTotalMS)
+	if mw, _ := members["max_workers"].(json.Number); mw.String() != strconv.Itoa(runtime.GOMAXPROCS(0)) {
+		t.Errorf("max_workers = %v, want GOMAXPROCS %d", members["max_workers"], runtime.GOMAXPROCS(0))
 	}
-	if stats.DeltaApplyTotalMS <= 0 || stats.DeltaApplyMeanMS <= 0 {
-		t.Errorf("delta timings = %v total / %v mean, want > 0", stats.DeltaApplyTotalMS, stats.DeltaApplyMeanMS)
+	delete(members, "max_workers")
+
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		key, value := line[:sp], line[sp+1:]
+		if name, _, _ := strings.Cut(key, "{"); strings.HasSuffix(name, "_bucket") {
+			continue
+		}
+		samples++
+		want, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("/metrics sample %q: %v", line, err)
+		}
+		got, ok := members[key]
+		switch {
+		case !ok:
+			t.Errorf("/metrics sample %s has no /v1/stats member", key)
+		case got == nil:
+			if !math.IsNaN(want) && !math.IsInf(want, 0) {
+				t.Errorf("%s: stats null, /metrics %s", key, value)
+			}
+		default:
+			num, _ := got.(json.Number)
+			if f, err := num.Float64(); err != nil || f != want {
+				t.Errorf("%s: stats %v, /metrics %s", key, got, value)
+			}
+		}
+		delete(members, key)
 	}
-	if stats.ColdRuns != m.coldRuns.Load() || stats.WarmRuns != m.warmRuns.Load() {
-		t.Errorf("selection counters disagree: stats %d/%d, metrics %d/%d",
-			stats.WarmRuns, stats.ColdRuns, m.warmRuns.Load(), m.coldRuns.Load())
+	for key, v := range members {
+		t.Errorf("/v1/stats member %s = %v is no /metrics sample", key, v)
+	}
+	if samples < 50 {
+		t.Errorf("only %d non-bucket samples compared", samples)
+	}
+
+	// The traffic above moved the series it should, so the agreement is
+	// not between zeros.
+	st := getStats(t, ts)
+	for name, want := range map[string]int64{
+		"tppd_sessions_created_total":                         1,
+		"tppd_deltas_applied_total":                           1,
+		"tppd_sessions_spilled_total":                         1,
+		"tppd_busy_rejections_total":                          1,
+		"tppd_mem_budget_bytes":                               budget,
+		`tpp_stage_duration_seconds_count{stage="enumerate"}`: 1,
+		coldRunsSeries:                                        1,
+	} {
+		if got := st.n(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if st.n("tpp_wal_appends_total") < 1 || st.n("tpp_snapshot_bytes_count") < 1 {
+		t.Errorf("no WAL append or snapshot counted: %v", st)
 	}
 }
 

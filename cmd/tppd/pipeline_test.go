@@ -31,18 +31,19 @@ func TestSessionProtectValidationLeavesNoTrace(t *testing.T) {
 		}
 	}
 	before := getStats(t, ts)
-	if before.TotalRequests != 0 || before.WarmRuns+before.ColdRuns != 0 {
-		t.Errorf("rejected protects counted: total_requests %d, selections %d",
-			before.TotalRequests, before.WarmRuns+before.ColdRuns)
+	if runs := before.n(warmRunsSeries) + before.n(coldRunsSeries); before.n("tppd_protect_requests_total") != 0 || runs != 0 {
+		t.Errorf("rejected protects counted: tppd_protect_requests_total %d, selections %d",
+			before.n("tppd_protect_requests_total"), runs)
 	}
 	spillAll(srv)
 	after := getStats(t, ts)
-	if after.SessionsSpilled != before.SessionsSpilled+1 {
-		t.Fatalf("sessions_spilled %d → %d, want one spill", before.SessionsSpilled, after.SessionsSpilled)
+	if after.n("tppd_sessions_spilled_total") != before.n("tppd_sessions_spilled_total")+1 {
+		t.Fatalf("tppd_sessions_spilled_total %d → %d, want one spill",
+			before.n("tppd_sessions_spilled_total"), after.n("tppd_sessions_spilled_total"))
 	}
-	if after.SnapshotsWritten != before.SnapshotsWritten {
-		t.Errorf("snapshots_written %d → %d: a rejected protect left the session dirty",
-			before.SnapshotsWritten, after.SnapshotsWritten)
+	if after.n("tpp_snapshot_bytes_count") != before.n("tpp_snapshot_bytes_count") {
+		t.Errorf("tpp_snapshot_bytes_count %d → %d: a rejected protect left the session dirty",
+			before.n("tpp_snapshot_bytes_count"), after.n("tpp_snapshot_bytes_count"))
 	}
 	if info := getSessionInfo(t, ts, id); info.Runs != 0 {
 		t.Errorf("runs = %d after only rejected protects", info.Runs)

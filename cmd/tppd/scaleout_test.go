@@ -44,9 +44,9 @@ func measureSessionFootprint(t *testing.T) int64 {
 	t.Helper()
 	_, ts := newSessionTestServer(t, 0)
 	createQuickstartSession(t, ts)
-	f := getStats(t, ts).ResidentBytes
+	f := getStats(t, ts).n("tpp_shard_bytes")
 	if f <= 0 {
-		t.Fatalf("resident_bytes %d after one session; accounting is broken", f)
+		t.Fatalf("tpp_shard_bytes %d after one session; accounting is broken", f)
 	}
 	return f
 }
@@ -99,10 +99,10 @@ func TestSpillParity(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		createQuickstartSession(t, subject)
 	}
-	if st := getStats(t, subject); st.SessionsSpilled == 0 {
-		t.Fatalf("no sessions spilled with %d fillers over budget %d; stats %+v", 40, budget, st)
-	} else if st.MemBudgetBytes > 0 && st.ResidentBytes > st.MemBudgetBytes {
-		t.Errorf("resident %d bytes exceeds budget %d with no concurrent load", st.ResidentBytes, st.MemBudgetBytes)
+	if st := getStats(t, subject); st.n("tppd_sessions_spilled_total") == 0 {
+		t.Fatalf("no sessions spilled with %d fillers over budget %d; stats %v", 40, budget, st)
+	} else if capBytes, used := st.n("tppd_mem_budget_bytes"), st.n("tpp_shard_bytes"); capBytes > 0 && used > capBytes {
+		t.Errorf("resident %d bytes exceeds budget %d with no concurrent load", used, capBytes)
 	}
 
 	// The subject session now rehydrates from its log on touch;
@@ -193,8 +193,8 @@ func TestCreateAdmissionRace(t *testing.T) {
 		t.Fatalf("create's reservation is %d bytes (tracked %v), want %d", bytes, ok, need)
 	}
 	<-c.slot
-	if st := getStats(t, ts); st.SessionsSpilled != 2 {
-		t.Errorf("sessions_spilled %d, want 2: one for the create's room, one for the growth", st.SessionsSpilled)
+	if got := getStats(t, ts).n("tppd_sessions_spilled_total"); got != 2 {
+		t.Errorf("tppd_sessions_spilled_total %d, want 2: one for the create's room, one for the growth", got)
 	}
 }
 
@@ -224,16 +224,17 @@ func TestSpillCleanDirtyParity(t *testing.T) {
 		logBefore := readLog()
 		spillAll(srv)
 		after := getStats(t, subject)
-		if after.SessionsSpilled != before.SessionsSpilled+1 {
-			t.Fatalf("%s: sessions_spilled %d → %d, want one spill", stage, before.SessionsSpilled, after.SessionsSpilled)
+		if after.n("tppd_sessions_spilled_total") != before.n("tppd_sessions_spilled_total")+1 {
+			t.Fatalf("%s: tppd_sessions_spilled_total %d → %d, want one spill", stage,
+				before.n("tppd_sessions_spilled_total"), after.n("tppd_sessions_spilled_total"))
 		}
-		want := before.SnapshotsWritten
+		want := before.n("tpp_snapshot_bytes_count")
 		if dirty {
 			want++
 		}
-		if after.SnapshotsWritten != want {
-			t.Fatalf("%s: snapshots_written %d → %d, want %d (dirty=%v)",
-				stage, before.SnapshotsWritten, after.SnapshotsWritten, want, dirty)
+		if got := after.n("tpp_snapshot_bytes_count"); got != want {
+			t.Fatalf("%s: tpp_snapshot_bytes_count %d → %d, want %d (dirty=%v)",
+				stage, before.n("tpp_snapshot_bytes_count"), got, want, dirty)
 		}
 		logAfter := readLog()
 		if !dirty {
@@ -387,7 +388,7 @@ func TestSpillRaceSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("subject after the storm: status %d: %s", resp.StatusCode, body)
 	}
-	if st := getStats(t, ts); st.SessionsSpilled == 0 {
+	if getStats(t, ts).n("tppd_sessions_spilled_total") == 0 {
 		t.Error("no sessions spilled; the race smoke never exercised spill vs delta/protect")
 	}
 }

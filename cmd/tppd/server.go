@@ -6,9 +6,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +60,6 @@ type Server struct {
 
 	store *durable.Store // session persistence; nil = in-memory only
 
-	mux      *http.ServeMux
 	registry *telemetry.Registry
 	metrics  *serverMetrics
 
@@ -194,29 +191,45 @@ func (s *Server) MetricsHandler() http.Handler {
 	return s.registry.Handler()
 }
 
+// route is one entry of the service's route table.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the service's route table: Handler mounts it, and every
+// pattern in it gets its own pre-registered metric series (observe.go).
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /v1/protect", s.handleProtect},
+		{"POST /v1/sessions", s.handleSessionCreate},
+		{"GET /v1/sessions/{id}", s.handleSessionGet},
+		{"POST /v1/sessions/{id}/delta", s.handleSessionDelta},
+		{"POST /v1/sessions/{id}/protect", s.handleSessionProtect},
+		{"DELETE /v1/sessions/{id}", s.handleSessionDelete},
+		{"GET /v1/datasets", s.handleDatasets},
+		{"GET /v1/stats", s.handleStats},
+		{"GET /v1/healthz", s.handleHealthz},
+		{"GET /healthz", s.handleLiveness},
+		{"GET /metrics", s.registry.Handler().ServeHTTP},
+	}
+}
+
 // Handler returns the service's route table wrapped in the instrument
-// middleware. Adding a route here usually means adding its pattern to
-// routePatterns (observe.go) so it gets its own metric series instead of
-// the catch-all.
+// middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/protect", s.handleProtect)
-	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
-	mux.HandleFunc("POST /v1/sessions/{id}/delta", s.handleSessionDelta)
-	mux.HandleFunc("POST /v1/sessions/{id}/protect", s.handleSessionProtect)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	mux.HandleFunc("GET /v1/datasets", s.handleDatasets)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", s.registry.Handler())
-	// Legacy liveness probe: always 200 while the process serves, readiness
-	// notwithstanding. /v1/healthz is the readiness-aware replacement.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	s.mux = mux
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, rt.handler)
+	}
 	return s.instrument(mux)
+}
+
+// handleLiveness is the legacy liveness probe: always 200 while the
+// process serves, readiness notwithstanding. /v1/healthz is the
+// readiness-aware replacement.
+func (s *Server) handleLiveness(w http.ResponseWriter, _ *http.Request) {
+	respond(w, reply{status: http.StatusOK, body: newJSONBuf().statusReply("ok")})
 }
 
 // handleHealthz is the liveness/readiness probe: 200 while serving, 503
@@ -224,10 +237,10 @@ func (s *Server) Handler() http.Handler {
 // the instance out of rotation before the listener stops.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		respond(w, reply{status: http.StatusServiceUnavailable, body: newJSONBuf().statusReply("draining")})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	respond(w, reply{status: http.StatusOK, body: newJSONBuf().statusReply("ok")})
 }
 
 // protectRequest is the wire form of one protection request. Exactly one
@@ -309,129 +322,13 @@ func (s *Server) withNewRecord(w http.ResponseWriter, r *http.Request, fn func(c
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"datasets": []map[string]string{
-			{"name": "arenas-email", "description": "Arenas-email stand-in: 1133 nodes, ~5451 edges"},
-			{"name": "dblp", "description": "DBLP co-authorship stand-in; set scale for node count (default 2000)"},
-		},
-	})
+	respond(w, reply{status: http.StatusOK, body: newJSONBuf().datasetsReply()})
 }
 
-// statsResponse is the wire form of GET /v1/stats: aggregate service
-// observability — how many protection runs were accepted and how many are
-// executing right now, how many motif-index enumerations were performed and
-// how long they took (enumeration dominates request cost, so these timings
-// are the service's main capacity signal). Every field derives from the
-// same registry instruments GET /metrics exports; the *_mean_ms fields are
-// the histograms' running means.
-type statsResponse struct {
-	TotalRequests      int64   `json:"total_requests"`
-	RunsInflight       int64   `json:"runs_inflight"`
-	IndexBuilds        int64   `json:"index_builds"`
-	EnumerationTotalMS float64 `json:"enumeration_total_ms"`
-	EnumerationMeanMS  float64 `json:"enumeration_mean_ms"`
-
-	// Long-lived session lifecycle and incremental-maintenance counters.
-	// Comparing delta_apply_* against enumeration_* is the service-level
-	// incremental-vs-rebuild signal: every delta whose apply time is far
-	// below the enumeration time is a full re-index avoided.
-	SessionsOpen      int     `json:"sessions_open"`
-	SessionsCreated   int64   `json:"sessions_created"`
-	SessionsClosed    int64   `json:"sessions_closed"`
-	SessionsEvicted   int64   `json:"sessions_evicted"`
-	DeltasApplied     int64   `json:"deltas_applied"`
-	DeltaApplyTotalMS float64 `json:"delta_apply_total_ms"`
-	DeltaApplyMeanMS  float64 `json:"delta_apply_mean_ms"`
-
-	// Delta schema v2 mutation mix: how much node and target churn the
-	// sessions have absorbed (edge churn is the deltas_applied line itself).
-	NodesAdded     int64 `json:"nodes_added"`
-	NodesRemoved   int64 `json:"nodes_removed"`
-	TargetsAdded   int64 `json:"targets_added"`
-	TargetsDropped int64 `json:"targets_dropped"`
-
-	// Warm-start selection counters across all sessions. warm_runs over
-	// warm_runs+cold_runs is the steady-state hit rate; warm_fallbacks counts
-	// warm attempts abandoned (perturbation past threshold or replay
-	// divergence) that re-ran cold and are already included in cold_runs.
-	WarmRuns      int64 `json:"warm_runs"`
-	ColdRuns      int64 `json:"cold_runs"`
-	WarmFallbacks int64 `json:"warm_fallbacks"`
-
-	// Durability counters (all zero when -data-dir is off): WAL appends and
-	// their cumulative fsync cost, snapshots written and their cumulative
-	// size, and the boot/lazy rehydration outcome split.
-	WALAppends          int64   `json:"wal_appends"`
-	WALFsyncTotalMS     float64 `json:"wal_fsync_total_ms"`
-	SnapshotsWritten    int64   `json:"snapshots_written"`
-	SnapshotBytesTotal  int64   `json:"snapshot_bytes_total"`
-	SessionsRehydrated  int64   `json:"sessions_rehydrated"`
-	SessionsQuarantined int64   `json:"sessions_quarantined"`
-
-	// Requests rejected with 429 because no selection slot freed within the
-	// queue-wait budget.
-	BusyRejections int64 `json:"busy_rejections"`
-
-	// Session memory: resident bytes tracked against the memory budget
-	// (0 budget = unlimited), LRU spills and create requests rejected by
-	// admission control, and the live queue depth for a selection slot.
-	ResidentBytes   int64 `json:"resident_bytes"`
-	MemBudgetBytes  int64 `json:"mem_budget_bytes"`
-	SessionsSpilled int64 `json:"sessions_spilled"`
-	MemRejections   int64 `json:"mem_rejections"`
-	QueueDepth      int64 `json:"queue_depth"`
-
-	MaxWorkers          int `json:"max_workers"`
-	MaxConcurrentInUse  int `json:"max_concurrent_in_use"`
-	MaxConcurrentConfig int `json:"max_concurrent_config"`
-}
-
+// handleStats serves GET /v1/stats: the registry GET /metrics renders, as
+// one JSON object (see statsReply).
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	m := s.metrics
-	enum := m.stages.Histogram(telemetry.StageEnumerate)
-	writeJSON(w, http.StatusOK, statsResponse{
-		TotalRequests:      m.protectRequests.Load(),
-		RunsInflight:       m.inflightRuns.Load(),
-		IndexBuilds:        enum.Count(),
-		EnumerationTotalMS: float64(enum.Sum()) / 1e6,
-		EnumerationMeanMS:  enum.Mean() / 1e6,
-
-		SessionsOpen:      s.open(),
-		SessionsCreated:   m.sessionsCreated.Load(),
-		SessionsClosed:    m.sessionsClosed.Load(),
-		SessionsEvicted:   m.sessionsEvicted.Load(),
-		DeltasApplied:     m.deltasApplied.Load(),
-		DeltaApplyTotalMS: float64(m.deltaLatency.Sum()) / 1e6,
-		DeltaApplyMeanMS:  m.deltaLatency.Mean() / 1e6,
-
-		NodesAdded:     m.nodesAdded.Load(),
-		NodesRemoved:   m.nodesRemoved.Load(),
-		TargetsAdded:   m.targetsAdded.Load(),
-		TargetsDropped: m.targetsDropped.Load(),
-
-		WarmRuns:      m.warmRuns.Load(),
-		ColdRuns:      m.coldRuns.Load(),
-		WarmFallbacks: m.warmFallbacks.Load(),
-
-		WALAppends:          m.walAppends.Load(),
-		WALFsyncTotalMS:     float64(m.walFsync.Sum()) / 1e6,
-		SnapshotsWritten:    m.snapshotBytes.Count(),
-		SnapshotBytesTotal:  m.snapshotBytes.Sum(),
-		SessionsRehydrated:  m.sessionsRehydrated.Load(),
-		SessionsQuarantined: m.sessionsQuarantined.Load(),
-
-		BusyRejections: m.busyRejections.Load(),
-
-		ResidentBytes:   s.budget.Used(),
-		MemBudgetBytes:  s.budget.Cap(),
-		SessionsSpilled: m.sessionsSpilled.Load(),
-		MemRejections:   m.memRejections.Load(),
-		QueueDepth:      s.waiters.Load(),
-
-		MaxWorkers:          runtime.GOMAXPROCS(0),
-		MaxConcurrentInUse:  len(s.sem),
-		MaxConcurrentConfig: cap(s.sem),
-	})
+	respond(w, reply{status: http.StatusOK, body: newJSONBuf().statsReply(s.registry)})
 }
 
 // options validates a create or one-shot request's pattern, limits and
@@ -526,15 +423,7 @@ func graphFromDataset(spec *datasetSpec) (*graph.Graph, *graph.Labeling, error) 
 	default:
 		return nil, nil, fmt.Errorf("unknown dataset %q (want arenas-email or dblp)", spec.Name)
 	}
-	g := ds.Graph
-	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID, g.NumNodes())}
-	lab.ToName = make([]string, g.NumNodes())
-	for i := 0; i < g.NumNodes(); i++ {
-		name := strconv.Itoa(i)
-		lab.ToName[i] = name
-		lab.ToID[name] = graph.NodeID(i)
-	}
-	return g, lab, nil
+	return ds.Graph, labelingFrom(nil, ds.Graph.NumNodes()), nil
 }
 
 // resolveTargets maps the request's target pairs to graph edges, or samples

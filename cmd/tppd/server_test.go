@@ -460,29 +460,14 @@ func TestProtectWithWorkers(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	readStats := func() statsResponse {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/stats: status %d", resp.StatusCode)
-		}
-		var out statsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
+	const indexBuilds = `tpp_stage_duration_seconds_count{stage="enumerate"}`
 
-	before := readStats()
-	if before.TotalRequests != 0 || before.IndexBuilds != 0 || before.RunsInflight != 0 {
-		t.Fatalf("fresh server has non-zero stats: %+v", before)
+	before := getStats(t, ts)
+	if before.n("tppd_protect_requests_total") != 0 || before.n(indexBuilds) != 0 || before.n("tppd_runs_inflight") != 0 {
+		t.Fatalf("fresh server has non-zero stats: %v", before)
 	}
-	if before.MaxConcurrentConfig != 2 || before.MaxWorkers < 1 {
-		t.Fatalf("static stats wrong: %+v", before)
+	if before.n("tppd_concurrency_limit") != 2 || before.n("max_workers") < 1 {
+		t.Fatalf("static stats wrong: %v", before)
 	}
 
 	resp, body := postProtect(t, ts, protectRequest{
@@ -494,18 +479,18 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("protect: status %d: %s", resp.StatusCode, body)
 	}
 
-	after := readStats()
-	if after.TotalRequests != 1 {
-		t.Fatalf("total_requests = %d, want 1", after.TotalRequests)
+	after := getStats(t, ts)
+	if got := after.n("tppd_protect_requests_total"); got != 1 {
+		t.Fatalf("tppd_protect_requests_total = %d, want 1", got)
 	}
-	if after.IndexBuilds < 1 {
-		t.Fatalf("index_builds = %d, want >= 1", after.IndexBuilds)
+	if got := after.n(indexBuilds); got < 1 {
+		t.Fatalf("%s = %d, want >= 1", indexBuilds, got)
 	}
-	if after.RunsInflight != 0 {
-		t.Fatalf("runs_inflight = %d after request finished", after.RunsInflight)
+	if got := after.n("tppd_runs_inflight"); got != 0 {
+		t.Fatalf("tppd_runs_inflight = %d after request finished", got)
 	}
-	if after.EnumerationTotalMS < 0 || after.EnumerationMeanMS > after.EnumerationTotalMS {
-		t.Fatalf("enumeration timings inconsistent: %+v", after)
+	if sum := after[`tpp_stage_duration_seconds_sum{stage="enumerate"}`]; sum <= 0 {
+		t.Fatalf("enumeration took %v s in total, want > 0", sum)
 	}
 }
 

@@ -260,16 +260,12 @@ func TestSessionTTLEviction(t *testing.T) {
 	id := createQuickstartSession(t, ts)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-		var st statsResponse
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.SessionsEvicted >= 1 && st.SessionsOpen == 0 {
+		st := getStats(t, ts)
+		if st.n("tppd_sessions_evicted_total") >= 1 && st.n("tppd_sessions_open") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("session not evicted before deadline; stats %+v", st)
+			t.Fatalf("session not evicted before deadline; stats %v", st)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -465,13 +461,11 @@ func TestSessionDeltaV2NodeAndTargetChurn(t *testing.T) {
 	}
 
 	// The aggregate mutation-mix counters must have followed along.
-	_, body = doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.NodesAdded != 1 || st.NodesRemoved != 1 || st.TargetsAdded != 1 || st.TargetsDropped != 1 {
-		t.Fatalf("stats mutation mix = %+v, want 1/1/1/1", st)
+	st := getStats(t, ts)
+	for _, kind := range []string{"nodes_added", "nodes_removed", "targets_added", "targets_dropped"} {
+		if got := st.n(`tppd_session_mutations_total{kind="` + kind + `"}`); got != 1 {
+			t.Errorf("stats mutation mix: %s = %d, want 1", kind, got)
+		}
 	}
 }
 
@@ -543,40 +537,23 @@ func TestSessionWarmStartStats(t *testing.T) {
 	}
 	protect("protect after delta")
 
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: status %d: %s", resp.StatusCode, body)
+	st := getStats(t, ts)
+	warm, cold, fallbacks := st.n(warmRunsSeries), st.n(coldRunsSeries), st.n("tppd_selection_fallbacks_total")
+	if warm < 1 {
+		t.Fatalf("stats warm runs = %d, want >= 1: %v", warm, st)
 	}
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+	if cold < 1 {
+		t.Fatalf("stats cold runs = %d, want >= 1: %v", cold, st)
 	}
-	if st.WarmRuns < 1 {
-		t.Fatalf("stats warm_runs = %d, want >= 1: %s", st.WarmRuns, body)
+	if warm+cold != 3 {
+		t.Fatalf("stats warm+cold runs = %d+%d, want 3 protects: %v", warm, cold, st)
 	}
-	if st.ColdRuns < 1 {
-		t.Fatalf("stats cold_runs = %d, want >= 1: %s", st.ColdRuns, body)
-	}
-	if st.WarmRuns+st.ColdRuns != 3 {
-		t.Fatalf("stats warm_runs+cold_runs = %d+%d, want 3 protects: %s", st.WarmRuns, st.ColdRuns, body)
-	}
-	if st.WarmFallbacks < 0 || st.WarmFallbacks > st.ColdRuns {
-		t.Fatalf("stats warm_fallbacks = %d out of range (cold_runs %d): %s", st.WarmFallbacks, st.ColdRuns, body)
-	}
-
-	// The raw JSON must spell the documented field names.
-	var raw map[string]any
-	if err := json.Unmarshal(body, &raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"warm_runs", "cold_runs", "warm_fallbacks"} {
-		if _, ok := raw[key]; !ok {
-			t.Fatalf("stats response missing %q: %s", key, body)
-		}
+	if fallbacks < 0 || fallbacks > cold {
+		t.Fatalf("stats fallbacks = %d out of range (cold runs %d): %v", fallbacks, cold, st)
 	}
 
 	// The one-shot path never warm-starts but still counts a cold run.
-	resp, body = postProtect(t, ts, protectRequest{
+	resp, body := postProtect(t, ts, protectRequest{
 		Edges:   quickstartEdges,
 		Targets: [][2]string{{"0", "5"}},
 	})
@@ -590,13 +567,7 @@ func TestSessionWarmStartStats(t *testing.T) {
 	if oneShot.WarmStart {
 		t.Fatalf("one-shot protect claims warm start: %+v", oneShot)
 	}
-	if _, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil); true {
-		var st2 statsResponse
-		if err := json.Unmarshal(body, &st2); err != nil {
-			t.Fatal(err)
-		}
-		if st2.ColdRuns != st.ColdRuns+1 {
-			t.Fatalf("one-shot cold run not counted: %d -> %d", st.ColdRuns, st2.ColdRuns)
-		}
+	if got := getStats(t, ts).n(coldRunsSeries); got != cold+1 {
+		t.Fatalf("one-shot cold run not counted: %d -> %d", cold, got)
 	}
 }

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -180,35 +178,6 @@ func TestColdRouteBytes(t *testing.T) {
 	srv.BeginDrain()
 	check("/v1/healthz", http.StatusServiceUnavailable, draining)
 	check("/healthz", http.StatusOK, ok)
-}
-
-// TestWriteJSONEncodeErrorIs500 pins that a value the encoder rejects is
-// answered with a logged 500 error payload, not a truncated 200.
-func TestWriteJSONEncodeErrorIs500(t *testing.T) {
-	var logs bytes.Buffer
-	prev := slog.Default()
-	slog.SetDefault(slog.New(slog.NewJSONHandler(&logs, nil)))
-	defer slog.SetDefault(prev)
-
-	rec := httptest.NewRecorder()
-	rec.Header().Set(requestIDHeader, "req-1")
-	writeJSON(rec, http.StatusOK, struct {
-		X float64 `json:"x"`
-	}{math.NaN()})
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rec.Code)
-	}
-	body := rec.Body.Bytes()
-	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(body)) {
-		t.Errorf("Content-Length %q, body is %d bytes", got, len(body))
-	}
-	var er errorResponse
-	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "encoding response") {
-		t.Fatalf("body %q is not the encode error payload (%v)", body, err)
-	}
-	if !strings.Contains(logs.String(), "tppd: encoding response") || !strings.Contains(logs.String(), `"request_id":"req-1"`) {
-		t.Errorf("encode error not logged with its request id: %q", logs.String())
-	}
 }
 
 // TestSessionFootprintCounters drives random deltas with node churn and

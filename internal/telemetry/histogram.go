@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -85,35 +84,18 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the average observed sample in raw units, or 0 before the
-// first observation. tppd's /v1/stats reports it as the "*_mean_ms"
-// fields.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// render appends the series' _bucket/_sum/_count exposition lines. Bucket
-// counts are accumulated in one ascending pass, so the rendered cumulative
+// samples calls fn with the series' _bucket, _sum and _count samples.
+// Bucket counts are accumulated in one ascending pass, so the cumulative
 // counts are monotone even while observations land concurrently; _count
 // reuses the final cumulative value so `le="+Inf"` always equals it.
-func (h *Histogram) render(b []byte, name, labels string) []byte {
+func (h *Histogram) samples(fn func(sample)) {
 	var cum int64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
-		b = appendSample(b, name, "_bucket", labels, h.le[i])
-		b = strconv.AppendInt(b, cum, 10)
-		b = append(b, '\n')
+		fn(sample{suffix: "_bucket", le: h.le[i], n: cum, isInt: true})
 	}
-	b = appendSample(b, name, "_sum", labels, "")
-	b = appendFloat(b, float64(h.sum.Load())/h.unit)
-	b = append(b, '\n')
-	b = appendSample(b, name, "_count", labels, "")
-	b = strconv.AppendInt(b, cum, 10)
-	return append(b, '\n')
+	fn(sample{suffix: "_sum", f: float64(h.sum.Load()) / h.unit})
+	fn(sample{suffix: "_count", n: cum, isInt: true})
 }
 
 // ExponentialBounds returns n ascending bucket bounds starting at lo and

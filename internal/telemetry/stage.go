@@ -73,15 +73,6 @@ func NewStageHistograms(r *Registry, name, help string) *StageHistograms {
 	return sh
 }
 
-// Histogram returns the process-wide histogram backing stage st, for
-// read-side derivations (totals and counts in status endpoints).
-func (sh *StageHistograms) Histogram(st Stage) *Histogram {
-	if sh == nil {
-		return nil
-	}
-	return sh.h[st]
-}
-
 // Observe records one span duration for stage st.
 //
 //tpp:hotpath

@@ -1,8 +1,8 @@
 // Package telemetry is the repo's dependency-free metrics core: counters,
 // gauges and fixed-boundary log-scale histograms behind a Registry that
-// renders Prometheus text exposition format (v0.0.4), plus a lightweight
-// per-stage span recorder (see stage.go) threaded through the protect
-// pipeline via context.
+// renders Prometheus text exposition format (v0.0.4) and the same samples
+// as JSON object members, plus a lightweight per-stage span recorder (see
+// stage.go) threaded through the protect pipeline via context.
 //
 // The package exists so that observing the hot path does not un-win the
 // repo's zero-alloc contracts: every write-side operation — Counter.Add,
@@ -21,6 +21,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -276,13 +277,25 @@ func escapeHelp(s string) string {
 	return b.String()
 }
 
-// RenderText renders every family in Prometheus text exposition format
-// v0.0.4: families in name order, one HELP and TYPE line each, series in
-// label-signature order. Values read while instruments are concurrently
-// written are individually atomic; histogram bucket lines are rendered
-// cumulative from a single pass, so `le` monotonicity holds within a scrape
-// even under concurrent observation.
-func (r *Registry) RenderText() []byte {
+// sample is one sample line of the exposition: a series' value under its
+// family name plus suffix ("" for counters and gauges; "_bucket", "_sum"
+// and "_count" for a histogram) and its label block plus le (a bucket's
+// `le="…"` fragment, else ""). Counters, gauges, buckets and _count are
+// integers (isInt); a function gauge and _sum are floats.
+type sample struct {
+	suffix string
+	le     string
+	n      int64
+	f      float64
+	isInt  bool
+}
+
+// walk calls fn for every sample line RenderText prints, in its order:
+// families by name, series by label signature, a histogram's buckets then
+// its _sum and _count. It holds the registry lock throughout. Both views
+// of the registry, the text exposition and the JSON members, are written
+// from this one walk, so they cannot list different series.
+func (r *Registry) walk(fn func(f *family, s *series, x sample)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.fam))
@@ -291,44 +304,104 @@ func (r *Registry) RenderText() []byte {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var b []byte
 	for _, name := range names {
 		f := r.fam[name]
-		b = append(b, "# HELP "...)
-		b = append(b, f.name...)
-		b = append(b, ' ')
-		b = append(b, escapeHelp(f.help)...)
-		b = append(b, "\n# TYPE "...)
-		b = append(b, f.name...)
-		b = append(b, ' ')
-		b = append(b, f.kind.String()...)
-		b = append(b, '\n')
 		for _, s := range f.ser {
-			b = s.render(b, f)
+			switch f.kind {
+			case kindCounter:
+				fn(f, s, sample{n: s.c.Load(), isInt: true})
+			case kindGauge:
+				fn(f, s, sample{n: s.g.Load(), isInt: true})
+			case kindGaugeFunc:
+				fn(f, s, sample{f: s.fn()})
+			case kindHistogram:
+				s.h.samples(func(x sample) { fn(f, s, x) })
+			}
 		}
 	}
+}
+
+// RenderText renders every family in Prometheus text exposition format
+// v0.0.4: families in name order, one HELP and TYPE line each, series in
+// label-signature order. Values read while instruments are concurrently
+// written are individually atomic; histogram bucket lines are rendered
+// cumulative from a single pass, so `le` monotonicity holds within a scrape
+// even under concurrent observation.
+func (r *Registry) RenderText() []byte {
+	var b []byte
+	var last *family
+	r.walk(func(f *family, s *series, x sample) {
+		if f != last {
+			last = f
+			b = append(b, "# HELP "...)
+			b = append(b, f.name...)
+			b = append(b, ' ')
+			b = append(b, escapeHelp(f.help)...)
+			b = append(b, "\n# TYPE "...)
+			b = append(b, f.name...)
+			b = append(b, ' ')
+			b = append(b, f.kind.String()...)
+			b = append(b, '\n')
+		}
+		b = appendSample(b, f.name, x.suffix, s.labels, x.le)
+		if x.isInt {
+			b = strconv.AppendInt(b, x.n, 10)
+		} else {
+			b = appendFloat(b, x.f)
+		}
+		b = append(b, '\n')
+	})
 	return b
 }
 
-// render appends one series' sample lines.
-func (s *series) render(b []byte, f *family) []byte {
-	switch f.kind {
-	case kindCounter:
-		b = appendSample(b, f.name, "", s.labels, "")
-		b = strconv.AppendInt(b, s.c.Load(), 10)
-		return append(b, '\n')
-	case kindGauge:
-		b = appendSample(b, f.name, "", s.labels, "")
-		b = strconv.AppendInt(b, s.g.Load(), 10)
-		return append(b, '\n')
-	case kindGaugeFunc:
-		b = appendSample(b, f.name, "", s.labels, "")
-		b = appendFloat(b, s.fn())
-		return append(b, '\n')
-	case kindHistogram:
-		return s.h.render(b, f.name, s.labels)
-	}
+// AppendJSONMembers appends one JSON object member, comma first, per
+// sample line RenderText prints except histogram buckets, for the caller
+// to close into an object after its own leading member. Each key is the
+// sample's name and label block exactly as the exposition prints them
+// (`tppd_selection_runs_total{mode="warm"}`, `x_seconds_sum`), each value
+// the same number: integers as integers, a float that holds an integer
+// below 2^53 as one too, other finite floats in their shortest form, and a
+// NaN or infinity, which JSON cannot spell, as null.
+func (r *Registry) AppendJSONMembers(b []byte) []byte {
+	var key []byte
+	r.walk(func(f *family, s *series, x sample) {
+		if x.suffix == "_bucket" {
+			return
+		}
+		key = appendSample(key[:0], f.name, x.suffix, s.labels, "")
+		b = append(b, ',')
+		b = appendJSONString(b, key[:len(key)-1]) // without appendSample's trailing space
+		b = append(b, ':')
+		switch {
+		case x.isInt:
+			b = strconv.AppendInt(b, x.n, 10)
+		case math.IsNaN(x.f) || math.IsInf(x.f, 0):
+			b = append(b, "null"...)
+		case x.f == math.Trunc(x.f) && math.Abs(x.f) < 1<<53:
+			b = strconv.AppendInt(b, int64(x.f), 10)
+		default:
+			b = appendFloat(b, x.f)
+		}
+	})
 	return b
+}
+
+// appendJSONString appends s as a JSON string: quote and backslash escaped,
+// control bytes as \u00XX, every other byte as is.
+func appendJSONString(b, s []byte) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for _, c := range s {
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < ' ':
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // appendSample appends `name[suffix]{labels[,extra]} ` with the trailing
