@@ -391,12 +391,9 @@ func TestDurableCompactionThreshold(t *testing.T) {
 // stats surface account for every append.
 func TestDurableWALFsyncStats(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: true})
+	_, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: true})
 	id := createQuickstartSession(t, ts)
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "7"}}}, "delta")
-	if got := srv.metrics.walFsync.Count(); got != 1 {
-		t.Fatalf("wal fsync count = %d, want 1", got)
-	}
 	st := getStats(t, ts)
 	if st.n("tpp_wal_appends_total") != 1 || st.n("tpp_wal_fsync_seconds_count") != 1 || st["tpp_wal_fsync_seconds_sum"] < 0 {
 		t.Fatalf("stats %v, want one WAL append with one fsync", st)

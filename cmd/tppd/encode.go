@@ -118,11 +118,25 @@ func (e *jsonBuf) datasetsReply() *jsonBuf {
 
 // statsReply encodes the GET /v1/stats reply: the registry as one JSON
 // object, a member per GET /metrics sample line but the histogram buckets
-// (see telemetry.Registry.AppendJSONMembers), led by max_workers, the
-// GOMAXPROCS the daemon runs under, which has no series.
+// (see telemetry.Registry.Samples), keyed by the sample's name and label
+// block as printed, led by max_workers, the GOMAXPROCS the daemon runs
+// under, which has no series. A NaN or infinite value, which JSON cannot
+// spell, is null.
 func (e *jsonBuf) statsReply(reg *telemetry.Registry) *jsonBuf {
 	b := appendKeyInt(e.b[:0], `{"max_workers":`, int64(runtime.GOMAXPROCS(0)))
-	b = reg.AppendJSONMembers(b)
+	reg.Samples(func(key string, n int64, f float64, isInt bool) {
+		b = append(b, ',')
+		b = appendJSONString(b, key)
+		b = append(b, ':')
+		switch {
+		case isInt:
+			b = strconv.AppendInt(b, n, 10)
+		case math.IsNaN(f) || math.IsInf(f, 0):
+			b = append(b, "null"...)
+		default:
+			b = appendJSONFloat(b, f)
+		}
+	})
 	e.b = append(b, "}\n"...)
 	return e
 }

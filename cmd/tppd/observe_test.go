@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/telemetry"
 )
 
 // TestHealthzDrainFlip pins the readiness contract: /v1/healthz answers 200
@@ -426,6 +428,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	for name, want := range map[string]int64{
 		"tppd_sessions_created_total":                         1,
 		"tppd_deltas_applied_total":                           1,
+		"tppd_delta_duration_seconds_count":                   1,
 		"tppd_sessions_spilled_total":                         1,
 		"tppd_busy_rejections_total":                          1,
 		"tppd_mem_budget_bytes":                               budget,
@@ -438,6 +441,33 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if st.n("tpp_wal_appends_total") < 1 || st.n("tpp_snapshot_bytes_count") < 1 {
 		t.Errorf("no WAL append or snapshot counted: %v", st)
+	}
+	if st["tppd_delta_duration_seconds_sum"] <= 0 {
+		t.Errorf("delta apply time not recorded: tppd_delta_duration_seconds_sum = %v", st["tppd_delta_duration_seconds_sum"])
+	}
+}
+
+// TestStatsReplyNonFiniteIsNull: a registry sample JSON cannot spell, a
+// NaN or infinite function gauge, is a null member of GET /v1/stats, and
+// the reply stays one valid JSON object.
+func TestStatsReplyNonFiniteIsNull(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.GaugeFunc("x_nan", "A NaN gauge.", math.NaN)
+	reg.GaugeFunc("x_inf", "An infinite gauge.", func() float64 { return math.Inf(1) })
+	reg.GaugeFunc("x_half", "A finite gauge.", func() float64 { return 0.5 })
+	reg.Counter("x_total", "A counter.", telemetry.Label{Key: "k", Value: "v"}).Add(7)
+
+	got := string(newJSONBuf().statsReply(reg).b)
+	want := fmt.Sprintf(`{"max_workers":%d,"x_half":0.5,"x_inf":null,"x_nan":null,"x_total{k=\"v\"}":7}`+"\n", runtime.GOMAXPROCS(0))
+	if got != want {
+		t.Errorf("stats reply\n got  %s want %s", got, want)
+	}
+	var m map[string]any
+	if err := json.Unmarshal([]byte(got), &m); err != nil {
+		t.Fatalf("stats reply is not a JSON object: %v", err)
+	}
+	if v, ok := m["x_nan"]; !ok || v != nil {
+		t.Errorf("x_nan = %v (present %v), want null", v, ok)
 	}
 }
 

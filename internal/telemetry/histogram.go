@@ -64,26 +64,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of samples observed.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed samples, in raw units.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // samples calls fn with the series' _bucket, _sum and _count samples.
 // Bucket counts are accumulated in one ascending pass, so the cumulative
 // counts are monotone even while observations land concurrently; _count

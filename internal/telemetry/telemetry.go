@@ -1,7 +1,7 @@
 // Package telemetry is the repo's dependency-free metrics core: counters,
 // gauges and fixed-boundary log-scale histograms behind a Registry that
-// renders Prometheus text exposition format (v0.0.4) and the same samples
-// as JSON object members, plus a lightweight per-stage span recorder (see
+// renders Prometheus text exposition format (v0.0.4) and hands the same
+// samples to a caller one by one (Samples), plus a lightweight per-stage span recorder (see
 // stage.go) threaded through the protect pipeline via context.
 //
 // The package exists so that observing the hot path does not un-win the
@@ -21,7 +21,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -293,8 +292,9 @@ type sample struct {
 // walk calls fn for every sample line RenderText prints, in its order:
 // families by name, series by label signature, a histogram's buckets then
 // its _sum and _count. It holds the registry lock throughout. Both views
-// of the registry, the text exposition and the JSON members, are written
-// from this one walk, so they cannot list different series.
+// of the registry, the text exposition and the Samples a caller writes
+// (tppd's GET /v1/stats), come from this one walk, so they cannot list
+// different series.
 func (r *Registry) walk(fn func(f *family, s *series, x sample)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -354,54 +354,20 @@ func (r *Registry) RenderText() []byte {
 	return b
 }
 
-// AppendJSONMembers appends one JSON object member, comma first, per
-// sample line RenderText prints except histogram buckets, for the caller
-// to close into an object after its own leading member. Each key is the
-// sample's name and label block exactly as the exposition prints them
-// (`tppd_selection_runs_total{mode="warm"}`, `x_seconds_sum`), each value
-// the same number: integers as integers, a float that holds an integer
-// below 2^53 as one too, other finite floats in their shortest form, and a
-// NaN or infinity, which JSON cannot spell, as null.
-func (r *Registry) AppendJSONMembers(b []byte) []byte {
+// Samples calls fn once per sample line RenderText prints except histogram
+// buckets, in the same order, with the sample's name and label block exactly
+// as the exposition prints them (`tppd_selection_runs_total{mode="warm"}`,
+// `x_seconds_sum`) and its value: n when isInt (counters, gauges, _count),
+// else f (function gauges, _sum), which may be NaN or infinite.
+func (r *Registry) Samples(fn func(key string, n int64, f float64, isInt bool)) {
 	var key []byte
-	r.walk(func(f *family, s *series, x sample) {
+	r.walk(func(fam *family, s *series, x sample) {
 		if x.suffix == "_bucket" {
 			return
 		}
-		key = appendSample(key[:0], f.name, x.suffix, s.labels, "")
-		b = append(b, ',')
-		b = appendJSONString(b, key[:len(key)-1]) // without appendSample's trailing space
-		b = append(b, ':')
-		switch {
-		case x.isInt:
-			b = strconv.AppendInt(b, x.n, 10)
-		case math.IsNaN(x.f) || math.IsInf(x.f, 0):
-			b = append(b, "null"...)
-		case x.f == math.Trunc(x.f) && math.Abs(x.f) < 1<<53:
-			b = strconv.AppendInt(b, int64(x.f), 10)
-		default:
-			b = appendFloat(b, x.f)
-		}
+		key = appendSample(key[:0], fam.name, x.suffix, s.labels, "")
+		fn(string(key[:len(key)-1]), x.n, x.f, x.isInt) // without appendSample's trailing space
 	})
-	return b
-}
-
-// appendJSONString appends s as a JSON string: quote and backslash escaped,
-// control bytes as \u00XX, every other byte as is.
-func appendJSONString(b, s []byte) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	for _, c := range s {
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c < ' ':
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
 }
 
 // appendSample appends `name[suffix]{labels[,extra]} ` with the trailing

@@ -2,9 +2,9 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -79,12 +79,11 @@ func TestRenderTextGolden(t *testing.T) {
 	}
 }
 
-// TestAppendJSONMembersGolden pins the JSON view of the registry
-// TestRenderTextGolden renders: one member per non-bucket sample in the
-// same order, keyed by the sample's name and label block as printed,
-// escaped for JSON; integral values as integers, a NaN or infinite
-// function gauge as null.
-func TestAppendJSONMembersGolden(t *testing.T) {
+// TestSamplesGolden pins the sample walk GET /v1/stats is written from:
+// one call per non-bucket sample RenderText prints, in the same order,
+// keyed by the sample's name and label block as printed, integers as n and
+// function gauges and _sum as f, NaN and infinities included.
+func TestSamplesGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("ztest_live_sessions", "Live sessions.").Set(3)
 	r.Counter("atest_requests_total", "Requests by route.",
@@ -97,34 +96,31 @@ func TestAppendJSONMembersGolden(t *testing.T) {
 	h.Observe(2_000_000)
 	r.Histogram("htest_bytes", "Sizes.", []int64{10}, 1).Observe(4_000_000)
 	r.GaugeFunc("ptest_pi", "A function-backed gauge.", func() float64 { return 3.5 })
-	r.GaugeFunc("ptest_big", "An integral function gauge.", func() float64 { return 2_097_152 })
 	r.GaugeFunc("ptest_nan", "A NaN gauge.", math.NaN)
 	r.GaugeFunc("ptest_inf", "An infinite gauge.", func() float64 { return math.Inf(-1) })
 
-	want := `,"atest_requests_total{route=\"/v1/protect\"}":2` +
-		`,"htest_bytes_sum":4000000` +
-		`,"htest_bytes_count":1` +
-		`,"htest_duration_seconds_sum{stage=\"score\"}":0.0020005` +
-		`,"htest_duration_seconds_count{stage=\"score\"}":2` +
-		`,"mtest_escape_total{v=\"a\\\\b\\\"c\\nd\u0009e\"}":1` +
-		`,"ptest_big":2097152` +
-		`,"ptest_inf":null` +
-		`,"ptest_nan":null` +
-		`,"ptest_pi":3.5` +
-		`,"ztest_live_sessions":3`
-	got := string(r.AppendJSONMembers(nil))
-	if got != want {
-		t.Errorf("AppendJSONMembers mismatch:\n got  %s\n want %s", got, want)
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte("{"+got[1:]+"}"), &m); err != nil {
-		t.Fatalf("members do not close into a JSON object: %v", err)
-	}
-	if v, ok := m["ptest_nan"]; !ok || v != nil {
-		t.Errorf("NaN gauge decodes as %v (present %v), want null", v, ok)
-	}
-	if _, ok := m[`mtest_escape_total{v="a\\b\"c\nd`+"\t"+`e"}`]; !ok {
-		t.Errorf("escaped key does not decode to the exposition's label block: %v", m)
+	want := strings.Join([]string{
+		`atest_requests_total{route="/v1/protect"} int 2`,
+		`htest_bytes_sum float 4e+06`,
+		`htest_bytes_count int 1`,
+		`htest_duration_seconds_sum{stage="score"} float 0.0020005`,
+		`htest_duration_seconds_count{stage="score"} int 2`,
+		`mtest_escape_total{v="a\\b\"c\nd` + "\t" + `e"} int 1`,
+		`ptest_inf float -Inf`,
+		`ptest_nan float NaN`,
+		`ptest_pi float 3.5`,
+		`ztest_live_sessions int 3`,
+	}, "\n")
+	var lines []string
+	r.Samples(func(key string, n int64, f float64, isInt bool) {
+		if isInt {
+			lines = append(lines, key+" int "+strconv.FormatInt(n, 10))
+		} else {
+			lines = append(lines, key+" float "+strconv.FormatFloat(f, 'g', -1, 64))
+		}
+	})
+	if got := strings.Join(lines, "\n"); got != want {
+		t.Errorf("Samples mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
@@ -168,12 +164,22 @@ func TestHistogramCountersSelfConsistent(t *testing.T) {
 	for i := int64(0); i < 1000; i++ {
 		h.Observe(i * 1_000_003)
 	}
-	if got := h.Count(); got != 1000 {
-		t.Errorf("Count = %d, want 1000", got)
+	if got := histCount(h); got != 1000 {
+		t.Errorf("_count = %d, want 1000", got)
 	}
-	if h.Sum() <= 0 {
-		t.Errorf("Sum = %d, want > 0", h.Sum())
+	if sum := h.sum.Load(); sum <= 0 {
+		t.Errorf("raw sum = %d, want > 0", sum)
 	}
+}
+
+// histCount returns the _count sample h renders.
+func histCount(h *Histogram) (n int64) {
+	h.samples(func(x sample) {
+		if x.suffix == "_count" {
+			n = x.n
+		}
+	})
+	return n
 }
 
 // TestRegistryConcurrency hammers registration, observation and rendering
@@ -208,7 +214,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			_ = r.RenderText()
-			_ = r.AppendJSONMembers(nil)
+			r.Samples(func(string, int64, float64, bool) {})
 		}
 	}()
 	wg.Wait()
@@ -216,7 +222,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := c.Load(); got != 8*2000 {
 		t.Errorf("counter = %d, want %d", got, 8*2000)
 	}
-	if got := h.Count(); got != 8*2000 {
+	if got := histCount(h); got != 8*2000 {
 		t.Errorf("histogram count = %d, want %d", got, 8*2000)
 	}
 	var calls int64
